@@ -128,7 +128,12 @@ def _add_experiment_flags(p: argparse.ArgumentParser):
     p.add_argument("--budget", type=int)
     p.add_argument("--replicas", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--walk-mode", choices=[m.value for m in WalkMode])
+    p.add_argument(
+        "--walk-mode",
+        choices=[m.value for m in WalkMode],
+        help="accepted for replaying old configs; both modes run the same code "
+        "and give identical results",
+    )
     p.add_argument(
         "--record-trajectories", action=argparse.BooleanOptionalAction, default=None
     )
@@ -184,6 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_experiment(args) -> ExperimentSpec:
+    if args.parallelism < 1:
+        raise ValueError(f"--parallelism must be >= 1, got {args.parallelism}")
     cfg: dict[str, str] = {}
     if args.config:
         cfg = read_config_file(args.config)

@@ -9,10 +9,12 @@ over once every vertex holds at most one particle.
 
 Randomness: particle i owns two counter-based streams keyed by
 (seed, i, tag) with tags {direction, laziness}, so trajectories are
-a pure function of (spec, M, variant, seed, walk_mode, budget) and
-are identical whether walks are drawn on demand, pre-provisioned
-(Predetermined mode), or batch-evaluated by the vectorised
-complete-graph path.
+a pure function of (spec, M, variant, seed, budget) and are identical
+whether draws are made one at a time by the generic path or
+batch-evaluated by the vectorised complete-graph path. The two walk
+modes run the same code: a counter-based draw needs no buffer, so
+`walk_mode` has no effect on results and is kept only so that
+configs naming either mode still replay.
 
 Occupancy is a hash multiset iterating only multi-occupied vertices,
 so per-step cost tracks the unhappy count, not M. The Complete
@@ -76,6 +78,9 @@ class Status(str, Enum):
 
 
 class WalkMode(str, Enum):
+    """Accepted so that configs naming either mode replay; both modes
+    run the same code and give identical results."""
+
     ON_DEMAND = "on-demand"
     PREDETERMINED = "predetermined"
 
@@ -214,15 +219,8 @@ class ParticleSystem:
         else:
             self._lkeys = None
             self._L = None
-        self._pre: Optional[list[list[int]]] = (
-            [[] for _ in range(particles)] if self.walk_mode is WalkMode.PREDETERMINED else None
-        )
 
-        self._fast = (
-            spec.family is Family.COMPLETE
-            and self.walk_mode is WalkMode.ON_DEMAND
-            and not force_generic
-        )
+        self._fast = spec.family is Family.COMPLETE and not force_generic
         if self._fast:
             self._n = topo.n_vertices
             self._posv = np.zeros(particles, dtype=np.int64)
@@ -262,12 +260,14 @@ class ParticleSystem:
             return self._dispersed
         return not self._multi
 
-    def happy_unhappy_counts(self) -> tuple[int, int]:
+    def _unhappy_ids(self) -> set[int]:
         if self._fast:
             counts = np.bincount(self._posv, minlength=self._n)
-            unhappy = int((counts[self._posv] >= 2).sum())
-        else:
-            unhappy = sum(len(self._vert[v]) for v in self._multi)
+            return set(np.flatnonzero(counts[self._posv] >= 2).tolist())
+        return {pid for v in self._multi for pid in self._vert[v]}
+
+    def happy_unhappy_counts(self) -> tuple[int, int]:
+        unhappy = len(self._unhappy_ids())
         return self.particles - unhappy, unhappy
 
     def record_trajectories(self, on: bool) -> None:
@@ -280,141 +280,9 @@ class ParticleSystem:
         else:
             self._log = None
 
-    # -- predetermined walk buffers -------------------------------------
-
-    def _pre_draw(self, pid: int, counter: int) -> int:
-        buf = self._pre[pid]
-        key = self._dkeys[pid]
-        while len(buf) < counter:
-            base = len(buf)
-            buf.extend(draw(key, base + 1 + i) for i in range(256))
-        return buf[counter - 1]
-
     # -- stepping, generic path -----------------------------------------
 
-    def _collect_movers(self) -> tuple[list[tuple[int, Any]], int]:
-        movers: list[tuple[int, Any]] = []
-        meetings = 0
-        for v in self._multi:
-            s = self._vert[v]
-            c = len(s)
-            meetings += c * (c - 1) // 2
-            for pid in s:
-                movers.append((pid, v))
-        if self._lazy:
-            p = self.variant.p
-            lkeys, lcnt = self._lkeys, self._L
-            kept = []
-            for pid, src in movers:
-                lc = lcnt[pid] + 1
-                lcnt[pid] = lc
-                if to_unit(draw(lkeys[pid], lc)) < p:
-                    kept.append((pid, src))
-            movers = kept
-        return movers, meetings
-
-    def _draw_dests(self, movers: list[tuple[int, Any]]) -> list[Any]:
-        topo = self.topo
-        deg = topo.degree
-        nbr = topo.neighbor
-        N = self._Ns
-        dkeys = self._dkeys
-        predet = self._pre is not None
-        leafwatch = self._leafwatch
-        dests = []
-        for pid, src in movers:
-            c = N[pid] + 1
-            N[pid] = c
-            raw = self._pre_draw(pid, c) if predet else draw(dkeys[pid], c)
-            d = deg(src)
-            if d == 1:
-                if leafwatch:
-                    self.boundary_flag = True
-                dests.append(nbr(src, 0))
-            else:
-                dests.append(nbr(src, raw % d))
-        return dests
-
-    def _apply_moves(
-        self, movers: list[tuple[int, Any]], dests: list[Any]
-    ) -> set[Any]:
-        vert = self._vert
-        pos = self._pos
-        dist = self.topo.distance_to_origin
-        affected: set[Any] = set()
-        for pid, src in movers:
-            vert[src].remove(pid)
-            affected.add(src)
-        maxd = self.max_distance_ever
-        log = self._log
-        t = self.t
-        for (pid, _), dest in zip(movers, dests):
-            s = vert.get(dest)
-            if s is None:
-                vert[dest] = {pid}
-            else:
-                s.add(pid)
-            pos[pid] = dest
-            affected.add(dest)
-            d2 = dist(dest)
-            if d2 > maxd:
-                maxd = d2
-            if log is not None:
-                log.events.append((t, pid, dest))
-        self.max_distance_ever = maxd
-        if log is not None and len(log.events) > RECORD_EVENT_CAP:
-            raise RuntimeError(
-                f"trajectory recording exceeded {RECORD_EVENT_CAP} move events"
-            )
-        multi = self._multi
-        for v in affected:
-            s = vert.get(v)
-            if s:
-                if len(s) >= 2:
-                    multi.add(v)
-                else:
-                    multi.discard(v)
-            else:
-                if s is not None:
-                    del vert[v]
-                multi.discard(v)
-        if self.topo.unbounded and maxd > COORDINATE_LIMIT:
-            self.boundary_abort = True
-        return affected
-
-    def _step_generic(self) -> StepReport:
-        if not self._multi:
-            return StepReport(0, 0, 0, 0, True)
-        pre_unhappy = {pid for v in self._multi for pid in self._vert[v]}
-        movers, meetings = self._collect_movers()
-        self.meeting_total += meetings
-        dests = self._draw_dests(movers)
-        affected = self._apply_moves(movers, dests)
-        self.t += 1
-        if self._log is not None:
-            self._log.steps = self.t
-        newly_happy = 0
-        newly_unhappy = 0
-        vert = self._vert
-        for v in affected:
-            s = vert.get(v)
-            if not s:
-                continue
-            if len(s) == 1:
-                (q,) = s
-                if q in pre_unhappy:
-                    newly_happy += 1
-            else:
-                for q in s:
-                    if q not in pre_unhappy:
-                        newly_unhappy += 1
-        return StepReport(
-            len(movers), newly_happy, newly_unhappy, meetings, not self._multi
-        )
-
     def _run_generic(self, t_end: int) -> None:
-        # Lean twin of _step_generic: identical state evolution, no
-        # per-step report bookkeeping.
         vert = self._vert
         multi = self._multi
         pos = self._pos
@@ -428,8 +296,6 @@ class ParticleSystem:
         p = self.variant.p
         lkeys = self._lkeys
         lcnt = self._L
-        predet = self._pre is not None
-        pre_draw = self._pre_draw
         leafwatch = self._leafwatch
         unbounded = topo.unbounded
         log = self._log
@@ -464,7 +330,7 @@ class ParticleSystem:
             for pid, src in movers:
                 c = N[pid] + 1
                 N[pid] = c
-                raw = pre_draw(pid, c) if predet else _draw(dkeys[pid], c)
+                raw = _draw(dkeys[pid], c)
                 d = deg(src)
                 if d == 1:
                     if leafwatch:
@@ -540,40 +406,6 @@ class ParticleSystem:
         raws = draw_array(self._lkv[idx], self._Lv[idx])
         return idx[to_unit_array(raws) < self.variant.p]
 
-    def _step_complete(self) -> StepReport:
-        if self._dispersed:
-            return StepReport(0, 0, 0, 0, True)
-        pos = self._posv
-        counts = np.bincount(pos, minlength=self._n)
-        occ = counts[pos]
-        unh = occ >= 2
-        meetings = int((counts * (counts - 1) // 2).sum())
-        self.meeting_total += meetings
-        idx = np.nonzero(unh)[0]
-        if self._lazy:
-            idx = self._lazy_filter(idx)
-        moved = idx.size
-        if moved:
-            dest = self._complete_destinations(idx)
-            pos[idx] = dest
-            if self._log is not None:
-                t = self.t
-                self._log.events.extend(
-                    (t, int(pid), int(d)) for pid, d in zip(idx, dest)
-                )
-            if self.max_distance_ever == 0 and bool((dest != 0).any()):
-                self.max_distance_ever = 1
-        self.t += 1
-        counts_after = np.bincount(pos, minlength=self._n)
-        self._dispersed = bool((counts_after <= 1).all())
-        if self._log is not None:
-            self._log.steps = self.t
-        happy_before = occ == 1
-        happy_after = counts_after[pos] == 1
-        newly_unhappy = int((happy_before & ~happy_after).sum())
-        newly_happy = int((~happy_before & happy_after).sum())
-        return StepReport(moved, newly_happy, newly_unhappy, meetings, self._dispersed)
-
     def _run_complete(self, t_end: int) -> None:
         pos = self._posv
         n = self._n
@@ -611,18 +443,32 @@ class ParticleSystem:
 
     # -- public stepping ---------------------------------------------------
 
-    def step(self) -> StepReport:
+    def _advance(self, t_end: int) -> None:
         if self._fast:
-            return self._step_complete()
-        return self._step_generic()
+            self._run_complete(t_end)
+        else:
+            self._run_generic(t_end)
+
+    def step(self) -> StepReport:
+        """One synchronous step through the loop run() uses; the report
+        is read off the states before and after it."""
+        walked = int(self.walk_counts.sum())
+        meetings = self.meeting_total
+        before = self._unhappy_ids()
+        self._advance(self.t + 1)
+        after = self._unhappy_ids()
+        return StepReport(
+            movers=int(self.walk_counts.sum()) - walked,
+            newly_happy=len(before - after),
+            newly_unhappy=len(after - before),
+            pairwise_meetings=self.meeting_total - meetings,
+            dispersed_after=self.is_dispersed(),
+        )
 
     def run(self, budget: int = DEFAULT_BUDGET) -> RunResult:
         if budget < 0:
             raise ValueError("budget must be >= 0")
-        if self._fast:
-            self._run_complete(budget)
-        else:
-            self._run_generic(budget)
+        self._advance(budget)
 
         dispersed = self.is_dispersed()
         if self.boundary_abort or self.boundary_flag:

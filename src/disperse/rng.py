@@ -3,9 +3,9 @@
 Every random decision in the simulator is a pure function of
 (key, counter), where keys are derived by splitting a 64-bit seed.
 That gives each particle its own direction and laziness stream,
-makes on-demand and predetermined walk provisioning bitwise
-interchangeable, and keeps replicated runs reproducible under any
-parallelism level.
+lets a draw be made when it is needed with no buffered walk (so the
+on-demand and predetermined walk modes run the same code), and keeps
+replicated runs reproducible under any parallelism level.
 
 The mixer is the splitmix64 finalizer. A scalar (pure Python int)
 and a vectorised (numpy uint64) implementation are provided; they

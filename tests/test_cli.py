@@ -76,7 +76,10 @@ def test_run_json_document(tmp_path):
 def test_run_stdout_when_no_out(capsys):
     assert run_cli(RUN_ARGS) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert json.loads(lines[0])["record"] == "header"
+    header = json.loads(lines[0])
+    assert header["record"] == "header"
+    assert header["schema"] == "disperse/1"
+    assert header["config"]["particles"] == "25"
     assert len(lines) == 8  # header + 6 replicas + aggregate
 
 
@@ -270,6 +273,15 @@ def test_exit_2_on_unknown_flag():
 def test_exit_2_when_family_missing(capsys):
     assert run_cli(["run", "--particles", "5"]) == 2
     assert "family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [RUN_ARGS, SCAN_ARGS])
+@pytest.mark.parametrize("parallelism", ["0", "-3"])
+def test_exit_2_on_nonpositive_parallelism(args, parallelism, capsys):
+    assert run_cli(args + ["--parallelism", parallelism]) == 2
+    captured = capsys.readouterr()
+    assert "--parallelism must be >= 1" in captured.err
+    assert captured.out == ""
 
 
 def test_exit_2_on_bad_topology_parameters(capsys):

@@ -187,6 +187,13 @@ def test_fast_and_generic_complete_paths_agree_bitwise(loops, variant):
         assert ra.meeting_total == rb.meeting_total
         assert ra.walk_counts.tolist() == rb.walk_counts.tolist()
         assert a.positions == b.positions
+        c = ParticleSystem(K(30, loops=loops), 12, variant=variant, seed=seed)
+        d = ParticleSystem(
+            K(30, loops=loops), 12, variant=variant, seed=seed, force_generic=True
+        )
+        for _ in range(ra.steps + 1):
+            assert tuple(c.step()) == tuple(d.step())
+            assert c.positions == d.positions
 
 
 @pytest.mark.parametrize(

@@ -59,7 +59,11 @@ def test_conservation_and_validity(exp, variant, seed):
     for _ in range(15):
         if ps.is_dispersed():
             break
-        ps.step()
+        walked = int(ps.walk_counts.sum())
+        happy = ps.happy_unhappy_counts()[0]
+        rep = ps.step()
+        assert rep.movers == int(ps.walk_counts.sum()) - walked
+        assert rep.newly_happy - rep.newly_unhappy == ps.happy_unhappy_counts()[0] - happy
         pos = ps.positions
         assert len(pos) == m
         assert all(topo.contains(v) for v in pos)

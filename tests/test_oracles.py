@@ -277,6 +277,9 @@ def test_mixing_step_error_paths():
         mixing_step(TopologySpec.cayley((8,), [(2,), (-2,)]))
     with pytest.raises(ValueError, match="too large"):
         mixing_step(TopologySpec.cycle(MIXING_VERTEX_CAP + 2))
+    assert mixing_step(TopologySpec.hypercube(16)) > 0
+    with pytest.raises(ValueError, match="too large"):
+        mixing_step(TopologySpec.hypercube(17))
     with pytest.raises(ValueError, match="not defined"):
         mixing_step(TopologySpec.grid(2))
     with pytest.raises(ValueError, match="not defined"):
