@@ -1,20 +1,23 @@
 """Command line front end: run, scan, oracle, validate.
 
 Flags mirror flat INI config keys one to one; explicit flags override
-config-file values. Every run/scan output embeds the fully resolved
-configuration and master seed, and feeding that config back in
-reproduces the identical results. Exit codes: 0 success, 1 validation
-failure, 2 argument or config error.
+config-file values. Every run output embeds the fully resolved
+configuration and master seed. A scan output embeds its base experiment
+as given plus the resolved omega; each grid point resolves its own tree
+leaf depth. Feeding an embedded config back in reproduces the identical
+results. Exit codes: 0 success, 1 validation failure, 2 argument or
+config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import io
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import oracles
 from .engine import SCHEMA, Status, Variant, WalkMode, lazy
@@ -26,15 +29,18 @@ from .harness import (
     ScanSpec,
     run_replicas,
     scan,
-    validate_suite,
 )
 from .topology import Family, TopologySpec
+from .validate import validate_suite
 
 __all__ = ["main", "parse_and_dispatch", "build_parser"]
 
 _FORMATS = ("csv", "ndjson", "json", "svg-summary")
 
 _TOPOLOGY_KEYS = ("family", "n", "k", "dim", "leaf_depth", "with_loops", "moduli", "generators")
+_EXPERIMENT_KEYS = _TOPOLOGY_KEYS + (
+    "particles", "lazy_p", "budget", "replicas", "seed", "walk_mode", "record_trajectories", "omega"
+)
 
 
 def _fmt(v) -> str:
@@ -162,23 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     orap = sub.add_parser("oracle", help="evaluate one closed form")
     orap.add_argument("name", choices=sorted(oracles.ORACLES) + ["mixing-step"])
     _add_topology_flags(orap)
-    for flag, typ in (
-        ("--H", int),
-        ("--U", int),
-        ("--delta", float),
-        ("--p", float),
-        ("--alpha", float),
-        ("--occupancies", str),
-        ("--E-empty", int),
-        ("--M", int),
-        ("--eps", float),
-        ("--d", int),
-        ("--T", int),
-        ("--r", int),
-        ("--t", int),
-        ("--s", int),
-    ):
-        orap.add_argument(flag, type=typ)
+    # The topology flags already carry n and k.
+    params = {p: t for d in oracles.ORACLES.values() for p, t in d.params}
+    for pname, typ in params.items():
+        if pname not in ("n", "k"):
+            orap.add_argument(f"--{pname.replace('_', '-')}", type=str if typ is list else typ)
     orap.add_argument("--out")
 
     valp = sub.add_parser("validate", help="oracle cross-checks and invariant audits")
@@ -188,37 +182,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve_experiment(args) -> ExperimentSpec:
+def _flags_to_config(args, keys, cfg: dict[str, str]) -> dict[str, str]:
+    """Copy every given flag into cfg under its INI key (the argparse
+    dest), formatted as in the CSV output."""
+    for key in keys:
+        v = getattr(args, key)
+        if v is not None:
+            cfg[key] = _fmt(v)
+    return cfg
+
+
+def _experiment_from_args(args) -> ExperimentSpec:
+    """The experiment as given by --config and the flags, unresolved."""
     if args.parallelism < 1:
         raise ValueError(f"--parallelism must be >= 1, got {args.parallelism}")
-    cfg: dict[str, str] = {}
-    if args.config:
-        cfg = read_config_file(args.config)
-
-    def take(key, flag_value):
-        if flag_value is not None:
-            cfg[key] = flag_value if isinstance(flag_value, str) else _fmt(flag_value)
-
-    take("family", args.family)
-    take("n", args.n)
-    take("k", args.k)
-    take("dim", args.dim)
-    take("leaf_depth", args.leaf_depth)
-    take("with_loops", args.with_loops)
-    take("moduli", args.moduli)
-    take("generators", args.generators)
-    take("particles", args.particles)
-    take("lazy_p", args.lazy_p)
-    take("budget", args.budget)
-    take("replicas", args.replicas)
-    take("seed", args.seed)
-    take("walk_mode", args.walk_mode)
-    take("record_trajectories", args.record_trajectories)
-    take("omega", args.omega)
+    cfg = read_config_file(args.config) if args.config else {}
+    cfg = _flags_to_config(args, _EXPERIMENT_KEYS, cfg)
     if "family" not in cfg:
         raise ValueError("a topology family is required (--family or config)")
-    exp = config_to_experiment(cfg)
-    return exp.resolve()
+    return config_to_experiment(cfg)
 
 
 # -- output writers ----------------------------------------------------------
@@ -247,19 +229,6 @@ def _write(out: Optional[str], text: str):
         sys.stdout.write(text)
 
 
-def _run_records(results, stats, cfg) -> str:
-    lines = [json.dumps({"schema": SCHEMA, "record": "header", "config": cfg}, sort_keys=True)]
-    for i, r in enumerate(results):
-        rec = r.to_record()
-        rec["record"] = "replica"
-        rec["replica"] = i
-        lines.append(json.dumps(rec, sort_keys=True))
-    agg = {"schema": SCHEMA, "record": "aggregate"}
-    agg.update(stats.to_row())
-    lines.append(json.dumps(agg, sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
 def _csv_text(cfg: dict, header: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
     for key in sorted(cfg):
@@ -278,7 +247,7 @@ def _svg_header(width, height) -> list[str]:
     ]
 
 
-def _svg_run_summary(results, stats: AggregateStats, cfg: dict) -> str:
+def _svg_run_summary(results, stats: AggregateStats) -> str:
     dispersed = [r for r in results if r.status is Status.DISPERSED]
     d_values = [r.d_disp for r in dispersed]
     W, H = 920, 360
@@ -322,15 +291,14 @@ def _svg_run_summary(results, stats: AggregateStats, cfg: dict) -> str:
     # Right panel: t_disp quantiles.
     parts.append('<text x="470" y="44">t_disp quantiles</text>')
     q = stats.t_disp
-    keys = ("min", "p25", "p50", "p75", "p95", "max")
     if q["min"] is not None:
         x0, y0 = 470, 70
-        for i, key in enumerate(keys):
+        hi = max(q["max"], 1)
+        for i, (key, value) in enumerate(q.items()):
             y = y0 + i * 38
             parts.append(f'<text x="{x0}" y="{y}">{key}</text>')
-            parts.append(f'<text x="{x0 + 60}" y="{y}">{_fmt(q[key])}</text>')
-            lo_v, hi_v = q["min"], max(q["max"], 1)
-            frac = 0 if hi_v == 0 else q[key] / hi_v
+            parts.append(f'<text x="{x0 + 60}" y="{y}">{_fmt(value)}</text>')
+            frac = value / hi
             parts.append(
                 f'<rect x="{x0 + 160}" y="{y - 10}" width="{8 + 240 * frac:.1f}" height="12" fill="#aa7744"/>'
             )
@@ -338,7 +306,7 @@ def _svg_run_summary(results, stats: AggregateStats, cfg: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _svg_scan_summary(points: list[ScanPoint], axis: str, cfg: dict) -> str:
+def _svg_scan_summary(points: list[ScanPoint], axis: str) -> str:
     W, H = 920, 360
     parts = _svg_header(W, H)
     parts.append(f'<text x="10" y="18">dispersal fraction by {axis}</text>')
@@ -368,79 +336,86 @@ def _svg_scan_summary(points: list[ScanPoint], axis: str, cfg: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _emit(
+    args,
+    cfg: dict,
+    columns: list[str],
+    rows: list[dict],
+    records: list[dict],
+    body: dict,
+    svg: Callable[[], str],
+):
+    """Write one output in the format --format or the --out extension
+    picks: CSV rows under columns, NDJSON records after a header, one
+    JSON document holding body, or the SVG summary."""
+    fmt = _infer_format(args.format, args.out, "ndjson")
+    if fmt == "csv":
+        text = _csv_text(cfg, columns, rows)
+    elif fmt == "ndjson":
+        header = {"schema": SCHEMA, "record": "header", "config": cfg}
+        text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in [header, *records])
+    elif fmt == "json":
+        doc = {"schema": SCHEMA, "config": cfg, **body}
+        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    else:
+        text = svg()
+    _write(args.out, text)
+
+
 # -- subcommands -------------------------------------------------------------
 
 
 def _cmd_run(args) -> int:
-    exp = _resolve_experiment(args)
-    fmt = _infer_format(args.format, args.out, "ndjson")
+    exp = _experiment_from_args(args).resolve()
     progress = sys.stderr.isatty()
     results, stats = run_replicas(exp, parallelism=args.parallelism, progress=progress)
-    cfg = experiment_to_config(exp)
-    if fmt == "ndjson":
-        _write(args.out, _run_records(results, stats, cfg))
-    elif fmt == "csv":
-        _write(args.out, _csv_text(cfg, list(AggregateStats.COLUMNS), [stats.to_row()]))
-    elif fmt == "json":
-        doc = {
-            "schema": SCHEMA,
-            "config": cfg,
-            "replicas": [r.to_record() for r in results],
-            "aggregate": stats.to_row(),
-        }
-        _write(args.out, json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    else:
-        _write(args.out, _svg_run_summary(results, stats, cfg))
+    replicas = [r.to_record() for r in results]
+    agg = stats.to_row()
+    records = [{**rec, "record": "replica", "replica": i} for i, rec in enumerate(replicas)]
+    records.append({"schema": SCHEMA, "record": "aggregate", **agg})
+    _emit(
+        args,
+        experiment_to_config(exp),
+        list(AggregateStats.COLUMNS),
+        [agg],
+        records,
+        {"replicas": replicas, "aggregate": agg},
+        lambda: _svg_run_summary(results, stats),
+    )
     return 0
 
 
 def _cmd_scan(args) -> int:
-    base = _resolve_experiment(args)
+    exp = _experiment_from_args(args)
+    # No axis changes the family, so omega is fixed here; every point
+    # resolves its own tree leaf depth unless the base sets one.
+    base = dataclasses.replace(exp, omega=exp.resolve().omega)
     if not args.axis or not args.grid:
         raise ValueError("scan needs --axis and --grid")
     grid = tuple(float(x) for x in args.grid.split(","))
     spec = ScanSpec(base=base, axis=ScanAxis(args.axis), grid=grid)
-    fmt = _infer_format(args.format, args.out, "ndjson")
     progress = sys.stderr.isatty()
     points = scan(spec, parallelism=args.parallelism, progress=progress)
     cfg = experiment_to_config(base)
     cfg["axis"] = args.axis
     cfg["grid"] = args.grid
-    header = [args.axis] + list(AggregateStats.COLUMNS)
-    rows = []
-    for pt in points:
-        row = {args.axis: pt.value}
-        row.update(pt.stats.to_row())
-        rows.append(row)
-    if fmt == "csv":
-        _write(args.out, _csv_text(cfg, header, rows))
-    elif fmt == "ndjson":
-        lines = [
-            json.dumps(
-                {"schema": SCHEMA, "record": "header", "config": cfg}, sort_keys=True
-            )
-        ]
-        for pt, row in zip(points, rows):
-            rec = {"schema": SCHEMA, "record": "scan-point"}
-            rec.update(row)
-            lines.append(json.dumps(rec, sort_keys=True))
-        _write(args.out, "\n".join(lines) + "\n")
-    elif fmt == "json":
-        doc = {"schema": SCHEMA, "config": cfg, "points": rows}
-        _write(args.out, json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    else:
-        _write(args.out, _svg_scan_summary(points, args.axis, cfg))
+    rows = [{args.axis: pt.value, **pt.stats.to_row()} for pt in points]
+    _emit(
+        args,
+        cfg,
+        [args.axis] + list(AggregateStats.COLUMNS),
+        rows,
+        [{"schema": SCHEMA, "record": "scan-point", **row} for row in rows],
+        {"points": rows},
+        lambda: _svg_scan_summary(points, args.axis),
+    )
     return 0
 
 
 def _cmd_oracle(args) -> int:
     name = args.name
     if name == "mixing-step":
-        cfg = {}
-        for key in _TOPOLOGY_KEYS:
-            v = getattr(args, key, None)
-            if v is not None:
-                cfg[key] = v if isinstance(v, str) else _fmt(v)
+        cfg = _flags_to_config(args, _TOPOLOGY_KEYS, {})
         if "family" not in cfg:
             raise ValueError("mixing-step needs --family and its parameters")
         ov = oracles.evaluate(name, cfg)

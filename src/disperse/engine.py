@@ -215,10 +215,8 @@ class ParticleSystem:
         self._lazy = variant.kind == "lazy"
         if self._lazy:
             self._lkeys = [stream_key(self.seed, i, LAZINESS_TAG) for i in range(particles)]
-            self._L = [0] * particles
         else:
             self._lkeys = None
-            self._L = None
 
         self._fast = spec.family is Family.COMPLETE and not force_generic
         if self._fast:
@@ -233,6 +231,7 @@ class ParticleSystem:
         else:
             self._pos: list[Any] = [topo.origin] * particles
             self._Ns: list[int] = [0] * particles
+            self._L = [0] * particles if self._lazy else None
             origin = topo.origin
             self._vert: dict[Any, set[int]] = {origin: set(range(particles))}
             self._multi: set[Any] = {origin} if particles >= 2 else set()
@@ -357,10 +356,8 @@ class ParticleSystem:
                 if d2 > maxd:
                     maxd = d2
             if events is not None:
-                i = 0
-                for pid, src in movers:
-                    events.append((t, pid, dests[i]))
-                    i += 1
+                # Particle-id order within a step, as the numpy kernel records.
+                events.extend(sorted((t, pid, d) for (pid, _), d in zip(movers, dests)))
                 if len(events) > RECORD_EVENT_CAP:
                     self.t = t
                     raise RuntimeError(

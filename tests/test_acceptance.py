@@ -18,14 +18,6 @@ from disperse.harness import (
     grid_step_budget,
     run_replicas,
 )
-from disperse.harness import (
-    _check_coupling,
-    _check_edh_forms,
-    _check_hypercube_matrix,
-    _check_kn_changes_mc,
-    _check_lazy_range_mc,
-    _check_line_pmf,
-)
 from disperse.oracles import (
     kn_subcritical_time,
     lazy_subcritical_time,
@@ -33,6 +25,14 @@ from disperse.oracles import (
     tree_depth_bounds,
 )
 from disperse.topology import TopologySpec, build
+from disperse.validate import (
+    _check_coupling,
+    _check_edh_forms,
+    _check_hypercube_matrix,
+    _check_kn_changes_mc,
+    _check_lazy_range_mc,
+    _check_line_pmf,
+)
 
 
 def report(capsys, criterion, passed, detail):

@@ -1,10 +1,12 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from disperse import cli, oracles
-from disperse.harness import AggregateStats
+from disperse.harness import AggregateStats, ExperimentSpec, ScanAxis, ScanSpec, scan
+from disperse.topology import TopologySpec
 
 RUN_ARGS = [
     "run",
@@ -177,6 +179,33 @@ def test_scan_ndjson_records(tmp_path):
     assert lines[0]["config"]["axis"] == "density"
     points = [l for l in lines if l.get("record") == "scan-point"]
     assert [p["density"] for p in points] == [0.2, 0.4]
+    # The JSON document carries the same config and rows.
+    doc_out = tmp_path / "s.json"
+    assert run_cli(SCAN_ARGS + ["--out", str(doc_out)]) == 0
+    doc = json.loads(doc_out.read_text())
+    assert doc["schema"] == "disperse/1"
+    assert doc["config"] == lines[0]["config"]
+    for p in points:
+        del p["schema"], p["record"]
+    assert doc["points"] == points
+
+
+def test_scan_points_resolve_like_library_scan(tmp_path):
+    # The leaf depth of a tree-k point comes from that point's k, not
+    # from the base k.
+    out = tmp_path / "t.ndjson"
+    args = ["scan", "--family", "tree", "--k", "40", "--particles", "1000",
+            "--replicas", "4", "--seed", "3", "--axis", "tree-k", "--grid", "3"]
+    assert run_cli(args + ["--out", str(out)]) == 0
+    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    base = ExperimentSpec(TopologySpec.tree(40), 1000, replicas=4, master_seed=3)
+    points = scan(ScanSpec(base, ScanAxis.TREE_K, (3.0,)))
+    expected = [
+        {"schema": "disperse/1", "record": "scan-point", "tree-k": pt.value, **pt.stats.to_row()}
+        for pt in points
+    ]
+    assert lines[1:] == expected
+    assert "leaf_depth" not in lines[0]["config"]
 
 
 def test_scan_svg_has_fraction_labels(tmp_path):
@@ -185,6 +214,12 @@ def test_scan_svg_has_fraction_labels(tmp_path):
     svg = out.read_text()
     assert "dispersal fraction by density" in svg
     assert svg.count("<rect") >= 3  # background + one bar per point
+
+
+def test_readme_scan_axes_match_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    line = next(l for l in readme.splitlines() if l.startswith("Scan axes:"))
+    assert re.findall(r"`([^`]+)`", line) == [a.value for a in ScanAxis]
 
 
 def test_scan_requires_axis_and_grid(tmp_path):

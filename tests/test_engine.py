@@ -181,12 +181,15 @@ def test_fast_and_generic_complete_paths_agree_bitwise(loops, variant):
         b = ParticleSystem(
             K(30, loops=loops), 12, variant=variant, seed=seed, force_generic=True
         )
+        a.record_trajectories(True)
+        b.record_trajectories(True)
         ra, rb = a.run(500), b.run(500)
         assert ra.status == rb.status
         assert ra.t_disp == rb.t_disp
         assert ra.meeting_total == rb.meeting_total
         assert ra.walk_counts.tolist() == rb.walk_counts.tolist()
         assert a.positions == b.positions
+        assert ra.trajectories.events == rb.trajectories.events
         c = ParticleSystem(K(30, loops=loops), 12, variant=variant, seed=seed)
         d = ParticleSystem(
             K(30, loops=loops), 12, variant=variant, seed=seed, force_generic=True

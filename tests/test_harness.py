@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
+from disperse import harness
 from disperse.engine import ParticleSystem, RunResult, Status, lazy
 from disperse.harness import (
     DEFAULT_GRID_OMEGA,
@@ -18,11 +20,11 @@ from disperse.harness import (
     pair_coupling_audit,
     run_replicas,
     scan,
-    validate_suite,
     wilson_interval,
 )
 from disperse.rng import derive_seed
 from disperse.topology import TopologySpec
+from disperse.validate import validate_suite
 
 
 # -- interval and quantile helpers -------------------------------------------
@@ -178,6 +180,35 @@ def test_parallelism_does_not_change_results():
     par, par_stats = run_replicas(base_exp(), parallelism=4)
     assert [r.to_record() for r in seq] == [r.to_record() for r in par]
     assert seq_stats == par_stats
+
+
+def test_worker_count_capped_by_replicas_and_cores(monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    exp = base_exp(replicas=3)
+    results, stats = run_replicas(exp, parallelism=10**6)
+    assert asked == [3]
+    serial, serial_stats = run_replicas(exp)
+    assert [r.to_record() for r in results] == [r.to_record() for r in serial]
+    assert stats == serial_stats
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_replicas(exp, parallelism=10**6)
+    assert asked == [3, 2]
 
 
 def test_run_replicas_stats_match_aggregate():
