@@ -4,9 +4,9 @@ Flags mirror flat INI config keys one to one; explicit flags override
 config-file values. Every run output embeds the fully resolved
 configuration and master seed. A scan output embeds its base experiment
 as given plus the resolved omega; each grid point resolves its own tree
-leaf depth. Feeding an embedded config back in reproduces the identical
-results. Exit codes: 0 success, 1 validation failure, 2 argument or
-config error.
+leaf depth, except on the density axis, whose points keep the base's.
+Feeding an embedded config back in reproduces the identical results.
+Exit codes: 0 success, 1 validation failure, 2 argument or config error.
 """
 
 from __future__ import annotations
@@ -341,24 +341,32 @@ def _emit(
     cfg: dict,
     columns: list[str],
     rows: list[dict],
-    records: list[dict],
-    body: dict,
     svg: Callable[[], str],
+    replicas: Optional[list[dict]] = None,
 ):
     """Write one output in the format --format or the --out extension
     picks: CSV rows under columns, NDJSON records after a header, one
-    JSON document holding body, or the SVG summary."""
+    JSON document, or the SVG summary. A run passes its replica records
+    and its one aggregate row; a scan passes one row per point."""
     fmt = _infer_format(args.format, args.out, "ndjson")
     if fmt == "csv":
         text = _csv_text(cfg, columns, rows)
-    elif fmt == "ndjson":
-        header = {"schema": SCHEMA, "record": "header", "config": cfg}
-        text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in [header, *records])
-    elif fmt == "json":
-        doc = {"schema": SCHEMA, "config": cfg, **body}
-        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    else:
+    elif fmt == "svg-summary":
         text = svg()
+    else:
+        if replicas is None:
+            records = [{"schema": SCHEMA, "record": "scan-point", **row} for row in rows]
+            body = {"points": rows}
+        else:
+            records = [{**rec, "record": "replica", "replica": i} for i, rec in enumerate(replicas)]
+            records.append({"schema": SCHEMA, "record": "aggregate", **rows[0]})
+            body = {"replicas": replicas, "aggregate": rows[0]}
+        if fmt == "ndjson":
+            header = {"schema": SCHEMA, "record": "header", "config": cfg}
+            text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in [header, *records])
+        else:
+            doc = {"schema": SCHEMA, "config": cfg, **body}
+            text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     _write(args.out, text)
 
 
@@ -369,26 +377,21 @@ def _cmd_run(args) -> int:
     exp = _experiment_from_args(args).resolve()
     progress = sys.stderr.isatty()
     results, stats = run_replicas(exp, parallelism=args.parallelism, progress=progress)
-    replicas = [r.to_record() for r in results]
-    agg = stats.to_row()
-    records = [{**rec, "record": "replica", "replica": i} for i, rec in enumerate(replicas)]
-    records.append({"schema": SCHEMA, "record": "aggregate", **agg})
     _emit(
         args,
         experiment_to_config(exp),
         list(AggregateStats.COLUMNS),
-        [agg],
-        records,
-        {"replicas": replicas, "aggregate": agg},
+        [stats.to_row()],
         lambda: _svg_run_summary(results, stats),
+        replicas=[r.to_record() for r in results],
     )
     return 0
 
 
 def _cmd_scan(args) -> int:
     exp = _experiment_from_args(args)
-    # No axis changes the family, so omega is fixed here; every point
-    # resolves its own tree leaf depth unless the base sets one.
+    # No axis changes the family, so omega is fixed here; scan() fixes
+    # or derives each point's tree leaf depth.
     base = dataclasses.replace(exp, omega=exp.resolve().omega)
     if not args.axis or not args.grid:
         raise ValueError("scan needs --axis and --grid")
@@ -399,14 +402,11 @@ def _cmd_scan(args) -> int:
     cfg = experiment_to_config(base)
     cfg["axis"] = args.axis
     cfg["grid"] = args.grid
-    rows = [{args.axis: pt.value, **pt.stats.to_row()} for pt in points]
     _emit(
         args,
         cfg,
         [args.axis] + list(AggregateStats.COLUMNS),
-        rows,
-        [{"schema": SCHEMA, "record": "scan-point", **row} for row in rows],
-        {"points": rows},
+        [{args.axis: pt.value, **pt.stats.to_row()} for pt in points],
         lambda: _svg_scan_summary(points, args.axis),
     )
     return 0

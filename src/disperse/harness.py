@@ -305,11 +305,14 @@ class ScanPoint:
 
 def _apply_axis(base: ExperimentSpec, axis: ScanAxis, value) -> ExperimentSpec:
     if axis is ScanAxis.DENSITY:
-        n = build(with_leaf_depth(base.topology, base.M)).n_vertices
+        # Fix the tree depth at the base's, so every point runs on the
+        # graph whose n the density is measured against.
+        topo = with_leaf_depth(base.topology, base.M)
+        n = build(topo).n_vertices
         M = round(value * n)
         if not 1 <= M <= n:
             raise ValueError(f"density {value} gives M={M} outside [1, {n}]")
-        return dataclasses.replace(base, M=M)
+        return dataclasses.replace(base, topology=topo, M=M)
     if axis is ScanAxis.LAZY_P:
         return dataclasses.replace(base, variant=lazy(float(value)))
     if axis is ScanAxis.TREE_K:

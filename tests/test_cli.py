@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from disperse import cli, oracles
+from disperse import cli, harness, oracles
 from disperse.harness import AggregateStats, ExperimentSpec, ScanAxis, ScanSpec, scan
-from disperse.topology import TopologySpec
+from disperse.topology import TopologySpec, build, with_leaf_depth
 
 RUN_ARGS = [
     "run",
@@ -190,18 +190,39 @@ def test_scan_ndjson_records(tmp_path):
     assert doc["points"] == points
 
 
-def test_scan_points_resolve_like_library_scan(tmp_path):
-    # The leaf depth of a tree-k point comes from that point's k, not
-    # from the base k.
+@pytest.mark.parametrize(
+    "k, particles, axis, grid",
+    [
+        # The leaf depth of a tree-k point comes from that point's k, not
+        # from the base k.
+        (40, 1000, ScanAxis.TREE_K, (3.0,)),
+        # Density points keep the base's depth, so M/n is the grid value.
+        (3, 10, ScanAxis.DENSITY, (1e-4, 5e-4)),
+    ],
+)
+def test_scan_points_resolve_like_library_scan(tmp_path, monkeypatch, k, particles, axis, grid):
+    ran = []
+    real_run_replicas = harness.run_replicas
+
+    def recording_run_replicas(exp, **kw):
+        ran.append(exp)
+        return real_run_replicas(exp, **kw)
+
+    monkeypatch.setattr(harness, "run_replicas", recording_run_replicas)
     out = tmp_path / "t.ndjson"
-    args = ["scan", "--family", "tree", "--k", "40", "--particles", "1000",
-            "--replicas", "4", "--seed", "3", "--axis", "tree-k", "--grid", "3"]
+    args = ["scan", "--family", "tree", "--k", str(k), "--particles", str(particles),
+            "--replicas", "4", "--seed", "3", "--axis", axis.value,
+            "--grid", ",".join(map(str, grid))]
     assert run_cli(args + ["--out", str(out)]) == 0
     lines = [json.loads(l) for l in out.read_text().splitlines()]
-    base = ExperimentSpec(TopologySpec.tree(40), 1000, replicas=4, master_seed=3)
-    points = scan(ScanSpec(base, ScanAxis.TREE_K, (3.0,)))
+    if axis is ScanAxis.DENSITY:
+        n = build(with_leaf_depth(TopologySpec.tree(k), particles)).n_vertices
+        assert [build(exp.topology).n_vertices for exp in ran] == [n] * len(grid)
+        assert [exp.M for exp in ran] == [round(v * n) for v in grid]
+    base = ExperimentSpec(TopologySpec.tree(k), particles, replicas=4, master_seed=3)
+    points = scan(ScanSpec(base, axis, grid))
     expected = [
-        {"schema": "disperse/1", "record": "scan-point", "tree-k": pt.value, **pt.stats.to_row()}
+        {"schema": "disperse/1", "record": "scan-point", axis.value: pt.value, **pt.stats.to_row()}
         for pt in points
     ]
     assert lines[1:] == expected

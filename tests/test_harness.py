@@ -23,7 +23,7 @@ from disperse.harness import (
     wilson_interval,
 )
 from disperse.rng import derive_seed
-from disperse.topology import TopologySpec
+from disperse.topology import TopologySpec, build, default_leaf_depth, with_leaf_depth
 from disperse.validate import validate_suite
 
 
@@ -175,7 +175,9 @@ def test_replica_seeds_derive_from_master():
     assert [r.seed for r in results] == [derive_seed(99, i) for i in range(8)]
 
 
-def test_parallelism_does_not_change_results():
+def test_parallelism_does_not_change_results(monkeypatch):
+    # Reach the real process pool even on a one-core host.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     seq, seq_stats = run_replicas(base_exp(), parallelism=1)
     par, par_stats = run_replicas(base_exp(), parallelism=4)
     assert [r.to_record() for r in seq] == [r.to_record() for r in par]
@@ -228,6 +230,15 @@ def test_density_scan_sets_particle_counts():
     assert [pt.experiment.master_seed for pt in points] == [
         derive_seed(99, i) for i in range(3)
     ]
+    # On a tree without a set depth, every point keeps the depth derived
+    # for the base M, so M/n is the grid value at each point.
+    treebase = base_exp(topology=TopologySpec.tree(3), M=10, replicas=2)
+    points = scan(ScanSpec(base=treebase, axis=ScanAxis.DENSITY, grid=(1e-4, 5e-4)))
+    n = build(with_leaf_depth(treebase.topology, treebase.M)).n_vertices
+    for pt in points:
+        assert pt.experiment.topology.leaf_depth == default_leaf_depth(3, 10)
+        assert build(pt.experiment.topology).n_vertices == n
+        assert pt.experiment.M == round(pt.value * n)
 
 
 def test_lazy_p_scan_sets_variant():
