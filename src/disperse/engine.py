@@ -18,7 +18,12 @@ configs naming either mode still replay.
 
 Occupancy is a hash multiset iterating only multi-occupied vertices,
 so per-step cost tracks the unhappy count, not M. The Complete
-family gets a numpy fast path with bitwise-identical results.
+family gets a numpy kernel, `advance_lockstep`, with bitwise-identical
+results: it steps R replicas together on flat arrays of R*M particles,
+so numpy's per-call cost is paid once per step for all of them. A
+single system's step() and run() are the R = 1 case; the harness
+batches a complete-graph experiment's replicas in chunks whose size
+it bounds.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .rng import (
     MASK64,
     draw,
     draw_array,
-    stream_key,
+    stream_key_array,
     to_unit,
     to_unit_array,
 )
@@ -54,6 +59,7 @@ __all__ = [
     "TrajectoryLog",
     "RunResult",
     "ParticleSystem",
+    "advance_lockstep",
     "init",
     "step",
     "run",
@@ -211,24 +217,23 @@ class ParticleSystem:
         self.boundary_abort = False  # coordinate limit exceeded
         self._log: Optional[TrajectoryLog] = None
 
-        self._dkeys = [stream_key(self.seed, i, DIRECTION_TAG) for i in range(particles)]
         self._lazy = variant.kind == "lazy"
-        if self._lazy:
-            self._lkeys = [stream_key(self.seed, i, LAZINESS_TAG) for i in range(particles)]
-        else:
-            self._lkeys = None
+        dkeys = stream_key_array(self.seed, particles, DIRECTION_TAG)
+        lkeys = stream_key_array(self.seed, particles, LAZINESS_TAG) if self._lazy else None
 
         self._fast = spec.family is Family.COMPLETE and not force_generic
         if self._fast:
             self._n = topo.n_vertices
             self._posv = np.zeros(particles, dtype=np.int64)
             self._N = np.zeros(particles, dtype=np.int64)
-            self._dkv = np.array(self._dkeys, dtype=np.uint64)
+            self._dkv = dkeys
             if self._lazy:
-                self._lkv = np.array(self._lkeys, dtype=np.uint64)
+                self._lkv = lkeys
                 self._Lv = np.zeros(particles, dtype=np.int64)
             self._dispersed = particles == 1
         else:
+            self._dkeys = dkeys.tolist()
+            self._lkeys = lkeys.tolist() if self._lazy else None
             self._pos: list[Any] = [topo.origin] * particles
             self._Ns: list[int] = [0] * particles
             self._L = [0] * particles if self._lazy else None
@@ -356,13 +361,11 @@ class ParticleSystem:
                 if d2 > maxd:
                     maxd = d2
             if events is not None:
+                if len(events) + len(movers) > RECORD_EVENT_CAP:
+                    self.t = t
+                    raise _event_cap_error()
                 # Particle-id order within a step, as the numpy kernel records.
                 events.extend(sorted((t, pid, d) for (pid, _), d in zip(movers, dests)))
-                if len(events) > RECORD_EVENT_CAP:
-                    self.t = t
-                    raise RuntimeError(
-                        f"trajectory recording exceeded {RECORD_EVENT_CAP} move events"
-                    )
             for v in affected:
                 s = vert.get(v)
                 if s:
@@ -386,63 +389,11 @@ class ParticleSystem:
         if log is not None:
             log.steps = t
 
-    # -- stepping, complete-graph fast path -------------------------------
-
-    def _complete_destinations(self, idx: np.ndarray) -> np.ndarray:
-        n = self._n
-        self._N[idx] += 1
-        raws = draw_array(self._dkv[idx], self._N[idx])
-        if self.spec.with_loops:
-            return (raws % np.uint64(n)).astype(np.int64)
-        r = (raws % np.uint64(n - 1)).astype(np.int64)
-        src = self._posv[idx]
-        return r + (r >= src)
-
-    def _lazy_filter(self, idx: np.ndarray) -> np.ndarray:
-        self._Lv[idx] += 1
-        raws = draw_array(self._lkv[idx], self._Lv[idx])
-        return idx[to_unit_array(raws) < self.variant.p]
-
-    def _run_complete(self, t_end: int) -> None:
-        pos = self._posv
-        n = self._n
-        lazyv = self._lazy
-        log = self._log
-        t = self.t
-        meetings_total = self.meeting_total
-        while not self._dispersed and t < t_end:
-            counts = np.bincount(pos, minlength=n)
-            unh = counts[pos] >= 2
-            if not unh.any():
-                self._dispersed = True
-                break
-            meetings_total += int((counts * (counts - 1) // 2).sum())
-            idx = np.nonzero(unh)[0]
-            if lazyv:
-                idx = self._lazy_filter(idx)
-            if idx.size:
-                dest = self._complete_destinations(idx)
-                pos[idx] = dest
-                if log is not None:
-                    log.events.extend(
-                        (t, int(pid), int(d)) for pid, d in zip(idx, dest)
-                    )
-                if self.max_distance_ever == 0 and bool((dest != 0).any()):
-                    self.max_distance_ever = 1
-            t += 1
-        self.t = t
-        self.meeting_total = meetings_total
-        if not self._dispersed:
-            counts = np.bincount(pos, minlength=n)
-            self._dispersed = bool((counts <= 1).all())
-        if log is not None:
-            log.steps = t
-
     # -- public stepping ---------------------------------------------------
 
     def _advance(self, t_end: int) -> None:
         if self._fast:
-            self._run_complete(t_end)
+            advance_lockstep([self], t_end)
         else:
             self._run_generic(t_end)
 
@@ -474,8 +425,12 @@ class ParticleSystem:
             status = Status.DISPERSED
         else:
             status = Status.BUDGET_EXHAUSTED
-        dist = self.topo.distance_to_origin
-        d_disp = max(dist(v) for v in self.positions)
+        if self._fast:
+            # Every vertex of K_n but the origin 0 is at distance 1.
+            d_disp = int(bool(self._posv.any()))
+        else:
+            dist = self.topo.distance_to_origin
+            d_disp = max(dist(v) for v in self._pos)
         return RunResult(
             status=status,
             steps=self.t,
@@ -487,6 +442,134 @@ class ParticleSystem:
             seed=self.seed,
             boundary_flag=self.boundary_flag,
             trajectories=self._log,
+        )
+
+
+def _event_cap_error() -> RuntimeError:
+    return RuntimeError(f"trajectory recording would exceed {RECORD_EVENT_CAP} move events")
+
+
+# -- stepping, complete-graph kernel ------------------------------------------
+
+
+def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
+    """Advance complete-graph systems to step t_end (or dispersal) in
+    lockstep, bit for bit as if each ran alone.
+
+    The systems must share the graph, particle count, variant and
+    current step. Their states are laid end to end in flat arrays of
+    R*M particles, and one bincount over R*n bins gives every
+    replica's occupancy. A replica leaves the batch, keeping its own
+    t, once it disperses.
+    """
+    if not all(s._fast for s in systems):
+        raise ValueError("lockstep systems must be on the complete-graph kernel")
+    live = [s for s in systems if not s._dispersed and s.t < t_end]
+    if not live:
+        return
+    first = live[0]
+    M, n, t = first.particles, first._n, first.t
+    for s in live:
+        if (s.spec, s.particles, s.variant, s.t) != (first.spec, M, first.variant, t):
+            raise ValueError(
+                "lockstep systems must share the graph, particle count, variant and step"
+            )
+    lazyv = first._lazy
+    p = first.variant.p
+    loops = first.spec.with_loops
+    modulus = np.uint64(n if loops else n - 1)
+
+    R = len(live)
+    # Replica r's vertex v is bin r*n + v of one shared bincount.
+    off = np.repeat(np.arange(R, dtype=np.int64) * n, M)
+    pos = np.concatenate([s._posv for s in live]) + off
+    N = np.concatenate([s._N for s in live])
+    dk = np.concatenate([s._dkv for s in live])
+    if lazyv:
+        L = np.concatenate([s._Lv for s in live])
+        lk = np.concatenate([s._lkv for s in live])
+    meet = np.array([s.meeting_total for s in live], dtype=np.int64)
+    far = np.array([s.max_distance_ever > 0 for s in live])
+    all_far = bool(far.all())
+    recording = any(s._log is not None for s in live)
+
+    while True:
+        occ = np.bincount(pos, minlength=R * n).take(pos)
+        # Sum over a replica's particles of their vertex's occupancy:
+        # M exactly when it is dispersed, else M + 2 * its meetings.
+        load = occ.reshape(R, M).sum(1)
+        if t >= t_end or load.min() == M:
+            done = load == M
+            leave = np.ones(R, dtype=bool) if t >= t_end else done
+            for j in np.flatnonzero(leave).tolist():
+                s = live[j]
+                seg = slice(j * M, (j + 1) * M)
+                s._posv[:] = pos[seg] - j * n
+                s._N[:] = N[seg]
+                if lazyv:
+                    s._Lv[:] = L[seg]
+                s.t = t
+                s.meeting_total = int(meet[j])
+                s.max_distance_ever = int(far[j])
+                s._dispersed = bool(done[j])
+                if s._log is not None:
+                    s._log.steps = t
+            if leave.all():
+                return
+            stay = ~leave
+            live = [s for s, k in zip(live, stay.tolist()) if k]
+            R = len(live)
+            kept = np.repeat(stay, M)
+            # Renumber the staying replicas 0..R-1.
+            pos = pos[kept] - off[kept] + off[: R * M]
+            off = off[: R * M]
+            N, dk, meet, far = N[kept], dk[kept], meet[stay], far[stay]
+            if lazyv:
+                L, lk = L[kept], lk[kept]
+            continue
+        meet += (load - M) >> 1
+        idx = (occ >= 2).nonzero()[0]
+        if lazyv:
+            c = L.take(idx)
+            c += 1
+            L[idx] = c
+            idx = idx[to_unit_array(draw_array(lk.take(idx), c)) < p]
+        if idx.size:
+            c = N.take(idx)
+            c += 1
+            N[idx] = c
+            raw = draw_array(dk.take(idx), c)
+            # raw % m; numpy divides by a scalar far faster than it
+            # takes a remainder.
+            raw -= raw // modulus * modulus
+            dest = raw.view(np.int64)
+            base = off.take(idx)
+            dest += base
+            if not loops:
+                dest += dest >= pos.take(idx)
+            pos[idx] = dest
+            if not all_far:
+                far[idx[dest != base] // M] = True
+                all_far = bool(far.all())
+            if recording:
+                _record_lockstep(live, t, idx, dest, M, n)
+        t += 1
+
+
+def _record_lockstep(live, t, idx, dest, M, n) -> None:
+    """Append step t's moves to each recording replica's log, in
+    particle-id order."""
+    bounds = np.searchsorted(idx, np.arange(len(live) + 1) * M).tolist()
+    for j, s in enumerate(live):
+        log = s._log
+        lo, hi = bounds[j], bounds[j + 1]
+        if log is None or lo == hi:
+            continue
+        if len(log.events) + (hi - lo) > RECORD_EVENT_CAP:
+            raise _event_cap_error()
+        log.events.extend(
+            (t, pid - j * M, d - j * n)
+            for pid, d in zip(idx[lo:hi].tolist(), dest[lo:hi].tolist())
         )
 
 

@@ -3,8 +3,10 @@ coupling audit.
 
 Replica i of an experiment runs with seed derive_seed(master_seed, i),
 so result lists are a pure function of (spec, master_seed) and do not
-depend on the parallelism level. Scans derive one sub-master per grid
-point the same way.
+depend on the parallelism level. Replicas of a complete-graph experiment
+are stepped in lockstep chunks (`engine.advance_lockstep`), which gives
+the same bits as stepping them one by one. Scans derive one sub-master
+per grid point the same way.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .engine import (
     TrajectoryLog,
     Variant,
     WalkMode,
+    advance_lockstep,
     lazy,
 )
 from .rng import derive_seed
@@ -223,33 +226,55 @@ def aggregate(results: list[RunResult]) -> AggregateStats:
     )
 
 
-def _replica_worker(job: tuple[ExperimentSpec, int]) -> RunResult:
-    exp, seed = job
-    ps = ParticleSystem(
-        exp.topology, exp.M, variant=exp.variant, seed=seed, walk_mode=exp.walk_mode
-    )
+# Replicas of a complete-graph experiment are stepped in lockstep, in
+# chunks of at most this many particles plus vertices, R * (M + n).
+# Larger chunks cost memory and gain little speed.
+LOCKSTEP_ELEMENTS = 2**15
+
+
+def _replica_chunk(job: tuple[ExperimentSpec, list[int]]) -> list[RunResult]:
+    exp, seeds = job
+    systems = [
+        ParticleSystem(
+            exp.topology, exp.M, variant=exp.variant, seed=seed, walk_mode=exp.walk_mode
+        )
+        for seed in seeds
+    ]
     if exp.record_trajectories:
-        ps.record_trajectories(True)
-    return ps.run(exp.budget)
+        for ps in systems:
+            ps.record_trajectories(True)
+    if len(systems) > 1:
+        advance_lockstep(systems, exp.budget)
+    return [ps.run(exp.budget) for ps in systems]
+
+
+def _chunk_size(exp: ExperimentSpec, workers: int) -> int:
+    if exp.topology.family is not Family.COMPLETE:
+        return 1
+    size = max(1, LOCKSTEP_ELEMENTS // (exp.M + exp.topology.n))
+    # Leave no worker idle.
+    return min(size, -(-exp.replicas // workers))
 
 
 def run_replicas(
     exp: ExperimentSpec, parallelism: int = 1, progress: bool = False
 ) -> tuple[list[RunResult], AggregateStats]:
     exp = exp.resolve()
-    jobs = [(exp, derive_seed(exp.master_seed, i)) for i in range(exp.replicas)]
+    seeds = [derive_seed(exp.master_seed, i) for i in range(exp.replicas)]
     # More workers than replicas or cores only costs process start-up.
     workers = min(parallelism, exp.replicas, os.cpu_count() or 1)
+    size = _chunk_size(exp, workers)
+    jobs = [(exp, seeds[i : i + size]) for i in range(0, exp.replicas, size)]
     results: list[RunResult] = []
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            chunk = max(1, exp.replicas // (workers * 4))
-            outputs = pool.map(_replica_worker, jobs, chunksize=chunk)
+            chunk = max(1, len(jobs) // (workers * 4))
+            outputs = pool.map(_replica_chunk, jobs, chunksize=chunk)
         else:
-            outputs = map(_replica_worker, jobs)
+            outputs = map(_replica_chunk, jobs)
         for res in outputs:
-            results.append(res)
+            results.extend(res)
             if progress:
                 print(f"\rreplica {len(results)}/{exp.replicas}", end="", file=sys.stderr)
     if progress:

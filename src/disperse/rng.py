@@ -28,6 +28,7 @@ __all__ = [
     "split_key",
     "derive_seed",
     "stream_key",
+    "stream_key_array",
     "to_unit",
     "to_unit_array",
     "RandomStream",
@@ -90,8 +91,7 @@ _NP_S27 = np.uint64(27)
 _NP_S31 = np.uint64(31)
 
 
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
     x ^= x >> _NP_S30
     x *= _NP_M1
     x ^= x >> _NP_S27
@@ -100,9 +100,30 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def mix64_array(x: np.ndarray) -> np.ndarray:
+    return _mix64_inplace(x.astype(np.uint64, copy=True))
+
+
 def draw_array(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Vectorised `draw`: keys uint64, counters cast to uint64."""
-    return mix64_array(keys + _NP_GOLDEN * counters.astype(np.uint64))
+    """Vectorised `draw` of equal-shape arrays: keys uint64, counters
+    cast to uint64."""
+    x = counters.astype(np.uint64, copy=True)
+    x *= _NP_GOLDEN
+    x += keys
+    return _mix64_inplace(x)
+
+
+def stream_key_array(seed: int, particles: int, tag: int) -> np.ndarray:
+    """Vectorised `stream_key` of particles 0..particles-1 (uint64)."""
+    # Scalar operands are masked Python ints: numpy warns when a uint64
+    # scalar wraps, while arrays wrap silently by design.
+    x = np.arange(1, particles + 1, dtype=np.uint64)
+    x *= _NP_GOLDEN
+    x += np.uint64((seed & MASK64) ^ _SPLIT_SALT)
+    x = _mix64_inplace(x)  # split_key(seed, particle)
+    x ^= np.uint64(_SPLIT_SALT)
+    x += np.uint64((GOLDEN * (tag + 1)) & MASK64)
+    return _mix64_inplace(x)  # split_key(., tag)
 
 
 def to_unit_array(raws: np.ndarray) -> np.ndarray:

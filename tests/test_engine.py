@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from disperse import engine
 from disperse.engine import (
     DEFAULT_BUDGET,
     SCHEMA,
@@ -301,6 +302,17 @@ def test_trajectory_replay_matches_final_positions():
     per = log.per_particle()
     assert sum(len(m) for m in per) == len(log.events)
     assert len(per) == 6
+
+
+@pytest.mark.parametrize("force_generic", [False, True])
+def test_event_cap_fails_before_the_log_outgrows_it(monkeypatch, force_generic):
+    cap = 25
+    monkeypatch.setattr(engine, "RECORD_EVENT_CAP", cap)
+    ps = ParticleSystem(K(30), 20, seed=4, force_generic=force_generic)
+    ps.record_trajectories(True)
+    with pytest.raises(RuntimeError, match="25 move events"):
+        ps.run(1000)
+    assert 0 < len(ps._log.events) <= cap
 
 
 def test_walk_counts_total_matches_event_count():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from disperse import harness
-from disperse.engine import ParticleSystem, RunResult, Status, lazy
+from disperse.engine import STANDARD, ParticleSystem, RunResult, Status, advance_lockstep, lazy
 from disperse.harness import (
     DEFAULT_GRID_OMEGA,
     DEFAULT_HYPERCUBE_OMEGA,
@@ -216,6 +216,85 @@ def test_worker_count_capped_by_replicas_and_cores(monkeypatch):
 def test_run_replicas_stats_match_aggregate():
     results, stats = run_replicas(base_exp())
     assert stats == aggregate(results)
+
+
+# -- complete-graph replicas in lockstep ---------------------------------------
+
+
+@pytest.mark.parametrize("loops", [False, True])
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5), lazy(1.0)], ids=["std", "lazy0.5", "lazy1"])
+@pytest.mark.parametrize(
+    "M, budget, record, parallelism",
+    [(1, 50, False, 1), (12, 4, False, 1), (12, 400, True, 1), (12, 400, True, 2)],
+    ids=["M1", "budget-cut", "dispersed-recorded", "parallel"],
+)
+def test_lockstep_replicas_equal_single_runs(
+    monkeypatch, loops, variant, M, budget, record, parallelism
+):
+    n = 30
+    # Chunks of three replicas: seven replicas run as 3 + 3 + 1.
+    monkeypatch.setattr(harness, "LOCKSTEP_ELEMENTS", 3 * (n + M))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    batches, systems = [], []
+
+    def lockstep(batch, t_end):
+        batches.append(len(batch))
+        advance_lockstep(batch, t_end)
+
+    class Kept(ParticleSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            systems.append(self)
+
+    monkeypatch.setattr(harness, "advance_lockstep", lockstep)
+    monkeypatch.setattr(harness, "ParticleSystem", Kept)
+    exp = ExperimentSpec(
+        TopologySpec.complete(n, with_loops=loops), M, variant, budget=budget,
+        replicas=7, master_seed=5, record_trajectories=record,
+    )
+    results, _ = run_replicas(exp, parallelism=parallelism)
+    if parallelism == 1:
+        assert batches == [3, 3]  # the lone last replica runs on its own
+        positions = [ps.positions for ps in systems]
+    else:
+        positions = [r.trajectories.positions_at(r.trajectories.steps) for r in results]
+
+    topo = build(exp.topology)
+    for i, res in enumerate(results):
+        seed = derive_seed(5, i)
+        for generic in (False, True):
+            ref = ParticleSystem(exp.topology, M, variant, seed, force_generic=generic)
+            ref.record_trajectories(record)
+            want = ref.run(budget)
+            assert res.to_record() == want.to_record()
+            assert res.walk_counts.tolist() == want.walk_counts.tolist()
+            assert positions[i] == ref.positions
+            if record:
+                assert res.trajectories.events == want.trajectories.events
+                assert res.trajectories.steps == want.trajectories.steps
+        assert res.d_disp == max(topo.distance_to_origin(v) for v in positions[i])
+
+    statuses = {r.status for r in results}
+    if M == 1:
+        assert all(r.t_disp == 0 for r in results)
+    elif budget == 4:
+        assert Status.BUDGET_EXHAUSTED in statuses
+    else:
+        assert statuses == {Status.DISPERSED}
+        assert len({r.t_disp for r in results}) > 1
+
+
+def test_lockstep_rejects_systems_out_of_step():
+    spec = TopologySpec.complete(20)
+    a, b = ParticleSystem(spec, 15, seed=1), ParticleSystem(spec, 15, seed=2)
+    a.step()
+    with pytest.raises(ValueError, match="lockstep"):
+        advance_lockstep([a, b], 10)
+    with pytest.raises(ValueError, match="lockstep"):
+        advance_lockstep([b, ParticleSystem(spec, 14, seed=3)], 10)
+    with pytest.raises(ValueError, match="lockstep"):
+        advance_lockstep([b, ParticleSystem(spec, 15, seed=3, force_generic=True)], 10)
+    assert b.t == 0
 
 
 # -- scans -----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from disperse.rng import (
     mix64_array,
     split_key,
     stream_key,
+    stream_key_array,
     to_unit,
     to_unit_array,
 )
@@ -77,6 +78,15 @@ def test_stream_keys_disjoint_across_particles_and_tags():
         keys.add(stream_key(seed, pid, DIRECTION_TAG))
         keys.add(stream_key(seed, pid, LAZINESS_TAG))
     assert len(keys) == 400
+
+
+@pytest.mark.parametrize("seed", [0, 1, MASK64, derive_seed(2024, 7)])
+@pytest.mark.parametrize("tag", [DIRECTION_TAG, LAZINESS_TAG])
+@pytest.mark.parametrize("particles", [1, 1000])
+def test_stream_key_array_matches_scalar(seed, tag, particles):
+    keys = stream_key_array(seed, particles, tag)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [stream_key(seed, i, tag) for i in range(particles)]
 
 
 def test_derive_seed_matches_split():
