@@ -16,14 +16,20 @@ modes run the same code: a counter-based draw needs no buffer, so
 `walk_mode` has no effect on results and is kept only so that
 configs naming either mode still replay.
 
-Occupancy is a hash multiset iterating only multi-occupied vertices,
-so per-step cost tracks the unhappy count, not M. The Complete
-family gets a numpy kernel, `advance_lockstep`, with bitwise-identical
-results: it steps R replicas together on flat arrays of R*M particles,
-so numpy's per-call cost is paid once per step for all of them. A
-single system's step() and run() are the R = 1 case; the harness
-batches a complete-graph experiment's replicas in chunks whose size
-it bounds.
+Two kernels give bitwise-identical results. The lockstep array kernel,
+`advance_lockstep`, runs every family whose vertex fits an int64:
+complete, star, path, cycle, hypercube (up to 62 dimensions) and tree
+(as (depth, index) pairs; see topology). It steps R replicas together
+on flat arrays of R*M particles, so numpy's per-call cost is paid once
+per step for all of them; a single system's step() and run() are the
+R = 1 case, stepped on the system's own arrays. Occupancy comes from
+one bincount over R*n bins when R*n <= LOCKSTEP_ELEMENTS, else from
+sorting packed (replica, vertex) keys, which are built from the
+farthest distance reached so far and raise ValueError rather than
+leave int64. Tuple addresses are decoded only for `positions`,
+trajectory events and records. Grid, cayley and `force_generic=True`
+runs use the dict/set kernel: a hash multiset iterating only
+multi-occupied vertices, so its per-step cost tracks the unhappy count.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .rng import (
     to_unit,
     to_unit_array,
 )
-from .topology import COORDINATE_LIMIT, Family, Topology, TopologySpec, build
+from .topology import COORDINATE_LIMIT, INT64_MAX, Family, Topology, TopologySpec, build
 
 __all__ = [
     "SCHEMA",
@@ -59,6 +65,7 @@ __all__ = [
     "TrajectoryLog",
     "RunResult",
     "ParticleSystem",
+    "LOCKSTEP_ELEMENTS",
     "advance_lockstep",
     "init",
     "step",
@@ -221,10 +228,12 @@ class ParticleSystem:
         dkeys = stream_key_array(self.seed, particles, DIRECTION_TAG)
         lkeys = stream_key_array(self.seed, particles, LAZINESS_TAG) if self._lazy else None
 
-        self._fast = spec.family is Family.COMPLETE and not force_generic
-        if self._fast:
-            self._n = topo.n_vertices
-            self._posv = np.zeros(particles, dtype=np.int64)
+        # Truncated-tree leaves force a parent move; watch for it.
+        self._leafwatch = spec.family is Family.TREE and bool(topo.leaf_depth)
+        self._array = topo.array_form and not force_generic
+        if self._array:
+            origin = topo.to_array([topo.origin])
+            self._posv = np.repeat(origin, particles, axis=-1)
             self._N = np.zeros(particles, dtype=np.int64)
             self._dkv = dkeys
             if self._lazy:
@@ -240,38 +249,37 @@ class ParticleSystem:
             origin = topo.origin
             self._vert: dict[Any, set[int]] = {origin: set(range(particles))}
             self._multi: set[Any] = {origin} if particles >= 2 else set()
-            # Truncated-tree leaves force a parent move; watch for it.
-            self._leafwatch = (
-                spec.family is Family.TREE and bool(getattr(topo, "leaf_depth", 0))
-            )
 
     # -- queries -------------------------------------------------------
 
     @property
     def positions(self) -> list[Any]:
-        if self._fast:
-            return self._posv.tolist()
+        if self._array:
+            return self.topo.from_array(self._posv)
         return list(self._pos)
 
     @property
     def walk_counts(self) -> np.ndarray:
-        if self._fast:
+        if self._array:
             return self._N.copy()
         return np.array(self._Ns, dtype=np.int64)
 
     def is_dispersed(self) -> bool:
-        if self._fast:
+        if self._array:
             return self._dispersed
         return not self._multi
 
-    def _unhappy_ids(self) -> set[int]:
-        if self._fast:
-            counts = np.bincount(self._posv, minlength=self._n)
-            return set(np.flatnonzero(counts[self._posv] >= 2).tolist())
-        return {pid for v in self._multi for pid in self._vert[v]}
+    def _unhappy(self) -> np.ndarray:
+        """Mask of the particles that share their vertex."""
+        if self._array:
+            occupancy = _Occupancy(self.topo, self.particles, 1)
+            return occupancy(self._posv, self.max_distance_ever) >= 2
+        mask = np.zeros(self.particles, dtype=bool)
+        mask[[pid for v in self._multi for pid in self._vert[v]]] = True
+        return mask
 
     def happy_unhappy_counts(self) -> tuple[int, int]:
-        unhappy = len(self._unhappy_ids())
+        unhappy = int(np.count_nonzero(self._unhappy()))
         return self.particles - unhappy, unhappy
 
     def record_trajectories(self, on: bool) -> None:
@@ -392,23 +400,29 @@ class ParticleSystem:
     # -- public stepping ---------------------------------------------------
 
     def _advance(self, t_end: int) -> None:
-        if self._fast:
+        # A run that left the coordinate range stays where it stopped.
+        if self.boundary_abort:
+            return
+        if self._array:
             advance_lockstep([self], t_end)
         else:
             self._run_generic(t_end)
 
+    def _walked(self) -> int:
+        return int(self._N.sum()) if self._array else sum(self._Ns)
+
     def step(self) -> StepReport:
         """One synchronous step through the loop run() uses; the report
         is read off the states before and after it."""
-        walked = int(self.walk_counts.sum())
+        walked = self._walked()
         meetings = self.meeting_total
-        before = self._unhappy_ids()
+        before = self._unhappy()
         self._advance(self.t + 1)
-        after = self._unhappy_ids()
+        after = self._unhappy()
         return StepReport(
-            movers=int(self.walk_counts.sum()) - walked,
-            newly_happy=len(before - after),
-            newly_unhappy=len(after - before),
+            movers=self._walked() - walked,
+            newly_happy=int(np.count_nonzero(before > after)),
+            newly_unhappy=int(np.count_nonzero(after > before)),
             pairwise_meetings=self.meeting_total - meetings,
             dispersed_after=self.is_dispersed(),
         )
@@ -425,9 +439,8 @@ class ParticleSystem:
             status = Status.DISPERSED
         else:
             status = Status.BUDGET_EXHAUSTED
-        if self._fast:
-            # Every vertex of K_n but the origin 0 is at distance 1.
-            d_disp = int(bool(self._posv.any()))
+        if self._array:
+            d_disp = int(self.topo.distance_array(self._posv).max())
         else:
             dist = self.topo.distance_to_origin
             d_disp = max(dist(v) for v in self._pos)
@@ -449,26 +462,79 @@ def _event_cap_error() -> RuntimeError:
     return RuntimeError(f"trajectory recording would exceed {RECORD_EVENT_CAP} move events")
 
 
-# -- stepping, complete-graph kernel ------------------------------------------
+# -- stepping, lockstep array kernel ------------------------------------------
+
+# Occupancy of a batch of R replicas is counted with one bincount over
+# R * n bins when those fit in this many, else by sorting the particles'
+# (replica, vertex) keys. The harness also sizes its lockstep chunks by
+# it.
+LOCKSTEP_ELEMENTS = 2**15
+
+
+class _Occupancy:
+    """Each particle's count of particles on its vertex, for R replicas
+    of M particles laid end to end: one bincount over R * n bins when
+    those fit in LOCKSTEP_ELEMENTS, else a sort of (replica, vertex)
+    keys."""
+
+    def __init__(self, topo: Topology, M: int, R: int):
+        self.topo, self.M, self.R = topo, M, R
+        n = topo.n_vertices
+        self.bins = n is not None and R * n <= LOCKSTEP_ELEMENTS
+        self.span = 0
+
+    def keys(self, v: np.ndarray, reach: int) -> np.ndarray:
+        """replica * span + code of the array-form vertices v, which lie
+        within distance `reach` of the origin. Raises ValueError rather
+        than let a key leave int64."""
+        codes, span = self.topo.vertex_codes(v, reach)
+        if span != self.span:
+            if self.R * span > INT64_MAX:
+                raise ValueError(
+                    f"occupancy keys of {self.R} {self.topo.spec.family.value} replicas "
+                    f"within distance {reach} of the origin do not fit an int64"
+                )
+            self.span = span
+            self.base = np.repeat(np.arange(self.R, dtype=np.int64) * span, self.M)
+        return codes if self.R == 1 else codes + self.base
+
+    def __call__(self, v: np.ndarray, reach: int) -> np.ndarray:
+        keys = self.keys(v, reach)
+        if self.bins:
+            return np.bincount(keys, minlength=self.R * self.span).take(keys)
+        order = keys.argsort()
+        keys = keys.take(order)
+        # Runs of equal keys in sorted order; each particle gets its run's length.
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        del keys
+        runs = np.diff(first.nonzero()[0], append=first.size)
+        occ = np.empty(first.size, dtype=np.int64)
+        occ[order] = np.repeat(runs, runs)
+        return occ
 
 
 def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
-    """Advance complete-graph systems to step t_end (or dispersal) in
+    """Advance array-kernel systems to step t_end (or dispersal) in
     lockstep, bit for bit as if each ran alone.
 
     The systems must share the graph, particle count, variant and
     current step. Their states are laid end to end in flat arrays of
-    R*M particles, and one bincount over R*n bins gives every
-    replica's occupancy. A replica leaves the batch, keeping its own
-    t, once it disperses.
+    R*M particles, and one occupancy count over (replica, vertex) keys
+    serves every replica. A replica leaves the batch, keeping its own t,
+    once it disperses or, on an unbounded graph, once its reach passes
+    COORDINATE_LIMIT. A lone system is stepped on its own arrays.
     """
-    if not all(s._fast for s in systems):
-        raise ValueError("lockstep systems must be on the complete-graph kernel")
-    live = [s for s in systems if not s._dispersed and s.t < t_end]
+    if not all(s._array for s in systems):
+        raise ValueError("lockstep systems must be on the array kernel")
+    live = [
+        s for s in systems if not (s._dispersed or s.boundary_abort) and s.t < t_end
+    ]
     if not live:
         return
     first = live[0]
-    M, n, t = first.particles, first._n, first.t
+    M, t, topo = first.particles, first.t, first.topo
     for s in live:
         if (s.spec, s.particles, s.variant, s.t) != (first.spec, M, first.variant, t):
             raise ValueError(
@@ -476,41 +542,58 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
             )
     lazyv = first._lazy
     p = first.variant.p
-    loops = first.spec.with_loops
-    modulus = np.uint64(n if loops else n - 1)
+    leaf = first._leafwatch and topo.leaf_depth
+    unbounded = topo.unbounded
+    full = topo.max_distance
 
     R = len(live)
-    # Replica r's vertex v is bin r*n + v of one shared bincount.
-    off = np.repeat(np.arange(R, dtype=np.int64) * n, M)
-    pos = np.concatenate([s._posv for s in live]) + off
-    N = np.concatenate([s._N for s in live])
-    dk = np.concatenate([s._dkv for s in live])
-    if lazyv:
-        L = np.concatenate([s._Lv for s in live])
-        lk = np.concatenate([s._lkv for s in live])
-    meet = np.array([s.meeting_total for s in live], dtype=np.int64)
-    far = np.array([s.max_distance_ever > 0 for s in live])
-    all_far = bool(far.all())
+    own = R == 1  # step the system's own arrays; nothing to write back
+    if own:
+        pos, N, dk = first._posv, first._N, first._dkv
+        if lazyv:
+            L, lk = first._Lv, first._lkv
+    else:
+        pos = np.concatenate([s._posv for s in live], axis=-1)
+        N = np.concatenate([s._N for s in live])
+        dk = np.concatenate([s._dkv for s in live])
+        if lazyv:
+            L = np.concatenate([s._Lv for s in live])
+            lk = np.concatenate([s._lkv for s in live])
+    # Twice the meetings so far plus M per step: a step adds its load.
+    meet = np.array([2 * s.meeting_total for s in live], dtype=np.int64)
+    t0 = t
+    far = np.array([s.max_distance_ever for s in live], dtype=np.int64)
+    reach = int(far.max())
+    flag = np.array([s.boundary_flag for s in live])
+    all_far = reach == full and bool((far == full).all())
     recording = any(s._log is not None for s in live)
+    occupancy = _Occupancy(topo, M, R)
 
     while True:
-        occ = np.bincount(pos, minlength=R * n).take(pos)
+        occ = occupancy(pos, reach)
         # Sum over a replica's particles of their vertex's occupancy:
         # M exactly when it is dispersed, else M + 2 * its meetings.
         load = occ.reshape(R, M).sum(1)
-        if t >= t_end or load.min() == M:
+        outside = unbounded and reach > COORDINATE_LIMIT
+        if t >= t_end or load.min() == M or outside:
             done = load == M
-            leave = np.ones(R, dtype=bool) if t >= t_end else done
+            if t >= t_end:
+                leave = np.ones(R, dtype=bool)
+            else:
+                leave = done | (far > COORDINATE_LIMIT) if outside else done
             for j in np.flatnonzero(leave).tolist():
                 s = live[j]
-                seg = slice(j * M, (j + 1) * M)
-                s._posv[:] = pos[seg] - j * n
-                s._N[:] = N[seg]
-                if lazyv:
-                    s._Lv[:] = L[seg]
+                if not own:
+                    seg = slice(j * M, (j + 1) * M)
+                    s._posv[...] = pos[..., seg]
+                    s._N[:] = N[seg]
+                    if lazyv:
+                        s._Lv[:] = L[seg]
                 s.t = t
-                s.meeting_total = int(meet[j])
+                s.meeting_total = (int(meet[j]) - M * (t - t0)) // 2
                 s.max_distance_ever = int(far[j])
+                s.boundary_flag = bool(flag[j])
+                s.boundary_abort = unbounded and s.max_distance_ever > COORDINATE_LIMIT
                 s._dispersed = bool(done[j])
                 if s._log is not None:
                     s._log.steps = t
@@ -520,14 +603,14 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
             live = [s for s, k in zip(live, stay.tolist()) if k]
             R = len(live)
             kept = np.repeat(stay, M)
-            # Renumber the staying replicas 0..R-1.
-            pos = pos[kept] - off[kept] + off[: R * M]
-            off = off[: R * M]
-            N, dk, meet, far = N[kept], dk[kept], meet[stay], far[stay]
+            pos, N, dk = pos[..., kept], N[kept], dk[kept]
             if lazyv:
                 L, lk = L[kept], lk[kept]
+            meet, far, flag = meet[stay], far[stay], flag[stay]
+            reach = int(far.max())
+            occupancy = _Occupancy(topo, M, R)
             continue
-        meet += (load - M) >> 1
+        meet += load
         idx = (occ >= 2).nonzero()[0]
         if lazyv:
             c = L.take(idx)
@@ -538,25 +621,26 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
             c = N.take(idx)
             c += 1
             N[idx] = c
-            raw = draw_array(dk.take(idx), c)
-            # raw % m; numpy divides by a scalar far faster than it
-            # takes a remainder.
-            raw -= raw // modulus * modulus
-            dest = raw.view(np.int64)
-            base = off.take(idx)
-            dest += base
-            if not loops:
-                dest += dest >= pos.take(idx)
-            pos[idx] = dest
+            src = pos.take(idx, axis=-1)
+            dest = topo.neighbor_array(src, draw_array(dk.take(idx), c))
+            if leaf:
+                # A truncated leaf's move to its parent marks the run.
+                flag[idx[src[0] == leaf] // M] = True
+            if pos.ndim == 1:
+                pos[idx] = dest
+            else:
+                for row, new in zip(pos, dest):  # the tree's depth and index
+                    row[idx] = new
             if not all_far:
-                far[idx[dest != base] // M] = True
-                all_far = bool(far.all())
+                np.maximum.at(far, idx // M, topo.distance_array(dest))
+                reach = int(far.max())
+                all_far = reach == full and bool((far == full).all())
             if recording:
-                _record_lockstep(live, t, idx, dest, M, n)
+                _record_lockstep(live, t, idx, dest, M, topo)
         t += 1
 
 
-def _record_lockstep(live, t, idx, dest, M, n) -> None:
+def _record_lockstep(live, t, idx, dest, M, topo) -> None:
     """Append step t's moves to each recording replica's log, in
     particle-id order."""
     bounds = np.searchsorted(idx, np.arange(len(live) + 1) * M).tolist()
@@ -568,8 +652,8 @@ def _record_lockstep(live, t, idx, dest, M, n) -> None:
         if len(log.events) + (hi - lo) > RECORD_EVENT_CAP:
             raise _event_cap_error()
         log.events.extend(
-            (t, pid - j * M, d - j * n)
-            for pid, d in zip(idx[lo:hi].tolist(), dest[lo:hi].tolist())
+            (t, pid - j * M, d)
+            for pid, d in zip(idx[lo:hi].tolist(), topo.from_array(dest[..., lo:hi]))
         )
 
 

@@ -3,10 +3,13 @@ coupling audit.
 
 Replica i of an experiment runs with seed derive_seed(master_seed, i),
 so result lists are a pure function of (spec, master_seed) and do not
-depend on the parallelism level. Replicas of a complete-graph experiment
-are stepped in lockstep chunks (`engine.advance_lockstep`), which gives
-the same bits as stepping them one by one. Scans derive one sub-master
-per grid point the same way.
+depend on the parallelism level. Replicas of every family on the array
+kernel (all but grid and cayley) are stepped in lockstep chunks
+(`engine.advance_lockstep`), which gives the same bits as stepping them
+one by one. A chunk holds R replicas with R * (M + n) <=
+engine.LOCKSTEP_ELEMENTS when a replica's n occupancy bins fit, else
+R * M <= LOCKSTEP_ELEMENTS. Scans derive one sub-master per grid point
+the same way.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Optional
 
 from .engine import (
     DEFAULT_BUDGET,
+    LOCKSTEP_ELEMENTS,
     STANDARD,
     ParticleSystem,
     RunResult,
@@ -34,7 +38,7 @@ from .engine import (
     lazy,
 )
 from .rng import derive_seed
-from .topology import Family, TopologySpec, build, with_leaf_depth
+from .topology import INT64_MAX, Family, TopologySpec, build, with_leaf_depth
 
 __all__ = [
     "DEFAULT_GRID_OMEGA",
@@ -226,12 +230,6 @@ def aggregate(results: list[RunResult]) -> AggregateStats:
     )
 
 
-# Replicas of a complete-graph experiment are stepped in lockstep, in
-# chunks of at most this many particles plus vertices, R * (M + n).
-# Larger chunks cost memory and gain little speed.
-LOCKSTEP_ELEMENTS = 2**15
-
-
 def _replica_chunk(job: tuple[ExperimentSpec, list[int]]) -> list[RunResult]:
     exp, seeds = job
     systems = [
@@ -249,11 +247,19 @@ def _replica_chunk(job: tuple[ExperimentSpec, list[int]]) -> list[RunResult]:
 
 
 def _chunk_size(exp: ExperimentSpec, workers: int) -> int:
-    if exp.topology.family is not Family.COMPLETE:
+    topo = build(exp.topology)
+    if not topo.array_form:
         return 1
-    size = max(1, LOCKSTEP_ELEMENTS // (exp.M + exp.topology.n))
+    # A replica costs its M particles, plus its n occupancy bins when
+    # those fit in a chunk (engine.LOCKSTEP_ELEMENTS); larger chunks
+    # cost memory and gain little speed.
+    n = topo.n_vertices
+    bins = n if n is not None and exp.M + n <= LOCKSTEP_ELEMENTS else 0
+    size = LOCKSTEP_ELEMENTS // (exp.M + bins)
+    if n is not None:
+        size = min(size, INT64_MAX // n)  # keep occupancy keys in int64
     # Leave no worker idle.
-    return min(size, -(-exp.replicas // workers))
+    return max(1, min(size, -(-exp.replicas // workers)))
 
 
 def run_replicas(

@@ -16,6 +16,17 @@ Vertex addresses by family:
     tree             tuple of child indices from the root (root = ())
     cayley           tuple of residues, one per modulus
 
+Array forms. Every family but grid and cayley also answers neighbour
+and distance queries on int64 vertex arrays, for the engine's lockstep
+kernel (`array_form`). The arrays hold the int addresses above, except
+for the tree, whose array holds (depth, index-in-level) pairs as two
+rows: the parent of (d, x) is (d-1, x // (k-1)), or the root from depth
+1, and child c of a non-root vertex is (d+1, x*(k-1) + c), which keeps
+the tuple addresses' neighbour order. `to_array`/`from_array` convert
+between the two forms; a tree address whose index does not fit an
+int64 raises ValueError. `vertex_codes` numbers the vertices within a
+distance of the origin compactly, for the engine's occupancy keys.
+
 All topology queries are read-only after construction and safe for
 concurrent use.
 """
@@ -27,7 +38,10 @@ import re
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .rng import RandomStream
 
@@ -44,6 +58,7 @@ __all__ = [
     "is_bipartite",
     "default_leaf_depth",
     "COORDINATE_LIMIT",
+    "INT64_MAX",
     "MAX_CAYLEY_VERTICES",
 ]
 
@@ -51,6 +66,9 @@ __all__ = [
 # known bounds keep particles within O(M log M) of the origin, so a
 # hit signals either a pathological run or a bug, not normal motion.
 COORDINATE_LIMIT = 1 << 40
+
+# Largest value of an array-form vertex, code or occupancy key.
+INT64_MAX = (1 << 63) - 1
 
 # Cayley queries materialise the group via BFS; keep that bounded.
 MAX_CAYLEY_VERTICES = 1 << 20
@@ -332,6 +350,30 @@ class Topology:
         """True only on truncated trees at depth == leaf_depth."""
         return False
 
+    # -- array form ----------------------------------------------------
+
+    array_form = False  # answers the queries below
+    max_distance: Optional[int] = None  # farthest vertex from the origin
+
+    def to_array(self, vertices: Sequence[Any]) -> np.ndarray:
+        return np.array(vertices, dtype=np.int64)
+
+    def from_array(self, v: np.ndarray) -> list[Any]:
+        return v.tolist()
+
+    def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        """neighbor(v, raw % degree(v)) of each vertex, for uint64 draws
+        `raw`, which may be overwritten."""
+        raise NotImplementedError
+
+    def distance_array(self, v: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def vertex_codes(self, v: np.ndarray, reach: int) -> tuple[np.ndarray, int]:
+        """Distinct codes in [0, span) of vertices within distance
+        `reach` of the origin, and span."""
+        return v, self.n_vertices
+
 
 class _Complete(Topology):
     unbounded = False
@@ -368,6 +410,26 @@ class _Complete(Topology):
         if not isinstance(v, int) or not 0 <= v < self.n:
             raise ValueError(f"bad complete-graph vertex {v!r}")
 
+    array_form = True
+    max_distance = 1
+
+    @cached_property
+    def _degree64(self) -> np.uint64:
+        return np.uint64(self.n if self.with_loops else self.n - 1)
+
+    def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        m = self._degree64
+        # raw % m; numpy divides by a scalar far faster than it takes a
+        # remainder.
+        raw -= raw // m * m
+        dest = raw.view(np.int64)
+        if not self.with_loops:
+            dest += dest >= v
+        return dest
+
+    def distance_array(self, v: np.ndarray) -> np.ndarray:
+        return (v != 0).astype(np.int64)
+
 
 class _Star(Topology):
     unbounded = False
@@ -398,6 +460,19 @@ class _Star(Topology):
         if not isinstance(v, int) or not 0 <= v < self.n:
             raise ValueError(f"bad star vertex {v!r}")
 
+    array_form = True
+    max_distance = 1
+
+    def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        # A leaf's one neighbour is the hub; its draw is spent all the same.
+        dest = (raw % np.uint64(self.leaves)).view(np.int64)
+        dest += 1
+        dest *= v == 0
+        return dest
+
+    def distance_array(self, v: np.ndarray) -> np.ndarray:
+        return (v != 0).astype(np.int64)
+
 
 class _Path(Topology):
     unbounded = True
@@ -425,6 +500,17 @@ class _Path(Topology):
     def validate_address(self, v: Any) -> None:
         if not isinstance(v, int):
             raise ValueError(f"bad path vertex {v!r}")
+
+    array_form = True
+
+    def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        return _step_pm1(v, raw)
+
+    def distance_array(self, v: np.ndarray) -> np.ndarray:
+        return np.abs(v)
+
+    def vertex_codes(self, v: np.ndarray, reach: int) -> tuple[np.ndarray, int]:
+        return v + reach, 2 * reach + 1
 
 
 class _Cycle(Topology):
@@ -454,6 +540,18 @@ class _Cycle(Topology):
     def validate_address(self, v: Any) -> None:
         if not isinstance(v, int) or not 0 <= v < self.n:
             raise ValueError(f"bad cycle vertex {v!r}")
+
+    array_form = True
+
+    @property
+    def max_distance(self) -> int:
+        return self.n // 2
+
+    def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        return _step_pm1(v, raw) % self.n
+
+    def distance_array(self, v: np.ndarray) -> np.ndarray:
+        return np.minimum(v, self.n - v)
 
 
 class _Tree(Topology):
@@ -514,6 +612,87 @@ class _Tree(Topology):
             cap = self.k if pos == 0 else self.k - 1
             if not isinstance(c, int) or not 0 <= c < cap:
                 raise ValueError(f"bad tree vertex {v!r}")
+
+    array_form = True
+
+    @property
+    def max_distance(self) -> Optional[int]:
+        return self.leaf_depth or None
+
+    @cached_property
+    def _index_depth(self) -> int:
+        """Deepest level whose in-level indices all fit an int64."""
+        if self.k == 2:
+            return INT64_MAX  # two vertices per level
+        depth, width = 0, 1
+        while width * (self.k if depth == 0 else self.k - 1) <= INT64_MAX + 1:
+            width *= self.k if depth == 0 else self.k - 1
+            depth += 1
+        return depth
+
+    def to_array(self, vertices: Sequence[Any]) -> np.ndarray:
+        out = np.zeros((2, len(vertices)), dtype=np.int64)
+        for j, v in enumerate(vertices):
+            x = v[0] if v else 0
+            for c in v[1:]:
+                x = x * (self.k - 1) + c
+            if x > INT64_MAX:
+                raise ValueError(f"tree vertex at depth {len(v)} does not fit an int64 index")
+            out[:, j] = len(v), x
+        return out
+
+    def from_array(self, v: np.ndarray) -> list[Any]:
+        out = []
+        for depth, x in zip(v[0].tolist(), v[1].tolist()):
+            digits = [0] * depth
+            for i in range(depth - 1, 0, -1):
+                x, digits[i] = divmod(x, self.k - 1)
+            if depth:
+                digits[0] = x
+            out.append(tuple(digits))
+        return out
+
+    def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        depth, x = v
+        raw %= np.uint64(self.k)
+        i = raw.view(np.int64)
+        inner = depth > 0
+        up = i == 0
+        up &= inner
+        if self.leaf_depth:
+            up |= depth == self.leaf_depth
+        dest = np.empty_like(v)
+        to_depth, to_index = dest
+        # Child i - 1 of a non-root vertex, child i of the root. An upward
+        # mover's child index is discarded, so its wrapping does no harm.
+        np.multiply(x, self.k - 1, out=to_index)
+        to_index += i
+        to_index -= inner
+        parent = x // (self.k - 1)
+        parent *= depth != 1  # the root, from depth 1
+        np.copyto(to_index, parent, where=up)
+        np.add(depth, 1, out=to_depth)
+        to_depth -= up
+        to_depth -= up
+        if dest.size and to_depth.max() > self._index_depth:
+            raise ValueError(
+                f"tree(k={self.k}) level {to_depth.max()} has indices beyond int64"
+            )
+        return dest
+
+    def distance_array(self, v: np.ndarray) -> np.ndarray:
+        return v[0]
+
+    def vertex_codes(self, v: np.ndarray, reach: int) -> tuple[np.ndarray, int]:
+        # Breadth-first numbering: a vertex's code is its index plus the
+        # number of vertices above its level.
+        above = [0] + [self._full_ball(d) for d in range(reach)]
+        span = self._full_ball(reach)
+        if span > INT64_MAX:
+            raise ValueError(f"tree(k={self.k}) codes to depth {reach} exceed int64")
+        codes = np.array(above, dtype=np.int64).take(v[0])
+        codes += v[1]
+        return codes, span
 
 
 class _Grid(Topology):
@@ -578,6 +757,21 @@ class _Hypercube(Topology):
     def validate_address(self, v: Any) -> None:
         if not isinstance(v, int) or not 0 <= v < (1 << self.dim):
             raise ValueError(f"bad hypercube vertex {v!r}")
+
+    @property
+    def array_form(self) -> bool:
+        return self.dim <= 62
+
+    @property
+    def max_distance(self) -> int:
+        return self.dim
+
+    def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        bit = (raw % np.uint64(self.dim)).view(np.int64)
+        return v ^ (1 << bit)
+
+    def distance_array(self, v: np.ndarray) -> np.ndarray:
+        return np.bitwise_count(v).astype(np.int64)
 
 
 class _Cayley(Topology):
@@ -654,6 +848,14 @@ class _Cayley(Topology):
             or not all(isinstance(c, int) and 0 <= c < m for c, m in zip(v, self.moduli))
         ):
             raise ValueError(f"bad cayley vertex {v!r}")
+
+
+def _step_pm1(v: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """v - 1 for an even draw, v + 1 for an odd one."""
+    step = (raw & np.uint64(1)).view(np.int64)
+    step *= 2
+    step -= 1
+    return step + v
 
 
 _BUILDERS = {

@@ -18,7 +18,7 @@ from disperse.engine import (
     step,
 )
 from disperse.rng import MASK64
-from disperse.topology import TopologySpec
+from disperse.topology import TopologySpec, build
 
 
 def K(n, loops=False):
@@ -313,6 +313,55 @@ def test_event_cap_fails_before_the_log_outgrows_it(monkeypatch, force_generic):
     with pytest.raises(RuntimeError, match="25 move events"):
         ps.run(1000)
     assert 0 < len(ps._log.events) <= cap
+
+
+ARRAY_SPECS = {
+    "complete": (K(20), 12),
+    "star": (TopologySpec.star(12), 6),
+    "cycle": (TopologySpec.cycle(15), 7),
+    "path": (TopologySpec.path(), 6),
+    "hypercube": (TopologySpec.hypercube(8), 8),
+    "tree": (TopologySpec.tree(3, leaf_depth=9), 12),
+    "tree-leaves": (TopologySpec.tree(3, leaf_depth=2), 8),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_SPECS))
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5), lazy(1.0)], ids=["std", "lazy0.5", "lazy1"])
+def test_array_and_generic_kernels_agree_stepwise(monkeypatch, name, variant):
+    spec, M = ARRAY_SPECS[name]
+    if name == "path":
+        monkeypatch.setattr(engine, "COORDINATE_LIMIT", 4)  # some runs abort
+    for seed in (3, 8):
+        a = ParticleSystem(spec, M, variant=variant, seed=seed)
+        b = ParticleSystem(spec, M, variant=variant, seed=seed, force_generic=True)
+        for _ in range(400):
+            assert tuple(a.step()) == tuple(b.step())
+            assert a.positions == b.positions
+            assert a.happy_unhappy_counts() == b.happy_unhappy_counts()
+            assert (a.t, a.boundary_flag, a.boundary_abort) == (b.t, b.boundary_flag, b.boundary_abort)
+            if a.is_dispersed() or a.boundary_abort:
+                break
+        assert a.run(400).to_record() == b.run(400).to_record()
+
+
+def test_tree_keys_refuse_to_leave_int64():
+    k = 2**31
+    topo = build(TopologySpec.tree(k, leaf_depth=0))
+    last = (k - 1, k - 2)  # last vertex of level 2, index k(k-1) - 1 < 2^62
+    v = topo.to_array([last])
+    assert v[:, 0].tolist() == [2, k * (k - 1) - 1]
+    assert topo.from_array(v) == [last]
+    # Breadth-first code: the 1 + k vertices above level 2, plus the index.
+    one = engine._Occupancy(topo, 1, 1)
+    assert one.keys(v, 2).tolist() == [k * k] and one.span == k * k + 1
+    with pytest.raises(ValueError, match="int64"):
+        engine._Occupancy(topo, 1, 2).keys(np.repeat(v, 2, axis=1), 2)  # two replicas
+    with pytest.raises(ValueError, match="int64"):
+        topo.to_array([last + (0,)])  # level 3 holds k(k-1)^2 > 2^63 vertices
+    with pytest.raises(ValueError, match="int64"):
+        topo.neighbor_array(v, np.array([1], dtype=np.uint64))  # a move to level 3
+    assert topo.neighbor_array(v, np.array([0], dtype=np.uint64)).tolist() == [[1], [k - 1]]
 
 
 def test_walk_counts_total_matches_event_count():

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from disperse import harness
+from disperse import engine, harness
 from disperse.engine import STANDARD, ParticleSystem, RunResult, Status, advance_lockstep, lazy
 from disperse.harness import (
     DEFAULT_GRID_OMEGA,
@@ -295,6 +295,125 @@ def test_lockstep_rejects_systems_out_of_step():
     with pytest.raises(ValueError, match="lockstep"):
         advance_lockstep([b, ParticleSystem(spec, 15, seed=3, force_generic=True)], 10)
     assert b.t == 0
+
+
+# Every array-kernel family but K_n, with the particle counts its tests use.
+ARRAY_FAMILIES = {
+    "star": (TopologySpec.star(12), 6),
+    "cycle": (TopologySpec.cycle(15), 7),
+    "path": (TopologySpec.path(), 6),
+    "hypercube": (TopologySpec.hypercube(8), 8),
+    "tree": (TopologySpec.tree(3), 12),
+    # Eight particles on ten vertices: truncated leaves move to their parent.
+    "tree-leaves": (TopologySpec.tree(3, leaf_depth=2), 8),
+}
+
+
+def _kept_systems(monkeypatch, chunk):
+    """Run run_replicas in chunks of `chunk` replicas, keeping every
+    ParticleSystem it makes and the size of every lockstep batch."""
+    batches, systems = [], []
+
+    def lockstep(batch, t_end):
+        batches.append(len(batch))
+        advance_lockstep(batch, t_end)
+
+    class Kept(ParticleSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            systems.append(self)
+
+    monkeypatch.setattr(harness, "advance_lockstep", lockstep)
+    monkeypatch.setattr(harness, "ParticleSystem", Kept)
+    monkeypatch.setattr(harness, "_chunk_size", lambda exp, workers: chunk)
+    return batches, systems
+
+
+def _assert_equal_generic_runs(exp, results, systems):
+    topo = build(exp.topology)
+    for i, res in enumerate(results):
+        ref = ParticleSystem(
+            exp.topology, exp.M, exp.variant, derive_seed(exp.master_seed, i),
+            force_generic=True,
+        )
+        ref.record_trajectories(exp.record_trajectories)
+        want = ref.run(exp.budget)
+        assert res.to_record() == want.to_record()
+        assert res.steps == want.steps
+        assert res.boundary_flag == want.boundary_flag
+        assert res.walk_counts.tolist() == want.walk_counts.tolist()
+        assert systems[i].positions == ref.positions
+        assert systems[i].boundary_abort == ref.boundary_abort
+        if exp.record_trajectories:
+            assert res.trajectories.events == want.trajectories.events
+            assert res.trajectories.steps == want.trajectories.steps
+        assert res.d_disp == max(topo.distance_to_origin(v) for v in ref.positions)
+
+
+@pytest.mark.parametrize("family", list(ARRAY_FAMILIES))
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5), lazy(1.0)], ids=["std", "lazy0.5", "lazy1"])
+@pytest.mark.parametrize(
+    "budget, record", [(3, False), (3000, True)], ids=["budget-cut", "recorded"]
+)
+@pytest.mark.parametrize("bins", [True, False], ids=["bincount", "sorted"])
+def test_lockstep_array_families_equal_generic_runs(
+    monkeypatch, family, variant, budget, record, bins
+):
+    spec, M = ARRAY_FAMILIES[family]
+    # Occupancy by bincount wherever the graph is finite, or by sorted keys.
+    monkeypatch.setattr(engine, "LOCKSTEP_ELEMENTS", 10**9 if bins else 0)
+    batches, systems = _kept_systems(monkeypatch, 3)
+    exp = ExperimentSpec(
+        spec, M, variant, budget=budget, replicas=7, master_seed=5,
+        record_trajectories=record,
+    )
+    results, _ = run_replicas(exp)
+    assert batches == [3, 3]  # the lone last replica runs on its own
+    _assert_equal_generic_runs(exp.resolve(), results, systems)
+    statuses = {r.status for r in results}
+    if budget == 3:
+        assert any(r.steps == 3 and r.t_disp is None for r in results)
+    elif family == "tree-leaves":
+        assert Status.BOUNDARY_HIT in statuses
+    else:
+        assert Status.DISPERSED in statuses
+        assert len({r.t_disp for r in results if r.dispersed}) > 1
+
+
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy0.5"])
+def test_lockstep_path_boundary_abort_equals_generic_runs(monkeypatch, variant):
+    monkeypatch.setattr(engine, "COORDINATE_LIMIT", 4)
+    batches, systems = _kept_systems(monkeypatch, 7)
+    exp = ExperimentSpec(
+        TopologySpec.path(), 8, variant, budget=3000, replicas=7, master_seed=9,
+        record_trajectories=True,
+    )
+    results, _ = run_replicas(exp)
+    assert batches == [7]
+    _assert_equal_generic_runs(exp, results, systems)
+    aborted = [r for r in results if r.status is Status.BOUNDARY_HIT]
+    assert aborted and all(r.max_distance_ever == 5 for r in aborted)
+    assert len({r.steps for r in results}) > 1  # replicas left the batch apart
+
+
+def test_chunk_size_batches_every_array_family(monkeypatch):
+    def size(topo, M, replicas=10**6):
+        return harness._chunk_size(ExperimentSpec(topo, M, replicas=replicas).resolve(), 1)
+
+    # Bins fit: R (M + n) <= LOCKSTEP_ELEMENTS, as for K_n before.
+    assert size(TopologySpec.complete(1000), 600) == 2**15 // 1600
+    assert size(TopologySpec.cycle(100), 10) == 2**15 // 110
+    # Unbounded or too many vertices: R M particles, keys sorted.
+    assert size(TopologySpec.path(), 100) == 2**15 // 100
+    assert size(TopologySpec.tree(3), 4096) == 8
+    assert size(TopologySpec.hypercube(16), 100) == 2**15 // 100
+    # No more replicas than the keys of one int64 allow.
+    assert size(TopologySpec.hypercube(62), 2, replicas=10) == 1
+    # Grid and cayley stay on the dict/set kernel, one replica at a time.
+    assert size(TopologySpec.grid(2), 10) == 1
+    assert size(TopologySpec.cayley((4, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)]), 5) == 1
+    # Never more replicas than a worker's share.
+    assert size(TopologySpec.path(), 100, replicas=10) == 10
 
 
 # -- scans -----------------------------------------------------------------------
