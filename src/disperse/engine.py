@@ -621,15 +621,16 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
             c = N.take(idx)
             c += 1
             N[idx] = c
-            src = pos.take(idx, axis=-1)
+            flat = pos.ndim == 1  # else the tree's depth and index rows
+            src = pos.take(idx) if flat else pos.take(idx, axis=1)
             dest = topo.neighbor_array(src, draw_array(dk.take(idx), c))
             if leaf:
                 # A truncated leaf's move to its parent marks the run.
                 flag[idx[src[0] == leaf] // M] = True
-            if pos.ndim == 1:
+            if flat:
                 pos[idx] = dest
             else:
-                for row, new in zip(pos, dest):  # the tree's depth and index
+                for row, new in zip(pos, dest):
                     row[idx] = new
             if not all_far:
                 np.maximum.at(far, idx // M, topo.distance_array(dest))
