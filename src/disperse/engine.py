@@ -559,6 +559,12 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
         if lazyv:
             L = np.concatenate([s._Lv for s in live])
             lk = np.concatenate([s._lkv for s in live])
+        # Each system keeps views of its segment, not a second copy.
+        for j, s in enumerate(live):
+            seg = slice(j * M, (j + 1) * M)
+            s._posv, s._N, s._dkv = pos[..., seg], N[seg], dk[seg]
+            if lazyv:
+                s._Lv, s._lkv = L[seg], lk[seg]
     # Twice the meetings so far plus M per step: a step adds its load.
     meet = np.array([2 * s.meeting_total for s in live], dtype=np.int64)
     t0 = t

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import stats
 
-from disperse.rng import RandomStream
+from disperse.rng import RandomStream, draw
 from disperse.topology import (
     COORDINATE_LIMIT,
     MAX_CAYLEY_VERTICES,
@@ -429,3 +430,35 @@ def test_neighbor_relation_is_symmetric_as_multiset(name):
     for v in walk_vertices(t, steps=25):
         for w in set(t.neighbors(v)):
             assert t.neighbors(v).count(w) == t.neighbors(w).count(v), (v, w)
+
+
+# -- array forms -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_array_form_matches_scalar_queries(name):
+    t = build(spec_for(name))
+    if name in ("grid", "cayley"):
+        assert not t.array_form
+        return
+    assert t.array_form
+    verts = walk_vertices(t)
+    arr = t.to_array(verts)
+    assert t.from_array(arr) == verts
+    raw = np.array([draw(7, i) for i in range(1, len(verts) + 1)], dtype=np.uint64)
+    want = [t.neighbor(v, int(r) % t.degree(v)) for v, r in zip(verts, raw.tolist())]
+    assert t.from_array(t.neighbor_array(arr, raw.copy())) == want
+    assert t.distance_array(arr).tolist() == [t.distance_to_origin(v) for v in verts]
+    # Codes are distinct and below the span for vertices within the reach.
+    reach = max(t.distance_to_origin(v) for v in verts)
+    codes, span = t.vertex_codes(arr, reach)
+    distinct = {v: c for v, c in zip(verts, codes.tolist())}
+    assert len(set(distinct.values())) == len(distinct)
+    assert 0 <= codes.min() and codes.max() < span
+    if t.max_distance is not None:
+        assert reach <= t.max_distance == t.pigeonhole_radius(t.n_vertices)
+
+
+def test_hypercube_beyond_62_dimensions_has_no_array_form():
+    assert build(TopologySpec.hypercube(62)).array_form
+    assert not build(TopologySpec.hypercube(63)).array_form
