@@ -478,10 +478,18 @@ class _Occupancy:
     keys."""
 
     def __init__(self, topo: Topology, M: int, R: int):
-        self.topo, self.M, self.R = topo, M, R
-        n = topo.n_vertices
-        self.bins = n is not None and R * n <= LOCKSTEP_ELEMENTS
+        self.topo, self.M = topo, M
         self.span = 0
+        self.resize(R)
+
+    def resize(self, R: int) -> None:
+        """Count the first R replicas of the layout from now on."""
+        n = self.topo.n_vertices
+        self.R = R
+        self.bins = n is not None and R * n <= LOCKSTEP_ELEMENTS
+        if self.span:
+            self.base = self.base[: R * self.M]
+        self.kept = None  # keys of the current positions, for R > 1
 
     def keys(self, v: np.ndarray, reach: int) -> np.ndarray:
         """replica * span + code of the array-form vertices v, which lie
@@ -498,8 +506,23 @@ class _Occupancy:
             self.base = np.repeat(np.arange(self.R, dtype=np.int64) * span, self.M)
         return codes if self.R == 1 else codes + self.base
 
+    def moved(self, idx: np.ndarray, dest: np.ndarray, reach: int) -> None:
+        """Particles idx moved to dest: update their kept keys, or drop
+        the keys when the new reach changed the codes."""
+        if self.kept is None:
+            return
+        codes, span = self.topo.vertex_codes(dest, reach)
+        if span == self.span:
+            self.kept[idx] = codes + self.base.take(idx)
+        else:
+            self.kept = None
+
     def __call__(self, v: np.ndarray, reach: int) -> np.ndarray:
-        keys = self.keys(v, reach)
+        keys = self.kept
+        if keys is None:
+            keys = self.keys(v, reach)
+            if self.R > 1:
+                self.kept = keys
         if self.bins:
             return np.bincount(keys, minlength=self.R * self.span).take(keys)
         order = keys.argsort()
@@ -591,7 +614,7 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
                 s = live[j]
                 if not own:
                     seg = slice(j * M, (j + 1) * M)
-                    s._posv[...] = pos[..., seg]
+                    s._posv[:] = pos[:, seg] if pos.ndim == 2 else pos[seg]
                     s._N[:] = N[seg]
                     if lazyv:
                         s._Lv[:] = L[seg]
@@ -608,13 +631,13 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
             stay = ~leave
             live = [s for s, k in zip(live, stay.tolist()) if k]
             R = len(live)
-            kept = np.repeat(stay, M)
-            pos, N, dk = pos[..., kept], N[kept], dk[kept]
+            rows = stay.nonzero()[0]
+            pos, N, dk = _keep(pos, rows, M), _keep(N, rows, M), _keep(dk, rows, M)
             if lazyv:
-                L, lk = L[kept], lk[kept]
+                L, lk = _keep(L, rows, M), _keep(lk, rows, M)
             meet, far, flag = meet[stay], far[stay], flag[stay]
             reach = int(far.max())
-            occupancy = _Occupancy(topo, M, R)
+            occupancy.resize(R)
             continue
         meet += load
         idx = (occ >= 2).nonzero()[0]
@@ -642,9 +665,16 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
                 np.maximum.at(far, idx // M, topo.distance_array(dest))
                 reach = int(far.max())
                 all_far = reach == full and bool((far == full).all())
+            occupancy.moved(idx, dest, reach)
             if recording:
                 _record_lockstep(live, t, idx, dest, M, topo)
         t += 1
+
+
+def _keep(x: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
+    """The M-long segments of x (along its last axis) of replicas `rows`."""
+    lead = x.shape[:-1]
+    return x.reshape(lead + (-1, M)).take(rows, axis=-2).reshape(lead + (-1,))
 
 
 def _record_lockstep(live, t, idx, dest, M, topo) -> None:
