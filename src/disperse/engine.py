@@ -489,7 +489,6 @@ class _Occupancy:
         self.bins = n is not None and R * n <= LOCKSTEP_ELEMENTS
         if self.span:
             self.base = self.base[: R * self.M]
-        self.kept = None  # keys of the current positions, for R > 1
 
     def keys(self, v: np.ndarray, reach: int) -> np.ndarray:
         """replica * span + code of the array-form vertices v, which lie
@@ -506,23 +505,8 @@ class _Occupancy:
             self.base = np.repeat(np.arange(self.R, dtype=np.int64) * span, self.M)
         return codes if self.R == 1 else codes + self.base
 
-    def moved(self, idx: np.ndarray, dest: np.ndarray, reach: int) -> None:
-        """Particles idx moved to dest: update their kept keys, or drop
-        the keys when the new reach changed the codes."""
-        if self.kept is None:
-            return
-        codes, span = self.topo.vertex_codes(dest, reach)
-        if span == self.span:
-            self.kept[idx] = codes + self.base.take(idx)
-        else:
-            self.kept = None
-
     def __call__(self, v: np.ndarray, reach: int) -> np.ndarray:
-        keys = self.kept
-        if keys is None:
-            keys = self.keys(v, reach)
-            if self.R > 1:
-                self.kept = keys
+        keys = self.keys(v, reach)
         if self.bins:
             return np.bincount(keys, minlength=self.R * self.span).take(keys)
         order = keys.argsort()
@@ -665,7 +649,6 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
                 np.maximum.at(far, idx // M, topo.distance_array(dest))
                 reach = int(far.max())
                 all_far = reach == full and bool((far == full).all())
-            occupancy.moved(idx, dest, reach)
             if recording:
                 _record_lockstep(live, t, idx, dest, M, topo)
         t += 1
