@@ -11,7 +11,7 @@ Randomness: particle i owns two counter-based streams keyed by
 (seed, i, tag) with tags {direction, laziness}, so trajectories are
 a pure function of (spec, M, variant, seed, budget) and are identical
 whether draws are made one at a time by the generic path or
-batch-evaluated by the vectorised complete-graph path. The two walk
+batch-evaluated by the vectorised array kernel. The two walk
 modes run the same code: a counter-based draw needs no buffer, so
 `walk_mode` has no effect on results and is kept only so that
 configs naming either mode still replay.
@@ -26,8 +26,8 @@ R = 1 case, stepped on the system's own arrays. Occupancy comes from
 one bincount over R*n bins when R*n <= LOCKSTEP_ELEMENTS, else from
 sorting packed (replica, vertex) keys, which are built from the
 farthest distance reached so far and raise ValueError rather than
-leave int64. Tuple addresses are decoded only for `positions`,
-trajectory events and records. Grid, cayley and `force_generic=True`
+leave int64. Tree tuple addresses are decoded only for `positions`
+and trajectory events. Grid, cayley and `force_generic=True`
 runs use the dict/set kernel: a hash multiset iterating only
 multi-occupied vertices, so its per-step cost tracks the unhappy count.
 """

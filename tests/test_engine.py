@@ -339,7 +339,9 @@ def test_array_and_generic_kernels_agree_stepwise(monkeypatch, name, variant):
             assert tuple(a.step()) == tuple(b.step())
             assert a.positions == b.positions
             assert a.happy_unhappy_counts() == b.happy_unhappy_counts()
-            assert (a.t, a.boundary_flag, a.boundary_abort) == (b.t, b.boundary_flag, b.boundary_abort)
+            assert (a.t, a.boundary_flag, a.boundary_abort) == (
+                b.t, b.boundary_flag, b.boundary_abort
+            )
             if a.is_dispersed() or a.boundary_abort:
                 break
         assert a.run(400).to_record() == b.run(400).to_record()
