@@ -10,30 +10,35 @@ over once every vertex holds at most one particle.
 Randomness: particle i owns two counter-based streams keyed by
 (seed, i, tag) with tags {direction, laziness}, so trajectories are
 a pure function of (spec, M, variant, seed, budget) and are identical
-whether draws are made one at a time by the generic path or
+whether draws are made one at a time by the reference loop or
 batch-evaluated by the vectorised array kernel. The two walk
 modes run the same code: a counter-based draw needs no buffer, so
 `walk_mode` has no effect on results and is kept only so that
 configs naming either mode still replay.
 
-Two kernels give bitwise-identical results. The lockstep array kernel,
-`advance_lockstep`, runs every family whose vertex fits an int64:
-complete, star, path, cycle, hypercube (up to 62 dimensions) and tree
-(as (depth, index) pairs; see topology). It steps R replicas together
-on flat arrays of R*M particles, so numpy's per-call cost is paid once
-per step for all of them; a single system's step() and run() are the
-R = 1 case, stepped on the system's own arrays. Occupancy comes from
-one bincount over R*n bins when R*n <= LOCKSTEP_ELEMENTS, else from
-sorting packed (replica, vertex) keys, which are built from the
-farthest distance reached so far and raise ValueError rather than
-leave int64. Tree tuple addresses are decoded only for `positions`
-and trajectory events. Grid, cayley and `force_generic=True`
-runs use the dict/set kernel: a hash multiset iterating only
-multi-occupied vertices, so its per-step cost tracks the unhappy count.
+One production kernel, the lockstep array kernel `advance_lockstep`,
+runs every family on int64 vertex arrays (see topology): the tree as
+(depth, index) pairs, the grid as rows of coordinates, cayley as
+mixed-radix ints. It steps R replicas together on flat arrays of R*M
+particles, so numpy's per-call cost is paid once per step for all of
+them; a single system's step() and run() are the R = 1 case, stepped
+on the system's own arrays. Occupancy comes from one bincount over R*n
+bins when R*n <= LOCKSTEP_ELEMENTS, else from sorting packed
+(replica, vertex) keys, which are built from the farthest distance
+reached so far and raise ValueError rather than leave int64 (the grid
+ranks its vertices instead). Tuple addresses are decoded only for
+`positions` and trajectory events.
+
+A scalar reference loop gives the same bits: it counts occupancy
+afresh each step and moves one particle at a time on the topology's
+own addresses. `force_generic=True` selects it, and so does the one
+input with no int64 form, a hypercube past 62 dimensions. A step that
+raises leaves the system at its last completed step on either loop.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, NamedTuple, Optional
@@ -228,55 +233,42 @@ class ParticleSystem:
         dkeys = stream_key_array(self.seed, particles, DIRECTION_TAG)
         lkeys = stream_key_array(self.seed, particles, LAZINESS_TAG) if self._lazy else None
 
-        # Truncated-tree leaves force a parent move; watch for it.
-        self._leafwatch = spec.family is Family.TREE and bool(topo.leaf_depth)
         self._array = topo.array_form and not force_generic
+        self._dispersed = particles == 1
         if self._array:
-            origin = topo.to_array([topo.origin])
-            self._posv = np.repeat(origin, particles, axis=-1)
+            self._posv = np.repeat(topo.to_array([topo.origin]), particles, axis=-1)
             self._N = np.zeros(particles, dtype=np.int64)
             self._dkv = dkeys
             if self._lazy:
                 self._lkv = lkeys
                 self._Lv = np.zeros(particles, dtype=np.int64)
-            self._dispersed = particles == 1
         else:
+            self._pos: list[Any] = [topo.origin] * particles
+            self._N = [0] * particles
+            self._L = [0] * particles
             self._dkeys = dkeys.tolist()
             self._lkeys = lkeys.tolist() if self._lazy else None
-            self._pos: list[Any] = [topo.origin] * particles
-            self._Ns: list[int] = [0] * particles
-            self._L = [0] * particles if self._lazy else None
-            origin = topo.origin
-            self._vert: dict[Any, set[int]] = {origin: set(range(particles))}
-            self._multi: set[Any] = {origin} if particles >= 2 else set()
 
     # -- queries -------------------------------------------------------
 
     @property
     def positions(self) -> list[Any]:
-        if self._array:
-            return self.topo.from_array(self._posv)
-        return list(self._pos)
+        return self.topo.from_array(self._posv) if self._array else list(self._pos)
 
     @property
     def walk_counts(self) -> np.ndarray:
-        if self._array:
-            return self._N.copy()
-        return np.array(self._Ns, dtype=np.int64)
+        return np.array(self._N, dtype=np.int64)
 
     def is_dispersed(self) -> bool:
-        if self._array:
-            return self._dispersed
-        return not self._multi
+        return self._dispersed
 
     def _unhappy(self) -> np.ndarray:
         """Mask of the particles that share their vertex."""
         if self._array:
             occupancy = _Occupancy(self.topo, self.particles, 1)
             return occupancy(self._posv, self.max_distance_ever) >= 2
-        mask = np.zeros(self.particles, dtype=bool)
-        mask[[pid for v in self._multi for pid in self._vert[v]]] = True
-        return mask
+        occupancy = Counter(self._pos)
+        return np.array([occupancy[v] >= 2 for v in self._pos], dtype=bool)
 
     def happy_unhappy_counts(self) -> tuple[int, int]:
         unhappy = int(np.count_nonzero(self._unhappy()))
@@ -292,110 +284,45 @@ class ParticleSystem:
         else:
             self._log = None
 
-    # -- stepping, generic path -----------------------------------------
+    # -- stepping, scalar reference loop ---------------------------------------
 
-    def _run_generic(self, t_end: int) -> None:
-        vert = self._vert
-        multi = self._multi
-        pos = self._pos
-        N = self._Ns
-        dkeys = self._dkeys
-        topo = self.topo
-        deg = topo.degree
-        nbr = topo.neighbor
-        dist = topo.distance_to_origin
-        lazyv = self._lazy
-        p = self.variant.p
-        lkeys = self._lkeys
-        lcnt = self._L
-        leafwatch = self._leafwatch
-        unbounded = topo.unbounded
-        log = self._log
-        events = log.events if log is not None else None
-        flag = self.boundary_flag
-        t = self.t
-        meetings_total = self.meeting_total
-        maxd = self.max_distance_ever
-        _draw = draw
-        _unit = to_unit
-
-        while multi and t < t_end:
-            movers: list[tuple[int, Any]] = []
-            for v in multi:
-                s = vert[v]
-                c = len(s)
-                meetings_total += c * (c - 1) // 2
-                for pid in s:
-                    movers.append((pid, v))
-            if lazyv:
-                kept = []
-                for pid, src in movers:
-                    lc = lcnt[pid] + 1
-                    lcnt[pid] = lc
-                    if _unit(_draw(lkeys[pid], lc)) < p:
-                        kept.append((pid, src))
-                movers = kept
-                if not movers:
-                    t += 1
-                    continue
-            dests = []
-            for pid, src in movers:
-                c = N[pid] + 1
-                N[pid] = c
-                raw = _draw(dkeys[pid], c)
-                d = deg(src)
-                if d == 1:
-                    if leafwatch:
-                        flag = True
-                    dests.append(nbr(src, 0))
-                else:
-                    dests.append(nbr(src, raw % d))
-            affected = set()
-            for pid, src in movers:
-                vert[src].remove(pid)
-                affected.add(src)
-            i = 0
-            for pid, src in movers:
-                dest = dests[i]
-                i += 1
-                s = vert.get(dest)
-                if s is None:
-                    vert[dest] = {pid}
-                else:
-                    s.add(pid)
-                pos[pid] = dest
-                affected.add(dest)
-                d2 = dist(dest)
-                if d2 > maxd:
-                    maxd = d2
-            if events is not None:
-                if len(events) + len(movers) > RECORD_EVENT_CAP:
-                    self.t = t
-                    raise _event_cap_error()
-                # Particle-id order within a step, as the numpy kernel records.
-                events.extend(sorted((t, pid, d) for (pid, _), d in zip(movers, dests)))
-            for v in affected:
-                s = vert.get(v)
-                if s:
-                    if len(s) >= 2:
-                        multi.add(v)
-                    else:
-                        multi.discard(v)
-                else:
-                    if s is not None:
-                        del vert[v]
-                    multi.discard(v)
-            t += 1
-            if unbounded and maxd > COORDINATE_LIMIT:
-                self.boundary_abort = True
-                break
-
-        self.t = t
-        self.meeting_total = meetings_total
-        self.max_distance_ever = maxd
-        self.boundary_flag = flag
-        if log is not None:
-            log.steps = t
+    def _run_reference(self, t_end: int) -> None:
+        """The process as the module docstring states it, one particle at
+        a time on the topology's own addresses, with occupancy counted
+        afresh each step: the reference every kernel is checked against,
+        and the kernel of a hypercube past 62 dimensions."""
+        topo, pos, N, L, log = self.topo, self._pos, self._N, self._L, self._log
+        while True:
+            occupancy = Counter(pos)
+            self._dispersed = len(occupancy) == self.particles
+            if self._dispersed or self.t >= t_end or self.boundary_abort:
+                return
+            unhappy = [i for i, v in enumerate(pos) if occupancy[v] >= 2]
+            movers = unhappy
+            if self._lazy:
+                p = self.variant.p
+                movers = [i for i in unhappy if to_unit(draw(self._lkeys[i], L[i] + 1)) < p]
+            dests = [
+                topo.neighbor(pos[i], draw(self._dkeys[i], N[i] + 1) % topo.degree(pos[i]))
+                for i in movers
+            ]
+            if log is not None and len(log.events) + len(movers) > RECORD_EVENT_CAP:
+                raise _event_cap_error()
+            # Nothing below raises: the step is applied whole.
+            if self._lazy:
+                for i in unhappy:
+                    L[i] += 1
+            for i, dest in zip(movers, dests):
+                self.boundary_flag |= topo.is_truncated_leaf(pos[i])
+                N[i] += 1
+                pos[i] = dest
+                self.max_distance_ever = max(self.max_distance_ever, topo.distance_to_origin(dest))
+            self.meeting_total += sum(c * (c - 1) // 2 for c in occupancy.values())
+            if log is not None:
+                log.events.extend((self.t, i, dest) for i, dest in zip(movers, dests))
+                log.steps = self.t + 1
+            self.t += 1
+            self.boundary_abort = topo.unbounded and self.max_distance_ever > COORDINATE_LIMIT
 
     # -- public stepping ---------------------------------------------------
 
@@ -406,21 +333,18 @@ class ParticleSystem:
         if self._array:
             advance_lockstep([self], t_end)
         else:
-            self._run_generic(t_end)
-
-    def _walked(self) -> int:
-        return int(self._N.sum()) if self._array else sum(self._Ns)
+            self._run_reference(t_end)
 
     def step(self) -> StepReport:
         """One synchronous step through the loop run() uses; the report
         is read off the states before and after it."""
-        walked = self._walked()
+        walked = int(np.sum(self._N))
         meetings = self.meeting_total
         before = self._unhappy()
         self._advance(self.t + 1)
         after = self._unhappy()
         return StepReport(
-            movers=self._walked() - walked,
+            movers=int(np.sum(self._N)) - walked,
             newly_happy=int(np.count_nonzero(before > after)),
             newly_unhappy=int(np.count_nonzero(after > before)),
             pairwise_meetings=self.meeting_total - meetings,
@@ -431,19 +355,16 @@ class ParticleSystem:
         if budget < 0:
             raise ValueError("budget must be >= 0")
         self._advance(budget)
-
-        dispersed = self.is_dispersed()
         if self.boundary_abort or self.boundary_flag:
             status = Status.BOUNDARY_HIT
-        elif dispersed:
+        elif self._dispersed:
             status = Status.DISPERSED
         else:
             status = Status.BUDGET_EXHAUSTED
         if self._array:
             d_disp = int(self.topo.distance_array(self._posv).max())
         else:
-            dist = self.topo.distance_to_origin
-            d_disp = max(dist(v) for v in self._pos)
+            d_disp = max(map(self.topo.distance_to_origin, self._pos))
         return RunResult(
             status=status,
             steps=self.t,
@@ -531,7 +452,9 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
     R*M particles, and one occupancy count over (replica, vertex) keys
     serves every replica. A replica leaves the batch, keeping its own t,
     once it disperses or, on an unbounded graph, once its reach passes
-    COORDINATE_LIMIT. A lone system is stepped on its own arrays.
+    COORDINATE_LIMIT. A lone system is stepped on its own arrays. A step
+    that raises (the event cap, or a vertex or key past int64) changes
+    no system: each is left at its last completed step.
     """
     if not all(s._array for s in systems):
         raise ValueError("lockstep systems must be on the array kernel")
@@ -549,7 +472,7 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
             )
     lazyv = first._lazy
     p = first.variant.p
-    leaf = first._leafwatch and topo.leaf_depth
+    leaf = topo.spec.family is Family.TREE and topo.leaf_depth  # truncated leaves' depth
     unbounded = topo.unbounded
     full = topo.max_distance
 
@@ -582,76 +505,87 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
     recording = any(s._log is not None for s in live)
     occupancy = _Occupancy(topo, M, R)
 
-    while True:
-        occ = occupancy(pos, reach)
-        # Sum over a replica's particles of their vertex's occupancy:
-        # M exactly when it is dispersed, else M + 2 * its meetings.
-        load = occ.reshape(R, M).sum(1)
-        outside = unbounded and reach > COORDINATE_LIMIT
-        if t >= t_end or load.min() == M or outside:
-            done = load == M
-            if t >= t_end:
-                leave = np.ones(R, dtype=bool)
-            else:
-                leave = done | (far > COORDINATE_LIMIT) if outside else done
-            for j in np.flatnonzero(leave).tolist():
-                s = live[j]
-                if not own:
-                    seg = slice(j * M, (j + 1) * M)
-                    s._posv[:] = pos[:, seg] if pos.ndim == 2 else pos[seg]
-                    s._N[:] = N[seg]
-                    if lazyv:
-                        s._Lv[:] = L[seg]
-                s.t = t
-                s.meeting_total = (int(meet[j]) - M * (t - t0)) // 2
-                s.max_distance_ever = int(far[j])
-                s.boundary_flag = bool(flag[j])
-                s.boundary_abort = unbounded and s.max_distance_ever > COORDINATE_LIMIT
-                s._dispersed = bool(done[j])
-                if s._log is not None:
-                    s._log.steps = t
-            if leave.all():
-                return
-            stay = ~leave
-            live = [s for s, k in zip(live, stay.tolist()) if k]
-            R = len(live)
-            rows = stay.nonzero()[0]
-            pos, N, dk = _keep(pos, rows, M), _keep(N, rows, M), _keep(dk, rows, M)
-            if lazyv:
-                L, lk = _keep(L, rows, M), _keep(lk, rows, M)
-            meet, far, flag = meet[stay], far[stay], flag[stay]
-            reach = int(far.max())
-            occupancy.resize(R)
-            continue
-        meet += load
-        idx = (occ >= 2).nonzero()[0]
-        if lazyv:
-            c = L.take(idx)
-            c += 1
-            L[idx] = c
-            idx = idx[to_unit_array(draw_array(lk.take(idx), c)) < p]
-        if idx.size:
-            c = N.take(idx)
-            c += 1
-            N[idx] = c
-            flat = pos.ndim == 1  # else the tree's depth and index rows
-            src = pos.take(idx) if flat else pos.take(idx, axis=1)
-            dest = topo.neighbor_array(src, draw_array(dk.take(idx), c))
-            if leaf:
-                # A truncated leaf's move to its parent marks the run.
-                flag[idx[src[0] == leaf] // M] = True
-            if flat:
-                pos[idx] = dest
-            else:
-                for row, new in zip(pos, dest):
-                    row[idx] = new
-            if not all_far:
-                np.maximum.at(far, idx // M, topo.distance_array(dest))
+    def settle(rows, done):
+        """Write the state of batch replicas `rows` back to their systems."""
+        for j in rows:
+            s = live[j]
+            if not own:
+                seg = slice(j * M, (j + 1) * M)
+                s._posv[:] = pos[..., seg]
+                s._N[:] = N[seg]
+                if lazyv:
+                    s._Lv[:] = L[seg]
+            s.t = t
+            s.meeting_total = (int(meet[j]) - M * (t - t0)) // 2
+            s.max_distance_ever = int(far[j])
+            s.boundary_flag = bool(flag[j])
+            s.boundary_abort = unbounded and s.max_distance_ever > COORDINATE_LIMIT
+            s._dispersed = bool(done[j])
+            if s._log is not None:
+                s._log.steps = t
+
+    try:
+        while True:
+            occ = occupancy(pos, reach)
+            # Sum over a replica's particles of their vertex's occupancy:
+            # M exactly when it is dispersed, else M + 2 * its meetings.
+            load = occ.reshape(R, M).sum(1)
+            outside = unbounded and reach > COORDINATE_LIMIT
+            if t >= t_end or load.min() == M or outside:
+                done = load == M
+                if t >= t_end:
+                    leave = np.ones(R, dtype=bool)
+                else:
+                    leave = done | (far > COORDINATE_LIMIT) if outside else done
+                settle(np.flatnonzero(leave).tolist(), done)
+                if leave.all():
+                    return
+                stay = ~leave
+                live = [s for s, k in zip(live, stay.tolist()) if k]
+                R = len(live)
+                rows = stay.nonzero()[0]
+                pos, N, dk = _keep(pos, rows, M), _keep(N, rows, M), _keep(dk, rows, M)
+                if lazyv:
+                    L, lk = _keep(L, rows, M), _keep(lk, rows, M)
+                meet, far, flag = meet[stay], far[stay], flag[stay]
                 reach = int(far.max())
-                all_far = reach == full and bool((far == full).all())
-            if recording:
-                _record_lockstep(live, t, idx, dest, M, topo)
-        t += 1
+                occupancy.resize(R)
+                continue
+            unhappy = idx = (occ >= 2).nonzero()[0]
+            if lazyv:
+                lc = L.take(unhappy)
+                lc += 1
+                idx = unhappy[to_unit_array(draw_array(lk.take(unhappy), lc)) < p]
+            if idx.size:
+                c = N.take(idx)
+                c += 1
+                flat = pos.ndim == 1  # else the rows of the grid or the tree
+                src = pos.take(idx) if flat else pos.take(idx, axis=1)
+                dest = topo.neighbor_array(src, draw_array(dk.take(idx), c))
+                if recording:
+                    _record_lockstep(live, t, idx, dest, M, topo)
+            # Nothing below raises: the step is applied whole.
+            if lazyv:
+                L[unhappy] = lc
+            if idx.size:
+                N[idx] = c
+                if leaf:
+                    # A truncated leaf's move to its parent marks the run.
+                    flag[idx[src[0] == leaf] // M] = True
+                if flat:
+                    pos[idx] = dest
+                else:
+                    for row, new in zip(pos, dest):
+                        row[idx] = new
+                if not all_far:
+                    np.maximum.at(far, idx // M, topo.distance_array(dest))
+                    reach = int(far.max())
+                    all_far = reach == full and bool((far == full).all())
+            meet += load
+            t += 1
+    except BaseException:
+        settle(range(R), np.zeros(R, dtype=bool))
+        raise
 
 
 def _keep(x: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
@@ -662,15 +596,13 @@ def _keep(x: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
 
 def _record_lockstep(live, t, idx, dest, M, topo) -> None:
     """Append step t's moves to each recording replica's log, in
-    particle-id order."""
+    particle-id order, once every log is known to stay within the cap."""
     bounds = np.searchsorted(idx, np.arange(len(live) + 1) * M).tolist()
-    for j, s in enumerate(live):
-        log = s._log
+    logs = [(j, s._log) for j, s in enumerate(live) if s._log is not None]
+    if any(len(log.events) + bounds[j + 1] - bounds[j] > RECORD_EVENT_CAP for j, log in logs):
+        raise _event_cap_error()
+    for j, log in logs:
         lo, hi = bounds[j], bounds[j + 1]
-        if log is None or lo == hi:
-            continue
-        if len(log.events) + (hi - lo) > RECORD_EVENT_CAP:
-            raise _event_cap_error()
         log.events.extend(
             (t, pid - j * M, d)
             for pid, d in zip(idx[lo:hi].tolist(), topo.from_array(dest[..., lo:hi]))

@@ -3,13 +3,13 @@ coupling audit.
 
 Replica i of an experiment runs with seed derive_seed(master_seed, i),
 so result lists are a pure function of (spec, master_seed) and do not
-depend on the parallelism level. Replicas of every family on the array
-kernel (all but grid and cayley) are stepped in lockstep chunks
-(`engine.advance_lockstep`), which gives the same bits as stepping them
-one by one. A chunk holds R replicas with R * (M + n) <=
-engine.LOCKSTEP_ELEMENTS when a replica's n occupancy bins fit, else
-R * M <= LOCKSTEP_ELEMENTS. Scans derive one sub-master per grid point
-the same way.
+depend on the parallelism level. Replicas are stepped in lockstep
+chunks (`engine.advance_lockstep`), which gives the same bits as
+stepping them one by one; a hypercube past 62 dimensions, the one
+graph without an array form, runs one replica per chunk. A chunk holds
+R replicas with R * (M + n) <= engine.LOCKSTEP_ELEMENTS when a
+replica's n occupancy bins fit, else R * M <= LOCKSTEP_ELEMENTS. Scans
+derive one sub-master per grid point the same way.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Each family answers degree / neighbour / distance / ball-size queries
 at a vertex address without materialising the graph, so the infinite
 families (line, grid, tree) cost nothing beyond the vertices actually
 visited. The finite abelian Cayley family is the one exception: its
-distance and bipartiteness queries BFS the whole group once, capped
-at MAX_CAYLEY_VERTICES elements.
+distance and bipartiteness queries come from one BFS of the whole
+group per process, capped at MAX_CAYLEY_VERTICES elements.
 
 Vertex addresses by family:
 
@@ -16,13 +16,16 @@ Vertex addresses by family:
     tree             tuple of child indices from the root (root = ())
     cayley           tuple of residues, one per modulus
 
-Array forms. Every family but grid and cayley also answers neighbour
-and distance queries on int64 vertex arrays, for the engine's lockstep
-kernel (`array_form`). The arrays hold the int addresses above, except
-for the tree, whose array holds (depth, index-in-level) pairs as two
-rows: the parent of (d, x) is (d-1, x // (k-1)), or the root from depth
-1, and child c of a non-root vertex is (d+1, x*(k-1) + c), which keeps
-the tuple addresses' neighbour order. `to_array`/`from_array` convert
+Array forms. Every family also answers neighbour and distance queries
+on int64 vertex arrays, for the engine's lockstep kernel
+(`array_form`); only the hypercube past 62 dimensions has none. The
+arrays hold the int addresses above, with three exceptions. The grid's
+array holds dim rows of coordinates. The cayley array holds one
+mixed-radix int per vertex, the first residue most significant. The
+tree's array holds (depth, index-in-level) pairs as two rows: the
+parent of (d, x) is (d-1, x // (k-1)), or the root from depth 1, and
+child c of a non-root vertex is (d+1, x*(k-1) + c), which keeps the
+tuple addresses' neighbour order. `to_array`/`from_array` convert
 between the two forms; a tree address whose index does not fit an
 int64 raises ValueError. `vertex_codes` numbers the vertices within a
 distance of the origin compactly, for the engine's occupancy keys.
@@ -35,10 +38,9 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -352,7 +354,7 @@ class Topology:
 
     # -- array form ----------------------------------------------------
 
-    array_form = False  # answers the queries below
+    array_form = True  # answers the queries below; not the hypercube past 62 dimensions
     max_distance: Optional[int] = None  # farthest vertex from the origin
 
     def to_array(self, vertices: Sequence[Any]) -> np.ndarray:
@@ -410,7 +412,6 @@ class _Complete(Topology):
         if not isinstance(v, int) or not 0 <= v < self.n:
             raise ValueError(f"bad complete-graph vertex {v!r}")
 
-    array_form = True
     max_distance = 1
 
     @cached_property
@@ -460,7 +461,6 @@ class _Star(Topology):
         if not isinstance(v, int) or not 0 <= v < self.n:
             raise ValueError(f"bad star vertex {v!r}")
 
-    array_form = True
     max_distance = 1
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -501,8 +501,6 @@ class _Path(Topology):
         if not isinstance(v, int):
             raise ValueError(f"bad path vertex {v!r}")
 
-    array_form = True
-
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
         return _step_pm1(v, raw)
 
@@ -540,8 +538,6 @@ class _Cycle(Topology):
     def validate_address(self, v: Any) -> None:
         if not isinstance(v, int) or not 0 <= v < self.n:
             raise ValueError(f"bad cycle vertex {v!r}")
-
-    array_form = True
 
     @property
     def max_distance(self) -> int:
@@ -612,8 +608,6 @@ class _Tree(Topology):
             cap = self.k if pos == 0 else self.k - 1
             if not isinstance(c, int) or not 0 <= c < cap:
                 raise ValueError(f"bad tree vertex {v!r}")
-
-    array_form = True
 
     @property
     def max_distance(self) -> Optional[int]:
@@ -728,6 +722,37 @@ class _Grid(Topology):
         if not all(isinstance(c, int) for c in v):
             raise ValueError(f"bad grid vertex {v!r}")
 
+    def to_array(self, vertices: Sequence[Any]) -> np.ndarray:
+        return np.array(vertices, dtype=np.int64).reshape(-1, self.dim).T
+
+    def from_array(self, v: np.ndarray) -> list[Any]:
+        return list(map(tuple, v.T.tolist()))
+
+    def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        raw %= np.uint64(2 * self.dim)
+        i = raw.view(np.int64)
+        dest = v.copy()
+        # Neighbour i steps along axis i // 2, down for even i, up for odd.
+        dest[i >> 1, np.arange(i.size)] += 2 * (i & 1) - 1
+        return dest
+
+    def distance_array(self, v: np.ndarray) -> np.ndarray:
+        return np.abs(v).sum(axis=0)
+
+    def vertex_codes(self, v: np.ndarray, reach: int) -> tuple[np.ndarray, int]:
+        # One base-(2 reach + 1) digit per axis, as the path packs its
+        # offsets. Where that span times the vertex count would pass int64
+        # (3^40 > 2^63 already at reach 1), rank the vertices among v instead.
+        base = 2 * reach + 1
+        if base**self.dim > INT64_MAX // max(v.shape[1], 1):
+            return np.unique(v, axis=1, return_inverse=True)[1].reshape(-1), v.shape[1]
+        codes = v[0] + reach
+        for row in v[1:]:
+            codes *= base
+            codes += row
+            codes += reach
+        return codes, base**self.dim
+
 
 class _Hypercube(Topology):
     unbounded = False
@@ -777,11 +802,12 @@ class _Hypercube(Topology):
 class _Cayley(Topology):
     """Cayley graph of Z_{m1} x ... x Z_{mw} under a symmetric
     generator multiset. Distance, ball and bipartiteness queries come
-    from a one-time BFS over the group (the graph must be connected).
+    from one BFS over the group per process (the graph must be
+    connected). Vertex arrays hold mixed-radix ints, the first residue
+    most significant.
     """
 
     unbounded = False
-
     def __init__(self, spec: TopologySpec):
         self.spec = spec
         self.moduli = spec.moduli
@@ -790,38 +816,37 @@ class _Cayley(Topology):
         )
         self.origin = (0,) * len(spec.moduli)
         self.n_vertices = math.prod(spec.moduli)
-        self._dist: dict[tuple[int, ...], int] = {self.origin: 0}
-        self._ball: list[int] = [1]
-        self._bipartite = True
-        self._bfs()
+        self._columns = np.array(self.gens, dtype=np.int64).T  # one row per axis
+        self._dist, self._ball, self._bipartite = _cayley_tables(self.moduli, self.gens)
+        self.max_distance = len(self._ball) - 1
 
-    def _bfs(self) -> None:
-        dist = self._dist
-        queue = deque([self.origin])
-        per_radius: dict[int, int] = {0: 1}
-        while queue:
-            u = queue.popleft()
-            dist_u = dist[u]
-            for g in self.gens:
-                w = tuple((a + b) % m for a, b, m in zip(u, g, self.moduli))
-                if w in dist:
-                    if (dist[w] - dist_u) % 2 == 0:
-                        # An even closed walk through this edge exists.
-                        self._bipartite = False
-                else:
-                    dist[w] = dist_u + 1
-                    per_radius[dist_u + 1] = per_radius.get(dist_u + 1, 0) + 1
-                    queue.append(w)
-        if len(dist) != self.n_vertices:
+    @staticmethod
+    def _bfs(moduli: tuple[int, ...], gens: tuple[tuple[int, ...], ...]):
+        """Breadth-first search from the origin: the distance of every
+        vertex by its mixed-radix int, the ball size of every radius up
+        to the farthest, and whether the graph is bipartite."""
+        n = math.prod(moduli)
+        dist = np.full(n, -1, dtype=np.int64)
+        dist[0] = 0
+        frontier = np.zeros(1, dtype=np.int64)
+        ball, bipartite = [1], True
+        while True:
+            reached = np.concatenate([_mixed_add(frontier, g, moduli) for g in gens])
+            seen = dist.take(reached)
+            # An edge inside a level closes an odd cycle.
+            bipartite = bipartite and not (seen == len(ball) - 1).any()
+            frontier = np.unique(reached[seen < 0])
+            if not frontier.size:
+                break
+            dist[frontier] = len(ball)
+            ball.append(ball[-1] + frontier.size)
+        if ball[-1] != n:
             raise ValueError(
                 "cayley: generators do not generate the whole group "
-                f"(reached {len(dist)} of {self.n_vertices} vertices)"
+                f"(reached {ball[-1]} of {n} vertices)"
             )
-        acc = 0
-        self._ball = []
-        for r in range(max(per_radius) + 1):
-            acc += per_radius.get(r, 0)
-            self._ball.append(acc)
+        dist.flags.writeable = False
+        return dist, tuple(ball), bipartite
 
     def degree(self, v: Any) -> int:
         return len(self.gens)
@@ -831,12 +856,10 @@ class _Cayley(Topology):
         return tuple((a + b) % m for a, b, m in zip(v, g, self.moduli))
 
     def distance_to_origin(self, v: Any) -> int:
-        return self._dist[tuple(v)]
+        return int(self._dist[np.ravel_multi_index(v, self.moduli)])
 
     def ball_size(self, r: int) -> int:
-        if r >= len(self._ball):
-            return self.n_vertices
-        return self._ball[r]
+        return self._ball[min(r, self.max_distance)]
 
     def is_bipartite(self) -> bool:
         return self._bipartite
@@ -848,6 +871,42 @@ class _Cayley(Topology):
             or not all(isinstance(c, int) and 0 <= c < m for c, m in zip(v, self.moduli))
         ):
             raise ValueError(f"bad cayley vertex {v!r}")
+
+    def to_array(self, vertices: Sequence[Any]) -> np.ndarray:
+        residues = np.array(vertices, dtype=np.int64).reshape(-1, len(self.moduli))
+        return np.ravel_multi_index(residues.T, self.moduli).astype(np.int64)
+
+    def from_array(self, v: np.ndarray) -> list[Any]:
+        return list(zip(*(a.tolist() for a in np.unravel_index(v, self.moduli))))
+
+    def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        i = (raw % np.uint64(len(self.gens))).view(np.int64)
+        return _mixed_add(v, self._columns.take(i, axis=1), self.moduli)
+
+    def distance_array(self, v: np.ndarray) -> np.ndarray:
+        return self._dist.take(v)
+
+
+@lru_cache(maxsize=8)
+def _cayley_tables(moduli: tuple[int, ...], gens: tuple[tuple[int, ...], ...]):
+    """_Cayley._bfs, run once per group and process: every system of
+    an experiment, and its chunk sizing, builds the same graph."""
+    return _Cayley._bfs(moduli, gens)
+
+
+def _mixed_add(x: np.ndarray, g, moduli: tuple[int, ...]) -> np.ndarray:
+    """Mixed-radix ints x plus the group element g, whose residues (one
+    per modulus) may be ints or arrays like x."""
+    out = np.zeros_like(x)
+    stride = 1
+    for m, c in zip(reversed(moduli), reversed(g)):
+        r = x // stride % m
+        r += c
+        r %= m
+        r *= stride
+        out += r
+        stride *= m
+    return out
 
 
 def _step_pm1(v: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -876,8 +935,7 @@ def build(spec: TopologySpec) -> Topology:
 
 
 # Functional mirrors of the per-instance queries. Convenient for
-# one-off evaluation; repeated callers should keep the built instance
-# (the Cayley BFS is per-build).
+# one-off evaluation; repeated callers should keep the built instance.
 
 
 def degree(spec: TopologySpec, v: Any) -> int:

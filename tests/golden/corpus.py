@@ -8,7 +8,9 @@ and SHA-256 digests of the walk counts, the final positions and the
 recorded trajectory events.
 
 The corpus is fixed data: a kernel that disagrees with it is wrong.
-Regenerate it only on purpose, and say why in CHANGES.md:
+`--write` generates it from the scalar reference loop
+(force_generic=True), the one implementation every kernel is checked
+against. Regenerate it only on purpose, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/golden/corpus.py --write
 """
@@ -111,9 +113,9 @@ def record(result, positions) -> dict:
 
 def replay(case, kernel: str) -> list[dict]:
     """Records of one case's replicas, run through one kernel:
-    "harness" (run_replicas, lockstep batches where the family has
-    them), "single" (one ParticleSystem per replica, default kernel) or
-    "generic" (force_generic=True)."""
+    "harness" (run_replicas in lockstep batches), "single" (one
+    ParticleSystem per replica, default kernel) or "generic"
+    (force_generic=True, the scalar reference loop)."""
     from disperse import ParticleSystem, derive_seed, run_replicas
 
     exp = experiment(case).resolve()
@@ -145,7 +147,7 @@ def main(argv: list[str]) -> int:
     if argv != ["--write"]:
         print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
         return 2
-    corpus = {case_id(c): replay(c, "single") for c in cases()}
+    corpus = {case_id(c): replay(c, "generic") for c in cases()}
     # One case per line.
     lines = [
         f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(corpus.items())

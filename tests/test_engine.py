@@ -312,7 +312,24 @@ def test_event_cap_fails_before_the_log_outgrows_it(monkeypatch, force_generic):
     ps.record_trajectories(True)
     with pytest.raises(RuntimeError, match="25 move events"):
         ps.run(1000)
-    assert 0 < len(ps._log.events) <= cap
+    log = ps._log
+    assert 0 < len(log.events) <= cap
+    # The step that would pass the cap is not applied at all.
+    assert int(ps.walk_counts.sum()) == len(log.events)
+    assert ps.positions == log.positions_at(ps.t)
+    assert ps.t == log.steps
+
+
+def test_a_move_past_int64_leaves_the_system_at_its_last_step():
+    # Two particles on one depth-1 vertex of tree(2^40), whose level 2 has
+    # about 2^80 vertices: almost every draw moves a particle there.
+    ps = ParticleSystem(TopologySpec.tree(2**40, leaf_depth=0), 2, seed=1)
+    ps._posv[:] = ps.topo.to_array([(5,), (5,)])
+    ps.max_distance_ever = 1
+    with pytest.raises(ValueError, match="int64"):
+        ps.run(10)
+    assert (ps.t, ps.meeting_total, ps.walk_counts.tolist()) == (0, 0, [0, 0])
+    assert ps.positions == [(5,), (5,)]
 
 
 ARRAY_SPECS = {
@@ -323,6 +340,8 @@ ARRAY_SPECS = {
     "hypercube": (TopologySpec.hypercube(8), 8),
     "tree": (TopologySpec.tree(3, leaf_depth=9), 12),
     "tree-leaves": (TopologySpec.tree(3, leaf_depth=2), 8),
+    "grid": (TopologySpec.grid(2), 8),
+    "cayley": (TopologySpec.cayley((4, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)]), 6),
 }
 
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from disperse import engine, harness
+from disperse import engine, harness, topology
 from disperse.engine import STANDARD, ParticleSystem, RunResult, Status, advance_lockstep, lazy
 from disperse.harness import (
     DEFAULT_GRID_OMEGA,
@@ -306,6 +306,8 @@ ARRAY_FAMILIES = {
     "tree": (TopologySpec.tree(3), 12),
     # Eight particles on ten vertices: truncated leaves move to their parent.
     "tree-leaves": (TopologySpec.tree(3, leaf_depth=2), 8),
+    "grid": (TopologySpec.grid(2), 6),
+    "cayley": (TopologySpec.cayley((4, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)]), 5),
 }
 
 
@@ -396,6 +398,64 @@ def test_lockstep_path_boundary_abort_equals_generic_runs(monkeypatch, variant):
     assert len({r.steps for r in results}) > 1  # replicas left the batch apart
 
 
+@pytest.mark.parametrize(
+    "dim, M, limit", [(40, 5, None), (2, 8, 2)], ids=["grid40", "grid2-abort"]
+)
+def test_lockstep_grid_equals_generic_runs(monkeypatch, dim, M, limit):
+    # At reach 1 the keys of grid(40) would need 3^40 > 2^63 slots per
+    # replica, so its vertices are ranked instead.
+    if limit is not None:
+        monkeypatch.setattr(engine, "COORDINATE_LIMIT", limit)
+    batches, systems = _kept_systems(monkeypatch, 7)
+    exp = ExperimentSpec(
+        TopologySpec.grid(dim), M, lazy(0.5), budget=3000, replicas=7, master_seed=9,
+        record_trajectories=True,
+    )
+    results, _ = run_replicas(exp)
+    assert batches == [7]
+    _assert_equal_generic_runs(exp, results, systems)
+    aborted = [r for r in results if r.status is Status.BOUNDARY_HIT]
+    if limit is None:
+        assert all(r.dispersed for r in results)
+    else:
+        assert aborted and all(r.max_distance_ever == limit + 1 for r in aborted)
+
+
+def test_event_cap_leaves_every_lockstep_replica_at_its_last_step(monkeypatch):
+    monkeypatch.setattr(engine, "RECORD_EVENT_CAP", 40)
+    batches, systems = _kept_systems(monkeypatch, 4)
+    exp = ExperimentSpec(
+        TopologySpec.complete(30), 20, budget=1000, replicas=4, master_seed=5,
+        record_trajectories=True,
+    )
+    with pytest.raises(RuntimeError, match="40 move events"):
+        run_replicas(exp)
+    assert batches == [4]
+    for i, ps in enumerate(systems):
+        log = ps._log
+        assert int(ps.walk_counts.sum()) == len(log.events) <= 40
+        assert ps.positions == log.positions_at(ps.t)
+        assert ps.t == log.steps
+        ref = ParticleSystem(exp.topology, 20, seed=derive_seed(5, i), force_generic=True)
+        want = ref.run(ps.t)
+        assert (ps.meeting_total, ps.max_distance_ever, ps.is_dispersed()) == (
+            want.meeting_total, want.max_distance_ever, want.dispersed
+        )
+        assert ps.walk_counts.tolist() == want.walk_counts.tolist()
+
+
+def test_cayley_bfs_runs_once_per_group(monkeypatch):
+    calls = []
+    bfs = topology._Cayley._bfs
+    monkeypatch.setattr(
+        topology._Cayley, "_bfs", staticmethod(lambda *args: calls.append(args) or bfs(*args))
+    )
+    topology._cayley_tables.cache_clear()
+    spec = TopologySpec.cayley((5, 7), [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    results, _ = run_replicas(ExperimentSpec(spec, 6, replicas=4, master_seed=2))
+    assert len(results) == 4 and len(calls) == 1
+
+
 def test_chunk_size_batches_every_array_family(monkeypatch):
     def size(topo, M, replicas=10**6):
         return harness._chunk_size(ExperimentSpec(topo, M, replicas=replicas).resolve(), 1)
@@ -409,9 +469,10 @@ def test_chunk_size_batches_every_array_family(monkeypatch):
     assert size(TopologySpec.hypercube(16), 100) == 2**15 // 100
     # No more replicas than the keys of one int64 allow.
     assert size(TopologySpec.hypercube(62), 2, replicas=10) == 1
-    # Grid and cayley stay on the dict/set kernel, one replica at a time.
-    assert size(TopologySpec.grid(2), 10) == 1
-    assert size(TopologySpec.cayley((4, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)]), 5) == 1
+    assert size(TopologySpec.grid(2), 10) == 2**15 // 10
+    assert size(TopologySpec.cayley((4, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)]), 5) == 2**15 // 17
+    # Only a hypercube past 62 dimensions has no array form: one replica at a time.
+    assert size(TopologySpec.hypercube(63), 2) == 1
     # Never more replicas than a worker's share.
     assert size(TopologySpec.path(), 100, replicas=10) == 10
 

@@ -438,9 +438,6 @@ def test_neighbor_relation_is_symmetric_as_multiset(name):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_array_form_matches_scalar_queries(name):
     t = build(spec_for(name))
-    if name in ("grid", "cayley"):
-        assert not t.array_form
-        return
     assert t.array_form
     verts = walk_vertices(t)
     arr = t.to_array(verts)
