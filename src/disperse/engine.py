@@ -22,11 +22,14 @@ runs every family on int64 vertex arrays (see topology): the tree as
 mixed-radix ints. It steps R replicas together on flat arrays of R*M
 particles, so numpy's per-call cost is paid once per step for all of
 them; a single system's step() and run() are the R = 1 case, stepped
-on the system's own arrays. Occupancy comes from one bincount over R*n
-bins when R*n <= LOCKSTEP_ELEMENTS, else from sorting packed
-(replica, vertex) keys, which are built from the farthest distance
-reached so far and raise ValueError rather than leave int64 (the grid
-ranks its vertices instead). Tuple addresses are decoded only for
+on the system's own arrays. Occupancy is counted on packed (replica,
+vertex) keys: replica * span plus a vertex code in [0, span), where the
+span is n on K_n, star, cycle, hypercube and cayley, and grows with the
+farthest distance reached so far on the path, grid and tree. One
+bincount over R*span bins counts them when R*span <= LOCKSTEP_ELEMENTS,
+else a sort; the choice is made afresh each step, as the span grows and
+as replicas leave. Keys raise ValueError rather than leave int64 (the
+grid ranks its vertices instead). Tuple addresses are decoded only for
 `positions` and trajectory events.
 
 A scalar reference loop gives the same bits: it counts occupancy
@@ -386,17 +389,20 @@ def _event_cap_error() -> RuntimeError:
 # -- stepping, lockstep array kernel ------------------------------------------
 
 # Occupancy of a batch of R replicas is counted with one bincount over
-# R * n bins when those fit in this many, else by sorting the particles'
-# (replica, vertex) keys. The harness also sizes its lockstep chunks by
-# it.
+# R * span bins, span being the width of the packed vertex codes, when
+# those fit in this many, else by sorting the particles' (replica,
+# vertex) keys. The harness also sizes its lockstep chunks by it.
 LOCKSTEP_ELEMENTS = 2**15
 
 
 class _Occupancy:
     """Each particle's count of particles on its vertex, for R replicas
-    of M particles laid end to end: one bincount over R * n bins when
+    of M particles laid end to end: one bincount over R * span bins when
     those fit in LOCKSTEP_ELEMENTS, else a sort of (replica, vertex)
-    keys."""
+    keys. The span is the width of the topology's vertex codes at the
+    current reach: n on K_n, star, cycle, hypercube and cayley, 2 * reach
+    + 1 on the path, (2 * reach + 1)^dim on the grid, the ball of radius
+    reach on the tree."""
 
     def __init__(self, topo: Topology, M: int, R: int):
         self.topo, self.M = topo, M
@@ -405,11 +411,15 @@ class _Occupancy:
 
     def resize(self, R: int) -> None:
         """Count the first R replicas of the layout from now on."""
-        n = self.topo.n_vertices
         self.R = R
-        self.bins = n is not None and R * n <= LOCKSTEP_ELEMENTS
         if self.span:
             self.base = self.base[: R * self.M]
+
+    @property
+    def bins(self) -> bool:
+        """Whether the next count is a bincount, for the span and the
+        replica count as they stand."""
+        return self.R * self.span <= LOCKSTEP_ELEMENTS
 
     def keys(self, v: np.ndarray, reach: int) -> np.ndarray:
         """replica * span + code of the array-form vertices v, which lie
@@ -437,7 +447,10 @@ class _Occupancy:
         first[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         del keys
-        runs = np.diff(first.nonzero()[0], append=first.size)
+        starts = first.nonzero()[0]
+        runs = np.empty(starts.size, dtype=np.int64)
+        np.subtract(starts[1:], starts[:-1], out=runs[:-1])
+        runs[-1] = first.size - starts[-1]
         occ = np.empty(first.size, dtype=np.int64)
         occ[order] = np.repeat(runs, runs)
         return occ

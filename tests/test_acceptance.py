@@ -116,7 +116,7 @@ def test_criterion_3b_lazy_slow_side(capsys):
         ok,
         f"{stats.dispersed}/20 dispersed within 1e5 steps (want 0); "
         "the no-dispersal guarantee is asymptotic and does not bind at "
-        "n=1000, p=0.5, margin 0.05 - see ROADMAP.md item 5",
+        "n=1000, p=0.5, margin 0.05 - see ROADMAP.md item 6",
     )
 
 

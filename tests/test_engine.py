@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -383,6 +385,49 @@ def test_tree_keys_refuse_to_leave_int64():
     with pytest.raises(ValueError, match="int64"):
         topo.neighbor_array(v, np.array([1], dtype=np.uint64))  # a move to level 3
     assert topo.neighbor_array(v, np.array([0], dtype=np.uint64)).tolist() == [[1], [k - 1]]
+
+
+def _tree_batch(topo, reach, size, rng):
+    """`size` array-form tree vertices drawn from 40 within `reach`, one at it."""
+    depth = rng.integers(0, reach + 1, 40)
+    depth[0] = reach
+    width = np.where(depth > 0, topo.k * (topo.k - 1) ** np.maximum(depth - 1, 0), 1)
+    pool = np.stack([depth, rng.integers(0, 2**62, 40) % width])
+    return pool.take(rng.integers(0, 40, size), axis=1)
+
+
+def _assert_counts(topo, occupancy, v, reach, M):
+    """Each replica's counts equal a Counter over its decoded positions."""
+    got = occupancy(v, reach)
+    for j in range(occupancy.R):
+        where = topo.from_array(v[..., j * M : (j + 1) * M])
+        seen = Counter(where)
+        assert got[j * M : (j + 1) * M].tolist() == [seen[x] for x in where]
+
+
+def test_occupancy_method_follows_key_span():
+    # Bincount wherever R * span fits LOCKSTEP_ELEMENTS, whether or not
+    # the graph is finite, else a sort; both give the same counts.
+    rng = np.random.default_rng(11)
+    path, kn = build(TopologySpec.path()), build(K(1000))
+    tree = build(TopologySpec.tree(3, leaf_depth=0))
+    cases = [
+        (path, 100, 10, 60, rng.integers(-60, 61, 1000), True),  # 10 * 121 bins
+        (kn, 600, 8, 1, rng.integers(0, 1000, 4800), True),  # 8 * 1000 bins
+        (tree, 50, 8, 14, _tree_batch(tree, 14, 400, rng), False),  # 8 * 49150 bins
+    ]
+    for topo, M, R, reach, v, bins in cases:
+        occupancy = engine._Occupancy(topo, M, R)
+        _assert_counts(topo, occupancy, v, reach, M)
+        assert occupancy.bins is bins, topo.spec
+    # At reach 12, 8 * 12286 bins do not fit; once 6 replicas leave, 2 * 12286 do.
+    v = _tree_batch(tree, 12, 400, rng)
+    occupancy = engine._Occupancy(tree, 50, 8)
+    _assert_counts(tree, occupancy, v, 12, 50)
+    assert not occupancy.bins
+    occupancy.resize(2)
+    _assert_counts(tree, occupancy, v[:, :100], 12, 50)
+    assert occupancy.bins
 
 
 def test_walk_counts_total_matches_event_count():

@@ -362,7 +362,8 @@ def test_lockstep_array_families_equal_generic_runs(
     monkeypatch, family, variant, budget, record, bins
 ):
     spec, M = ARRAY_FAMILIES[family]
-    # Occupancy by bincount wherever the graph is finite, or by sorted keys.
+    # Occupancy by bincount for every family, the unbounded path and grid
+    # included (R * span always fits 10**9), or by sorted keys for every one.
     monkeypatch.setattr(engine, "LOCKSTEP_ELEMENTS", 10**9 if bins else 0)
     batches, systems = _kept_systems(monkeypatch, 3)
     exp = ExperimentSpec(
