@@ -417,8 +417,8 @@ class _Occupancy:
 
     @property
     def bins(self) -> bool:
-        """Whether the next count is a bincount, for the span and the
-        replica count as they stand."""
+        """Whether counts are by bincount: R * span fits LOCKSTEP_ELEMENTS,
+        for the span of the latest keys and the replicas counted now."""
         return self.R * self.span <= LOCKSTEP_ELEMENTS
 
     def keys(self, v: np.ndarray, reach: int) -> np.ndarray:
