@@ -20,7 +20,7 @@ import sys
 from typing import Callable, Optional
 
 from . import oracles
-from .engine import SCHEMA, Status, Variant, WalkMode, lazy
+from .engine import SCHEMA, Status, WalkMode, lazy
 from .harness import (
     AggregateStats,
     ExperimentSpec,
@@ -75,23 +75,26 @@ def experiment_to_config(exp: ExperimentSpec) -> dict[str, str]:
     return cfg
 
 
+# (config key, ExperimentSpec field, parser); a key the config leaves
+# out leaves the spec's own default.
+_OPTIONAL_KEYS = (
+    ("lazy_p", "variant", lambda v: lazy(float(v))),
+    ("budget", "budget", int),
+    ("replicas", "replicas", int),
+    ("seed", "master_seed", int),
+    ("record_trajectories", "record_trajectories", lambda v: v == "true"),
+    ("walk_mode", "walk_mode", WalkMode),
+    ("omega", "omega", float),
+)
+
+
 def config_to_experiment(cfg: dict[str, str]) -> ExperimentSpec:
     topo_cfg = {k: v for k, v in cfg.items() if k in _TOPOLOGY_KEYS}
     topology = TopologySpec.from_config(topo_cfg)
     if "particles" not in cfg:
         raise ValueError("config needs a particles count")
-    variant = lazy(float(cfg["lazy_p"])) if "lazy_p" in cfg else Variant()
-    return ExperimentSpec(
-        topology=topology,
-        M=int(cfg["particles"]),
-        variant=variant,
-        budget=int(cfg.get("budget", 10**7)),
-        replicas=int(cfg.get("replicas", 1)),
-        master_seed=int(cfg.get("seed", 0)),
-        record_trajectories=cfg.get("record_trajectories", "false") == "true",
-        walk_mode=WalkMode(cfg.get("walk_mode", "on-demand")),
-        omega=float(cfg["omega"]) if "omega" in cfg else None,
-    )
+    given = {field: parse(cfg[key]) for key, field, parse in _OPTIONAL_KEYS if key in cfg}
+    return ExperimentSpec(topology=topology, M=int(cfg["particles"]), **given)
 
 
 def read_config_file(path: str) -> dict[str, str]:

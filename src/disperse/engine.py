@@ -29,8 +29,9 @@ farthest distance reached so far on the path, grid and tree. One
 bincount over R*span bins counts them when R*span <= LOCKSTEP_ELEMENTS,
 else a sort; the choice is made afresh each step, as the span grows and
 as replicas leave. Keys raise ValueError rather than leave int64 (the
-grid ranks its vertices instead). Tuple addresses are decoded only for
-`positions` and trajectory events.
+grid ranks its vertices instead). `lockstep_batch_size` sizes a batch
+by the same budget of elements and the same int64 bound. Tuple addresses
+are decoded only for `positions` and trajectory events.
 
 A scalar reference loop gives the same bits: it counts occupancy
 afresh each step and moves one particle at a time on the topology's
@@ -75,6 +76,7 @@ __all__ = [
     "ParticleSystem",
     "LOCKSTEP_ELEMENTS",
     "advance_lockstep",
+    "lockstep_batch_size",
     "init",
     "step",
     "run",
@@ -229,7 +231,6 @@ class ParticleSystem:
         self.meeting_total = 0
         self.max_distance_ever = 0
         self.boundary_flag = False  # truncated-leaf forcing fired
-        self.boundary_abort = False  # coordinate limit exceeded
         self._log: Optional[TrajectoryLog] = None
 
         self._lazy = variant.kind == "lazy"
@@ -264,6 +265,11 @@ class ParticleSystem:
 
     def is_dispersed(self) -> bool:
         return self._dispersed
+
+    @property
+    def boundary_abort(self) -> bool:
+        """Whether a particle passed COORDINATE_LIMIT on an unbounded graph."""
+        return self.topo.unbounded and self.max_distance_ever > COORDINATE_LIMIT
 
     def _unhappy(self) -> np.ndarray:
         """Mask of the particles that share their vertex."""
@@ -325,14 +331,10 @@ class ParticleSystem:
                 log.events.extend((self.t, i, dest) for i, dest in zip(movers, dests))
                 log.steps = self.t + 1
             self.t += 1
-            self.boundary_abort = topo.unbounded and self.max_distance_ever > COORDINATE_LIMIT
 
     # -- public stepping ---------------------------------------------------
 
     def _advance(self, t_end: int) -> None:
-        # A run that left the coordinate range stays where it stopped.
-        if self.boundary_abort:
-            return
         if self._array:
             advance_lockstep([self], t_end)
         else:
@@ -391,7 +393,7 @@ def _event_cap_error() -> RuntimeError:
 # Occupancy of a batch of R replicas is counted with one bincount over
 # R * span bins, span being the width of the packed vertex codes, when
 # those fit in this many, else by sorting the particles' (replica,
-# vertex) keys. The harness also sizes its lockstep chunks by it.
+# vertex) keys. lockstep_batch_size sizes batches by it too.
 LOCKSTEP_ELEMENTS = 2**15
 
 
@@ -405,20 +407,13 @@ class _Occupancy:
     reach on the tree."""
 
     def __init__(self, topo: Topology, M: int, R: int):
-        self.topo, self.M = topo, M
+        self.topo, self.M, self.R = topo, M, R
         self.span = 0
-        self.resize(R)
-
-    def resize(self, R: int) -> None:
-        """Count the first R replicas of the layout from now on."""
-        self.R = R
-        if self.span:
-            self.base = self.base[: R * self.M]
 
     @property
     def bins(self) -> bool:
-        """Whether counts are by bincount: R * span fits LOCKSTEP_ELEMENTS,
-        for the span of the latest keys and the replicas counted now."""
+        """Whether counts are by bincount: R * span, for the span of the
+        latest keys, fits LOCKSTEP_ELEMENTS."""
         return self.R * self.span <= LOCKSTEP_ELEMENTS
 
     def keys(self, v: np.ndarray, reach: int) -> np.ndarray:
@@ -454,6 +449,21 @@ class _Occupancy:
         occ = np.empty(first.size, dtype=np.int64)
         occ[order] = np.repeat(runs, runs)
         return occ
+
+
+def lockstep_batch_size(topo: Topology, M: int) -> int:
+    """Replicas of M particles on topo per lockstep batch (at least one):
+    R * (M + n) <= LOCKSTEP_ELEMENTS when a replica's n occupancy bins fit
+    beside its particles, else R * M <= LOCKSTEP_ELEMENTS, and R * n within
+    int64. Larger batches cost memory and gain little speed."""
+    if not topo.array_form:
+        return 1
+    n = topo.n_vertices
+    bins = n if n is not None and M + n <= LOCKSTEP_ELEMENTS else 0
+    size = LOCKSTEP_ELEMENTS // (M + bins)
+    if n is not None:
+        size = min(size, INT64_MAX // n)
+    return max(1, size)
 
 
 def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
@@ -532,7 +542,6 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
             s.meeting_total = (int(meet[j]) - M * (t - t0)) // 2
             s.max_distance_ever = int(far[j])
             s.boundary_flag = bool(flag[j])
-            s.boundary_abort = unbounded and s.max_distance_ever > COORDINATE_LIMIT
             s._dispersed = bool(done[j])
             if s._log is not None:
                 s._log.steps = t
@@ -562,7 +571,7 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
                     L, lk = _keep(L, rows, M), _keep(lk, rows, M)
                 meet, far, flag = meet[stay], far[stay], flag[stay]
                 reach = int(far.max())
-                occupancy.resize(R)
+                occupancy = _Occupancy(topo, M, R)
                 continue
             unhappy = idx = (occ >= 2).nonzero()[0]
             if lazyv:

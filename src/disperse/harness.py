@@ -5,11 +5,11 @@ Replica i of an experiment runs with seed derive_seed(master_seed, i),
 so result lists are a pure function of (spec, master_seed) and do not
 depend on the parallelism level. Replicas are stepped in lockstep
 chunks (`engine.advance_lockstep`), which gives the same bits as
-stepping them one by one; a hypercube past 62 dimensions, the one
-graph without an array form, runs one replica per chunk. A chunk holds
-R replicas with R * (M + n) <= engine.LOCKSTEP_ELEMENTS when a
-replica's n occupancy bins fit, else R * M <= LOCKSTEP_ELEMENTS. Scans
-derive one sub-master per grid point the same way.
+stepping them one by one. A chunk holds as many replicas as
+`engine.lockstep_batch_size` allows (one on a hypercube past 62
+dimensions, the one graph without an array form), and no more than a
+worker's share of them. Scans derive one sub-master per grid point the
+same way.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Optional
 
 from .engine import (
     DEFAULT_BUDGET,
-    LOCKSTEP_ELEMENTS,
     STANDARD,
     ParticleSystem,
     RunResult,
@@ -36,9 +35,10 @@ from .engine import (
     WalkMode,
     advance_lockstep,
     lazy,
+    lockstep_batch_size,
 )
 from .rng import derive_seed
-from .topology import INT64_MAX, Family, TopologySpec, build, with_leaf_depth
+from .topology import Family, TopologySpec, build, with_leaf_depth
 
 __all__ = [
     "DEFAULT_GRID_OMEGA",
@@ -247,19 +247,9 @@ def _replica_chunk(job: tuple[ExperimentSpec, list[int]]) -> list[RunResult]:
 
 
 def _chunk_size(exp: ExperimentSpec, workers: int) -> int:
-    topo = build(exp.topology)
-    if not topo.array_form:
-        return 1
-    # A replica costs its M particles, plus its n occupancy bins when
-    # those fit in a chunk (engine.LOCKSTEP_ELEMENTS); larger chunks
-    # cost memory and gain little speed.
-    n = topo.n_vertices
-    bins = n if n is not None and exp.M + n <= LOCKSTEP_ELEMENTS else 0
-    size = LOCKSTEP_ELEMENTS // (exp.M + bins)
-    if n is not None:
-        size = min(size, INT64_MAX // n)  # keep occupancy keys in int64
-    # Leave no worker idle.
-    return max(1, min(size, -(-exp.replicas // workers)))
+    # One lockstep batch, capped at a worker's share so that no worker idles.
+    share = -(-exp.replicas // workers)
+    return min(lockstep_batch_size(build(exp.topology), exp.M), share)
 
 
 def run_replicas(
@@ -310,7 +300,9 @@ class ScanSpec:
         axis = ScanAxis(self.axis)
         fam = self.base.topology.family
         if axis is ScanAxis.DENSITY:
-            if self.base.topology.family in (Family.PATH, Family.GRID):
+            # On the graph _apply_axis measures the density against.
+            topo = with_leaf_depth(self.base.topology, self.base.M)
+            if build(topo).n_vertices is None:
                 raise ValueError("density scan needs a finite vertex set")
         elif axis is ScanAxis.LAZY_P:
             if any(not 0 < v <= 1 for v in self.grid):

@@ -361,22 +361,20 @@ def mixing_step(spec: TopologySpec) -> int:
     spec.validate()
     fam = spec.family
     if fam is Family.HYPERCUBE:
-        size = 1 << spec.dim
-        if size > MIXING_VERTEX_CAP:
-            raise ValueError(f"graph too large for exact mixing ({size} vertices)")
-        if spec.dim == 1:
-            return 2
-        return _hypercube_mixing(spec.dim)
-    if fam is Family.CYCLE:
-        if spec.n > MIXING_VERTEX_CAP:
-            raise ValueError(f"graph too large for exact mixing ({spec.n} vertices)")
-        return _cycle_mixing(spec.n)
-    if fam is Family.CAYLEY:
+        n = 1 << spec.dim
+    elif fam is Family.CYCLE:
+        n = spec.n
+    elif fam is Family.CAYLEY:
         n = math.prod(spec.moduli)
-        if n > MIXING_VERTEX_CAP:
-            raise ValueError(f"graph too large for exact mixing ({n} vertices)")
-        return _cayley_mixing(spec.moduli, spec.generators)
-    raise ValueError(f"mixing step is not defined for family {fam.value!r}")
+    else:
+        raise ValueError(f"mixing step is not defined for family {fam.value!r}")
+    if n > MIXING_VERTEX_CAP:
+        raise ValueError(f"graph too large for exact mixing ({n} vertices)")
+    if fam is Family.HYPERCUBE:
+        return 2 if spec.dim == 1 else _hypercube_mixing(spec.dim)
+    if fam is Family.CYCLE:
+        return _cycle_mixing(spec.n)
+    return _cayley_mixing(spec.moduli, spec.generators)
 
 
 # -- registry for the command line -----------------------------------------

@@ -108,6 +108,15 @@ class TopologySpec:
     moduli: Optional[tuple[int, ...]] = None
     generators: Optional[tuple[tuple[int, ...], ...]] = None
 
+    def __post_init__(self):
+        # Canonical cayley generators: each residue reduced mod its
+        # modulus, here and nowhere else. validate() rejects the shapes
+        # this leaves alone.
+        mods, gens = self.moduli, self.generators
+        if mods and gens and min(mods) > 0 and all(len(g) == len(mods) for g in gens):
+            gens = tuple(tuple(c % m for c, m in zip(g, mods)) for g in gens)
+            object.__setattr__(self, "generators", gens)
+
     # -- constructors ------------------------------------------------
 
     @staticmethod
@@ -141,7 +150,7 @@ class TopologySpec:
     @staticmethod
     def cayley(moduli: Sequence[int], generators: Iterable[Sequence[int]]) -> "TopologySpec":
         mods = tuple(int(m) for m in moduli)
-        gens = tuple(tuple(int(c) % m for c, m in zip(g, mods, strict=True)) for g in generators)
+        gens = tuple(tuple(int(c) for c in g) for g in generators)
         return TopologySpec(Family.CAYLEY, moduli=mods, generators=gens)
 
     # -- validation --------------------------------------------------
@@ -196,16 +205,13 @@ class TopologySpec:
                 raise ValueError("cayley: moduli must be a non-empty tuple of ints >= 2")
             if not self.generators:
                 raise ValueError("cayley: generator list must be non-empty")
-            w = len(self.moduli)
-            norm: list[tuple[int, ...]] = []
-            for g in self.generators:
-                if len(g) != w:
-                    raise ValueError("cayley: generator width must match moduli")
-                norm.append(tuple(c % m for c, m in zip(g, self.moduli)))
+            gens = self.generators
+            if any(len(g) != len(self.moduli) for g in gens):
+                raise ValueError("cayley: generator width must match moduli")
             # Symmetric as a multiset: count(g) == count(-g).
-            for g in set(norm):
+            for g in set(gens):
                 inv = tuple((-c) % m for c, m in zip(g, self.moduli))
-                if norm.count(g) != norm.count(inv):
+                if gens.count(g) != gens.count(inv):
                     raise ValueError(f"cayley: generator set not symmetric at {g}")
             n = math.prod(self.moduli)
             if n > MAX_CAYLEY_VERTICES:
@@ -257,13 +263,6 @@ class TopologySpec:
             generators = tuple(
                 tuple(int(tok) for tok in body.split(",") if tok.strip()) for body in tuples
             )
-            if moduli is not None:
-                # Same canonical residues as the cayley() constructor.
-                if any(len(g) != len(moduli) for g in generators):
-                    raise ValueError("config: generator width must match moduli")
-                generators = tuple(
-                    tuple(c % m for c, m in zip(g, moduli)) for g in generators
-                )
         spec = TopologySpec(
             family=family,
             n=geti("n"),
@@ -810,43 +809,12 @@ class _Cayley(Topology):
     unbounded = False
     def __init__(self, spec: TopologySpec):
         self.spec = spec
-        self.moduli = spec.moduli
-        self.gens = tuple(
-            tuple(c % m for c, m in zip(g, spec.moduli)) for g in spec.generators
-        )
+        self.moduli, self.gens = spec.moduli, spec.generators
         self.origin = (0,) * len(spec.moduli)
         self.n_vertices = math.prod(spec.moduli)
         self._columns = np.array(self.gens, dtype=np.int64).T  # one row per axis
-        self._dist, self._ball, self._bipartite = _cayley_tables(self.moduli, self.gens)
+        self._dist, self._ball, self._bipartite = _cayley_bfs(self.moduli, self.gens)
         self.max_distance = len(self._ball) - 1
-
-    @staticmethod
-    def _bfs(moduli: tuple[int, ...], gens: tuple[tuple[int, ...], ...]):
-        """Breadth-first search from the origin: the distance of every
-        vertex by its mixed-radix int, the ball size of every radius up
-        to the farthest, and whether the graph is bipartite."""
-        n = math.prod(moduli)
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[0] = 0
-        frontier = np.zeros(1, dtype=np.int64)
-        ball, bipartite = [1], True
-        while True:
-            reached = np.concatenate([_mixed_add(frontier, g, moduli) for g in gens])
-            seen = dist.take(reached)
-            # An edge inside a level closes an odd cycle.
-            bipartite = bipartite and not (seen == len(ball) - 1).any()
-            frontier = np.unique(reached[seen < 0])
-            if not frontier.size:
-                break
-            dist[frontier] = len(ball)
-            ball.append(ball[-1] + frontier.size)
-        if ball[-1] != n:
-            raise ValueError(
-                "cayley: generators do not generate the whole group "
-                f"(reached {ball[-1]} of {n} vertices)"
-            )
-        dist.flags.writeable = False
-        return dist, tuple(ball), bipartite
 
     def degree(self, v: Any) -> int:
         return len(self.gens)
@@ -888,10 +856,34 @@ class _Cayley(Topology):
 
 
 @lru_cache(maxsize=8)
-def _cayley_tables(moduli: tuple[int, ...], gens: tuple[tuple[int, ...], ...]):
-    """_Cayley._bfs, run once per group and process: every system of
-    an experiment, and its chunk sizing, builds the same graph."""
-    return _Cayley._bfs(moduli, gens)
+def _cayley_bfs(moduli: tuple[int, ...], gens: tuple[tuple[int, ...], ...]):
+    """Breadth-first search from the origin: the distance of every
+    vertex by its mixed-radix int, the ball size of every radius up to
+    the farthest, and whether the graph is bipartite. Run once per group
+    and process: every system of an experiment, and its chunk sizing,
+    builds the same graph."""
+    n = math.prod(moduli)
+    dist = np.full(n, -1, dtype=np.int64)
+    dist[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    ball, bipartite = [1], True
+    while True:
+        reached = np.concatenate([_mixed_add(frontier, g, moduli) for g in gens])
+        seen = dist.take(reached)
+        # An edge inside a level closes an odd cycle.
+        bipartite = bipartite and not (seen == len(ball) - 1).any()
+        frontier = np.unique(reached[seen < 0])
+        if not frontier.size:
+            break
+        dist[frontier] = len(ball)
+        ball.append(ball[-1] + frontier.size)
+    if ball[-1] != n:
+        raise ValueError(
+            "cayley: generators do not generate the whole group "
+            f"(reached {ball[-1]} of {n} vertices)"
+        )
+    dist.flags.writeable = False
+    return dist, tuple(ball), bipartite
 
 
 def _mixed_add(x: np.ndarray, g, moduli: tuple[int, ...]) -> np.ndarray:

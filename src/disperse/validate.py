@@ -210,17 +210,27 @@ def _check_edh_forms() -> CheckResult:
     )
 
 
+def _hypercube_returns(d: int, steps: int) -> list[float]:
+    """P^s(0, 0) of the simple walk on the d-cube for s = 0..steps, by
+    transition powers."""
+    size = 1 << d
+    nbrs = np.arange(size)[:, None] ^ (1 << np.arange(d))[None, :]
+    v = np.zeros(size)
+    v[0] = 1.0
+    out = [v[0]]
+    for _ in range(steps):
+        v = v[nbrs].mean(axis=1)
+        out.append(v[0])
+    return out
+
+
 def _check_hypercube_matrix(max_d: int, max_s: int) -> CheckResult:
     worst = 0.0
     for d in range(1, max_d + 1):
-        size = 1 << d
-        nbrs = np.arange(size)[:, None] ^ (1 << np.arange(d))[None, :]
-        v = np.zeros(size)
-        v[0] = 1.0
+        returns = _hypercube_returns(d, max_s)
         for s in range(1, max_s + 1):
-            v = v[nbrs].mean(axis=1)
             worst = max(
-                worst, abs(v[0] - float(oracles.hypercube_return_probability(d, s)))
+                worst, abs(returns[s] - float(oracles.hypercube_return_probability(d, s)))
             )
     return CheckResult(
         "hypercube-return-matrix",
@@ -382,15 +392,8 @@ def _check_mixing_matrix(max_hypercube_d: int, cycle_ns) -> CheckResult:
     bad = []
     for d in range(1, max_hypercube_d + 1):
         T = oracles.mixing_step(TopologySpec.hypercube(d))
-        size = 1 << d
-        nprime = size // 2 if d >= 1 else size
-        nbrs = np.arange(size)[:, None] ^ (1 << np.arange(d))[None, :]
-        v = np.zeros(size)
-        v[0] = 1.0
-        vals = {}
-        for s in range(1, T + 1):
-            v = v[nbrs].mean(axis=1)
-            vals[s] = v[0]
+        nprime = 1 << (d - 1)
+        vals = _hypercube_returns(d, T)
         if abs(vals[T] - 1 / nprime) > 1 / (2 * nprime) + 1e-12:
             bad.append(f"hypercube d={d}: condition fails at T={T}")
         if T > 2 and abs(vals[T - 2] - 1 / nprime) < 1 / (2 * nprime) - 1e-12:
@@ -437,14 +440,15 @@ def _check_line_tail() -> CheckResult:
     )
 
 
-def _check_walk_modes(seeds: int) -> CheckResult:
+def _replay_mismatches(seeds: int, master: int, cases, a_kwargs, b_kwargs) -> int:
+    """Runs, over `seeds` shared seeds and every (spec, M) case, in which
+    systems built with a_kwargs and with b_kwargs end apart: in positions,
+    t_disp or walk counts."""
     bad = 0
     for s in range(seeds):
-        for spec, M in ((TopologySpec.cycle(11), 7), (TopologySpec.grid(2), 9)):
-            a = ParticleSystem(spec, M, seed=derive_seed(0x30DE, s))
-            b = ParticleSystem(
-                spec, M, seed=derive_seed(0x30DE, s), walk_mode=WalkMode.PREDETERMINED
-            )
+        for spec, M in cases:
+            a = ParticleSystem(spec, M, seed=derive_seed(master, s), **a_kwargs)
+            b = ParticleSystem(spec, M, seed=derive_seed(master, s), **b_kwargs)
             ra = a.run(50_000)
             rb = b.run(50_000)
             if (
@@ -453,6 +457,12 @@ def _check_walk_modes(seeds: int) -> CheckResult:
                 or (ra.walk_counts != rb.walk_counts).any()
             ):
                 bad += 1
+    return bad
+
+
+def _check_walk_modes(seeds: int) -> CheckResult:
+    cases = ((TopologySpec.cycle(11), 7), (TopologySpec.grid(2), 9))
+    bad = _replay_mismatches(seeds, 0x30DE, cases, {}, {"walk_mode": WalkMode.PREDETERMINED})
     return CheckResult(
         "walk-mode-equality",
         bad == 0,
@@ -463,19 +473,8 @@ def _check_walk_modes(seeds: int) -> CheckResult:
 
 
 def _check_lazy_p1(seeds: int) -> CheckResult:
-    bad = 0
-    for s in range(seeds):
-        for spec, M in ((TopologySpec.complete(40, with_loops=True), 25), (TopologySpec.cycle(13), 8)):
-            a = ParticleSystem(spec, M, variant=STANDARD, seed=derive_seed(0x1A2, s))
-            b = ParticleSystem(spec, M, variant=lazy(1.0), seed=derive_seed(0x1A2, s))
-            ra = a.run(50_000)
-            rb = b.run(50_000)
-            if (
-                a.positions != b.positions
-                or ra.t_disp != rb.t_disp
-                or (ra.walk_counts != rb.walk_counts).any()
-            ):
-                bad += 1
+    cases = ((TopologySpec.complete(40, with_loops=True), 25), (TopologySpec.cycle(13), 8))
+    bad = _replay_mismatches(seeds, 0x1A2, cases, {"variant": STANDARD}, {"variant": lazy(1.0)})
     return CheckResult(
         "lazy-p1-standard",
         bad == 0,

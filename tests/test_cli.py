@@ -295,13 +295,24 @@ def test_oracle_missing_parameter_is_config_error(capsys):
 # -- validate ---------------------------------------------------------------------
 
 
-def test_validate_quick_exit_zero(capsys):
+@pytest.fixture
+def quick_cli(monkeypatch, quick_report):
+    """`disperse validate --quick` on the session's one quick report."""
+
+    def suite(quick):
+        assert quick is True
+        return quick_report
+
+    monkeypatch.setattr(cli, "validate_suite", suite)
+
+
+def test_validate_quick_exit_zero(quick_cli, capsys):
     assert run_cli(["validate", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "14/14 checks passed" in out
 
 
-def test_validate_json_format(tmp_path):
+def test_validate_json_format(quick_cli, tmp_path):
     out = tmp_path / "v.json"
     assert run_cli(["validate", "--quick", "--format", "json", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -337,6 +348,17 @@ def test_exit_2_on_nonpositive_parallelism(args, parallelism, capsys):
     assert run_cli(args + ["--parallelism", parallelism]) == 2
     captured = capsys.readouterr()
     assert "--parallelism must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "tree", [["--k", "3", "--leaf-depth", "0"], ["--k", "2"]], ids=["k3-depth0", "k2"]
+)
+def test_exit_2_on_density_scan_of_infinite_tree(tree, capsys):
+    args = ["scan", "--family", "tree", *tree, "--particles", "10", "--replicas", "2"]
+    assert run_cli(args + ["--axis", "density", "--grid", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert "disperse: error: density scan needs a finite vertex set" in captured.err
     assert captured.out == ""
 
 

@@ -420,12 +420,13 @@ def test_occupancy_method_follows_key_span():
         occupancy = engine._Occupancy(topo, M, R)
         _assert_counts(topo, occupancy, v, reach, M)
         assert occupancy.bins is bins, topo.spec
-    # At reach 12, 8 * 12286 bins do not fit; once 6 replicas leave, 2 * 12286 do.
+    # At reach 12, 8 * 12286 bins do not fit; for the 2 replicas a batch
+    # keeps once 6 leave, 2 * 12286 do.
     v = _tree_batch(tree, 12, 400, rng)
     occupancy = engine._Occupancy(tree, 50, 8)
     _assert_counts(tree, occupancy, v, 12, 50)
     assert not occupancy.bins
-    occupancy.resize(2)
+    occupancy = engine._Occupancy(tree, 50, 2)
     _assert_counts(tree, occupancy, v[:, :100], 12, 50)
     assert occupancy.bins
 

@@ -24,7 +24,6 @@ from disperse.harness import (
 )
 from disperse.rng import derive_seed
 from disperse.topology import TopologySpec, build, default_leaf_depth, with_leaf_depth
-from disperse.validate import validate_suite
 
 
 # -- interval and quantile helpers -------------------------------------------
@@ -233,7 +232,7 @@ def test_lockstep_replicas_equal_single_runs(
 ):
     n = 30
     # Chunks of three replicas: seven replicas run as 3 + 3 + 1.
-    monkeypatch.setattr(harness, "LOCKSTEP_ELEMENTS", 3 * (n + M))
+    monkeypatch.setattr(engine, "LOCKSTEP_ELEMENTS", 3 * (n + M))
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     batches, systems = [], []
 
@@ -445,16 +444,12 @@ def test_event_cap_leaves_every_lockstep_replica_at_its_last_step(monkeypatch):
         assert ps.walk_counts.tolist() == want.walk_counts.tolist()
 
 
-def test_cayley_bfs_runs_once_per_group(monkeypatch):
-    calls = []
-    bfs = topology._Cayley._bfs
-    monkeypatch.setattr(
-        topology._Cayley, "_bfs", staticmethod(lambda *args: calls.append(args) or bfs(*args))
-    )
-    topology._cayley_tables.cache_clear()
+def test_cayley_bfs_runs_once_per_group():
+    topology._cayley_bfs.cache_clear()
     spec = TopologySpec.cayley((5, 7), [(1, 0), (-1, 0), (0, 1), (0, -1)])
     results, _ = run_replicas(ExperimentSpec(spec, 6, replicas=4, master_seed=2))
-    assert len(results) == 4 and len(calls) == 1
+    info = topology._cayley_bfs.cache_info()
+    assert len(results) == 4 and info.misses == 1 and info.hits >= 4
 
 
 def test_chunk_size_batches_every_array_family(monkeypatch):
@@ -534,6 +529,17 @@ def test_scan_validation_errors():
         ScanSpec(base=path_base, axis=ScanAxis.DENSITY, grid=(0.5,)).validate()
 
 
+@pytest.mark.parametrize(
+    "tree", [TopologySpec.tree(3, leaf_depth=0), TopologySpec.tree(2)], ids=["k3-depth0", "k2"]
+)
+def test_density_scan_refuses_infinite_tree(tree):
+    # An infinite tree has no n to measure a density against; k = 2
+    # resolves to depth 0, so it is infinite too.
+    base = base_exp(topology=tree, M=10, replicas=2)
+    with pytest.raises(ValueError, match="finite vertex set"):
+        scan(ScanSpec(base=base, axis=ScanAxis.DENSITY, grid=(0.1,)))
+
+
 # -- coupling audit ----------------------------------------------------------------
 
 
@@ -576,8 +582,8 @@ def test_coupling_audit_rejects_bad_inputs():
 # -- validation suite ----------------------------------------------------------------
 
 
-def test_validate_suite_quick_passes():
-    report = validate_suite(quick=True)
+def test_validate_suite_quick_passes(quick_report):
+    report = quick_report
     assert report.passed, str(report)
     assert len(report.checks) == 14
     assert not report.failures

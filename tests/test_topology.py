@@ -325,6 +325,31 @@ def test_from_config_normalises_negative_generators():
     assert spec.generators == ((1,), (7,))
 
 
+def test_cayley_residues_are_canonical_however_the_spec_is_made():
+    want = TopologySpec.cayley((8, 3), [(1, 0), (7, 0), (0, 1), (0, 2)])
+    made = [
+        TopologySpec.cayley((8, 3), [(9, 3), (-1, 0), (0, -2), (0, 5)]),
+        TopologySpec(
+            Family.CAYLEY, moduli=(8, 3), generators=((-7, 0), (15, 0), (0, 4), (0, -1))
+        ),
+        TopologySpec.from_config(
+            {"family": "cayley", "moduli": "8,3", "generators": "(1,0),(-1,0),(0,1),(0,-1)"}
+        ),
+    ]
+    for spec in made:
+        assert spec == want and hash(spec) == hash(want)
+        assert build(spec).gens == want.generators
+    # A width that does not match the moduli is left for validate() to name.
+    for bad in (
+        lambda: TopologySpec.cayley((8, 3), [(1,), (-1,)]).validate(),
+        lambda: TopologySpec.from_config(
+            {"family": "cayley", "moduli": "8,3", "generators": "(1),(-1)"}
+        ),
+    ):
+        with pytest.raises(ValueError, match="width"):
+            bad()
+
+
 # -- defaults -----------------------------------------------------------------
 
 
