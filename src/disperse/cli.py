@@ -30,7 +30,7 @@ from .harness import (
     run_replicas,
     scan,
 )
-from .topology import Family, TopologySpec
+from .topology import Family, TopologySpec, config_bool
 from .validate import validate_suite
 
 __all__ = ["main", "parse_and_dispatch", "build_parser"]
@@ -82,7 +82,7 @@ _OPTIONAL_KEYS = (
     ("budget", "budget", int),
     ("replicas", "replicas", int),
     ("seed", "master_seed", int),
-    ("record_trajectories", "record_trajectories", lambda v: v == "true"),
+    ("record_trajectories", "record_trajectories", config_bool),
     ("walk_mode", "walk_mode", WalkMode),
     ("omega", "omega", float),
 )

@@ -27,8 +27,9 @@ vertex) keys: replica * span plus a vertex code in [0, span), where the
 span is n on K_n, star, cycle, hypercube and cayley, and grows with the
 farthest distance reached so far on the path, grid and tree. One
 bincount over R*span bins counts them when R*span <= LOCKSTEP_ELEMENTS,
-else a sort; the choice is made afresh each step, as the span grows and
-as replicas leave. Keys raise ValueError rather than leave int64 (the
+else one sort of keys with particle ids packed below them (an argsort
+where they do not fit); the choice is made afresh each step, as the span
+grows and as replicas leave. Keys raise ValueError rather than leave int64 (the
 grid ranks its vertices instead). `lockstep_batch_size` sizes a batch
 by the same budget of elements and the same int64 bound. Tuple addresses
 are decoded only for `positions` and trajectory events.
@@ -400,8 +401,9 @@ LOCKSTEP_ELEMENTS = 2**15
 class _Occupancy:
     """Each particle's count of particles on its vertex, for R replicas
     of M particles laid end to end: one bincount over R * span bins when
-    those fit in LOCKSTEP_ELEMENTS, else a sort of (replica, vertex)
-    keys. The span is the width of the topology's vertex codes at the
+    those fit in LOCKSTEP_ELEMENTS, else one sort of (replica, vertex)
+    keys with particle ids packed below them (an argsort where they do
+    not fit). The span is the width of the topology's vertex codes at the
     current reach: n on K_n, star, cycle, hypercube and cayley, 2 * reach
     + 1 on the path, (2 * reach + 1)^dim on the grid, the ball of radius
     reach on the tree."""
@@ -409,12 +411,20 @@ class _Occupancy:
     def __init__(self, topo: Topology, M: int, R: int):
         self.topo, self.M, self.R = topo, M, R
         self.span = 0
+        self.bits = (R * M - 1).bit_length()  # of a particle's flat index
 
     @property
     def bins(self) -> bool:
         """Whether counts are by bincount: R * span, for the span of the
         latest keys, fits LOCKSTEP_ELEMENTS."""
         return self.R * self.span <= LOCKSTEP_ELEMENTS
+
+    @property
+    def packs(self) -> bool:
+        """Whether a sort packs each particle's index into the low `bits`
+        of its key: R * span, for the span of the latest keys, fits
+        INT64_MAX >> bits."""
+        return self.R * self.span <= INT64_MAX >> self.bits
 
     def keys(self, v: np.ndarray, reach: int) -> np.ndarray:
         """replica * span + code of the array-form vertices v, which lie
@@ -435,8 +445,18 @@ class _Occupancy:
         keys = self.keys(v, reach)
         if self.bins:
             return np.bincount(keys, minlength=self.R * self.span).take(keys)
-        order = keys.argsort()
-        keys = keys.take(order)
+        if self.packs:
+            # Words key << bits | index are distinct, so one plain sort
+            # orders them by key and gives each particle's index back.
+            packed = keys << self.bits
+            packed |= np.arange(packed.size)
+            packed.sort()
+            order = packed & ((1 << self.bits) - 1)
+            packed >>= self.bits
+            keys = packed
+        else:
+            order = keys.argsort()
+            keys = keys.take(order)
         # Runs of equal keys in sorted order; each particle gets its run's length.
         first = np.empty(keys.size, dtype=bool)
         first[:1] = True

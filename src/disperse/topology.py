@@ -59,6 +59,7 @@ __all__ = [
     "pigeonhole_radius",
     "is_bipartite",
     "default_leaf_depth",
+    "config_bool",
     "COORDINATE_LIMIT",
     "INT64_MAX",
     "MAX_CAYLEY_VERTICES",
@@ -269,12 +270,23 @@ class TopologySpec:
             k=geti("k"),
             dim=geti("dim"),
             leaf_depth=geti("leaf_depth"),
-            with_loops=cfg.get("with_loops", "false").strip().lower() in ("1", "true", "yes"),
+            with_loops=config_bool(cfg.get("with_loops", "false")),
             moduli=moduli,
             generators=generators,
         )
         spec.validate()
         return spec
+
+
+def config_bool(raw: str) -> bool:
+    """A flat config's boolean: 1, true or yes, or 0, false or no, in any
+    case and with surrounding whitespace; anything else is a ValueError."""
+    value = raw.strip().lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"config: {raw!r} is not a boolean (true/false, yes/no, 1/0)")
 
 
 def default_leaf_depth(k: int, particles: int, eps: float = 0.25) -> int:
@@ -413,16 +425,8 @@ class _Complete(Topology):
 
     max_distance = 1
 
-    @cached_property
-    def _degree64(self) -> np.uint64:
-        return np.uint64(self.n if self.with_loops else self.n - 1)
-
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        m = self._degree64
-        # raw % m; numpy divides by a scalar far faster than it takes a
-        # remainder.
-        raw -= raw // m * m
-        dest = raw.view(np.int64)
+        dest = _remainder(raw, self.degree(self.origin))
         if not self.with_loops:
             dest += dest >= v
         return dest
@@ -464,7 +468,7 @@ class _Star(Topology):
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
         # A leaf's one neighbour is the hub; its draw is spent all the same.
-        dest = (raw % np.uint64(self.leaves)).view(np.int64)
+        dest = _remainder(raw, self.leaves)
         dest += 1
         dest *= v == 0
         return dest
@@ -647,8 +651,7 @@ class _Tree(Topology):
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
         depth, x = v
-        raw %= np.uint64(self.k)
-        i = raw.view(np.int64)
+        i = _remainder(raw, self.k)
         inner = depth > 0
         up = i == 0
         up &= inner
@@ -728,8 +731,7 @@ class _Grid(Topology):
         return list(map(tuple, v.T.tolist()))
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        raw %= np.uint64(2 * self.dim)
-        i = raw.view(np.int64)
+        i = _remainder(raw, 2 * self.dim)
         dest = v.copy()
         # Neighbour i steps along axis i // 2, down for even i, up for odd.
         dest[i >> 1, np.arange(i.size)] += 2 * (i & 1) - 1
@@ -791,8 +793,7 @@ class _Hypercube(Topology):
         return self.dim
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        bit = (raw % np.uint64(self.dim)).view(np.int64)
-        return v ^ (1 << bit)
+        return v ^ (1 << _remainder(raw, self.dim))
 
     def distance_array(self, v: np.ndarray) -> np.ndarray:
         return np.bitwise_count(v).astype(np.int64)
@@ -848,7 +849,7 @@ class _Cayley(Topology):
         return list(zip(*(a.tolist() for a in np.unravel_index(v, self.moduli))))
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        i = (raw % np.uint64(len(self.gens))).view(np.int64)
+        i = _remainder(raw, len(self.gens))
         return _mixed_add(v, self._columns.take(i, axis=1), self.moduli)
 
     def distance_array(self, v: np.ndarray) -> np.ndarray:
@@ -899,6 +900,15 @@ def _mixed_add(x: np.ndarray, g, moduli: tuple[int, ...]) -> np.ndarray:
         out += r
         stride *= m
     return out
+
+
+def _remainder(raw: np.ndarray, m: int) -> np.ndarray:
+    """raw % m of uint64 draws `raw`, computed in place and viewed as
+    int64: numpy divides by a scalar far faster than it takes a
+    remainder."""
+    m = np.uint64(m)
+    raw -= raw // m * m
+    return raw.view(np.int64)
 
 
 def _step_pm1(v: np.ndarray, raw: np.ndarray) -> np.ndarray:

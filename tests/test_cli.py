@@ -112,6 +112,30 @@ def test_flags_override_config_file(tmp_path):
     assert sum(1 for l in lines if json.loads(l).get("record") == "replica") == 2
 
 
+def test_config_booleans_read_alike():
+    base = {"family": "complete", "n": "60", "particles": "25"}
+    for raw, want in (("True", True), (" yes ", True), ("1", True), ("FALSE", False), ("no", False)):
+        exp = cli.config_to_experiment({**base, "with_loops": raw, "record_trajectories": raw})
+        assert exp.record_trajectories is want and exp.topology.with_loops is want, raw
+    with pytest.raises(ValueError, match="boolean"):
+        cli.config_to_experiment({**base, "record_trajectories": "maybe"})
+
+
+def test_config_file_booleans_in_any_case(tmp_path, capsys):
+    ini = tmp_path / "caps.ini"
+    ini.write_text(
+        "[disperse]\nfamily = complete\nn = 60\nwith_loops = True\nparticles = 25\n"
+        "replicas = 2\nseed = 7\nrecord_trajectories = True\n"
+    )
+    out = tmp_path / "o.ndjson"
+    assert run_cli(["run", "--config", str(ini), "--out", str(out)]) == 0
+    config = json.loads(out.read_text().splitlines()[0])["config"]
+    assert config["with_loops"] == config["record_trajectories"] == "true"
+    ini.write_text(ini.read_text().replace("record_trajectories = True", "record_trajectories = y"))
+    assert run_cli(["run", "--config", str(ini), "--out", str(out)]) == 2
+    assert "disperse: error:" in capsys.readouterr().err
+
+
 def test_svg_labels_match_csv_values(tmp_path):
     csv_out = tmp_path / "r.csv"
     svg_out = tmp_path / "r.svg"

@@ -431,6 +431,31 @@ def test_occupancy_method_follows_key_span():
     assert occupancy.bins
 
 
+def test_sort_packs_particle_ids_below_keys_where_they_fit():
+    # Past the bincount budget, one sort of keys shifted left by the bits
+    # of the largest flat index, R * M - 1, with the index below them,
+    # when R * span fits INT64_MAX >> bits; else an argsort of the keys.
+    rng = np.random.default_rng(12)
+    tree = build(TopologySpec.tree(3, leaf_depth=0))
+    k = 2**31
+    wide = build(TopologySpec.tree(k, leaf_depth=0))
+    crowd = wide.to_array([(), (k - 1, k - 2), (0,), (k - 1, k - 2), (), (7, 3), (k - 1, k - 2)])
+    cases = [
+        # 8 * 49150 keys below 9 bits of index.
+        (tree, 50, 8, 14, _tree_batch(tree, 14, 400, rng), 9, True),
+        # k^2 + 1 keys do not fit below 3 bits.
+        (wide, 7, 1, 2, crowd, 3, False),
+        # One particle packs with no bits at all.
+        (wide, 1, 1, 2, crowd[:, 1:2], 0, True),
+    ]
+    for topo, M, R, reach, v, bits, packs in cases:
+        occupancy = engine._Occupancy(topo, M, R)
+        _assert_counts(topo, occupancy, v, reach, M)
+        assert not occupancy.bins
+        assert occupancy.bits == bits == (R * M - 1).bit_length()
+        assert occupancy.packs is packs is (R * occupancy.span <= engine.INT64_MAX >> bits)
+
+
 def test_walk_counts_total_matches_event_count():
     ps = ParticleSystem(TopologySpec.cycle(12), 5, seed=17)
     ps.record_trajectories(True)

@@ -11,6 +11,7 @@ from disperse.topology import (
     Family,
     TopologySpec,
     build,
+    config_bool,
     default_leaf_depth,
     distance_to_origin,
     is_bipartite,
@@ -316,6 +317,21 @@ def test_from_config_errors():
         TopologySpec.from_config(
             {"family": "cayley", "moduli": "8", "generators": "1,-1"}
         )
+
+
+def test_config_booleans_have_one_spelling_rule():
+    for raw in ("1", "true", "True", " YES ", "yes\n"):
+        assert config_bool(raw) is True
+    for raw in ("0", "false", "FALSE", " No "):
+        assert config_bool(raw) is False
+    for raw in ("", "on", "t", "2", "truee"):
+        with pytest.raises(ValueError, match="boolean"):
+            config_bool(raw)
+    assert TopologySpec.from_config({"family": "complete", "n": "5", "with_loops": " True "}) == (
+        TopologySpec.complete(5, with_loops=True)
+    )
+    with pytest.raises(ValueError, match="boolean"):
+        TopologySpec.from_config({"family": "complete", "n": "5", "with_loops": "maybe"})
 
 
 def test_from_config_normalises_negative_generators():
