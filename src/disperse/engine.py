@@ -29,10 +29,10 @@ farthest distance reached so far on the path, grid and tree. One
 bincount over R*span bins counts them when R*span <= LOCKSTEP_ELEMENTS,
 else one sort of keys with particle ids packed below them (an argsort
 where they do not fit); the choice is made afresh each step, as the span
-grows and as replicas leave. Keys raise ValueError rather than leave int64 (the
-grid ranks its vertices instead). `lockstep_batch_size` sizes a batch
-by the same budget of elements and the same int64 bound. Tuple addresses
-are decoded only for `positions` and trajectory events.
+grows and as replicas leave. Keys raise ValueError rather than leave
+int64 (the grid ranks its vertices instead). `lockstep_batch_size` sizes
+a batch by the same budget of elements and the same int64 bound. Tuple
+addresses are decoded only for `positions` and trajectory events.
 
 A scalar reference loop gives the same bits: it counts occupancy
 afresh each step and moves one particle at a time on the topology's
