@@ -43,6 +43,7 @@ TOPOLOGIES = {
     "tree-binary": (("tree", {"k": 2, "leaf_depth": 0}), 5),
     "grid": (("grid", {"dim": 2}), 6),
     "hypercube": (("hypercube", {"dim": 8}), 6),
+    "hypercube-64": (("hypercube", {"dim": 64}), 6),
     "cayley": (
         ("cayley", {"moduli": (4, 3), "generators": [(1, 0), (-1, 0), (0, 1), (0, -1)]}),
         5,
