@@ -17,8 +17,8 @@ modes run the same code: a counter-based draw needs no buffer, so
 configs naming either mode still replay.
 
 One production kernel, the lockstep array kernel `advance_lockstep`,
-runs every family on int64 vertex arrays (see topology): the tree as
-(depth, index) pairs, the grid as rows of coordinates, cayley as
+runs every input on int64 vertex arrays (see topology): the tree as
+(depth, index) pairs, the grid and the hypercube as rows, cayley as
 mixed-radix ints. It steps R replicas together on flat arrays of R*M
 particles, so numpy's per-call cost is paid once per step for all of
 them; a single system's step() and run() are the R = 1 case, stepped
@@ -30,15 +30,16 @@ bincount over R*span bins counts them when R*span <= LOCKSTEP_ELEMENTS,
 else one sort of keys with particle ids packed below them (an argsort
 where they do not fit); the choice is made afresh each step, as the span
 grows and as replicas leave. Keys raise ValueError rather than leave
-int64 (the grid ranks its vertices instead). `lockstep_batch_size` sizes
-a batch by the same budget of elements and the same int64 bound. Tuple
-addresses are decoded only for `positions` and trajectory events.
+int64 (the grid, and the hypercube past 62 dimensions, rank their
+vertices instead). `lockstep_batch_size` sizes a batch by the same
+budget of elements and the same int64 bound. Tuple addresses are decoded
+only for `positions` and trajectory events.
 
-A scalar reference loop gives the same bits: it counts occupancy
-afresh each step and moves one particle at a time on the topology's
-own addresses. `force_generic=True` selects it, and so does the one
-input with no int64 form, a hypercube past 62 dimensions. A step that
-raises leaves the system at its last completed step on either loop.
+A scalar reference loop gives the same bits: it decodes the arrays on
+entry, counts occupancy afresh each step with a Counter, moves one
+particle at a time on the topology's own addresses, and encodes the
+arrays again on exit. Only `force_generic=True` selects it. A step that
+raises, on either loop, leaves the system at its last completed step.
 """
 
 from __future__ import annotations
@@ -235,30 +236,20 @@ class ParticleSystem:
         self._log: Optional[TrajectoryLog] = None
 
         self._lazy = variant.kind == "lazy"
-        dkeys = stream_key_array(self.seed, particles, DIRECTION_TAG)
-        lkeys = stream_key_array(self.seed, particles, LAZINESS_TAG) if self._lazy else None
-
-        self._array = topo.array_form and not force_generic
+        self._reference = force_generic  # step on the scalar reference loop
         self._dispersed = particles == 1
-        if self._array:
-            self._posv = np.repeat(topo.to_array([topo.origin]), particles, axis=-1)
-            self._N = np.zeros(particles, dtype=np.int64)
-            self._dkv = dkeys
-            if self._lazy:
-                self._lkv = lkeys
-                self._Lv = np.zeros(particles, dtype=np.int64)
-        else:
-            self._pos: list[Any] = [topo.origin] * particles
-            self._N = [0] * particles
-            self._L = [0] * particles
-            self._dkeys = dkeys.tolist()
-            self._lkeys = lkeys.tolist() if self._lazy else None
+        self._posv = np.repeat(topo.to_array([topo.origin]), particles, axis=-1)
+        self._N = np.zeros(particles, dtype=np.int64)
+        self._dkv = stream_key_array(self.seed, particles, DIRECTION_TAG)
+        if self._lazy:
+            self._lkv = stream_key_array(self.seed, particles, LAZINESS_TAG)
+            self._Lv = np.zeros(particles, dtype=np.int64)
 
     # -- queries -------------------------------------------------------
 
     @property
     def positions(self) -> list[Any]:
-        return self.topo.from_array(self._posv) if self._array else list(self._pos)
+        return self.topo.from_array(self._posv)
 
     @property
     def walk_counts(self) -> np.ndarray:
@@ -273,12 +264,14 @@ class ParticleSystem:
         return self.topo.unbounded and self.max_distance_ever > COORDINATE_LIMIT
 
     def _unhappy(self) -> np.ndarray:
-        """Mask of the particles that share their vertex."""
-        if self._array:
-            occupancy = _Occupancy(self.topo, self.particles, 1)
-            return occupancy(self._posv, self.max_distance_ever) >= 2
-        occupancy = Counter(self._pos)
-        return np.array([occupancy[v] >= 2 for v in self._pos], dtype=bool)
+        """Mask of the particles that share their vertex, counted as the
+        system's own loop counts it."""
+        if self._reference:
+            pos = self.positions
+            occupancy = Counter(pos)
+            return np.array([occupancy[v] >= 2 for v in pos], dtype=bool)
+        occupancy = _Occupancy(self.topo, self.particles, 1)
+        return occupancy(self._posv, self.max_distance_ever) >= 2
 
     def happy_unhappy_counts(self) -> tuple[int, int]:
         unhappy = int(np.count_nonzero(self._unhappy()))
@@ -299,47 +292,59 @@ class ParticleSystem:
     def _run_reference(self, t_end: int) -> None:
         """The process as the module docstring states it, one particle at
         a time on the topology's own addresses, with occupancy counted
-        afresh each step: the reference every kernel is checked against,
-        and the kernel of a hypercube past 62 dimensions."""
-        topo, pos, N, L, log = self.topo, self._pos, self._N, self._L, self._log
-        while True:
-            occupancy = Counter(pos)
-            self._dispersed = len(occupancy) == self.particles
-            if self._dispersed or self.t >= t_end or self.boundary_abort:
-                return
-            unhappy = [i for i, v in enumerate(pos) if occupancy[v] >= 2]
-            movers = unhappy
+        afresh each step: the reference every kernel is checked against.
+        It decodes the system's arrays on entry and encodes them on exit."""
+        topo, log = self.topo, self._log
+        pos, N, dkeys = topo.from_array(self._posv), self._N.tolist(), self._dkv.tolist()
+        if self._lazy:
+            L, lkeys = self._Lv.tolist(), self._lkv.tolist()
+        try:
+            while True:
+                occupancy = Counter(pos)
+                self._dispersed = len(occupancy) == self.particles
+                if self._dispersed or self.t >= t_end or self.boundary_abort:
+                    return
+                unhappy = [i for i, v in enumerate(pos) if occupancy[v] >= 2]
+                movers = unhappy
+                if self._lazy:
+                    p = self.variant.p
+                    movers = [i for i in unhappy if to_unit(draw(lkeys[i], L[i] + 1)) < p]
+                dests = [
+                    topo.neighbor(pos[i], draw(dkeys[i], N[i] + 1) % topo.degree(pos[i]))
+                    for i in movers
+                ]
+                topo.to_array(dests)  # raises where a destination has no int64 form
+                if log is not None and len(log.events) + len(movers) > RECORD_EVENT_CAP:
+                    raise _event_cap_error()
+                # Nothing below raises: the step is applied whole.
+                if self._lazy:
+                    for i in unhappy:
+                        L[i] += 1
+                for i, dest in zip(movers, dests):
+                    self.boundary_flag |= topo.is_truncated_leaf(pos[i])
+                    N[i] += 1
+                    pos[i] = dest
+                    self.max_distance_ever = max(
+                        self.max_distance_ever, topo.distance_to_origin(dest)
+                    )
+                self.meeting_total += sum(c * (c - 1) // 2 for c in occupancy.values())
+                if log is not None:
+                    log.events.extend((self.t, i, dest) for i, dest in zip(movers, dests))
+                    log.steps = self.t + 1
+                self.t += 1
+        finally:
+            self._posv[:] = topo.to_array(pos)
+            self._N[:] = N
             if self._lazy:
-                p = self.variant.p
-                movers = [i for i in unhappy if to_unit(draw(self._lkeys[i], L[i] + 1)) < p]
-            dests = [
-                topo.neighbor(pos[i], draw(self._dkeys[i], N[i] + 1) % topo.degree(pos[i]))
-                for i in movers
-            ]
-            if log is not None and len(log.events) + len(movers) > RECORD_EVENT_CAP:
-                raise _event_cap_error()
-            # Nothing below raises: the step is applied whole.
-            if self._lazy:
-                for i in unhappy:
-                    L[i] += 1
-            for i, dest in zip(movers, dests):
-                self.boundary_flag |= topo.is_truncated_leaf(pos[i])
-                N[i] += 1
-                pos[i] = dest
-                self.max_distance_ever = max(self.max_distance_ever, topo.distance_to_origin(dest))
-            self.meeting_total += sum(c * (c - 1) // 2 for c in occupancy.values())
-            if log is not None:
-                log.events.extend((self.t, i, dest) for i, dest in zip(movers, dests))
-                log.steps = self.t + 1
-            self.t += 1
+                self._Lv[:] = L
 
     # -- public stepping ---------------------------------------------------
 
     def _advance(self, t_end: int) -> None:
-        if self._array:
-            advance_lockstep([self], t_end)
-        else:
+        if self._reference:
             self._run_reference(t_end)
+        else:
+            advance_lockstep([self], t_end)
 
     def step(self) -> StepReport:
         """One synchronous step through the loop run() uses; the report
@@ -367,10 +372,7 @@ class ParticleSystem:
             status = Status.DISPERSED
         else:
             status = Status.BUDGET_EXHAUSTED
-        if self._array:
-            d_disp = int(self.topo.distance_array(self._posv).max())
-        else:
-            d_disp = max(map(self.topo.distance_to_origin, self._pos))
+        d_disp = int(self.topo.distance_array(self._posv).max())
         return RunResult(
             status=status,
             steps=self.t,
@@ -406,7 +408,8 @@ class _Occupancy:
     not fit). The span is the width of the topology's vertex codes at the
     current reach: n on K_n, star, cycle, hypercube and cayley, 2 * reach
     + 1 on the path, (2 * reach + 1)^dim on the grid, the ball of radius
-    reach on the tree."""
+    reach on the tree; R * M where the grid or the hypercube ranks the
+    batch's vertices instead."""
 
     def __init__(self, topo: Topology, M: int, R: int):
         self.topo, self.M, self.R = topo, M, R
@@ -476,8 +479,6 @@ def lockstep_batch_size(topo: Topology, M: int) -> int:
     R * (M + n) <= LOCKSTEP_ELEMENTS when a replica's n occupancy bins fit
     beside its particles, else R * M <= LOCKSTEP_ELEMENTS, and R * n within
     int64. Larger batches cost memory and gain little speed."""
-    if not topo.array_form:
-        return 1
     n = topo.n_vertices
     bins = n if n is not None and M + n <= LOCKSTEP_ELEMENTS else 0
     size = LOCKSTEP_ELEMENTS // (M + bins)
@@ -499,7 +500,7 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
     that raises (the event cap, or a vertex or key past int64) changes
     no system: each is left at its last completed step.
     """
-    if not all(s._array for s in systems):
+    if any(s._reference for s in systems):
         raise ValueError("lockstep systems must be on the array kernel")
     live = [
         s for s in systems if not (s._dispersed or s.boundary_abort) and s.t < t_end

@@ -7,7 +7,7 @@ depend on the parallelism level. Replicas are stepped in lockstep
 chunks (`engine.advance_lockstep`), which gives the same bits as
 stepping them one by one. A chunk holds as many replicas as
 `engine.lockstep_batch_size` allows (one on a hypercube past 62
-dimensions, the one graph without an array form), and no more than a
+dimensions, whose 2^dim vertices pass int64), and no more than a
 worker's share of them. Scans derive one sub-master per grid point the
 same way.
 """

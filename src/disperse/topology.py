@@ -17,18 +17,19 @@ Vertex addresses by family:
     cayley           tuple of residues, one per modulus
 
 Array forms. Every family also answers neighbour and distance queries
-on int64 vertex arrays, for the engine's lockstep kernel
-(`array_form`); only the hypercube past 62 dimensions has none. The
-arrays hold the int addresses above, with three exceptions. The grid's
-array holds dim rows of coordinates. The cayley array holds one
-mixed-radix int per vertex, the first residue most significant. The
-tree's array holds (depth, index-in-level) pairs as two rows: the
-parent of (d, x) is (d-1, x // (k-1)), or the root from depth 1, and
-child c of a non-root vertex is (d+1, x*(k-1) + c), which keeps the
-tuple addresses' neighbour order. `to_array`/`from_array` convert
-between the two forms; a tree address whose index does not fit an
-int64 raises ValueError. `vertex_codes` numbers the vertices within a
-distance of the origin compactly, for the engine's occupancy keys.
+on int64 vertex arrays, the state of every engine loop. The arrays hold
+the int addresses above, with four exceptions. The grid's array holds
+dim rows of coordinates. The hypercube's array holds ceil(dim/63) rows,
+row r holding bits 63r to 63r + 62 of the bitmask. The cayley array
+holds one mixed-radix int per vertex, the first residue most
+significant. The tree's array holds (depth, index-in-level) pairs as two
+rows: the parent of (d, x) is (d-1, x // (k-1)), or the root from depth
+1, and child c of a non-root vertex is (d+1, x*(k-1) + c), which keeps
+the tuple addresses' neighbour order. `to_array`/`from_array` convert
+between the two forms; a tree address on a level whose indices do not
+all fit an int64 raises ValueError, as a move there does. `vertex_codes`
+numbers the vertices within a distance of the origin compactly, for the
+engine's occupancy keys.
 
 All topology queries are read-only after construction and safe for
 concurrent use.
@@ -189,6 +190,8 @@ class TopologySpec:
         if f in (Family.COMPLETE, Family.STAR, Family.CYCLE):
             if self.n is None or self.n < 1:
                 raise ValueError(f"{f.value}: n >= 1 required")
+            if self.n > INT64_MAX:
+                raise ValueError(f"{f.value}: n <= {INT64_MAX} (the int64 limit) required")
             if f is Family.STAR and self.n < 2:
                 raise ValueError("star: need at least one leaf (n >= 2)")
             if f is Family.CYCLE and self.n < 3:
@@ -365,7 +368,6 @@ class Topology:
 
     # -- array form ----------------------------------------------------
 
-    array_form = True  # answers the queries below; not the hypercube past 62 dimensions
     max_distance: Optional[int] = None  # farthest vertex from the origin
 
     def to_array(self, vertices: Sequence[Any]) -> np.ndarray:
@@ -627,14 +629,17 @@ class _Tree(Topology):
             depth += 1
         return depth
 
+    def _check_depth(self, depth: int) -> None:
+        if depth > self._index_depth:
+            raise ValueError(f"tree(k={self.k}) level {depth} has indices beyond int64")
+
     def to_array(self, vertices: Sequence[Any]) -> np.ndarray:
         out = np.zeros((2, len(vertices)), dtype=np.int64)
         for j, v in enumerate(vertices):
+            self._check_depth(len(v))
             x = v[0] if v else 0
             for c in v[1:]:
                 x = x * (self.k - 1) + c
-            if x > INT64_MAX:
-                raise ValueError(f"tree vertex at depth {len(v)} does not fit an int64 index")
             out[:, j] = len(v), x
         return out
 
@@ -670,10 +675,8 @@ class _Tree(Topology):
         np.add(depth, 1, out=to_depth)
         to_depth -= up
         to_depth -= up
-        if dest.size and to_depth.max() > self._index_depth:
-            raise ValueError(
-                f"tree(k={self.k}) level {to_depth.max()} has indices beyond int64"
-            )
+        if dest.size:
+            self._check_depth(int(to_depth.max()))
         return dest
 
     def distance_array(self, v: np.ndarray) -> np.ndarray:
@@ -756,6 +759,10 @@ class _Grid(Topology):
 
 
 class _Hypercube(Topology):
+    """Vertex arrays hold ceil(dim/63) rows of 63 bits each: bit i of an
+    address is bit i % 63 of row i // 63, so every row is a non-negative
+    int64."""
+
     unbounded = False
 
     def __init__(self, spec: TopologySpec):
@@ -763,6 +770,7 @@ class _Hypercube(Topology):
         self.dim = spec.dim
         self.origin = 0
         self.n_vertices = 1 << spec.dim
+        self.rows = -(-spec.dim // 63)
 
     def degree(self, v: Any) -> int:
         return self.dim
@@ -785,18 +793,38 @@ class _Hypercube(Topology):
             raise ValueError(f"bad hypercube vertex {v!r}")
 
     @property
-    def array_form(self) -> bool:
-        return self.dim <= 62
-
-    @property
     def max_distance(self) -> int:
         return self.dim
 
+    def to_array(self, vertices: Sequence[Any]) -> np.ndarray:
+        return np.array(
+            [[v >> 63 * r & INT64_MAX for v in vertices] for r in range(self.rows)],
+            dtype=np.int64,
+        )
+
+    def from_array(self, v: np.ndarray) -> list[Any]:
+        rows = v.tolist()
+        out = rows.pop()
+        for low in reversed(rows):
+            out = [high << 63 | x for high, x in zip(out, low)]
+        return out
+
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        return v ^ (1 << _remainder(raw, self.dim))
+        i = _remainder(raw, self.dim)
+        dest = v.copy()
+        # Neighbour i flips bit i % 63 of row i // 63.
+        dest[i // 63, np.arange(i.size)] ^= np.left_shift(1, i % 63)
+        return dest
 
     def distance_array(self, v: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(v).astype(np.int64)
+        return np.bitwise_count(v).sum(axis=0, dtype=np.int64)
+
+    def vertex_codes(self, v: np.ndarray, reach: int) -> tuple[np.ndarray, int]:
+        # The bitmask itself while 2^dim fits an int64, else the vertices'
+        # ranks among v, as the grid ranks its wide vertices.
+        if self.n_vertices <= INT64_MAX:
+            return v[0], self.n_vertices
+        return np.unique(v, axis=1, return_inverse=True)[1].reshape(-1), v.shape[1]
 
 
 class _Cayley(Topology):

@@ -392,5 +392,13 @@ def test_exit_2_on_bad_topology_parameters(capsys):
     assert "dim" in err
 
 
+def test_exit_2_on_vertex_count_past_int64(capsys):
+    args = ["run", "--family", "complete", "--n", str(2**63 + 5), "--particles", "2"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert f"disperse: error: complete: n <= {2**63 - 1}" in captured.err
+    assert captured.out == ""
+
+
 def test_exit_2_on_missing_config_file():
     assert run_cli(["run", "--config", "/nonexistent/x.ini"]) == 2

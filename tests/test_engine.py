@@ -322,10 +322,13 @@ def test_event_cap_fails_before_the_log_outgrows_it(monkeypatch, force_generic):
     assert ps.t == log.steps
 
 
-def test_a_move_past_int64_leaves_the_system_at_its_last_step():
+@pytest.mark.parametrize("force_generic", [False, True])
+def test_a_move_past_int64_leaves_the_system_at_its_last_step(force_generic):
     # Two particles on one depth-1 vertex of tree(2^40), whose level 2 has
     # about 2^80 vertices: almost every draw moves a particle there.
-    ps = ParticleSystem(TopologySpec.tree(2**40, leaf_depth=0), 2, seed=1)
+    ps = ParticleSystem(
+        TopologySpec.tree(2**40, leaf_depth=0), 2, seed=1, force_generic=force_generic
+    )
     ps._posv[:] = ps.topo.to_array([(5,), (5,)])
     ps.max_distance_ever = 1
     with pytest.raises(ValueError, match="int64"):
@@ -334,12 +337,28 @@ def test_a_move_past_int64_leaves_the_system_at_its_last_step():
     assert ps.positions == [(5,), (5,)]
 
 
+def test_vertex_counts_past_int64_are_refused_before_a_run():
+    for force_generic in (False, True):
+        for spec in (K(2**63 + 5), TopologySpec.star(2**63), TopologySpec.cycle(2**63 + 3)):
+            with pytest.raises(ValueError, match=f"n <= {2**63 - 1} \\(the int64 limit\\)"):
+                ParticleSystem(spec, 2, seed=1, force_generic=force_generic)
+    # At the limit both loops run, and agree.
+    kernel, reference = (
+        ParticleSystem(K(2**63 - 1), 2, seed=1, force_generic=g).run(5) for g in (False, True)
+    )
+    assert kernel.to_record() == reference.to_record()
+    assert kernel.dispersed
+
+
 ARRAY_SPECS = {
     "complete": (K(20), 12),
     "star": (TopologySpec.star(12), 6),
     "cycle": (TopologySpec.cycle(15), 7),
     "path": (TopologySpec.path(), 6),
     "hypercube": (TopologySpec.hypercube(8), 8),
+    "hypercube-63": (TopologySpec.hypercube(63), 128),
+    "hypercube-64": (TopologySpec.hypercube(64), 128),
+    "hypercube-100": (TopologySpec.hypercube(100), 128),
     "tree": (TopologySpec.tree(3, leaf_depth=9), 12),
     "tree-leaves": (TopologySpec.tree(3, leaf_depth=2), 8),
     "grid": (TopologySpec.grid(2), 8),

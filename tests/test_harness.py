@@ -302,6 +302,10 @@ ARRAY_FAMILIES = {
     "cycle": (TopologySpec.cycle(15), 7),
     "path": (TopologySpec.path(), 6),
     "hypercube": (TopologySpec.hypercube(8), 8),
+    # Past 62 dimensions 2^dim passes int64 and the vertices are ranked.
+    "hypercube-63": (TopologySpec.hypercube(63), 128),
+    "hypercube-64": (TopologySpec.hypercube(64), 128),
+    "hypercube-100": (TopologySpec.hypercube(100), 128),
     "tree": (TopologySpec.tree(3), 12),
     # Eight particles on ten vertices: truncated leaves move to their parent.
     "tree-leaves": (TopologySpec.tree(3, leaf_depth=2), 8),
@@ -467,7 +471,7 @@ def test_chunk_size_batches_every_array_family(monkeypatch):
     assert size(TopologySpec.hypercube(62), 2, replicas=10) == 1
     assert size(TopologySpec.grid(2), 10) == 2**15 // 10
     assert size(TopologySpec.cayley((4, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)]), 5) == 2**15 // 17
-    # Only a hypercube past 62 dimensions has no array form: one replica at a time.
+    # A hypercube past 62 dimensions has 2^dim > INT64_MAX vertices: one replica at a time.
     assert size(TopologySpec.hypercube(63), 2) == 1
     # Never more replicas than a worker's share.
     assert size(TopologySpec.path(), 100, replicas=10) == 10

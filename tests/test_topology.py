@@ -272,6 +272,10 @@ def test_validate_rejects_bad_parameters():
         TopologySpec(Family.COMPLETE, n=5, k=3),  # foreign parameter
         TopologySpec(Family.PATH, n=7),
         TopologySpec(Family.GRID, dim=2, with_loops=True),
+        # Past int64, the type of every vertex in every loop.
+        TopologySpec.complete(2**63 + 5),
+        TopologySpec.star(2**63),
+        TopologySpec.cycle(2**63 + 3),
     ]
     for spec in bad:
         with pytest.raises(ValueError):
@@ -479,7 +483,6 @@ def test_neighbor_relation_is_symmetric_as_multiset(name):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_array_form_matches_scalar_queries(name):
     t = build(spec_for(name))
-    assert t.array_form
     verts = walk_vertices(t)
     arr = t.to_array(verts)
     assert t.from_array(arr) == verts
@@ -497,6 +500,21 @@ def test_array_form_matches_scalar_queries(name):
         assert reach <= t.max_distance == t.pigeonhole_radius(t.n_vertices)
 
 
-def test_hypercube_beyond_62_dimensions_has_no_array_form():
-    assert build(TopologySpec.hypercube(62)).array_form
-    assert not build(TopologySpec.hypercube(63)).array_form
+@pytest.mark.parametrize("dim", [63, 64, 100])
+def test_hypercube_array_form_spans_rows_of_63_bits(dim):
+    t = build(TopologySpec.hypercube(dim))
+    # Addresses with bits 62, 63 and 99 set, where the cube has them.
+    top = [1 << b for b in (62, 63, 99) if b < dim]
+    verts = top + [sum(top), (1 << dim) - 1, 0] + walk_vertices(t, steps=20)
+    arr = t.to_array(verts)
+    assert arr.shape == (-(-dim // 63), len(verts)) and arr.dtype == np.int64
+    assert arr.min() >= 0
+    assert t.from_array(arr) == verts
+    raw = np.array([draw(5, i) for i in range(1, len(verts) + 1)], dtype=np.uint64)
+    want = [t.neighbor(v, int(r) % dim) for v, r in zip(verts, raw.tolist())]
+    assert t.from_array(t.neighbor_array(arr, raw.copy())) == want
+    assert t.distance_array(arr).tolist() == [t.distance_to_origin(v) for v in verts]
+    # 2^dim passes int64: codes rank the vertices, equal where they are.
+    codes, span = t.vertex_codes(arr, dim)
+    assert span == len(verts) and 0 <= codes.min() and codes.max() < span
+    assert len({(v, c) for v, c in zip(verts, codes.tolist())}) == len(set(verts))
