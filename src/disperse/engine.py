@@ -253,7 +253,7 @@ class ParticleSystem:
 
     @property
     def walk_counts(self) -> np.ndarray:
-        return np.array(self._N, dtype=np.int64)
+        return self._N.copy()
 
     def is_dispersed(self) -> bool:
         return self._dispersed

@@ -749,7 +749,7 @@ class _Grid(Topology):
         # (3^40 > 2^63 already at reach 1), rank the vertices among v instead.
         base = 2 * reach + 1
         if base**self.dim > INT64_MAX // max(v.shape[1], 1):
-            return np.unique(v, axis=1, return_inverse=True)[1].reshape(-1), v.shape[1]
+            return _ranks(v)
         codes = v[0] + reach
         for row in v[1:]:
             codes *= base
@@ -759,10 +759,6 @@ class _Grid(Topology):
 
 
 class _Hypercube(Topology):
-    """Vertex arrays hold ceil(dim/63) rows of 63 bits each: bit i of an
-    address is bit i % 63 of row i // 63, so every row is a non-negative
-    int64."""
-
     unbounded = False
 
     def __init__(self, spec: TopologySpec):
@@ -820,11 +816,10 @@ class _Hypercube(Topology):
         return np.bitwise_count(v).sum(axis=0, dtype=np.int64)
 
     def vertex_codes(self, v: np.ndarray, reach: int) -> tuple[np.ndarray, int]:
-        # The bitmask itself while 2^dim fits an int64, else the vertices'
-        # ranks among v, as the grid ranks its wide vertices.
+        # The bitmask itself while 2^dim fits an int64, else the ranks.
         if self.n_vertices <= INT64_MAX:
             return v[0], self.n_vertices
-        return np.unique(v, axis=1, return_inverse=True)[1].reshape(-1), v.shape[1]
+        return _ranks(v)
 
 
 class _Cayley(Topology):
@@ -928,6 +923,12 @@ def _mixed_add(x: np.ndarray, g, moduli: tuple[int, ...]) -> np.ndarray:
         out += r
         stride *= m
     return out
+
+
+def _ranks(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Codes of the row-form vertices v by their ranks among v's
+    distinct columns, and span: the count of columns."""
+    return np.unique(v, axis=1, return_inverse=True)[1].reshape(-1), v.shape[1]
 
 
 def _remainder(raw: np.ndarray, m: int) -> np.ndarray:
