@@ -23,7 +23,7 @@ from disperse.harness import (
     wilson_interval,
 )
 from disperse.rng import derive_seed
-from disperse.topology import TopologySpec, build, default_leaf_depth, with_leaf_depth
+from disperse.topology import Family, TopologySpec, build, default_leaf_depth, with_leaf_depth
 
 
 # -- interval and quantile helpers -------------------------------------------
@@ -568,6 +568,28 @@ def test_coupling_audit_counts_empty_prefix():
             meetings, combined = pair_coupling_audit(r.trajectories)
             assert meetings >= 1
             assert combined >= meetings
+
+
+def test_coupling_audit_counts_are_pinned():
+    # (meetings, combined returns) of seeds 0-4, as the per-family
+    # difference walk counted them.
+    once = [(1, 1), (1, 1), (3, 3), (1, 1), (1, 1)]
+    lazy_once = [(1, 1), (1, 1), (4, 3), (1, 1), (1, 1)]
+    want = {
+        (Family.PATH, "std"): [(5, 5), (1, 1), (3, 3), (1, 1), (1, 1)],
+        (Family.PATH, "lazy0.5"): lazy_once,
+        (Family.GRID, "std"): once,
+        (Family.GRID, "lazy0.5"): lazy_once,
+        (Family.HYPERCUBE, "std"): once,
+        (Family.HYPERCUBE, "lazy0.5"): lazy_once,
+    }
+    for spec in (TopologySpec.path(), TopologySpec.grid(2), TopologySpec.hypercube(6)):
+        for name, variant in (("std", None), ("lazy0.5", lazy(0.5))):
+            got = [
+                pair_coupling_audit(recorded_run(spec, seed, variant=variant).trajectories)
+                for seed in range(5)
+            ]
+            assert got == want[spec.family, name], (spec, name)
 
 
 def test_coupling_audit_rejects_bad_inputs():
