@@ -27,13 +27,12 @@ vertex) keys: replica * span plus a vertex code in [0, span), where the
 span is n on K_n, star, cycle, hypercube and cayley, and grows with the
 farthest distance reached so far on the path, grid and tree. One
 bincount over R*span bins counts them when R*span <= LOCKSTEP_ELEMENTS,
-else one sort of keys with particle ids packed below them (an argsort
-where they do not fit); the choice is made afresh each step, as the span
-grows and as replicas leave. Keys raise ValueError rather than leave
-int64 (the grid, and the hypercube past 62 dimensions, rank their
-vertices instead). `lockstep_batch_size` sizes a batch by the same
-budget of elements and the same int64 bound. Tuple addresses are decoded
-only for `positions` and trajectory events.
+else one sort of keys with particle ids packed below them where those
+words fit an int64, else one lexsort of the vertex rows under the replica
+index; the choice is made afresh each step, as the span grows and as
+replicas leave. `lockstep_batch_size` sizes a batch by the same budget
+of elements. Tuple addresses are decoded only for `positions` and
+trajectory events.
 
 A scalar reference loop gives the same bits: it decodes the arrays on
 entry, counts occupancy afresh each step with a Counter, moves one
@@ -395,8 +394,8 @@ def _event_cap_error() -> RuntimeError:
 
 # Occupancy of a batch of R replicas is counted with one bincount over
 # R * span bins, span being the width of the packed vertex codes, when
-# those fit in this many, else by sorting the particles' (replica,
-# vertex) keys. lockstep_batch_size sizes batches by it too.
+# those fit in this many, else by a sort (see _Occupancy).
+# lockstep_batch_size sizes batches by it too.
 LOCKSTEP_ELEMENTS = 2**15
 
 
@@ -404,12 +403,13 @@ class _Occupancy:
     """Each particle's count of particles on its vertex, for R replicas
     of M particles laid end to end: one bincount over R * span bins when
     those fit in LOCKSTEP_ELEMENTS, else one sort of (replica, vertex)
-    keys with particle ids packed below them (an argsort where they do
-    not fit). The span is the width of the topology's vertex codes at the
-    current reach: n on K_n, star, cycle, hypercube and cayley, 2 * reach
-    + 1 on the path, (2 * reach + 1)^dim on the grid, the ball of radius
-    reach on the tree; R * M where the grid or the hypercube ranks the
-    batch's vertices instead."""
+    keys with particle ids packed below them when those words fit an
+    int64, else one lexsort of the vertex rows under the replica index.
+    The span is the topology's code span at the current reach: n on K_n,
+    star, cycle, hypercube and cayley, 2 * reach + 1 on the path,
+    (2 * reach + 1)^dim on the grid, the ball of radius reach on the
+    tree. This is the only place that decides what a key past int64
+    does."""
 
     def __init__(self, topo: Topology, M: int, R: int):
         self.topo, self.M, self.R = topo, M, R
@@ -419,52 +419,54 @@ class _Occupancy:
     @property
     def bins(self) -> bool:
         """Whether counts are by bincount: R * span, for the span of the
-        latest keys, fits LOCKSTEP_ELEMENTS."""
+        latest count, fits LOCKSTEP_ELEMENTS."""
         return self.R * self.span <= LOCKSTEP_ELEMENTS
 
     @property
     def packs(self) -> bool:
         """Whether a sort packs each particle's index into the low `bits`
-        of its key: R * span, for the span of the latest keys, fits
-        INT64_MAX >> bits."""
+        of its key: R * span, for the span of the latest count, fits
+        INT64_MAX >> bits. Where neither this nor `bins` holds, the
+        vertex rows are lexsorted."""
         return self.R * self.span <= INT64_MAX >> self.bits
 
     def keys(self, v: np.ndarray, reach: int) -> np.ndarray:
         """replica * span + code of the array-form vertices v, which lie
-        within distance `reach` of the origin. Raises ValueError rather
-        than let a key leave int64."""
-        codes, span = self.topo.vertex_codes(v, reach)
-        if span != self.span:
-            if self.R * span > INT64_MAX:
-                raise ValueError(
-                    f"occupancy keys of {self.R} {self.topo.spec.family.value} replicas "
-                    f"within distance {reach} of the origin do not fit an int64"
-                )
-            self.span = span
-            self.base = np.repeat(np.arange(self.R, dtype=np.int64) * span, self.M)
+        within distance `reach` of the origin, for the span of the latest
+        count; only where `bins` or `packs` holds."""
+        codes = self.topo.vertex_codes(v, reach)
         return codes if self.R == 1 else codes + self.base
 
     def __call__(self, v: np.ndarray, reach: int) -> np.ndarray:
-        keys = self.keys(v, reach)
+        span = self.topo.code_span(reach)
+        if span != self.span:
+            self.span = span
+            if self.R > 1 and (self.bins or self.packs):
+                self.base = np.repeat(np.arange(self.R, dtype=np.int64) * span, self.M)
         if self.bins:
-            return np.bincount(keys, minlength=self.R * self.span).take(keys)
+            keys = self.keys(v, reach)
+            return np.bincount(keys, minlength=self.R * span).take(keys)
+        first = np.empty(v.shape[-1], dtype=bool)
+        first[:1] = True
         if self.packs:
             # Words key << bits | index are distinct, so one plain sort
             # orders them by key and gives each particle's index back.
-            packed = keys << self.bits
+            packed = self.keys(v, reach) << self.bits
             packed |= np.arange(packed.size)
             packed.sort()
             order = packed & ((1 << self.bits) - 1)
             packed >>= self.bits
-            keys = packed
+            np.not_equal(packed[1:], packed[:-1], out=first[1:])
+            del packed
         else:
-            order = keys.argsort()
-            keys = keys.take(order)
+            # Keys would pass int64: sort the vertex rows themselves, the
+            # replica index last and so most significant.
+            rows = np.vstack([v.reshape(-1, first.size), np.arange(first.size) // self.M])
+            order = np.lexsort(rows)
+            rows = rows.take(order, axis=1)
+            np.any(rows[:, 1:] != rows[:, :-1], axis=0, out=first[1:])
+            del rows
         # Runs of equal keys in sorted order; each particle gets its run's length.
-        first = np.empty(keys.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        del keys
         starts = first.nonzero()[0]
         runs = np.empty(starts.size, dtype=np.int64)
         np.subtract(starts[1:], starts[:-1], out=runs[:-1])
@@ -477,14 +479,11 @@ class _Occupancy:
 def lockstep_batch_size(topo: Topology, M: int) -> int:
     """Replicas of M particles on topo per lockstep batch (at least one):
     R * (M + n) <= LOCKSTEP_ELEMENTS when a replica's n occupancy bins fit
-    beside its particles, else R * M <= LOCKSTEP_ELEMENTS, and R * n within
-    int64. Larger batches cost memory and gain little speed."""
+    beside its particles, else R * M <= LOCKSTEP_ELEMENTS. Larger batches
+    cost memory and gain little speed."""
     n = topo.n_vertices
     bins = n if n is not None and M + n <= LOCKSTEP_ELEMENTS else 0
-    size = LOCKSTEP_ELEMENTS // (M + bins)
-    if n is not None:
-        size = min(size, INT64_MAX // n)
-    return max(1, size)
+    return max(1, LOCKSTEP_ELEMENTS // (M + bins))
 
 
 def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
@@ -497,8 +496,8 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
     serves every replica. A replica leaves the batch, keeping its own t,
     once it disperses or, on an unbounded graph, once its reach passes
     COORDINATE_LIMIT. A lone system is stepped on its own arrays. A step
-    that raises (the event cap, or a vertex or key past int64) changes
-    no system: each is left at its last completed step.
+    that raises (the event cap, or a tree vertex past int64) changes no
+    system: each is left at its last completed step.
     """
     if any(s._reference for s in systems):
         raise ValueError("lockstep systems must be on the array kernel")

@@ -6,10 +6,8 @@ so result lists are a pure function of (spec, master_seed) and do not
 depend on the parallelism level. Replicas are stepped in lockstep
 chunks (`engine.advance_lockstep`), which gives the same bits as
 stepping them one by one. A chunk holds as many replicas as
-`engine.lockstep_batch_size` allows (one on a hypercube past 62
-dimensions, whose 2^dim vertices pass int64), and no more than a
-worker's share of them. Scans derive one sub-master per grid point the
-same way.
+`engine.lockstep_batch_size` allows, and no more than a worker's share
+of them. Scans derive one sub-master per grid point the same way.
 """
 
 from __future__ import annotations
@@ -101,8 +99,13 @@ class ExperimentSpec:
             elif topo.family is Family.HYPERCUBE:
                 omega = DEFAULT_HYPERCUBE_OMEGA
         if topo.family is Family.HYPERCUBE:
-            cap = math.sqrt(2**topo.dim) / omega
-            if self.M > cap:
+            # The cap is the float sqrt(2^dim)/omega = 2^(dim // 2) * q,
+            # compared with M exactly as the fraction q = num/den times a
+            # power of two: 2^dim as a float overflows past 1023 dimensions.
+            q = math.sqrt(2 ** (topo.dim % 2)) / omega
+            num, den = q.as_integer_ratio()
+            if self.M * den > num << topo.dim // 2:
+                cap = math.ldexp(q, topo.dim // 2)
                 raise ValueError(
                     f"M={self.M} exceeds the hypercube cap sqrt(n)/omega = {cap:.1f}"
                 )
@@ -378,59 +381,31 @@ def pair_coupling_audit(log: TrajectoryLog, i: int = 0, j: int = 1) -> tuple[int
 
     Y applies i's displacements and j's negated displacements in time
     order (i first within a step); on the hypercube the XOR group is
-    its own inverse, so j's moves enter un-negated. Origin visits are
-    counted over every prefix of Y including the empty one. For the
-    standard variant a co-occupied pair always moves, so each meeting
-    lands on a distinct prefix and combined_returns >= meetings; lazy
-    runs can break that by keeping both particles in place.
+    its own inverse, so j's moves enter un-negated. Both particles start
+    at the origin, so Y is pos_i - pos_j (pos_i XOR pos_j on the cube)
+    after every move, and Y is at the origin exactly when the two
+    positions are equal. Origin visits are counted over every prefix of
+    Y including the empty one. For the standard variant a co-occupied
+    pair always moves, so each meeting lands on a distinct prefix and
+    combined_returns >= meetings; lazy runs can break that by keeping
+    both particles in place.
     """
     fam = log.spec.family
     if fam not in _AUDIT_FAMILIES:
         raise ValueError(f"coupling audit is not defined for family {fam.value!r}")
     if i == j or not (0 <= i < log.particles) or not (0 <= j < log.particles):
         raise ValueError("need two distinct recorded particles")
+    # A particle moves at most once per step: its moves by step.
     per = log.per_particle()
-    moves_i, moves_j = per[i], per[j]
-
-    if fam is Family.HYPERCUBE:
-        state = 0
-        combine_i = combine_j = lambda s, src, dest: s ^ (src ^ dest)
-        is_zero = lambda s: s == 0
-    elif fam is Family.PATH:
-        state = 0
-        combine_i = lambda s, src, dest: s + (dest - src)
-        combine_j = lambda s, src, dest: s - (dest - src)
-        is_zero = lambda s: s == 0
-    else:
-        dim = log.spec.dim
-        state = (0,) * dim
-        combine_i = lambda s, src, dest: tuple(
-            a + (d - c) for a, c, d in zip(s, src, dest)
-        )
-        combine_j = lambda s, src, dest: tuple(
-            a - (d - c) for a, c, d in zip(s, src, dest)
-        )
-        is_zero = lambda s: all(a == 0 for a in s)
-
-    meetings = 0
-    returns = 1 if is_zero(state) else 0
+    moves_i, moves_j = dict(per[i]), dict(per[j])
     pos_i = pos_j = log.origin
-    ptr_i = ptr_j = 0
+    meetings, returns = 0, 1  # the empty prefix of Y is at the origin
     for t in range(log.steps):
-        if pos_i == pos_j:
-            meetings += 1
-        if ptr_i < len(moves_i) and moves_i[ptr_i][0] == t:
-            dest = moves_i[ptr_i][1]
-            state = combine_i(state, pos_i, dest)
-            pos_i = dest
-            ptr_i += 1
-            if is_zero(state):
-                returns += 1
-        if ptr_j < len(moves_j) and moves_j[ptr_j][0] == t:
-            dest = moves_j[ptr_j][1]
-            state = combine_j(state, pos_j, dest)
-            pos_j = dest
-            ptr_j += 1
-            if is_zero(state):
-                returns += 1
+        meetings += pos_i == pos_j
+        if t in moves_i:
+            pos_i = moves_i[t]
+            returns += pos_i == pos_j
+        if t in moves_j:
+            pos_j = moves_j[t]
+            returns += pos_i == pos_j
     return meetings, returns

@@ -27,9 +27,13 @@ rows: the parent of (d, x) is (d-1, x // (k-1)), or the root from depth
 1, and child c of a non-root vertex is (d+1, x*(k-1) + c), which keeps
 the tuple addresses' neighbour order. `to_array`/`from_array` convert
 between the two forms; a tree address on a level whose indices do not
-all fit an int64 raises ValueError, as a move there does. `vertex_codes`
-numbers the vertices within a distance of the origin compactly, for the
-engine's occupancy keys.
+all fit an int64 raises ValueError, as a move there does. For the
+engine's occupancy keys, `code_span(reach)` gives the exact number of
+codes that the vertices within distance reach of the origin need, as a
+Python int that may pass int64, and `vertex_codes` numbers those
+vertices compactly below it. The engine asks for codes only where keys
+over that span fit an int64; otherwise it sorts the array rows
+themselves.
 
 All topology queries are read-only after construction and safe for
 concurrent use.
@@ -384,10 +388,16 @@ class Topology:
     def distance_array(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def vertex_codes(self, v: np.ndarray, reach: int) -> tuple[np.ndarray, int]:
-        """Distinct codes in [0, span) of vertices within distance
-        `reach` of the origin, and span."""
-        return v, self.n_vertices
+    def code_span(self, reach: int) -> int:
+        """Exact width of the codes of the vertices within distance `reach`
+        of the origin; it may pass int64."""
+        return self.n_vertices
+
+    def vertex_codes(self, v: np.ndarray, reach: int) -> np.ndarray:
+        """Distinct codes in [0, code_span(reach)) of vertices within
+        distance `reach` of the origin. Called only where the engine's
+        occupancy keys over that span fit an int64."""
+        return v
 
 
 class _Complete(Topology):
@@ -512,8 +522,11 @@ class _Path(Topology):
     def distance_array(self, v: np.ndarray) -> np.ndarray:
         return np.abs(v)
 
-    def vertex_codes(self, v: np.ndarray, reach: int) -> tuple[np.ndarray, int]:
-        return v + reach, 2 * reach + 1
+    def code_span(self, reach: int) -> int:
+        return 2 * reach + 1
+
+    def vertex_codes(self, v: np.ndarray, reach: int) -> np.ndarray:
+        return v + reach
 
 
 class _Cycle(Topology):
@@ -682,16 +695,16 @@ class _Tree(Topology):
     def distance_array(self, v: np.ndarray) -> np.ndarray:
         return v[0]
 
-    def vertex_codes(self, v: np.ndarray, reach: int) -> tuple[np.ndarray, int]:
+    def code_span(self, reach: int) -> int:
+        return self._full_ball(reach)
+
+    def vertex_codes(self, v: np.ndarray, reach: int) -> np.ndarray:
         # Breadth-first numbering: a vertex's code is its index plus the
         # number of vertices above its level.
         above = [0] + [self._full_ball(d) for d in range(reach)]
-        span = self._full_ball(reach)
-        if span > INT64_MAX:
-            raise ValueError(f"tree(k={self.k}) codes to depth {reach} exceed int64")
         codes = np.array(above, dtype=np.int64).take(v[0])
         codes += v[1]
-        return codes, span
+        return codes
 
 
 class _Grid(Topology):
@@ -743,19 +756,18 @@ class _Grid(Topology):
     def distance_array(self, v: np.ndarray) -> np.ndarray:
         return np.abs(v).sum(axis=0)
 
-    def vertex_codes(self, v: np.ndarray, reach: int) -> tuple[np.ndarray, int]:
-        # One base-(2 reach + 1) digit per axis, as the path packs its
-        # offsets. Where that span times the vertex count would pass int64
-        # (3^40 > 2^63 already at reach 1), rank the vertices among v instead.
+    def code_span(self, reach: int) -> int:
+        return (2 * reach + 1) ** self.dim
+
+    def vertex_codes(self, v: np.ndarray, reach: int) -> np.ndarray:
+        # One base-(2 reach + 1) digit per axis, as the path packs its offsets.
         base = 2 * reach + 1
-        if base**self.dim > INT64_MAX // max(v.shape[1], 1):
-            return _ranks(v)
         codes = v[0] + reach
         for row in v[1:]:
             codes *= base
             codes += row
             codes += reach
-        return codes, base**self.dim
+        return codes
 
 
 class _Hypercube(Topology):
@@ -815,11 +827,8 @@ class _Hypercube(Topology):
     def distance_array(self, v: np.ndarray) -> np.ndarray:
         return np.bitwise_count(v).sum(axis=0, dtype=np.int64)
 
-    def vertex_codes(self, v: np.ndarray, reach: int) -> tuple[np.ndarray, int]:
-        # The bitmask itself while 2^dim fits an int64, else the ranks.
-        if self.n_vertices <= INT64_MAX:
-            return v[0], self.n_vertices
-        return _ranks(v)
+    def vertex_codes(self, v: np.ndarray, reach: int) -> np.ndarray:
+        return v[0]  # one row: the span 2^dim fits an int64
 
 
 class _Cayley(Topology):
@@ -923,12 +932,6 @@ def _mixed_add(x: np.ndarray, g, moduli: tuple[int, ...]) -> np.ndarray:
         out += r
         stride *= m
     return out
-
-
-def _ranks(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Codes of the row-form vertices v by their ranks among v's
-    distinct columns, and span: the count of columns."""
-    return np.unique(v, axis=1, return_inverse=True)[1].reshape(-1), v.shape[1]
 
 
 def _remainder(raw: np.ndarray, m: int) -> np.ndarray:

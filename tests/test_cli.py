@@ -400,5 +400,20 @@ def test_exit_2_on_vertex_count_past_int64(capsys):
     assert captured.out == ""
 
 
+def test_hypercube_cap_takes_dimensions_past_float_range(capsys):
+    # 2^1100 has no float form; the cap sqrt(n)/omega is compared exactly.
+    args = ["run", "--family", "hypercube", "--dim", "1100", "--particles", "10"]
+    assert run_cli(args) == 0
+    assert '"status": "dispersed"' in capsys.readouterr().out
+    # At dim 20 the cap is 2^10 / 2 = 512, as before.
+    at_cap = ["run", "--family", "hypercube", "--dim", "20", "--particles", "512"]
+    assert run_cli(at_cap) == 0
+    capsys.readouterr()
+    assert run_cli(at_cap[:-1] + ["513"]) == 2
+    captured = capsys.readouterr()
+    assert "M=513 exceeds the hypercube cap sqrt(n)/omega = 512.0" in captured.err
+    assert captured.out == ""
+
+
 def test_exit_2_on_missing_config_file():
     assert run_cli(["run", "--config", "/nonexistent/x.ini"]) == 2

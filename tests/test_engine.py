@@ -396,9 +396,13 @@ def test_tree_keys_refuse_to_leave_int64():
     assert topo.from_array(v) == [last]
     # Breadth-first code: the 1 + k vertices above level 2, plus the index.
     one = engine._Occupancy(topo, 1, 1)
-    assert one.keys(v, 2).tolist() == [k * k] and one.span == k * k + 1
-    with pytest.raises(ValueError, match="int64"):
-        engine._Occupancy(topo, 1, 2).keys(np.repeat(v, 2, axis=1), 2)  # two replicas
+    assert one(v, 2).tolist() == [1] and one.span == k * k + 1
+    assert one.keys(v, 2).tolist() == [k * k]
+    # Two replicas' keys would pass int64: their rows are lexsorted, and
+    # particles count together only within a replica.
+    two = engine._Occupancy(topo, 2, 2)
+    assert two(np.repeat(v, 4, axis=1), 2).tolist() == [2, 2, 2, 2]
+    assert not (two.bins or two.packs)
     with pytest.raises(ValueError, match="int64"):
         topo.to_array([last + (0,)])  # level 3 holds k(k-1)^2 > 2^63 vertices
     with pytest.raises(ValueError, match="int64"):
@@ -453,7 +457,7 @@ def test_occupancy_method_follows_key_span():
 def test_sort_packs_particle_ids_below_keys_where_they_fit():
     # Past the bincount budget, one sort of keys shifted left by the bits
     # of the largest flat index, R * M - 1, with the index below them,
-    # when R * span fits INT64_MAX >> bits; else an argsort of the keys.
+    # when R * span fits INT64_MAX >> bits; else a lexsort of the rows.
     rng = np.random.default_rng(12)
     tree = build(TopologySpec.tree(3, leaf_depth=0))
     k = 2**31
@@ -462,7 +466,7 @@ def test_sort_packs_particle_ids_below_keys_where_they_fit():
     cases = [
         # 8 * 49150 keys below 9 bits of index.
         (tree, 50, 8, 14, _tree_batch(tree, 14, 400, rng), 9, True),
-        # k^2 + 1 keys do not fit below 3 bits.
+        # k^2 + 1 keys do not fit below 3 bits: the rows are lexsorted.
         (wide, 7, 1, 2, crowd, 3, False),
         # One particle packs with no bits at all.
         (wide, 1, 1, 2, crowd[:, 1:2], 0, True),
@@ -473,6 +477,35 @@ def test_sort_packs_particle_ids_below_keys_where_they_fit():
         assert not occupancy.bins
         assert occupancy.bits == bits == (R * M - 1).bit_length()
         assert occupancy.packs is packs is (R * occupancy.span <= engine.INT64_MAX >> bits)
+
+
+def test_lexsort_counts_keys_that_pass_int64():
+    # Where R * span passes INT64_MAX >> bits, neither bincount nor the
+    # packed sort runs: the vertex rows are lexsorted under the replica.
+    rng = np.random.default_rng(13)
+    k = 2**31
+    wide = build(TopologySpec.tree(k, leaf_depth=0))
+    level2 = wide.to_array([(k - 1, k - 2), (0, 0), (k - 1, k - 2), (5, 9), (0, 0), (0, 0)])
+    huge = 2**63 - 1
+    cases = [
+        # Two replicas of k^2 + 1 codes pass int64.
+        (wide, 6, 2, 2, np.tile(level2, 2)),
+        (build(TopologySpec.complete(huge)), 5, 2, 1, np.array([huge - 1, 0, huge - 1, 3, 0] * 2)),
+    ]
+    for dim in (64, 100):
+        cube = build(TopologySpec.hypercube(dim))
+        pool = [0, 1, 1 << 62, 1 << 63, (1 << dim) - 1, (1 << 63) | 1]
+        verts = [pool[i] for i in rng.integers(0, len(pool), 3 * 8)]
+        cases.append((cube, 8, 3, dim, cube.to_array(verts)))
+    grid = build(TopologySpec.grid(40))
+    pool = [tuple(rng.integers(-1, 2, 40).tolist()) for _ in range(4)] + [(0,) * 40]
+    verts = [pool[i] for i in rng.integers(0, len(pool), 2 * 10)]
+    cases.append((grid, 10, 2, 40, grid.to_array(verts)))
+    for topo, M, R, reach, v in cases:
+        occupancy = engine._Occupancy(topo, M, R)
+        _assert_counts(topo, occupancy, v, reach, M)
+        assert not (occupancy.bins or occupancy.packs), topo.spec
+        assert R * topo.code_span(reach) > engine.INT64_MAX >> occupancy.bits
 
 
 def test_walk_counts_total_matches_event_count():

@@ -143,6 +143,11 @@ def test_resolve_enforces_hypercube_cap():
         exp.resolve()
     override = dataclasses.replace(exp, omega=0.1)
     assert override.resolve().M == 10
+    # Past 1023 dimensions 2^dim has no float form; the cap still applies.
+    big = ExperimentSpec(topology=TopologySpec.hypercube(1100), M=10).resolve()
+    assert big.omega == DEFAULT_HYPERCUBE_OMEGA
+    with pytest.raises(ValueError, match="cap"):
+        dataclasses.replace(big, omega=2.0**560).resolve()
 
 
 def test_experiment_validation_errors():
@@ -302,7 +307,7 @@ ARRAY_FAMILIES = {
     "cycle": (TopologySpec.cycle(15), 7),
     "path": (TopologySpec.path(), 6),
     "hypercube": (TopologySpec.hypercube(8), 8),
-    # Past 62 dimensions 2^dim passes int64 and the vertices are ranked.
+    # Past 62 dimensions 2^dim passes int64 and the vertex rows are lexsorted.
     "hypercube-63": (TopologySpec.hypercube(63), 128),
     "hypercube-64": (TopologySpec.hypercube(64), 128),
     "hypercube-100": (TopologySpec.hypercube(100), 128),
@@ -314,9 +319,10 @@ ARRAY_FAMILIES = {
 }
 
 
-def _kept_systems(monkeypatch, chunk):
-    """Run run_replicas in chunks of `chunk` replicas, keeping every
-    ParticleSystem it makes and the size of every lockstep batch."""
+def _kept_systems(monkeypatch, chunk=None):
+    """Run run_replicas in chunks of `chunk` replicas (its own chunk size
+    if None), keeping every ParticleSystem it makes and the size of every
+    lockstep batch."""
     batches, systems = [], []
 
     def lockstep(batch, t_end):
@@ -330,7 +336,8 @@ def _kept_systems(monkeypatch, chunk):
 
     monkeypatch.setattr(harness, "advance_lockstep", lockstep)
     monkeypatch.setattr(harness, "ParticleSystem", Kept)
-    monkeypatch.setattr(harness, "_chunk_size", lambda exp, workers: chunk)
+    if chunk is not None:
+        monkeypatch.setattr(harness, "_chunk_size", lambda exp, workers: chunk)
     return batches, systems
 
 
@@ -407,7 +414,7 @@ def test_lockstep_path_boundary_abort_equals_generic_runs(monkeypatch, variant):
 )
 def test_lockstep_grid_equals_generic_runs(monkeypatch, dim, M, limit):
     # At reach 1 the keys of grid(40) would need 3^40 > 2^63 slots per
-    # replica, so its vertices are ranked instead.
+    # replica, so its vertex rows are lexsorted instead.
     if limit is not None:
         monkeypatch.setattr(engine, "COORDINATE_LIMIT", limit)
     batches, systems = _kept_systems(monkeypatch, 7)
@@ -467,14 +474,25 @@ def test_chunk_size_batches_every_array_family(monkeypatch):
     assert size(TopologySpec.path(), 100) == 2**15 // 100
     assert size(TopologySpec.tree(3), 4096) == 8
     assert size(TopologySpec.hypercube(16), 100) == 2**15 // 100
-    # No more replicas than the keys of one int64 allow.
-    assert size(TopologySpec.hypercube(62), 2, replicas=10) == 1
+    # Keys past int64 lexsort the rows, so they do not limit a batch.
+    assert size(TopologySpec.hypercube(62), 2, replicas=10) == 10
     assert size(TopologySpec.grid(2), 10) == 2**15 // 10
     assert size(TopologySpec.cayley((4, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)]), 5) == 2**15 // 17
-    # A hypercube past 62 dimensions has 2^dim > INT64_MAX vertices: one replica at a time.
-    assert size(TopologySpec.hypercube(63), 2) == 1
+    assert size(TopologySpec.hypercube(63), 2) == 2**15 // 2
     # Never more replicas than a worker's share.
     assert size(TopologySpec.path(), 100, replicas=10) == 10
+
+
+def test_hypercube_past_62_dimensions_batches_by_default(monkeypatch):
+    # Keys past int64 no longer cap a batch at one replica.
+    exp = ExperimentSpec(TopologySpec.hypercube(64), 128, replicas=6, master_seed=3)
+    many = dataclasses.replace(exp, replicas=10**6).resolve()
+    assert harness._chunk_size(many, 1) == 2**15 // 128
+    batches, systems = _kept_systems(monkeypatch)
+    results, _ = run_replicas(exp)
+    assert batches == [6]
+    _assert_equal_generic_runs(exp.resolve(), results, systems)
+    assert all(r.dispersed for r in results)
 
 
 # -- scans -----------------------------------------------------------------------
