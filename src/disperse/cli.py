@@ -144,7 +144,10 @@ def _add_experiment_flags(p: argparse.ArgumentParser):
         "and give identical results",
     )
     p.add_argument(
-        "--record-trajectories", action=argparse.BooleanOptionalAction, default=None
+        "--record-trajectories",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        help="accepted for replaying configs; the command line writes no trajectories",
     )
     p.add_argument("--omega", type=float)
     p.add_argument("--config", help="INI file; explicit flags override it")

@@ -39,6 +39,10 @@ entry, counts occupancy afresh each step with a Counter, moves one
 particle at a time on the topology's own addresses, and encodes the
 arrays again on exit. Only `force_generic=True` selects it. A step that
 raises, on either loop, leaves the system at its last completed step.
+
+Neither loop knows of trajectory logs. A run that records returns a
+TrajectoryLog of its inputs, step count and final positions; its move
+events are read back by running the same seed again on the same loop.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ __all__ = [
 
 SCHEMA = "disperse/1"
 
-# Trajectory recording refuses runs beyond this many move events.
+# A trajectory log refuses to list more than this many move events.
 RECORD_EVENT_CAP = 50_000_000
 
 # Supercritical runs never end on their own; a hard cap is mandatory.
@@ -136,19 +140,50 @@ class StepReport(NamedTuple):
     dispersed_after: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryLog:
-    """Move events of one run: (step, particle, destination), in
-    application order. Positions are reconstructed by replaying
-    events on top of the shared origin.
+    """A recorded run, kept as its inputs: every run is a pure function of
+    (spec, M, variant, seed, budget), so the log stores no moves and
+    reading them runs the system again on the loop that produced them.
+
+    `events` are the move events (step, particle, destination), in
+    step order and, within a step, particle-id order; reading more than
+    RECORD_EVENT_CAP of them raises. A rerun that does not end at the
+    stored final positions raises too.
     """
 
     spec: TopologySpec
     particles: int
     origin: Any
     seed: int
-    events: list = field(default_factory=list)
-    steps: int = 0
+    variant: Variant
+    force_generic: bool
+    steps: int
+    final: np.ndarray = field(compare=False, repr=False)  # positions at `steps`, array form
+
+    def __post_init__(self):
+        self.final.flags.writeable = False
+
+    def _rerun(self) -> ParticleSystem:
+        return ParticleSystem(
+            self.spec, self.particles, self.variant, self.seed, force_generic=self.force_generic
+        )
+
+    @property
+    def events(self) -> list[tuple[int, int, Any]]:
+        ps = self._rerun()
+        out: list[tuple[int, int, Any]] = []
+        for t in range(self.steps):
+            walked = ps._N.copy()
+            ps._advance(t + 1)
+            movers = (ps._N != walked).nonzero()[0]
+            if len(out) + movers.size > RECORD_EVENT_CAP:
+                raise RuntimeError(f"trajectory log would pass {RECORD_EVENT_CAP} move events")
+            dests = ps.topo.from_array(ps._posv[..., movers])
+            out.extend(zip([t] * movers.size, movers.tolist(), dests))
+        if ps.t != self.steps or not np.array_equal(ps._posv, self.final):
+            raise RuntimeError("trajectory log does not replay to its final positions")
+        return out
 
     def per_particle(self) -> list[list[tuple[int, Any]]]:
         out: list[list[tuple[int, Any]]] = [[] for _ in range(self.particles)]
@@ -157,13 +192,13 @@ class TrajectoryLog:
         return out
 
     def positions_at(self, t: int) -> list[Any]:
-        """Positions at the start of step t (t <= steps)."""
-        pos = [self.origin] * self.particles
-        for et, pid, dest in self.events:
-            if et >= t:
-                break
-            pos[pid] = dest
-        return pos
+        """Positions at the start of step t; from `steps` on, the run's
+        final positions."""
+        if t >= self.steps:
+            return build(self.spec).from_array(self.final)
+        ps = self._rerun()
+        ps._advance(t)
+        return ps.positions
 
 
 @dataclass
@@ -232,7 +267,7 @@ class ParticleSystem:
         self.meeting_total = 0
         self.max_distance_ever = 0
         self.boundary_flag = False  # truncated-leaf forcing fired
-        self._log: Optional[TrajectoryLog] = None
+        self._record = False  # run() returns a TrajectoryLog
 
         self._lazy = variant.kind == "lazy"
         self._reference = force_generic  # step on the scalar reference loop
@@ -277,14 +312,9 @@ class ParticleSystem:
         return self.particles - unhappy, unhappy
 
     def record_trajectories(self, on: bool) -> None:
-        if on:
-            if self.t > 0:
-                raise RuntimeError("trajectory recording must be enabled before the first step")
-            self._log = TrajectoryLog(
-                self.spec, self.particles, self.topo.origin, self.seed
-            )
-        else:
-            self._log = None
+        if on and self.t > 0:
+            raise RuntimeError("record_trajectories(True) must come before the first step")
+        self._record = on
 
     # -- stepping, scalar reference loop ---------------------------------------
 
@@ -293,7 +323,7 @@ class ParticleSystem:
         a time on the topology's own addresses, with occupancy counted
         afresh each step: the reference every kernel is checked against.
         It decodes the system's arrays on entry and encodes them on exit."""
-        topo, log = self.topo, self._log
+        topo = self.topo
         pos, N, dkeys = topo.from_array(self._posv), self._N.tolist(), self._dkv.tolist()
         if self._lazy:
             L, lkeys = self._Lv.tolist(), self._lkv.tolist()
@@ -313,8 +343,6 @@ class ParticleSystem:
                     for i in movers
                 ]
                 topo.to_array(dests)  # raises where a destination has no int64 form
-                if log is not None and len(log.events) + len(movers) > RECORD_EVENT_CAP:
-                    raise _event_cap_error()
                 # Nothing below raises: the step is applied whole.
                 if self._lazy:
                     for i in unhappy:
@@ -327,9 +355,6 @@ class ParticleSystem:
                         self.max_distance_ever, topo.distance_to_origin(dest)
                     )
                 self.meeting_total += sum(c * (c - 1) // 2 for c in occupancy.values())
-                if log is not None:
-                    log.events.extend((self.t, i, dest) for i, dest in zip(movers, dests))
-                    log.steps = self.t + 1
                 self.t += 1
         finally:
             self._posv[:] = topo.to_array(pos)
@@ -372,6 +397,12 @@ class ParticleSystem:
         else:
             status = Status.BUDGET_EXHAUSTED
         d_disp = int(self.topo.distance_array(self._posv).max())
+        log = None
+        if self._record:
+            log = TrajectoryLog(
+                self.spec, self.particles, self.topo.origin, self.seed,
+                self.variant, self._reference, self.t, self._posv.copy(),
+            )
         return RunResult(
             status=status,
             steps=self.t,
@@ -382,12 +413,8 @@ class ParticleSystem:
             walk_counts=self.walk_counts,
             seed=self.seed,
             boundary_flag=self.boundary_flag,
-            trajectories=self._log,
+            trajectories=log,
         )
-
-
-def _event_cap_error() -> RuntimeError:
-    return RuntimeError(f"trajectory recording would exceed {RECORD_EVENT_CAP} move events")
 
 
 # -- stepping, lockstep array kernel ------------------------------------------
@@ -496,8 +523,8 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
     serves every replica. A replica leaves the batch, keeping its own t,
     once it disperses or, on an unbounded graph, once its reach passes
     COORDINATE_LIMIT. A lone system is stepped on its own arrays. A step
-    that raises (the event cap, or a tree vertex past int64) changes no
-    system: each is left at its last completed step.
+    that raises (a tree vertex past int64) changes no system: each is
+    left at its last completed step.
     """
     if any(s._reference for s in systems):
         raise ValueError("lockstep systems must be on the array kernel")
@@ -545,7 +572,6 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
     reach = int(far.max())
     flag = np.array([s.boundary_flag for s in live])
     all_far = reach == full and bool((far == full).all())
-    recording = any(s._log is not None for s in live)
     occupancy = _Occupancy(topo, M, R)
 
     def settle(rows, done):
@@ -563,8 +589,6 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
             s.max_distance_ever = int(far[j])
             s.boundary_flag = bool(flag[j])
             s._dispersed = bool(done[j])
-            if s._log is not None:
-                s._log.steps = t
 
     try:
         while True:
@@ -604,8 +628,6 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
                 flat = pos.ndim == 1  # else the rows of the grid or the tree
                 src = pos.take(idx) if flat else pos.take(idx, axis=1)
                 dest = topo.neighbor_array(src, draw_array(dk.take(idx), c))
-                if recording:
-                    _record_lockstep(live, t, idx, dest, M, topo)
             # Nothing below raises: the step is applied whole.
             if lazyv:
                 L[unhappy] = lc
@@ -634,21 +656,6 @@ def _keep(x: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
     """The M-long segments of x (along its last axis) of replicas `rows`."""
     lead = x.shape[:-1]
     return x.reshape(lead + (-1, M)).take(rows, axis=-2).reshape(lead + (-1,))
-
-
-def _record_lockstep(live, t, idx, dest, M, topo) -> None:
-    """Append step t's moves to each recording replica's log, in
-    particle-id order, once every log is known to stay within the cap."""
-    bounds = np.searchsorted(idx, np.arange(len(live) + 1) * M).tolist()
-    logs = [(j, s._log) for j, s in enumerate(live) if s._log is not None]
-    if any(len(log.events) + bounds[j + 1] - bounds[j] > RECORD_EVENT_CAP for j, log in logs):
-        raise _event_cap_error()
-    for j, log in logs:
-        lo, hi = bounds[j], bounds[j + 1]
-        log.events.extend(
-            (t, pid - j * M, d)
-            for pid, d in zip(idx[lo:hi].tolist(), topo.from_array(dest[..., lo:hi]))
-        )
 
 
 # Functional mirrors of the spec operations.

@@ -93,9 +93,6 @@ class Family(str, Enum):
     CAYLEY = "cayley"
 
 
-_FINITE = {Family.COMPLETE, Family.STAR, Family.CYCLE, Family.HYPERCUBE, Family.CAYLEY}
-
-
 @dataclass(frozen=True)
 class TopologySpec:
     """Declarative description of one graph; validated on build.
@@ -321,7 +318,11 @@ class Topology:
     spec: TopologySpec
     origin: Any
     n_vertices: Optional[int]  # None when infinite
-    unbounded: bool  # True when coordinates can grow without limit
+
+    @property
+    def unbounded(self) -> bool:
+        """True when coordinates can grow without limit: the graph is infinite."""
+        return self.n_vertices is None
 
     def degree(self, v: Any) -> int:
         raise NotImplementedError
@@ -401,8 +402,6 @@ class Topology:
 
 
 class _Complete(Topology):
-    unbounded = False
-
     def __init__(self, spec: TopologySpec):
         self.spec = spec
         self.n = spec.n
@@ -448,8 +447,6 @@ class _Complete(Topology):
 
 
 class _Star(Topology):
-    unbounded = False
-
     def __init__(self, spec: TopologySpec):
         self.spec = spec
         self.n = spec.n
@@ -490,8 +487,6 @@ class _Star(Topology):
 
 
 class _Path(Topology):
-    unbounded = True
-
     def __init__(self, spec: TopologySpec):
         self.spec = spec
         self.origin = 0
@@ -530,8 +525,6 @@ class _Path(Topology):
 
 
 class _Cycle(Topology):
-    unbounded = False
-
     def __init__(self, spec: TopologySpec):
         self.spec = spec
         self.n = spec.n
@@ -581,8 +574,8 @@ class _Tree(Topology):
         # default truncation rule before building when unset.
         self.leaf_depth = spec.leaf_depth or 0
         self.origin = ()
-        self.unbounded = self.leaf_depth == 0
         self.n_vertices = None if self.leaf_depth == 0 else self._full_ball(self.leaf_depth)
+        self._above = np.zeros(1, dtype=np.int64)  # vertices above each level, per vertex_codes
 
     def _full_ball(self, r: int) -> int:
         # 1 + k * sum_{i=0}^{r-1} (k-1)^i
@@ -700,16 +693,16 @@ class _Tree(Topology):
 
     def vertex_codes(self, v: np.ndarray, reach: int) -> np.ndarray:
         # Breadth-first numbering: a vertex's code is its index plus the
-        # number of vertices above its level.
-        above = [0] + [self._full_ball(d) for d in range(reach)]
-        codes = np.array(above, dtype=np.int64).take(v[0])
+        # number of vertices above its level, tabled once per reach.
+        if self._above.size <= reach:
+            above = [0] + [self._full_ball(d) for d in range(reach)]
+            self._above = np.array(above, dtype=np.int64)
+        codes = self._above.take(v[0])
         codes += v[1]
         return codes
 
 
 class _Grid(Topology):
-    unbounded = True
-
     def __init__(self, spec: TopologySpec):
         self.spec = spec
         self.dim = spec.dim
@@ -771,8 +764,6 @@ class _Grid(Topology):
 
 
 class _Hypercube(Topology):
-    unbounded = False
-
     def __init__(self, spec: TopologySpec):
         self.spec = spec
         self.dim = spec.dim
@@ -839,7 +830,6 @@ class _Cayley(Topology):
     most significant.
     """
 
-    unbounded = False
     def __init__(self, spec: TopologySpec):
         self.spec = spec
         self.moduli, self.gens = spec.moduli, spec.generators

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -20,7 +21,7 @@ from disperse.engine import (
     step,
 )
 from disperse.rng import MASK64
-from disperse.topology import TopologySpec, build
+from disperse.topology import Family, TopologySpec, build
 
 
 def K(n, loops=False):
@@ -223,7 +224,7 @@ def test_lazy_p1_replays_standard_run():
         b.record_trajectories(True)
         ra, rb = a.run(5000), b.run(5000)
         assert ra.t_disp == rb.t_disp
-        assert a._log.events == b._log.events
+        assert ra.trajectories.events == rb.trajectories.events
 
 
 def test_run_equals_manual_step_loop():
@@ -307,19 +308,52 @@ def test_trajectory_replay_matches_final_positions():
 
 
 @pytest.mark.parametrize("force_generic", [False, True])
-def test_event_cap_fails_before_the_log_outgrows_it(monkeypatch, force_generic):
-    cap = 25
-    monkeypatch.setattr(engine, "RECORD_EVENT_CAP", cap)
+def test_event_cap_fails_when_events_are_read(monkeypatch, force_generic):
+    monkeypatch.setattr(engine, "RECORD_EVENT_CAP", 25)
     ps = ParticleSystem(K(30), 20, seed=4, force_generic=force_generic)
     ps.record_trajectories(True)
+    r = ps.run(1000)
+    log = r.trajectories
+    # The run itself is not limited; reading its events is.
+    walked = int(r.walk_counts.sum())
+    assert r.dispersed and log.steps == ps.t == r.steps and walked > 25
     with pytest.raises(RuntimeError, match="25 move events"):
-        ps.run(1000)
-    log = ps._log
-    assert 0 < len(log.events) <= cap
-    # The step that would pass the cap is not applied at all.
-    assert int(ps.walk_counts.sum()) == len(log.events)
-    assert ps.positions == log.positions_at(ps.t)
-    assert ps.t == log.steps
+        log.events
+    with pytest.raises(RuntimeError, match="25 move events"):
+        log.per_particle()
+    assert log.positions_at(log.steps) == ps.positions
+    lone = ParticleSystem(K(30), 20, seed=4, force_generic=force_generic)
+    for t in range(log.steps):
+        assert log.positions_at(t) == lone.positions
+        lone.step()
+    monkeypatch.setattr(engine, "RECORD_EVENT_CAP", walked - 1)
+    with pytest.raises(RuntimeError, match=f"{walked - 1} move events"):
+        log.events
+    monkeypatch.setattr(engine, "RECORD_EVENT_CAP", walked)
+    assert len(log.events) == walked
+
+
+@pytest.mark.parametrize("force_generic", [False, True])
+def test_a_log_that_does_not_replay_to_its_final_positions_raises(force_generic):
+    ps = ParticleSystem(TopologySpec.grid(2), 6, seed=31, force_generic=force_generic)
+    ps.record_trajectories(True)
+    log = ps.run(1000).trajectories
+    assert len(log.events) == int(ps.walk_counts.sum())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        log.steps = 0
+    with pytest.raises(ValueError, match="read-only"):
+        log.final[0, 0] += 1
+    moved = log.final.copy()
+    moved[0, 0] += 1
+    for bad in (dataclasses.replace(log, final=moved), dataclasses.replace(log, seed=32)):
+        with pytest.raises(RuntimeError, match="does not replay"):
+            bad.events
+    # A system moved by hand before its run does not replay from its seed.
+    ps = ParticleSystem(TopologySpec.grid(2), 6, seed=31, force_generic=force_generic)
+    ps.record_trajectories(True)
+    ps._posv[0, :3] = 1
+    with pytest.raises(RuntimeError, match="does not replay"):
+        ps.run(1000).trajectories.events
 
 
 @pytest.mark.parametrize("force_generic", [False, True])
@@ -434,15 +468,24 @@ def test_occupancy_method_follows_key_span():
     rng = np.random.default_rng(11)
     path, kn = build(TopologySpec.path()), build(K(1000))
     tree = build(TopologySpec.tree(3, leaf_depth=0))
+    binary = build(TopologySpec.tree(2, leaf_depth=0))
     cases = [
         (path, 100, 10, 60, rng.integers(-60, 61, 1000), True),  # 10 * 121 bins
         (kn, 600, 8, 1, rng.integers(0, 1000, 4800), True),  # 8 * 1000 bins
         (tree, 50, 8, 14, _tree_batch(tree, 14, 400, rng), False),  # 8 * 49150 bins
+        (binary, 20, 8, 117, _tree_batch(binary, 117, 160, rng), True),  # 8 * 235 bins
+        (binary, 20, 8, 100, _tree_batch(binary, 100, 160, rng), True),  # 8 * 201 bins
+        (tree, 50, 8, 40, _tree_batch(tree, 40, 400, rng), False),  # 8 * (3 * 2^40 - 2)
     ]
     for topo, M, R, reach, v, bins in cases:
         occupancy = engine._Occupancy(topo, M, R)
         _assert_counts(topo, occupancy, v, reach, M)
         assert occupancy.bins is bins, topo.spec
+        if topo.spec.family is Family.TREE:
+            # Breadth-first codes: the vertices above a level, plus the index.
+            depth, index = v.tolist()
+            want = [topo.ball_size(d - 1) + x if d else 0 for d, x in zip(depth, index)]
+            assert topo.vertex_codes(v, reach).tolist() == want
     # At reach 12, 8 * 12286 bins do not fit; for the 2 replicas a batch
     # keeps once 6 leave, 2 * 12286 do.
     v = _tree_batch(tree, 12, 400, rng)

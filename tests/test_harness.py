@@ -432,27 +432,94 @@ def test_lockstep_grid_equals_generic_runs(monkeypatch, dim, M, limit):
         assert aborted and all(r.max_distance_ever == limit + 1 for r in aborted)
 
 
-def test_event_cap_leaves_every_lockstep_replica_at_its_last_step(monkeypatch):
+@pytest.mark.parametrize(
+    "variant, master, last", [(STANDARD, 1, 0), (lazy(0.05), 1, 5)], ids=["std", "lazy0.05"]
+)
+def test_a_raising_step_leaves_every_lockstep_replica_at_its_last_step(variant, master, last):
+    # Two particles on one depth-1 vertex of tree(2^40) in each system;
+    # level 2 has about 2^80 vertices, so a move there raises.
+    spec = TopologySpec.tree(2**40, leaf_depth=0)
+
+    def placed(j, **kw):
+        ps = ParticleSystem(spec, 2, variant, seed=derive_seed(master, j), **kw)
+        ps._posv[:] = ps.topo.to_array([(j,), (j,)])
+        ps.max_distance_ever = 1
+        return ps
+
+    systems = [placed(j) for j in range(4)]
+    with pytest.raises(ValueError, match="int64"):
+        advance_lockstep(systems, 50)
+    raised_at = []
+    for j, ps in enumerate(systems):
+        assert (ps.t, ps.meeting_total, ps.walk_counts.tolist()) == (last, last, [0, 0])
+        assert ps.positions == [(j,), (j,)] and not ps.is_dispersed()
+        ref = placed(j, force_generic=True)
+        ref.run(last)
+        assert ps.t == ref.t and ps.meeting_total == ref.meeting_total
+        if variant.kind == "lazy":
+            assert ps._Lv.tolist() == ref._Lv.tolist() == [last, last]
+        with pytest.raises(ValueError, match="int64"):
+            ref.run(50)
+        raised_at.append(ref.t)
+    # The batch stopped at the first step at which any of its systems raises.
+    assert min(raised_at) == last
+
+
+def test_event_cap_applies_when_batch_events_are_read(monkeypatch):
     monkeypatch.setattr(engine, "RECORD_EVENT_CAP", 40)
     batches, systems = _kept_systems(monkeypatch, 4)
     exp = ExperimentSpec(
         TopologySpec.complete(30), 20, budget=1000, replicas=4, master_seed=5,
         record_trajectories=True,
     )
-    with pytest.raises(RuntimeError, match="40 move events"):
-        run_replicas(exp)
+    results, _ = run_replicas(exp)  # the runs are not limited
     assert batches == [4]
-    for i, ps in enumerate(systems):
-        log = ps._log
-        assert int(ps.walk_counts.sum()) == len(log.events) <= 40
-        assert ps.positions == log.positions_at(ps.t)
-        assert ps.t == log.steps
+    for i, (ps, res) in enumerate(zip(systems, results)):
+        assert res.dispersed and res.trajectories.steps == ps.t
+        walked = int(ps.walk_counts.sum())
+        assert walked > 40
+        with pytest.raises(RuntimeError, match="40 move events"):
+            res.trajectories.events
+        assert res.trajectories.positions_at(ps.t) == ps.positions
         ref = ParticleSystem(exp.topology, 20, seed=derive_seed(5, i), force_generic=True)
-        want = ref.run(ps.t)
-        assert (ps.meeting_total, ps.max_distance_ever, ps.is_dispersed()) == (
-            want.meeting_total, want.max_distance_ever, want.dispersed
-        )
+        ref.record_trajectories(True)
+        want = ref.run(1000)
+        assert res.to_record() == want.to_record()
         assert ps.walk_counts.tolist() == want.walk_counts.tolist()
+        monkeypatch.setattr(engine, "RECORD_EVENT_CAP", walked)
+        assert res.trajectories.events == want.trajectories.events
+        monkeypatch.setattr(engine, "RECORD_EVENT_CAP", 40)
+
+
+# K_n beside four array families; hypercube(64)'s counts lexsort its rows.
+STEPWISE_FAMILIES = {
+    "complete": (TopologySpec.complete(20), 12),
+    **{f: ARRAY_FAMILIES[f] for f in ("path", "tree-leaves", "grid", "hypercube-64")},
+}
+
+
+@pytest.mark.parametrize("family", list(STEPWISE_FAMILIES))
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy0.5"])
+def test_lockstep_batch_equals_lone_systems_after_every_step(family, variant):
+    spec, M = STEPWISE_FAMILIES[family]
+    seeds = [derive_seed(17, i) for i in range(4)]
+    batch = [ParticleSystem(spec, M, variant, seed) for seed in seeds]
+    lone = [ParticleSystem(spec, M, variant, seed) for seed in seeds]
+    for t in range(400):
+        advance_lockstep(batch, t + 1)
+        for ps in lone:
+            ps._advance(t + 1)
+        for b, a in zip(batch, lone):
+            assert b.t == a.t
+            assert b.positions == a.positions
+            assert b.walk_counts.tolist() == a.walk_counts.tolist()
+            assert (b.meeting_total, b.max_distance_ever, b.boundary_flag) == (
+                a.meeting_total, a.max_distance_ever, a.boundary_flag
+            )
+        if all(ps.is_dispersed() for ps in lone):
+            break
+    assert any(ps.is_dispersed() for ps in lone)
+    assert len({ps.t for ps in lone}) > 1  # replicas left the batch apart
 
 
 def test_cayley_bfs_runs_once_per_group():
