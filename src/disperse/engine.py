@@ -16,22 +16,26 @@ modes run the same code: a counter-based draw needs no buffer, so
 `walk_mode` has no effect on results and is kept only so that
 configs naming either mode still replay.
 
-One production kernel, the lockstep array kernel `advance_lockstep`,
-runs every input on int64 vertex arrays (see topology): the tree as
-(depth, index) pairs, the grid and the hypercube as rows, cayley as
-mixed-radix ints. It steps R replicas together on flat arrays of R*M
-particles, so numpy's per-call cost is paid once per step for all of
-them; a single system's step() and run() are the R = 1 case, stepped
-on the system's own arrays. Occupancy is counted on packed (replica,
-vertex) keys: replica * span plus a vertex code in [0, span), where the
-span is n on K_n, star, cycle, hypercube and cayley, and grows with the
-farthest distance reached so far on the path, grid and tree. One
+One production kernel, the lockstep array kernel `lockstep_pool`
+(`advance_lockstep` runs it to its end), runs every input on int64
+vertex arrays (see topology): the tree as (depth, index) pairs, the
+grid and the hypercube as rows, cayley as mixed-radix ints. It steps R
+replicas together on flat arrays of R*M particles, so numpy's per-call
+cost is paid once per step for all of them. The replicas need not be
+at the same step, and R is at most `lockstep_batch_size`: when one
+leaves, the next waiting system takes over its slot, so a long run of
+replicas keeps the batch full until the last ones. A single system's
+step() and run() are the R = 1 case, stepped on the system's own
+arrays. Occupancy is counted on packed (replica, vertex) keys: replica
+* span plus a vertex code in [0, span), where the span is n on K_n,
+star, cycle, hypercube and cayley, and grows with the farthest
+distance reached so far on the path, grid and tree. One
 bincount over R*span bins counts them when R*span <= LOCKSTEP_ELEMENTS,
 else one sort of keys with particle ids packed below them where those
 words fit an int64, else one lexsort of the vertex rows under the replica
 index; the choice is made afresh each step, as the span grows and as
-replicas leave. `lockstep_batch_size` sizes a batch by the same budget
-of elements. Tuple addresses are decoded only for `positions` and
+replicas come and go. `lockstep_batch_size` sizes a batch by the same
+budget of elements. Tuple addresses are decoded only for `positions` and
 trajectory events.
 
 A scalar reference loop gives the same bits: it decodes the arrays on
@@ -50,7 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -81,6 +85,7 @@ __all__ = [
     "ParticleSystem",
     "LOCKSTEP_ELEMENTS",
     "advance_lockstep",
+    "lockstep_pool",
     "lockstep_batch_size",
     "init",
     "step",
@@ -513,110 +518,179 @@ def lockstep_batch_size(topo: Topology, M: int) -> int:
     return max(1, LOCKSTEP_ELEMENTS // (M + bins))
 
 
-def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
-    """Advance array-kernel systems to step t_end (or dispersal) in
-    lockstep, bit for bit as if each ran alone.
+def advance_lockstep(systems: Iterable[ParticleSystem], t_end: int) -> None:
+    """Advance array-kernel systems to step t_end (or dispersal), bit for
+    bit as if each ran alone: `lockstep_pool` run to its end. The
+    systems need not share a step; a freed slot takes the next one."""
+    for _ in lockstep_pool(systems, t_end):
+        pass
 
-    The systems must share the graph, particle count, variant and
-    current step. Their states are laid end to end in flat arrays of
-    R*M particles, and one occupancy count over (replica, vertex) keys
-    serves every replica. A replica leaves the batch, keeping its own t,
-    once it disperses or, on an unbounded graph, once its reach passes
-    COORDINATE_LIMIT. A lone system is stepped on its own arrays. A step
-    that raises (a tree vertex past int64) changes no system: each is
-    left at its last completed step.
+
+def lockstep_pool(
+    systems: Iterable[ParticleSystem], t_end: int
+) -> Iterator[tuple[int, ParticleSystem]]:
+    """Advance array-kernel systems to step t_end (or dispersal) in
+    lockstep, bit for bit as if each ran alone, and yield (i, system)
+    for the i-th of `systems` as it leaves.
+
+    The systems must share the graph, particle count and variant, but
+    not the step: each keeps its own t. At most `lockstep_batch_size`
+    of them are live at once, each in a slot of flat arrays of R*M
+    particles laid end to end, and one occupancy count over (replica,
+    vertex) keys serves every replica. A replica leaves, keeping its own
+    t, once it reaches t_end or disperses or, on an unbounded graph, once
+    its reach passes COORDINATE_LIMIT. Its state is written back to the
+    arrays it was built with, and the next system of `systems`, taken
+    only now, takes over its slot in place; only the newcomer's segment
+    is counted. A system already at t_end, dispersed or out of bounds
+    is yielded as it is taken. A lone system is stepped on its own
+    arrays. A step that raises (a tree vertex past int64) leaves each
+    live system at its last completed step, and systems not yet taken
+    untouched.
     """
-    if any(s._reference for s in systems):
-        raise ValueError("lockstep systems must be on the array kernel")
-    live = [
-        s for s in systems if not (s._dispersed or s.boundary_abort) and s.t < t_end
-    ]
-    if not live:
+    queue = enumerate(systems)
+    shape = None  # graph, particle count and variant of the first live system
+
+    def live(s: ParticleSystem) -> bool:
+        """Whether s is to be stepped, not yielded as it is; raises if it
+        cannot join the pool."""
+        nonlocal shape
+        if s._reference:
+            raise ValueError("lockstep systems must be on the array kernel")
+        if s._dispersed or s.boundary_abort or s.t >= t_end:
+            return False
+        if shape is None:
+            shape = (s.spec, s.particles, s.variant)
+        elif (s.spec, s.particles, s.variant) != shape:
+            raise ValueError("lockstep systems must share the graph, particle count and variant")
+        return True
+
+    slots = []  # (i, system) live in each slot, None once it left
+    for got in queue:
+        if not live(got[1]):
+            yield got
+            continue
+        slots.append(got)
+        if len(slots) == 1:
+            topo, M, variant = got[1].topo, got[1].particles, got[1].variant
+            width = lockstep_batch_size(topo, M)
+        if len(slots) == width:
+            break
+    if not slots:
         return
-    first = live[0]
-    M, t, topo = first.particles, first.t, first.topo
-    for s in live:
-        if (s.spec, s.particles, s.variant, s.t) != (first.spec, M, first.variant, t):
-            raise ValueError(
-                "lockstep systems must share the graph, particle count, variant and step"
-            )
-    lazyv = first._lazy
-    p = first.variant.p
+    lazyv = variant.kind == "lazy"
+    p = variant.p
     leaf = topo.spec.family is Family.TREE and topo.leaf_depth  # truncated leaves' depth
     unbounded = topo.unbounded
     full = topo.max_distance
 
-    R = len(live)
-    own = R == 1  # step the system's own arrays; nothing to write back
+    R = len(slots)
+    # A single slot (a lone system, or a width of one) steps each system
+    # on its own arrays, with nothing to write back.
+    own = R == 1
     if own:
-        pos, N, dk = first._posv, first._N, first._dkv
+        s = slots[0][1]
+        pos, N, dk = s._posv, s._N, s._dkv
         if lazyv:
-            L, lk = first._Lv, first._lkv
+            L, lk = s._Lv, s._lkv
     else:
-        pos = np.concatenate([s._posv for s in live], axis=-1)
-        N = np.concatenate([s._N for s in live])
-        dk = np.concatenate([s._dkv for s in live])
+        pos = np.concatenate([s._posv for _, s in slots], axis=-1)
+        N = np.concatenate([s._N for _, s in slots])
+        dk = np.concatenate([s._dkv for _, s in slots])
         if lazyv:
-            L = np.concatenate([s._Lv for s in live])
-            lk = np.concatenate([s._lkv for s in live])
-        # Each system keeps views of its segment, not a second copy.
-        for j, s in enumerate(live):
-            seg = slice(j * M, (j + 1) * M)
-            s._posv, s._N, s._dkv = pos[..., seg], N[seg], dk[seg]
-            if lazyv:
-                s._Lv, s._lkv = L[seg], lk[seg]
+            L = np.concatenate([s._Lv for _, s in slots])
+            lk = np.concatenate([s._lkv for _, s in slots])
+    # The pool's own step count k: slot j is at step k + lag[j], and
+    # the first slot reaches t_end at k = due.
+    k = 0
+    ts = [s.t for _, s in slots]
+    lag = np.array(ts, dtype=np.int64)
+    due = t_end - max(ts)
     # Twice the meetings so far plus M per step: a step adds its load.
-    meet = np.array([2 * s.meeting_total for s in live], dtype=np.int64)
-    t0 = t
-    far = np.array([s.max_distance_ever for s in live], dtype=np.int64)
+    meet = np.array([2 * s.meeting_total + M * s.t for _, s in slots], dtype=np.int64)
+    far = np.array([s.max_distance_ever for _, s in slots], dtype=np.int64)
     reach = int(far.max())
-    flag = np.array([s.boundary_flag for s in live])
     all_far = reach == full and bool((far == full).all())
+    flag = np.array([s.boundary_flag for _, s in slots])
     occupancy = _Occupancy(topo, M, R)
+    lone = occupancy if own else _Occupancy(topo, M, 1)  # counts a newcomer
+    occ = occupancy(pos, reach)
+    # Sum over a replica's particles of their vertex's occupancy: M
+    # exactly when it is dispersed, else M + 2 * its meetings.
+    load = occ.reshape(R, M).sum(1)
 
-    def settle(rows, done):
-        """Write the state of batch replicas `rows` back to their systems."""
-        for j in rows:
-            s = live[j]
-            if not own:
-                seg = slice(j * M, (j + 1) * M)
-                s._posv[:] = pos[..., seg]
-                s._N[:] = N[seg]
-                if lazyv:
-                    s._Lv[:] = L[seg]
-            s.t = t
-            s.meeting_total = (int(meet[j]) - M * (t - t0)) // 2
-            s.max_distance_ever = int(far[j])
-            s.boundary_flag = bool(flag[j])
-            s._dispersed = bool(done[j])
+    def settle(j, done):
+        """Write slot j's state back to its system and free the slot;
+        returns (i, system)."""
+        i, s = slots[j]
+        slots[j] = None
+        if not own:
+            seg = slice(j * M, (j + 1) * M)
+            s._posv[:] = pos[..., seg]
+            s._N[:] = N[seg]
+            if lazyv:
+                s._Lv[:] = L[seg]
+        s.t = k + int(lag[j])
+        s.meeting_total = (int(meet[j]) - M * s.t) // 2
+        s.max_distance_ever = int(far[j])
+        s.boundary_flag = bool(flag[j])
+        s._dispersed = bool(done)
+        return i, s
 
     try:
         while True:
-            occ = occupancy(pos, reach)
-            # Sum over a replica's particles of their vertex's occupancy:
-            # M exactly when it is dispersed, else M + 2 * its meetings.
-            load = occ.reshape(R, M).sum(1)
             outside = unbounded and reach > COORDINATE_LIMIT
-            if t >= t_end or load.min() == M or outside:
+            if k >= due or load.min() == M or outside:
                 done = load == M
-                if t >= t_end:
-                    leave = np.ones(R, dtype=bool)
-                else:
-                    leave = done | (far > COORDINATE_LIMIT) if outside else done
-                settle(np.flatnonzero(leave).tolist(), done)
-                if leave.all():
-                    return
-                stay = ~leave
-                live = [s for s, k in zip(live, stay.tolist()) if k]
-                R = len(live)
-                rows = stay.nonzero()[0]
-                pos, N, dk = _keep(pos, rows, M), _keep(N, rows, M), _keep(dk, rows, M)
-                if lazyv:
-                    L, lk = _keep(L, rows, M), _keep(lk, rows, M)
-                meet, far, flag = meet[stay], far[stay], flag[stay]
+                leave = done if k < due else done | (lag >= t_end - k)
+                if outside:
+                    leave = leave | (far > COORDINATE_LIMIT)
+                for j in leave.nonzero()[0].tolist():
+                    yield settle(j, done[j])
+                    for got in queue:
+                        if live(got[1]):
+                            break
+                        yield got
+                    else:
+                        continue  # `systems` is spent
+                    slots[j] = got
+                    s = got[1]
+                    seg = slice(j * M, (j + 1) * M)
+                    if own:
+                        pos, N, dk = s._posv, s._N, s._dkv
+                        if lazyv:
+                            L, lk = s._Lv, s._lkv
+                    else:
+                        pos[..., seg] = s._posv
+                        N[seg] = s._N
+                        dk[seg] = s._dkv
+                        if lazyv:
+                            L[seg] = s._Lv
+                            lk[seg] = s._lkv
+                    lag[j] = s.t - k
+                    meet[j] = 2 * s.meeting_total + M * s.t
+                    far[j] = s.max_distance_ever
+                    flag[j] = s.boundary_flag
+                    occ[seg] = lone(s._posv, s.max_distance_ever)
+                    load[j] = occ[seg].sum()
+                if None in slots:  # `systems` is spent: close the gaps
+                    rows = [j for j, slot in enumerate(slots) if slot is not None]
+                    if not rows:
+                        return
+                    slots = [slots[j] for j in rows]
+                    R = len(rows)
+                    pos, N, dk = _keep(pos, rows, M), _keep(N, rows, M), _keep(dk, rows, M)
+                    if lazyv:
+                        L, lk = _keep(L, rows, M), _keep(lk, rows, M)
+                    occ = _keep(occ, rows, M)
+                    load, meet, far, flag, lag = (
+                        load[rows], meet[rows], far[rows], flag[rows], lag[rows]
+                    )
+                    occupancy = _Occupancy(topo, M, R)
                 reach = int(far.max())
-                occupancy = _Occupancy(topo, M, R)
-                continue
+                all_far = reach == full and bool((far == full).all())
+                due = t_end - int(lag.max())
+                continue  # a newcomer may be over at once
             unhappy = idx = (occ >= 2).nonzero()[0]
             if lazyv:
                 lc = L.take(unhappy)
@@ -646,13 +720,17 @@ def advance_lockstep(systems: list[ParticleSystem], t_end: int) -> None:
                     reach = int(far.max())
                     all_far = reach == full and bool((far == full).all())
             meet += load
-            t += 1
+            k += 1
+            occ = occupancy(pos, reach)
+            load = occ.reshape(R, M).sum(1)
     except BaseException:
-        settle(range(R), np.zeros(R, dtype=bool))
+        for j, slot in enumerate(slots):
+            if slot is not None:
+                settle(j, False)
         raise
 
 
-def _keep(x: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
+def _keep(x: np.ndarray, rows: list[int], M: int) -> np.ndarray:
     """The M-long segments of x (along its last axis) of replicas `rows`."""
     lead = x.shape[:-1]
     return x.reshape(lead + (-1, M)).take(rows, axis=-2).reshape(lead + (-1,))

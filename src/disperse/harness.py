@@ -4,10 +4,14 @@ coupling audit.
 Replica i of an experiment runs with seed derive_seed(master_seed, i),
 so result lists are a pure function of (spec, master_seed) and do not
 depend on the parallelism level. Replicas are stepped in lockstep
-chunks (`engine.advance_lockstep`), which gives the same bits as
-stepping them one by one. A chunk holds as many replicas as
-`engine.lockstep_batch_size` allows, and no more than a worker's share
-of them. Scans derive one sub-master per grid point the same way.
+(`engine.lockstep_pool`), which gives the same bits as stepping them
+one by one. A serial run is one pool over every seed: it holds at most
+`engine.lockstep_batch_size` replicas live, builds a replica's system
+only once a slot frees, and packages each result as its replica
+leaves. A parallel run splits the seeds into contiguous runs, one pool
+each, about four per worker but none narrower than a full width (or a
+worker's share, where that is smaller). Scans derive one sub-master
+per grid point the same way.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from .engine import (
     DEFAULT_BUDGET,
@@ -31,9 +35,9 @@ from .engine import (
     TrajectoryLog,
     Variant,
     WalkMode,
-    advance_lockstep,
     lazy,
     lockstep_batch_size,
+    lockstep_pool,
 )
 from .rng import derive_seed
 from .topology import Family, TopologySpec, build, with_leaf_depth
@@ -233,26 +237,29 @@ def aggregate(results: list[RunResult]) -> AggregateStats:
     )
 
 
-def _replica_chunk(job: tuple[ExperimentSpec, list[int]]) -> list[RunResult]:
+def _pool_results(exp: ExperimentSpec, seeds: list[int]) -> Iterator[tuple[int, RunResult]]:
+    """(i, result of seeds[i]) as each replica leaves one lockstep pool
+    over `seeds`; a replica's system is built only once a slot is free."""
+
+    def systems():
+        for seed in seeds:
+            ps = ParticleSystem(
+                exp.topology, exp.M, variant=exp.variant, seed=seed, walk_mode=exp.walk_mode
+            )
+            if exp.record_trajectories:
+                ps.record_trajectories(True)
+            yield ps
+
+    for i, ps in lockstep_pool(systems(), exp.budget):
+        yield i, ps.run(exp.budget)
+
+
+def _replica_pool(job: tuple[ExperimentSpec, list[int]]) -> list[RunResult]:
     exp, seeds = job
-    systems = [
-        ParticleSystem(
-            exp.topology, exp.M, variant=exp.variant, seed=seed, walk_mode=exp.walk_mode
-        )
-        for seed in seeds
-    ]
-    if exp.record_trajectories:
-        for ps in systems:
-            ps.record_trajectories(True)
-    if len(systems) > 1:
-        advance_lockstep(systems, exp.budget)
-    return [ps.run(exp.budget) for ps in systems]
-
-
-def _chunk_size(exp: ExperimentSpec, workers: int) -> int:
-    # One lockstep batch, capped at a worker's share so that no worker idles.
-    share = -(-exp.replicas // workers)
-    return min(lockstep_batch_size(build(exp.topology), exp.M), share)
+    results: list = [None] * len(seeds)
+    for i, res in _pool_results(exp, seeds):
+        results[i] = res
+    return results
 
 
 def run_replicas(
@@ -262,20 +269,28 @@ def run_replicas(
     seeds = [derive_seed(exp.master_seed, i) for i in range(exp.replicas)]
     # More workers than replicas or cores only costs process start-up.
     workers = min(parallelism, exp.replicas, os.cpu_count() or 1)
-    size = _chunk_size(exp, workers)
-    jobs = [(exp, seeds[i : i + size]) for i in range(0, exp.replicas, size)]
-    results: list[RunResult] = []
+    results: list = [None] * exp.replicas
+    finished = 0
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            # About four jobs per worker, for load balance and progress,
+            # but none so small that its pool cannot fill its width when
+            # a worker's share could.
+            width = lockstep_batch_size(build(exp.topology), exp.M)
+            share = -(-exp.replicas // workers)
+            size = max(min(width, share), -(-exp.replicas // (4 * workers)))
+            starts = range(0, exp.replicas, size)
+            jobs = [(exp, seeds[i : i + size]) for i in starts]
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            chunk = max(1, len(jobs) // (workers * 4))
-            outputs = pool.map(_replica_chunk, jobs, chunksize=chunk)
+            outputs = zip(starts, pool.map(_replica_pool, jobs))
         else:
-            outputs = map(_replica_chunk, jobs)
-        for res in outputs:
-            results.extend(res)
+            # One pool over every seed: each replica is reported as it leaves.
+            outputs = ((i, [res]) for i, res in _pool_results(exp, seeds))
+        for i, res in outputs:
+            results[i : i + len(res)] = res
+            finished += len(res)
             if progress:
-                print(f"\rreplica {len(results)}/{exp.replicas}", end="", file=sys.stderr)
+                print(f"\rreplica {finished}/{exp.replicas}", end="", file=sys.stderr)
     if progress:
         print(file=sys.stderr)
     return results, aggregate(results)

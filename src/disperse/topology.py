@@ -883,8 +883,7 @@ def _cayley_bfs(moduli: tuple[int, ...], gens: tuple[tuple[int, ...], ...]):
     """Breadth-first search from the origin: the distance of every
     vertex by its mixed-radix int, the ball size of every radius up to
     the farthest, and whether the graph is bipartite. Run once per group
-    and process: every system of an experiment, and its chunk sizing,
-    builds the same graph."""
+    and process: every system of an experiment builds the same graph."""
     n = math.prod(moduli)
     dist = np.full(n, -1, dtype=np.int64)
     dist[0] = 0

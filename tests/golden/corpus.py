@@ -114,14 +114,22 @@ def record(result, positions) -> dict:
 
 def replay(case, kernel: str) -> list[dict]:
     """Records of one case's replicas, run through one kernel:
-    "harness" (run_replicas in lockstep batches), "single" (one
-    ParticleSystem per replica, default kernel) or "generic"
-    (force_generic=True, the scalar reference loop)."""
-    from disperse import ParticleSystem, derive_seed, run_replicas
+    "harness" (run_replicas in one lockstep pool), "pool" (run_replicas
+    with the pool's width forced to 2, so the third replica takes over
+    a freed slot), "single" (one ParticleSystem per replica, default
+    kernel) or "generic" (force_generic=True, the scalar reference
+    loop)."""
+    from disperse import ParticleSystem, derive_seed, engine, run_replicas
 
     exp = experiment(case).resolve()
-    if kernel == "harness":
-        results, _ = run_replicas(exp)
+    if kernel in ("harness", "pool"):
+        width = engine.lockstep_batch_size
+        if kernel == "pool":
+            engine.lockstep_batch_size = lambda topo, M: 2
+        try:
+            results, _ = run_replicas(exp)
+        finally:
+            engine.lockstep_batch_size = width
         return [
             record(r, r.trajectories.positions_at(r.trajectories.steps)) for r in results
         ]

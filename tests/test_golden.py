@@ -18,7 +18,7 @@ def test_corpus_covers_every_case():
     assert sorted(STORED) == sorted(golden.case_id(c) for c in golden.cases())
 
 
-@pytest.mark.parametrize("kernel", ["harness", "single", "generic"])
+@pytest.mark.parametrize("kernel", ["harness", "pool", "single", "generic"])
 @pytest.mark.parametrize("case", golden.cases(), ids=golden.case_id)
 def test_golden_replay(case, kernel):
     assert golden.replay(case, kernel) == STORED[golden.case_id(case)]

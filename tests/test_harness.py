@@ -1,12 +1,22 @@
 import dataclasses
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from disperse import engine, harness, topology
-from disperse.engine import STANDARD, ParticleSystem, RunResult, Status, advance_lockstep, lazy
+from disperse.engine import (
+    STANDARD,
+    ParticleSystem,
+    RunResult,
+    Status,
+    advance_lockstep,
+    lazy,
+    lockstep_batch_size,
+    lockstep_pool,
+)
 from disperse.harness import (
     DEFAULT_GRID_OMEGA,
     DEFAULT_HYPERCUBE_OMEGA,
@@ -188,8 +198,11 @@ def test_parallelism_does_not_change_results(monkeypatch):
     assert seq_stats == par_stats
 
 
-def test_worker_count_capped_by_replicas_and_cores(monkeypatch):
-    asked = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Run the harness's process pool in this process; returns the
+    worker counts it was asked for and the jobs it was given."""
+    asked, jobs = [], []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -201,10 +214,16 @@ def test_worker_count_capped_by_replicas_and_cores(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
+        def map(self, fn, given, chunksize=1):
+            jobs.extend(given)
+            return map(fn, given)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    return asked, jobs
+
+
+def test_worker_count_capped_by_replicas_and_cores(monkeypatch, in_process_pool):
+    asked, _ = in_process_pool
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     exp = base_exp(replicas=3)
     results, stats = run_replicas(exp, parallelism=10**6)
@@ -222,6 +241,70 @@ def test_run_replicas_stats_match_aggregate():
     assert stats == aggregate(results)
 
 
+def test_serial_progress_reports_every_replica(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 3)
+    results, _ = run_replicas(base_exp(replicas=7), progress=True)
+    err = capsys.readouterr().err
+    assert err == "".join(f"\rreplica {k}/7" for k in range(1, 8)) + "\n"
+    assert [r.seed for r in results] == [derive_seed(99, i) for i in range(7)]
+
+
+@pytest.mark.parametrize(
+    "replicas, sizes",
+    [(40, [5] * 8), (12, [3] * 4), (4, [2, 2]), (7, [3, 3, 1])],
+    ids=["four-per-worker", "full-width", "worker-share", "uneven"],
+)
+def test_parallel_run_keeps_several_pools_per_worker(
+    monkeypatch, capsys, in_process_pool, replicas, sizes
+):
+    # Two workers and pools three wide: about four jobs per worker, but
+    # none narrower than a width or, below that, a worker's share.
+    asked, jobs = in_process_pool
+    monkeypatch.setattr(harness, "lockstep_batch_size", lambda topo, M: 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    exp = base_exp(replicas=replicas)
+    results, stats = run_replicas(exp, parallelism=2, progress=True)
+    assert asked == [2]
+    assert [len(seeds) for _, seeds in jobs] == sizes
+    assert [s for _, seeds in jobs for s in seeds] == [r.seed for r in results]
+    done = list(np.cumsum(sizes))
+    assert capsys.readouterr().err == "".join(
+        f"\rreplica {k}/{replicas}" for k in done
+    ) + "\n"
+    serial, serial_stats = run_replicas(exp)
+    assert [r.to_record() for r in results] == [r.to_record() for r in serial]
+    assert stats == serial_stats
+
+
+def test_run_replicas_holds_at_most_width_plus_one_systems(monkeypatch):
+    # A system is built only when a slot frees and dropped once its
+    # result is packaged: the width live, plus one that just left.
+    width = 3
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: width)
+    alive, held = weakref.WeakSet(), []
+
+    class Kept(ParticleSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive.add(self)
+            held.append(len(alive))
+
+    monkeypatch.setattr(harness, "ParticleSystem", Kept)
+    exp = ExperimentSpec(
+        TopologySpec.complete(40), 15, lazy(0.5), replicas=10 * width, master_seed=8,
+        record_trajectories=True,
+    )
+    results, _ = run_replicas(exp)
+    assert len(held) == 10 * width
+    assert held[:width] == list(range(1, width + 1)) and max(held) == width + 1
+    assert len(alive) == 0
+    for i, res in enumerate(results):
+        want = ParticleSystem(exp.topology, 15, lazy(0.5), derive_seed(8, i)).run(exp.budget)
+        assert res.to_record() == want.to_record()
+        assert res.walk_counts.tolist() == want.walk_counts.tolist()
+    assert len({r.steps for r in results}) > 1
+
+
 # -- complete-graph replicas in lockstep ---------------------------------------
 
 
@@ -236,29 +319,17 @@ def test_lockstep_replicas_equal_single_runs(
     monkeypatch, loops, variant, M, budget, record, parallelism
 ):
     n = 30
-    # Chunks of three replicas: seven replicas run as 3 + 3 + 1.
-    monkeypatch.setattr(engine, "LOCKSTEP_ELEMENTS", 3 * (n + M))
+    # Pools three replicas wide: four of the seven take over freed slots.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    batches, systems = [], []
-
-    def lockstep(batch, t_end):
-        batches.append(len(batch))
-        advance_lockstep(batch, t_end)
-
-    class Kept(ParticleSystem):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            systems.append(self)
-
-    monkeypatch.setattr(harness, "advance_lockstep", lockstep)
-    monkeypatch.setattr(harness, "ParticleSystem", Kept)
+    pools, systems = _kept_systems(monkeypatch, 3)
     exp = ExperimentSpec(
         TopologySpec.complete(n, with_loops=loops), M, variant, budget=budget,
         replicas=7, master_seed=5, record_trajectories=record,
     )
     results, _ = run_replicas(exp, parallelism=parallelism)
     if parallelism == 1:
-        assert batches == [3, 3]  # the lone last replica runs on its own
+        # One pool over all seven; a lone particle is dispersed as it is taken.
+        assert pools == [(7, 1 if M == 1 else 3)]
         positions = [ps.positions for ps in systems]
     else:
         positions = [r.trajectories.positions_at(r.trajectories.steps) for r in results]
@@ -288,12 +359,9 @@ def test_lockstep_replicas_equal_single_runs(
         assert len({r.t_disp for r in results}) > 1
 
 
-def test_lockstep_rejects_systems_out_of_step():
+def test_lockstep_rejects_systems_of_another_run_or_loop():
     spec = TopologySpec.complete(20)
-    a, b = ParticleSystem(spec, 15, seed=1), ParticleSystem(spec, 15, seed=2)
-    a.step()
-    with pytest.raises(ValueError, match="lockstep"):
-        advance_lockstep([a, b], 10)
+    b = ParticleSystem(spec, 15, seed=2)
     with pytest.raises(ValueError, match="lockstep"):
         advance_lockstep([b, ParticleSystem(spec, 14, seed=3)], 10)
     with pytest.raises(ValueError, match="lockstep"):
@@ -319,26 +387,40 @@ ARRAY_FAMILIES = {
 }
 
 
-def _kept_systems(monkeypatch, chunk=None):
-    """Run run_replicas in chunks of `chunk` replicas (its own chunk size
-    if None), keeping every ParticleSystem it makes and the size of every
-    lockstep batch."""
-    batches, systems = [], []
+def _kept_systems(monkeypatch, width=None):
+    """Run lockstep pools `width` replicas wide (their own width if
+    None), keeping every ParticleSystem that run_replicas makes and, per
+    pool, the systems it took and the most it held live at once, which
+    must not pass the width."""
+    pools, systems = [], []
+    if width is not None:
+        monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: width)
 
-    def lockstep(batch, t_end):
-        batches.append(len(batch))
-        advance_lockstep(batch, t_end)
+    def pool(queue, t_end):
+        taken = left = peak = 0
+
+        def counted():
+            nonlocal taken, peak
+            for ps in queue:
+                taken += 1
+                peak = max(peak, taken - left)
+                yield ps
+
+        for item in lockstep_pool(counted(), t_end):
+            assert item[1].t == t_end or item[1].is_dispersed() or item[1].boundary_abort
+            left += 1
+            yield item
+        assert width is None or peak <= width
+        pools.append((taken, peak))
 
     class Kept(ParticleSystem):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             systems.append(self)
 
-    monkeypatch.setattr(harness, "advance_lockstep", lockstep)
+    monkeypatch.setattr(harness, "lockstep_pool", pool)
     monkeypatch.setattr(harness, "ParticleSystem", Kept)
-    if chunk is not None:
-        monkeypatch.setattr(harness, "_chunk_size", lambda exp, workers: chunk)
-    return batches, systems
+    return pools, systems
 
 
 def _assert_equal_generic_runs(exp, results, systems):
@@ -356,6 +438,7 @@ def _assert_equal_generic_runs(exp, results, systems):
         assert res.walk_counts.tolist() == want.walk_counts.tolist()
         assert systems[i].positions == ref.positions
         assert systems[i].boundary_abort == ref.boundary_abort
+        assert systems[i].is_dispersed() == ref.is_dispersed()
         if exp.record_trajectories:
             assert res.trajectories.events == want.trajectories.events
             assert res.trajectories.steps == want.trajectories.steps
@@ -375,13 +458,13 @@ def test_lockstep_array_families_equal_generic_runs(
     # Occupancy by bincount for every family, the unbounded path and grid
     # included (R * span always fits 10**9), or by sorted keys for every one.
     monkeypatch.setattr(engine, "LOCKSTEP_ELEMENTS", 10**9 if bins else 0)
-    batches, systems = _kept_systems(monkeypatch, 3)
+    pools, systems = _kept_systems(monkeypatch, 3)
     exp = ExperimentSpec(
         spec, M, variant, budget=budget, replicas=7, master_seed=5,
         record_trajectories=record,
     )
     results, _ = run_replicas(exp)
-    assert batches == [3, 3]  # the lone last replica runs on its own
+    assert pools == [(7, 3)]  # four replicas take over freed slots
     _assert_equal_generic_runs(exp.resolve(), results, systems)
     statuses = {r.status for r in results}
     if budget == 3:
@@ -396,17 +479,17 @@ def test_lockstep_array_families_equal_generic_runs(
 @pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy0.5"])
 def test_lockstep_path_boundary_abort_equals_generic_runs(monkeypatch, variant):
     monkeypatch.setattr(engine, "COORDINATE_LIMIT", 4)
-    batches, systems = _kept_systems(monkeypatch, 7)
+    pools, systems = _kept_systems(monkeypatch, 3)
     exp = ExperimentSpec(
         TopologySpec.path(), 8, variant, budget=3000, replicas=7, master_seed=9,
         record_trajectories=True,
     )
     results, _ = run_replicas(exp)
-    assert batches == [7]
+    assert pools == [(7, 3)]
     _assert_equal_generic_runs(exp, results, systems)
     aborted = [r for r in results if r.status is Status.BOUNDARY_HIT]
     assert aborted and all(r.max_distance_ever == 5 for r in aborted)
-    assert len({r.steps for r in results}) > 1  # replicas left the batch apart
+    assert len({r.steps for r in results}) > 1  # replicas left the pool apart
 
 
 @pytest.mark.parametrize(
@@ -417,13 +500,13 @@ def test_lockstep_grid_equals_generic_runs(monkeypatch, dim, M, limit):
     # replica, so its vertex rows are lexsorted instead.
     if limit is not None:
         monkeypatch.setattr(engine, "COORDINATE_LIMIT", limit)
-    batches, systems = _kept_systems(monkeypatch, 7)
+    pools, systems = _kept_systems(monkeypatch, 3)
     exp = ExperimentSpec(
         TopologySpec.grid(dim), M, lazy(0.5), budget=3000, replicas=7, master_seed=9,
         record_trajectories=True,
     )
     results, _ = run_replicas(exp)
-    assert batches == [7]
+    assert pools == [(7, 3)]
     _assert_equal_generic_runs(exp, results, systems)
     aborted = [r for r in results if r.status is Status.BOUNDARY_HIT]
     if limit is None:
@@ -432,19 +515,23 @@ def test_lockstep_grid_equals_generic_runs(monkeypatch, dim, M, limit):
         assert aborted and all(r.max_distance_ever == limit + 1 for r in aborted)
 
 
+def _placed_on_tree(variant, master, j, **kw):
+    """Two particles on depth-1 vertex (j,) of tree(2^40); level 2 has
+    about 2^80 vertices, so a move there raises."""
+    ps = ParticleSystem(
+        TopologySpec.tree(2**40, leaf_depth=0), 2, variant, seed=derive_seed(master, j), **kw
+    )
+    ps._posv[:] = ps.topo.to_array([(j,), (j,)])
+    ps.max_distance_ever = 1
+    return ps
+
+
 @pytest.mark.parametrize(
     "variant, master, last", [(STANDARD, 1, 0), (lazy(0.05), 1, 5)], ids=["std", "lazy0.05"]
 )
 def test_a_raising_step_leaves_every_lockstep_replica_at_its_last_step(variant, master, last):
-    # Two particles on one depth-1 vertex of tree(2^40) in each system;
-    # level 2 has about 2^80 vertices, so a move there raises.
-    spec = TopologySpec.tree(2**40, leaf_depth=0)
-
     def placed(j, **kw):
-        ps = ParticleSystem(spec, 2, variant, seed=derive_seed(master, j), **kw)
-        ps._posv[:] = ps.topo.to_array([(j,), (j,)])
-        ps.max_distance_ever = 1
-        return ps
+        return _placed_on_tree(variant, master, j, **kw)
 
     systems = [placed(j) for j in range(4)]
     with pytest.raises(ValueError, match="int64"):
@@ -465,15 +552,48 @@ def test_a_raising_step_leaves_every_lockstep_replica_at_its_last_step(variant, 
     assert min(raised_at) == last
 
 
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.05)], ids=["std", "lazy0.05"])
+def test_a_raising_step_leaves_systems_not_yet_taken_untouched(monkeypatch, variant):
+    # Five systems in a pool two wide: the step that raises is taken by
+    # the first two, and the other three are still waiting for a slot.
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
+    systems = [_placed_on_tree(variant, 3, j) for j in range(5)]
+    with pytest.raises(ValueError, match="int64"):
+        advance_lockstep(iter(systems), 50)
+    taken, waiting = systems[:2], systems[2:]
+    last = taken[0].t
+    raised_at = []
+    for j, ps in enumerate(taken):
+        assert (ps.t, ps.meeting_total, ps.walk_counts.tolist()) == (last, last, [0, 0])
+        assert ps.positions == [(j,), (j,)] and not ps.is_dispersed()
+        ref = _placed_on_tree(variant, 3, j, force_generic=True)
+        ref.run(last)
+        assert ps.t == ref.t and ps.meeting_total == ref.meeting_total
+        if variant.kind == "lazy":
+            assert ps._Lv.tolist() == ref._Lv.tolist() == [last, last]
+        with pytest.raises(ValueError, match="int64"):
+            ref.run(50)
+        raised_at.append(ref.t)
+    assert min(raised_at) == last
+    for j, ps in enumerate(waiting, 2):
+        assert (ps.t, ps.meeting_total, ps.max_distance_ever) == (0, 0, 1)
+        assert ps.walk_counts.tolist() == [0, 0] and ps.positions == [(j,), (j,)]
+        assert not ps.is_dispersed() and not ps.boundary_flag
+        if variant.kind == "lazy":
+            assert ps._Lv.tolist() == [0, 0]
+    if variant.kind == "lazy":
+        assert last > 0  # steps completed in the pool before the raise
+
+
 def test_event_cap_applies_when_batch_events_are_read(monkeypatch):
     monkeypatch.setattr(engine, "RECORD_EVENT_CAP", 40)
-    batches, systems = _kept_systems(monkeypatch, 4)
+    pools, systems = _kept_systems(monkeypatch, 3)
     exp = ExperimentSpec(
         TopologySpec.complete(30), 20, budget=1000, replicas=4, master_seed=5,
         record_trajectories=True,
     )
     results, _ = run_replicas(exp)  # the runs are not limited
-    assert batches == [4]
+    assert pools == [(4, 3)]
     for i, (ps, res) in enumerate(zip(systems, results)):
         assert res.dispersed and res.trajectories.steps == ps.t
         walked = int(ps.walk_counts.sum())
@@ -522,17 +642,61 @@ def test_lockstep_batch_equals_lone_systems_after_every_step(family, variant):
     assert len({ps.t for ps in lone}) > 1  # replicas left the batch apart
 
 
+# Families whose runs last past t=5, with more particles on the grid and
+# the hypercube than their other tests use.
+POOL_FAMILIES = {
+    **{f: STEPWISE_FAMILIES[f] for f in ("complete", "path", "tree-leaves")},
+    "grid": (TopologySpec.grid(2), 16),
+    "hypercube": (TopologySpec.hypercube(8), 24),
+}
+
+
+@pytest.mark.parametrize("family", list(POOL_FAMILIES))
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy0.5"])
+def test_lockstep_pool_steps_systems_at_different_steps(monkeypatch, family, variant):
+    # Five systems in a pool two wide, two of them advanced alone to
+    # t=5: one steps beside a fresh one from the start, the other waits
+    # and takes over a freed slot, as the fresh ones do, at another step.
+    # Each ends as a lone run from t=0 on the reference loop does.
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
+    spec, M = POOL_FAMILIES[family]
+    pooled = [ParticleSystem(spec, M, variant, derive_seed(59, i)) for i in range(5)]
+    for ps in pooled[1], pooled[3]:
+        ps._advance(5)
+        assert ps.t == 5 and not ps.is_dispersed()
+    t_end = 40
+    left = [i for i, _ in lockstep_pool(iter(pooled), t_end)]
+    assert sorted(left) == list(range(5))
+    lone = [
+        ParticleSystem(spec, M, variant, derive_seed(59, i), force_generic=True)
+        for i in range(5)
+    ]
+    for ps in lone:
+        ps._advance(t_end)
+    for b, a in zip(pooled, lone):
+        assert (b.t, b.is_dispersed(), b.boundary_abort) == (a.t, a.is_dispersed(), a.boundary_abort)
+        assert b.positions == a.positions
+        assert b.walk_counts.tolist() == a.walk_counts.tolist()
+        assert (b.meeting_total, b.max_distance_ever, b.boundary_flag) == (
+            a.meeting_total, a.max_distance_ever, a.boundary_flag
+        )
+        if variant.kind == "lazy":
+            assert b._Lv.tolist() == a._Lv.tolist()
+    assert len({ps.t for ps in lone}) > 1
+
+
 def test_cayley_bfs_runs_once_per_group():
     topology._cayley_bfs.cache_clear()
     spec = TopologySpec.cayley((5, 7), [(1, 0), (-1, 0), (0, 1), (0, -1)])
     results, _ = run_replicas(ExperimentSpec(spec, 6, replicas=4, master_seed=2))
     info = topology._cayley_bfs.cache_info()
-    assert len(results) == 4 and info.misses == 1 and info.hits >= 4
+    # The first of the four systems runs the BFS; the other three reuse it.
+    assert len(results) == 4 and (info.misses, info.hits) == (1, 3)
 
 
-def test_chunk_size_batches_every_array_family(monkeypatch):
-    def size(topo, M, replicas=10**6):
-        return harness._chunk_size(ExperimentSpec(topo, M, replicas=replicas).resolve(), 1)
+def test_lockstep_batch_size_batches_every_array_family():
+    def size(topo, M):
+        return lockstep_batch_size(build(ExperimentSpec(topo, M).resolve().topology), M)
 
     # Bins fit: R (M + n) <= LOCKSTEP_ELEMENTS, as for K_n before.
     assert size(TopologySpec.complete(1000), 600) == 2**15 // 1600
@@ -542,22 +706,24 @@ def test_chunk_size_batches_every_array_family(monkeypatch):
     assert size(TopologySpec.tree(3), 4096) == 8
     assert size(TopologySpec.hypercube(16), 100) == 2**15 // 100
     # Keys past int64 lexsort the rows, so they do not limit a batch.
-    assert size(TopologySpec.hypercube(62), 2, replicas=10) == 10
+    assert size(TopologySpec.hypercube(62), 2) == 2**15 // 2
     assert size(TopologySpec.grid(2), 10) == 2**15 // 10
     assert size(TopologySpec.cayley((4, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)]), 5) == 2**15 // 17
     assert size(TopologySpec.hypercube(63), 2) == 2**15 // 2
-    # Never more replicas than a worker's share.
-    assert size(TopologySpec.path(), 100, replicas=10) == 10
+    # Bins that do not fit beside the particles are left out of the sum;
+    # past the budget a batch still holds one replica.
+    assert size(TopologySpec.complete(2**15), 2**14) == 2
+    assert size(TopologySpec.complete(2**14), 2**14) == 1
+    assert size(TopologySpec.path(), 2**16) == 1
 
 
 def test_hypercube_past_62_dimensions_batches_by_default(monkeypatch):
     # Keys past int64 no longer cap a batch at one replica.
     exp = ExperimentSpec(TopologySpec.hypercube(64), 128, replicas=6, master_seed=3)
-    many = dataclasses.replace(exp, replicas=10**6).resolve()
-    assert harness._chunk_size(many, 1) == 2**15 // 128
-    batches, systems = _kept_systems(monkeypatch)
+    assert lockstep_batch_size(build(exp.resolve().topology), 128) == 2**15 // 128
+    pools, systems = _kept_systems(monkeypatch)
     results, _ = run_replicas(exp)
-    assert batches == [6]
+    assert pools == [(6, 6)]
     _assert_equal_generic_runs(exp.resolve(), results, systems)
     assert all(r.dispersed for r in results)
 
