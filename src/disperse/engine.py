@@ -11,8 +11,13 @@ Randomness: particle i owns two counter-based streams keyed by
 (seed, i, tag) with tags {direction, laziness}, so trajectories are
 a pure function of (spec, M, variant, seed, budget) and are identical
 whether draws are made one at a time by the reference loop or
-batch-evaluated by the vectorised array kernel. The two walk
-modes run the same code: a counter-based draw needs no buffer, so
+batch-evaluated by the vectorised array kernel. Each particle carries
+its streams' splitmix64 state words, key + GOLDEN * n (mod 2^64) after
+n draws, in place of the counts n: the kernel's next draw adds GOLDEN
+to a word and mixes it, and its laziness coin compares the mixed word
+with an integer threshold (see rng). The keys are kept only to decode
+counts on demand (`walk_counts`, `step`, the reference loop). The two
+walk modes run the same code: a counter-based draw needs no buffer, so
 `walk_mode` has no effect on results and is kept only so that
 configs naming either mode still replay.
 
@@ -60,13 +65,15 @@ import numpy as np
 
 from .rng import (
     DIRECTION_TAG,
+    GOLDEN,
     LAZINESS_TAG,
     MASK64,
     draw,
-    draw_array,
+    mix64_array,
+    stream_counts,
     stream_key_array,
     to_unit,
-    to_unit_array,
+    unit_threshold,
 )
 from .topology import COORDINATE_LIMIT, INT64_MAX, Family, Topology, TopologySpec, build
 
@@ -179,9 +186,9 @@ class TrajectoryLog:
         ps = self._rerun()
         out: list[tuple[int, int, Any]] = []
         for t in range(self.steps):
-            walked = ps._N.copy()
+            words = ps._dwv.copy()
             ps._advance(t + 1)
-            movers = (ps._N != walked).nonzero()[0]
+            movers = (ps._dwv != words).nonzero()[0]
             if len(out) + movers.size > RECORD_EVENT_CAP:
                 raise RuntimeError(f"trajectory log would pass {RECORD_EVENT_CAP} move events")
             dests = ps.topo.from_array(ps._posv[..., movers])
@@ -278,11 +285,13 @@ class ParticleSystem:
         self._reference = force_generic  # step on the scalar reference loop
         self._dispersed = particles == 1
         self._posv = np.repeat(topo.to_array([topo.origin]), particles, axis=-1)
-        self._N = np.zeros(particles, dtype=np.int64)
+        # Stream keys, and the state words key + GOLDEN * count that the
+        # loops step (see rng).
         self._dkv = stream_key_array(self.seed, particles, DIRECTION_TAG)
+        self._dwv = self._dkv.copy()
         if self._lazy:
             self._lkv = stream_key_array(self.seed, particles, LAZINESS_TAG)
-            self._Lv = np.zeros(particles, dtype=np.int64)
+            self._lwv = self._lkv.copy()
 
     # -- queries -------------------------------------------------------
 
@@ -292,7 +301,7 @@ class ParticleSystem:
 
     @property
     def walk_counts(self) -> np.ndarray:
-        return self._N.copy()
+        return stream_counts(self._dwv, self._dkv)
 
     def is_dispersed(self) -> bool:
         return self._dispersed
@@ -329,9 +338,10 @@ class ParticleSystem:
         afresh each step: the reference every kernel is checked against.
         It decodes the system's arrays on entry and encodes them on exit."""
         topo = self.topo
-        pos, N, dkeys = topo.from_array(self._posv), self._N.tolist(), self._dkv.tolist()
+        pos = topo.from_array(self._posv)
+        N, dkeys = self.walk_counts.tolist(), self._dkv.tolist()
         if self._lazy:
-            L, lkeys = self._Lv.tolist(), self._lkv.tolist()
+            L, lkeys = stream_counts(self._lwv, self._lkv).tolist(), self._lkv.tolist()
         try:
             while True:
                 occupancy = Counter(pos)
@@ -363,9 +373,9 @@ class ParticleSystem:
                 self.t += 1
         finally:
             self._posv[:] = topo.to_array(pos)
-            self._N[:] = N
+            self._dwv[:] = _words(dkeys, N)
             if self._lazy:
-                self._Lv[:] = L
+                self._lwv[:] = _words(lkeys, L)
 
     # -- public stepping ---------------------------------------------------
 
@@ -378,13 +388,13 @@ class ParticleSystem:
     def step(self) -> StepReport:
         """One synchronous step through the loop run() uses; the report
         is read off the states before and after it."""
-        walked = int(np.sum(self._N))
+        walked = int(self.walk_counts.sum())
         meetings = self.meeting_total
         before = self._unhappy()
         self._advance(self.t + 1)
         after = self._unhappy()
         return StepReport(
-            movers=int(np.sum(self._N)) - walked,
+            movers=int(self.walk_counts.sum()) - walked,
             newly_happy=int(np.count_nonzero(before > after)),
             newly_unhappy=int(np.count_nonzero(after > before)),
             pairwise_meetings=self.meeting_total - meetings,
@@ -420,6 +430,12 @@ class ParticleSystem:
             boundary_flag=self.boundary_flag,
             trajectories=log,
         )
+
+
+def _words(keys: list[int], counts: list[int]) -> list[int]:
+    """State words key + GOLDEN * count (mod 2^64) of streams after
+    `counts` draws."""
+    return [(key + GOLDEN * n) & MASK64 for key, n in zip(keys, counts)]
 
 
 # -- stepping, lockstep array kernel ------------------------------------------
@@ -579,7 +595,9 @@ def lockstep_pool(
     if not slots:
         return
     lazyv = variant.kind == "lazy"
-    p = variant.p
+    golden = np.uint64(GOLDEN)  # a stream's step; a Python int would be cast per call
+    # A coin's draw r moves its particle when to_unit(r) < p, that is r <= this.
+    threshold = np.uint64(unit_threshold(variant.p)) if lazyv else None
     leaf = topo.spec.family is Family.TREE and topo.leaf_depth  # truncated leaves' depth
     unbounded = topo.unbounded
     full = topo.max_distance
@@ -590,16 +608,14 @@ def lockstep_pool(
     own = R == 1
     if own:
         s = slots[0][1]
-        pos, N, dk = s._posv, s._N, s._dkv
+        pos, dw = s._posv, s._dwv
         if lazyv:
-            L, lk = s._Lv, s._lkv
+            lw = s._lwv
     else:
         pos = np.concatenate([s._posv for _, s in slots], axis=-1)
-        N = np.concatenate([s._N for _, s in slots])
-        dk = np.concatenate([s._dkv for _, s in slots])
+        dw = np.concatenate([s._dwv for _, s in slots])
         if lazyv:
-            L = np.concatenate([s._Lv for _, s in slots])
-            lk = np.concatenate([s._lkv for _, s in slots])
+            lw = np.concatenate([s._lwv for _, s in slots])
     # The pool's own step count k: slot j is at step k + lag[j], and
     # the first slot reaches t_end at k = due.
     k = 0
@@ -627,9 +643,9 @@ def lockstep_pool(
         if not own:
             seg = slice(j * M, (j + 1) * M)
             s._posv[:] = pos[..., seg]
-            s._N[:] = N[seg]
+            s._dwv[:] = dw[seg]
             if lazyv:
-                s._Lv[:] = L[seg]
+                s._lwv[:] = lw[seg]
         s.t = k + int(lag[j])
         s.meeting_total = (int(meet[j]) - M * s.t) // 2
         s.max_distance_ever = int(far[j])
@@ -657,16 +673,14 @@ def lockstep_pool(
                     s = got[1]
                     seg = slice(j * M, (j + 1) * M)
                     if own:
-                        pos, N, dk = s._posv, s._N, s._dkv
+                        pos, dw = s._posv, s._dwv
                         if lazyv:
-                            L, lk = s._Lv, s._lkv
+                            lw = s._lwv
                     else:
                         pos[..., seg] = s._posv
-                        N[seg] = s._N
-                        dk[seg] = s._dkv
+                        dw[seg] = s._dwv
                         if lazyv:
-                            L[seg] = s._Lv
-                            lk[seg] = s._lkv
+                            lw[seg] = s._lwv
                     lag[j] = s.t - k
                     meet[j] = 2 * s.meeting_total + M * s.t
                     far[j] = s.max_distance_ever
@@ -679,9 +693,9 @@ def lockstep_pool(
                         return
                     slots = [slots[j] for j in rows]
                     R = len(rows)
-                    pos, N, dk = _keep(pos, rows, M), _keep(N, rows, M), _keep(dk, rows, M)
+                    pos, dw = _keep(pos, rows, M), _keep(dw, rows, M)
                     if lazyv:
-                        L, lk = _keep(L, rows, M), _keep(lk, rows, M)
+                        lw = _keep(lw, rows, M)
                     occ = _keep(occ, rows, M)
                     load, meet, far, flag, lag = (
                         load[rows], meet[rows], far[rows], flag[rows], lag[rows]
@@ -693,20 +707,20 @@ def lockstep_pool(
                 continue  # a newcomer may be over at once
             unhappy = idx = (occ >= 2).nonzero()[0]
             if lazyv:
-                lc = L.take(unhappy)
-                lc += 1
-                idx = unhappy[to_unit_array(draw_array(lk.take(unhappy), lc)) < p]
+                lc = lw.take(unhappy)
+                lc += golden
+                idx = unhappy.compress(mix64_array(lc) <= threshold)
             if idx.size:
-                c = N.take(idx)
-                c += 1
+                c = dw.take(idx)
+                c += golden
                 flat = pos.ndim == 1  # else the rows of the grid or the tree
                 src = pos.take(idx) if flat else pos.take(idx, axis=1)
-                dest = topo.neighbor_array(src, draw_array(dk.take(idx), c))
+                dest = topo.neighbor_array(src, mix64_array(c))
             # Nothing below raises: the step is applied whole.
             if lazyv:
-                L[unhappy] = lc
+                lw[unhappy] = lc
             if idx.size:
-                N[idx] = c
+                dw[idx] = c
                 if leaf:
                     # A truncated leaf's move to its parent marks the run.
                     flag[idx[src[0] == leaf] // M] = True

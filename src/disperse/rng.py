@@ -7,12 +7,24 @@ lets a draw be made when it is needed with no buffered walk (so the
 on-demand and predetermined walk modes run the same code), and keeps
 replicated runs reproducible under any parallelism level.
 
-The mixer is the splitmix64 finalizer. A scalar (pure Python int)
-and a vectorised (numpy uint64) implementation are provided; they
-must agree bit for bit and are tested against each other.
+The counter-th draw of stream `key` is mix64(key + GOLDEN * counter),
+where mix64 is the splitmix64 finalizer (Steele, Lea and Flood, "Fast
+splittable pseudorandom number generators", OOPSLA 2014). The argument
+is splitmix64's own state word after `counter` steps, so a holder of
+the word `key + GOLDEN * n` (mod 2^64) makes the next draw by adding
+GOLDEN and mixing, with no counter to multiply out; `stream_counts`
+gives n back, GOLDEN being odd and so invertible mod 2^64. A draw is at most
+`unit_threshold(p)` exactly when its `to_unit` is below p, so a coin
+of probability p needs no float.
+
+A scalar (pure Python int) and a vectorised (numpy uint64)
+implementation are provided; they must agree bit for bit and are
+tested against each other.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,8 +41,10 @@ __all__ = [
     "derive_seed",
     "stream_key",
     "stream_key_array",
+    "stream_counts",
     "to_unit",
     "to_unit_array",
+    "unit_threshold",
     "RandomStream",
 ]
 
@@ -79,11 +93,19 @@ def to_unit(raw: int) -> float:
     return (raw >> 11) * 2.0**-53
 
 
+def unit_threshold(p: float) -> int:
+    """The largest draw r with to_unit(r) < p, for p in (0, 1]: r <= it
+    exactly when to_unit(r) < p. MASK64 at p = 1."""
+    return (math.ceil(p * 2.0**53) << 11) - 1
+
+
 # ---------------------------------------------------------------------------
 # Vectorised twins (uint64 arrays; overflow wraps mod 2^64 by design).
 # ---------------------------------------------------------------------------
 
+_NP_UINT64 = np.dtype(np.uint64)
 _NP_GOLDEN = np.uint64(GOLDEN)
+_NP_GOLDEN_INVERSE = np.uint64(pow(GOLDEN, -1, 1 << 64))
 _NP_M1 = np.uint64(_M1)
 _NP_M2 = np.uint64(_M2)
 _NP_S30 = np.uint64(30)
@@ -101,7 +123,17 @@ def _mix64_inplace(x: np.ndarray) -> np.ndarray:
 
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
-    return _mix64_inplace(x.astype(np.uint64, copy=True))
+    """Vectorised `mix64` into a new array; x is left as it is and cast
+    to uint64 where it is not."""
+    if x.dtype != _NP_UINT64:
+        x = x.astype(np.uint64)
+    y = x >> _NP_S30
+    y ^= x
+    y *= _NP_M1
+    y ^= y >> _NP_S27
+    y *= _NP_M2
+    y ^= y >> _NP_S31
+    return y
 
 
 def draw_array(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -124,6 +156,14 @@ def stream_key_array(seed: int, particles: int, tag: int) -> np.ndarray:
     x ^= np.uint64(_SPLIT_SALT)
     x += np.uint64((GOLDEN * (tag + 1)) & MASK64)
     return _mix64_inplace(x)  # split_key(., tag)
+
+
+def stream_counts(words: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The count n (int64) of each state word key + GOLDEN * n (uint64,
+    mod 2^64), for n < 2^63."""
+    n = words - keys
+    n *= _NP_GOLDEN_INVERSE
+    return n.view(np.int64)
 
 
 def to_unit_array(raws: np.ndarray) -> np.ndarray:

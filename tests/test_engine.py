@@ -20,7 +20,7 @@ from disperse.engine import (
     run,
     step,
 )
-from disperse.rng import MASK64
+from disperse.rng import LAZINESS_TAG, MASK64, draw, stream_key, unit_threshold
 from disperse.topology import Family, TopologySpec, build
 
 
@@ -419,6 +419,27 @@ def test_array_and_generic_kernels_agree_stepwise(monkeypatch, name, variant):
             if a.is_dispersed() or a.boundary_abort:
                 break
         assert a.run(400).to_record() == b.run(400).to_record()
+
+
+def _first_coin_on_its_threshold(M):
+    """(seed, particle, p) at which that particle's first laziness draw
+    is unit_threshold(p), the largest draw that still moves it."""
+    for seed in range(10_000):
+        for i in range(M):
+            raw = draw(stream_key(seed, i, LAZINESS_TAG), 1)
+            if raw & 0x7FF == 0x7FF:  # raw = (q << 11) - 1 for some q
+                return seed, i, ((raw >> 11) + 1) * 2.0**-53
+    raise AssertionError("no first draw has its low 11 bits set")
+
+
+@pytest.mark.parametrize("force_generic", [False, True])
+def test_a_coin_drawn_on_its_threshold_moves(force_generic):
+    M = 8
+    seed, i, p = _first_coin_on_its_threshold(M)
+    assert unit_threshold(p) == draw(stream_key(seed, i, LAZINESS_TAG), 1)
+    ps = ParticleSystem(K(50, loops=True), M, lazy(p), seed=seed, force_generic=force_generic)
+    ps.step()  # every particle starts on the origin, so each flips a coin
+    assert ps.walk_counts[i] == 1
 
 
 def test_tree_keys_refuse_to_leave_int64():

@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from disperse.rng import (
     DIRECTION_TAG,
@@ -13,11 +15,17 @@ from disperse.rng import (
     mix64,
     mix64_array,
     split_key,
+    stream_counts,
     stream_key,
     stream_key_array,
     to_unit,
     to_unit_array,
+    unit_threshold,
 )
+
+SETTINGS = dict(deadline=None, max_examples=200)
+KEYS = st.integers(0, MASK64)
+COUNTS = st.integers(0, 2**63 - 1)
 
 
 def test_mix64_reference_values():
@@ -56,6 +64,79 @@ def test_scalar_vector_mix_agree():
     vec = mix64_array(xs)
     for x, v in zip(xs.tolist(), vec.tolist()):
         assert mix64(x) == v
+
+
+def test_mix64_array_leaves_its_input_and_casts_int64():
+    xs = np.array([0, 1, -1, -(2**63), 2**63 - 1, 0x123456789], dtype=np.int64)
+    before = xs.copy()
+    vec = mix64_array(xs)
+    assert np.array_equal(xs, before) and vec.dtype == np.uint64
+    assert vec.tolist() == [mix64(x & MASK64) for x in xs.tolist()]
+    words = xs.astype(np.uint64)
+    before = words.copy()
+    assert mix64_array(words).tolist() == vec.tolist()
+    assert np.array_equal(words, before)
+
+
+def _words(keys, counts):
+    return np.array(
+        [(k + GOLDEN * n) & MASK64 for k, n in zip(keys, counts)], dtype=np.uint64
+    )
+
+
+@given(st.lists(st.tuples(KEYS, COUNTS), min_size=1, max_size=20))
+@example([(MASK64, 0), (MASK64 - GOLDEN + 1, 1), (0, 2**63 - 1), (GOLDEN, 1)])
+@settings(**SETTINGS)
+def test_a_word_stepped_by_golden_draws_the_next_counter(streams):
+    keys, counts = zip(*streams)
+    words = _words(keys, counts)
+    words += np.uint64(GOLDEN)  # wraps past 2^64 where key + GOLDEN * (n + 1) does
+    assert mix64_array(words).tolist() == [draw(k, n + 1) for k, n in streams]
+    assert words.tolist() == _words(keys, [n + 1 for n in counts]).tolist()
+
+
+@given(st.lists(st.tuples(KEYS, COUNTS), min_size=1, max_size=20))
+@example([(0, 0), (MASK64, 2**63 - 1), (GOLDEN, 1), (1, 2**62)])
+@settings(**SETTINGS)
+def test_stream_counts_decodes_every_count_below_2_63(streams):
+    keys, counts = zip(*streams)
+    keyv = np.array(keys, dtype=np.uint64)
+    got = stream_counts(_words(keys, counts), keyv)
+    assert got.dtype == np.int64 and got.tolist() == list(counts)
+
+
+def _coin_agrees(raw, p):
+    threshold = unit_threshold(p)
+    assert (raw <= threshold) == (to_unit(raw) < p)
+    vec = np.array([raw], dtype=np.uint64)
+    assert (vec <= np.uint64(threshold)).tolist() == (to_unit_array(vec) < p).tolist()
+
+
+@pytest.mark.parametrize("p", [2.0**-53, 0.05, 0.5, 1 - 2.0**-53, 1.0])
+def test_unit_threshold_is_the_last_draw_below_p(p):
+    threshold = unit_threshold(p)
+    assert to_unit(threshold) < p
+    _coin_agrees(threshold, p)
+    if threshold < MASK64:
+        assert to_unit(threshold + 1) >= p
+        _coin_agrees(threshold + 1, p)
+    else:
+        assert p == 1.0
+
+
+def test_unit_threshold_edges():
+    assert unit_threshold(1.0) == MASK64
+    assert unit_threshold(2.0**-53) == (1 << 11) - 1
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True), st.integers(0, MASK64))
+@settings(**SETTINGS)
+def test_unit_threshold_matches_to_unit(p, raw):
+    threshold = unit_threshold(p)
+    assert 0 <= threshold <= MASK64
+    for r in (raw, threshold, threshold + 1):
+        if r <= MASK64:
+            _coin_agrees(r, p)
 
 
 def test_draw_counter_sensitivity():
