@@ -65,13 +65,14 @@ import numpy as np
 
 from .rng import (
     DIRECTION_TAG,
-    GOLDEN,
+    GOLDEN_U64,
     LAZINESS_TAG,
     MASK64,
     draw,
     mix64_array,
     stream_counts,
     stream_key_array,
+    stream_words,
     to_unit,
     unit_threshold,
 )
@@ -373,9 +374,9 @@ class ParticleSystem:
                 self.t += 1
         finally:
             self._posv[:] = topo.to_array(pos)
-            self._dwv[:] = _words(dkeys, N)
+            self._dwv[:] = stream_words(self._dkv, N)
             if self._lazy:
-                self._lwv[:] = _words(lkeys, L)
+                self._lwv[:] = stream_words(self._lkv, L)
 
     # -- public stepping ---------------------------------------------------
 
@@ -430,12 +431,6 @@ class ParticleSystem:
             boundary_flag=self.boundary_flag,
             trajectories=log,
         )
-
-
-def _words(keys: list[int], counts: list[int]) -> list[int]:
-    """State words key + GOLDEN * count (mod 2^64) of streams after
-    `counts` draws."""
-    return [(key + GOLDEN * n) & MASK64 for key, n in zip(keys, counts)]
 
 
 # -- stepping, lockstep array kernel ------------------------------------------
@@ -595,7 +590,6 @@ def lockstep_pool(
     if not slots:
         return
     lazyv = variant.kind == "lazy"
-    golden = np.uint64(GOLDEN)  # a stream's step; a Python int would be cast per call
     # A coin's draw r moves its particle when to_unit(r) < p, that is r <= this.
     threshold = np.uint64(unit_threshold(variant.p)) if lazyv else None
     leaf = topo.spec.family is Family.TREE and topo.leaf_depth  # truncated leaves' depth
@@ -708,11 +702,11 @@ def lockstep_pool(
             unhappy = idx = (occ >= 2).nonzero()[0]
             if lazyv:
                 lc = lw.take(unhappy)
-                lc += golden
+                lc += GOLDEN_U64
                 idx = unhappy.compress(mix64_array(lc) <= threshold)
             if idx.size:
                 c = dw.take(idx)
-                c += golden
+                c += GOLDEN_U64
                 flat = pos.ndim == 1  # else the rows of the grid or the tree
                 src = pos.take(idx) if flat else pos.take(idx, axis=1)
                 dest = topo.neighbor_array(src, mix64_array(c))

@@ -12,8 +12,9 @@ where mix64 is the splitmix64 finalizer (Steele, Lea and Flood, "Fast
 splittable pseudorandom number generators", OOPSLA 2014). The argument
 is splitmix64's own state word after `counter` steps, so a holder of
 the word `key + GOLDEN * n` (mod 2^64) makes the next draw by adding
-GOLDEN and mixing, with no counter to multiply out; `stream_counts`
-gives n back, GOLDEN being odd and so invertible mod 2^64. A draw is at most
+GOLDEN and mixing, with no counter to multiply out. `stream_words`
+builds the word and `stream_counts` gives n back, GOLDEN being odd and
+so invertible mod 2^64. A draw is at most
 `unit_threshold(p)` exactly when its `to_unit` is below p, so a coin
 of probability p needs no float.
 
@@ -30,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "GOLDEN",
+    "GOLDEN_U64",
     "MASK64",
     "DIRECTION_TAG",
     "LAZINESS_TAG",
@@ -41,6 +43,7 @@ __all__ = [
     "derive_seed",
     "stream_key",
     "stream_key_array",
+    "stream_words",
     "stream_counts",
     "to_unit",
     "to_unit_array",
@@ -104,22 +107,13 @@ def unit_threshold(p: float) -> int:
 # ---------------------------------------------------------------------------
 
 _NP_UINT64 = np.dtype(np.uint64)
-_NP_GOLDEN = np.uint64(GOLDEN)
+GOLDEN_U64 = np.uint64(GOLDEN)  # a stream word's step, typed so numpy casts nothing per call
 _NP_GOLDEN_INVERSE = np.uint64(pow(GOLDEN, -1, 1 << 64))
 _NP_M1 = np.uint64(_M1)
 _NP_M2 = np.uint64(_M2)
 _NP_S30 = np.uint64(30)
 _NP_S27 = np.uint64(27)
 _NP_S31 = np.uint64(31)
-
-
-def _mix64_inplace(x: np.ndarray) -> np.ndarray:
-    x ^= x >> _NP_S30
-    x *= _NP_M1
-    x ^= x >> _NP_S27
-    x *= _NP_M2
-    x ^= x >> _NP_S31
-    return x
 
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
@@ -140,9 +134,9 @@ def draw_array(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Vectorised `draw` of equal-shape arrays: keys uint64, counters
     cast to uint64."""
     x = counters.astype(np.uint64, copy=True)
-    x *= _NP_GOLDEN
+    x *= GOLDEN_U64
     x += keys
-    return _mix64_inplace(x)
+    return mix64_array(x)
 
 
 def stream_key_array(seed: int, particles: int, tag: int) -> np.ndarray:
@@ -150,12 +144,21 @@ def stream_key_array(seed: int, particles: int, tag: int) -> np.ndarray:
     # Scalar operands are masked Python ints: numpy warns when a uint64
     # scalar wraps, while arrays wrap silently by design.
     x = np.arange(1, particles + 1, dtype=np.uint64)
-    x *= _NP_GOLDEN
+    x *= GOLDEN_U64
     x += np.uint64((seed & MASK64) ^ _SPLIT_SALT)
-    x = _mix64_inplace(x)  # split_key(seed, particle)
+    x = mix64_array(x)  # split_key(seed, particle)
     x ^= np.uint64(_SPLIT_SALT)
     x += np.uint64((GOLDEN * (tag + 1)) & MASK64)
-    return _mix64_inplace(x)  # split_key(., tag)
+    return mix64_array(x)  # split_key(., tag)
+
+
+def stream_words(keys, counts) -> np.ndarray:
+    """The state words key + GOLDEN * n (uint64, mod 2^64) of streams
+    after n = counts draws; keys and counts are non-negative, below 2^64
+    and 2^63."""
+    w = np.asarray(counts, dtype=np.uint64) * GOLDEN_U64
+    w += np.asarray(keys, dtype=np.uint64)
+    return w
 
 
 def stream_counts(words: np.ndarray, keys: np.ndarray) -> np.ndarray:

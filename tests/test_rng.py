@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from disperse.rng import (
     DIRECTION_TAG,
     GOLDEN,
+    GOLDEN_U64,
     LAZINESS_TAG,
     MASK64,
     RandomStream,
@@ -18,6 +19,7 @@ from disperse.rng import (
     stream_counts,
     stream_key,
     stream_key_array,
+    stream_words,
     to_unit,
     to_unit_array,
     unit_threshold,
@@ -78,10 +80,16 @@ def test_mix64_array_leaves_its_input_and_casts_int64():
     assert np.array_equal(words, before)
 
 
-def _words(keys, counts):
-    return np.array(
-        [(k + GOLDEN * n) & MASK64 for k, n in zip(keys, counts)], dtype=np.uint64
-    )
+@given(st.lists(st.tuples(KEYS, COUNTS), min_size=1, max_size=20))
+@example([(MASK64, 1), (MASK64, 2**63 - 1), (0, 0), (GOLDEN, 1)])
+@settings(**SETTINGS)
+def test_stream_words_are_key_plus_golden_times_count(streams):
+    keys, counts = zip(*streams)
+    words = stream_words(keys, counts)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [(k + GOLDEN * n) & MASK64 for k, n in streams]
+    arrays = np.array(keys, dtype=np.uint64), np.array(counts, dtype=np.int64)
+    assert stream_words(*arrays).tolist() == words.tolist()
 
 
 @given(st.lists(st.tuples(KEYS, COUNTS), min_size=1, max_size=20))
@@ -89,10 +97,10 @@ def _words(keys, counts):
 @settings(**SETTINGS)
 def test_a_word_stepped_by_golden_draws_the_next_counter(streams):
     keys, counts = zip(*streams)
-    words = _words(keys, counts)
-    words += np.uint64(GOLDEN)  # wraps past 2^64 where key + GOLDEN * (n + 1) does
+    words = stream_words(keys, counts)
+    words += GOLDEN_U64  # wraps past 2^64 where key + GOLDEN * (n + 1) does
     assert mix64_array(words).tolist() == [draw(k, n + 1) for k, n in streams]
-    assert words.tolist() == _words(keys, [n + 1 for n in counts]).tolist()
+    assert words.tolist() == stream_words(keys, [n + 1 for n in counts]).tolist()
 
 
 @given(st.lists(st.tuples(KEYS, COUNTS), min_size=1, max_size=20))
@@ -101,7 +109,7 @@ def test_a_word_stepped_by_golden_draws_the_next_counter(streams):
 def test_stream_counts_decodes_every_count_below_2_63(streams):
     keys, counts = zip(*streams)
     keyv = np.array(keys, dtype=np.uint64)
-    got = stream_counts(_words(keys, counts), keyv)
+    got = stream_counts(stream_words(keys, counts), keyv)
     assert got.dtype == np.int64 and got.tolist() == list(counts)
 
 
