@@ -16,7 +16,7 @@ its streams' splitmix64 state words, key + GOLDEN * n (mod 2^64) after
 n draws, in place of the counts n: the kernel's next draw adds GOLDEN
 to a word and mixes it, and its laziness coin compares the mixed word
 with an integer threshold (see rng). The keys are kept only to decode
-counts on demand (`walk_counts`, `step`, the reference loop). The two
+counts on demand (`walk_counts`, the reference loop). The two
 walk modes run the same code: a counter-based draw needs no buffer, so
 `walk_mode` has no effect on results and is kept only so that
 configs naming either mode still replay.
@@ -28,10 +28,10 @@ grid and the hypercube as rows, cayley as mixed-radix ints. It steps R
 replicas together on flat arrays of R*M particles, so numpy's per-call
 cost is paid once per step for all of them. The replicas need not be
 at the same step, and R is at most `lockstep_batch_size`: when one
-leaves, the next waiting system takes over its slot, so a long run of
-replicas keeps the batch full until the last ones. A single system's
-step() and run() are the R = 1 case, stepped on the system's own
-arrays. Occupancy is counted on packed (replica, vertex) keys: replica
+leaves, the next waiting system takes over its slot and its stored
+counts are copied in, so a long run of replicas keeps the batch full
+until the last ones. A single system's step() and run() are the R = 1
+case, stepped on the system's own arrays. Occupancy is counted on packed (replica, vertex) keys: replica
 * span plus a vertex code in [0, span), where the span is n on K_n,
 star, cycle, hypercube and cayley, and grows with the farthest
 distance reached so far on the path, grid and tree. One
@@ -42,6 +42,11 @@ index; the choice is made afresh each step, as the span grows and as
 replicas come and go. `lockstep_batch_size` sizes a batch by the same
 budget of elements. Tuple addresses are decoded only for `positions` and
 trajectory events.
+
+A system carries its step-start occupancy, each particle's count of
+particles on its vertex, beside its positions and words. Only the two
+stepping loops count occupancy and write it; `step()`, `is_dispersed()`,
+`happy_unhappy_counts()` and trajectory reads take it as stored.
 
 A scalar reference loop gives the same bits: it decodes the arrays on
 entry, counts occupancy afresh each step with a Counter, moves one
@@ -187,9 +192,7 @@ class TrajectoryLog:
         ps = self._rerun()
         out: list[tuple[int, int, Any]] = []
         for t in range(self.steps):
-            words = ps._dwv.copy()
-            ps._advance(t + 1)
-            movers = (ps._dwv != words).nonzero()[0]
+            movers, _ = ps._step_once()
             if len(out) + movers.size > RECORD_EVENT_CAP:
                 raise RuntimeError(f"trajectory log would pass {RECORD_EVENT_CAP} move events")
             dests = ps.topo.from_array(ps._posv[..., movers])
@@ -207,6 +210,8 @@ class TrajectoryLog:
     def positions_at(self, t: int) -> list[Any]:
         """Positions at the start of step t; from `steps` on, the run's
         final positions."""
+        if t < 0:
+            raise ValueError(f"step {t} is before the run's start")
         if t >= self.steps:
             return build(self.spec).from_array(self.final)
         ps = self._rerun()
@@ -284,8 +289,10 @@ class ParticleSystem:
 
         self._lazy = variant.kind == "lazy"
         self._reference = force_generic  # step on the scalar reference loop
-        self._dispersed = particles == 1
         self._posv = np.repeat(topo.to_array([topo.origin]), particles, axis=-1)
+        # Each particle's count of particles on its vertex at the start of
+        # step t; only the stepping loops write it.
+        self._occ = np.full(particles, particles, dtype=np.int64)
         # Stream keys, and the state words key + GOLDEN * count that the
         # loops step (see rng).
         self._dkv = stream_key_array(self.seed, particles, DIRECTION_TAG)
@@ -305,7 +312,7 @@ class ParticleSystem:
         return stream_counts(self._dwv, self._dkv)
 
     def is_dispersed(self) -> bool:
-        return self._dispersed
+        return int(self._occ.max()) <= 1
 
     @property
     def boundary_abort(self) -> bool:
@@ -313,14 +320,8 @@ class ParticleSystem:
         return self.topo.unbounded and self.max_distance_ever > COORDINATE_LIMIT
 
     def _unhappy(self) -> np.ndarray:
-        """Mask of the particles that share their vertex, counted as the
-        system's own loop counts it."""
-        if self._reference:
-            pos = self.positions
-            occupancy = Counter(pos)
-            return np.array([occupancy[v] >= 2 for v in pos], dtype=bool)
-        occupancy = _Occupancy(self.topo, self.particles, 1)
-        return occupancy(self._posv, self.max_distance_ever) >= 2
+        """Mask of the particles that share their vertex."""
+        return self._occ >= 2
 
     def happy_unhappy_counts(self) -> tuple[int, int]:
         unhappy = int(np.count_nonzero(self._unhappy()))
@@ -343,12 +344,9 @@ class ParticleSystem:
         N, dkeys = self.walk_counts.tolist(), self._dkv.tolist()
         if self._lazy:
             L, lkeys = stream_counts(self._lwv, self._lkv).tolist(), self._lkv.tolist()
+        occupancy = Counter(pos)
         try:
-            while True:
-                occupancy = Counter(pos)
-                self._dispersed = len(occupancy) == self.particles
-                if self._dispersed or self.t >= t_end or self.boundary_abort:
-                    return
+            while not (len(occupancy) == self.particles or self.t >= t_end or self.boundary_abort):
                 unhappy = [i for i, v in enumerate(pos) if occupancy[v] >= 2]
                 movers = unhappy
                 if self._lazy:
@@ -372,8 +370,10 @@ class ParticleSystem:
                     )
                 self.meeting_total += sum(c * (c - 1) // 2 for c in occupancy.values())
                 self.t += 1
+                occupancy = Counter(pos)
         finally:
             self._posv[:] = topo.to_array(pos)
+            self._occ[:] = [occupancy[v] for v in pos]
             self._dwv[:] = stream_words(self._dkv, N)
             if self._lazy:
                 self._lwv[:] = stream_words(self._lkv, L)
@@ -386,16 +386,23 @@ class ParticleSystem:
         else:
             advance_lockstep([self], t_end)
 
+    def _step_once(self) -> tuple[np.ndarray, np.ndarray]:
+        """One step through the loop run() uses; returns the ids of the
+        particles that moved (their direction words changed) and the
+        unhappy mask the step started from."""
+        unhappy = self._unhappy()
+        words = self._dwv.copy()
+        self._advance(self.t + 1)
+        return (self._dwv != words).nonzero()[0], unhappy
+
     def step(self) -> StepReport:
         """One synchronous step through the loop run() uses; the report
         is read off the states before and after it."""
-        walked = int(self.walk_counts.sum())
         meetings = self.meeting_total
-        before = self._unhappy()
-        self._advance(self.t + 1)
+        movers, before = self._step_once()
         after = self._unhappy()
         return StepReport(
-            movers=int(self.walk_counts.sum()) - walked,
+            movers=movers.size,
             newly_happy=int(np.count_nonzero(before > after)),
             newly_unhappy=int(np.count_nonzero(after > before)),
             pairwise_meetings=self.meeting_total - meetings,
@@ -408,7 +415,7 @@ class ParticleSystem:
         self._advance(budget)
         if self.boundary_abort or self.boundary_flag:
             status = Status.BOUNDARY_HIT
-        elif self._dispersed:
+        elif self.is_dispersed():
             status = Status.DISPERSED
         else:
             status = Status.BUDGET_EXHAUSTED
@@ -552,12 +559,11 @@ def lockstep_pool(
     t, once it reaches t_end or disperses or, on an unbounded graph, once
     its reach passes COORDINATE_LIMIT. Its state is written back to the
     arrays it was built with, and the next system of `systems`, taken
-    only now, takes over its slot in place; only the newcomer's segment
-    is counted. A system already at t_end, dispersed or out of bounds
-    is yielded as it is taken. A lone system is stepped on its own
-    arrays. A step that raises (a tree vertex past int64) leaves each
-    live system at its last completed step, and systems not yet taken
-    untouched.
+    only now, takes over its slot in place; its stored counts are copied
+    in. A system already at t_end, dispersed or out of bounds is yielded
+    as it is taken. A lone system is stepped on its own arrays. A step
+    that raises (a tree vertex past int64) leaves each live system at
+    its last completed step, and systems not yet taken untouched.
     """
     queue = enumerate(systems)
     shape = None  # graph, particle count and variant of the first live system
@@ -568,7 +574,7 @@ def lockstep_pool(
         nonlocal shape
         if s._reference:
             raise ValueError("lockstep systems must be on the array kernel")
-        if s._dispersed or s.boundary_abort or s.t >= t_end:
+        if s.is_dispersed() or s.boundary_abort or s.t >= t_end:
             return False
         if shape is None:
             shape = (s.spec, s.particles, s.variant)
@@ -598,7 +604,7 @@ def lockstep_pool(
 
     R = len(slots)
     # A single slot (a lone system, or a width of one) steps each system
-    # on its own arrays, with nothing to write back.
+    # on its own arrays, with only its counts to write back.
     own = R == 1
     if own:
         s = slots[0][1]
@@ -623,19 +629,19 @@ def lockstep_pool(
     all_far = reach == full and bool((far == full).all())
     flag = np.array([s.boundary_flag for _, s in slots])
     occupancy = _Occupancy(topo, M, R)
-    lone = occupancy if own else _Occupancy(topo, M, 1)  # counts a newcomer
-    occ = occupancy(pos, reach)
+    occ = np.concatenate([s._occ for _, s in slots])
     # Sum over a replica's particles of their vertex's occupancy: M
     # exactly when it is dispersed, else M + 2 * its meetings.
     load = occ.reshape(R, M).sum(1)
 
-    def settle(j, done):
+    def settle(j):
         """Write slot j's state back to its system and free the slot;
         returns (i, system)."""
         i, s = slots[j]
         slots[j] = None
+        seg = slice(j * M, (j + 1) * M)
+        s._occ[:] = occ[seg]
         if not own:
-            seg = slice(j * M, (j + 1) * M)
             s._posv[:] = pos[..., seg]
             s._dwv[:] = dw[seg]
             if lazyv:
@@ -644,19 +650,19 @@ def lockstep_pool(
         s.meeting_total = (int(meet[j]) - M * s.t) // 2
         s.max_distance_ever = int(far[j])
         s.boundary_flag = bool(flag[j])
-        s._dispersed = bool(done)
         return i, s
 
     try:
         while True:
             outside = unbounded and reach > COORDINATE_LIMIT
             if k >= due or load.min() == M or outside:
-                done = load == M
-                leave = done if k < due else done | (lag >= t_end - k)
+                leave = load == M
+                if k >= due:
+                    leave |= lag >= t_end - k
                 if outside:
-                    leave = leave | (far > COORDINATE_LIMIT)
+                    leave |= far > COORDINATE_LIMIT
                 for j in leave.nonzero()[0].tolist():
-                    yield settle(j, done[j])
+                    yield settle(j)
                     for got in queue:
                         if live(got[1]):
                             break
@@ -679,7 +685,7 @@ def lockstep_pool(
                     meet[j] = 2 * s.meeting_total + M * s.t
                     far[j] = s.max_distance_ever
                     flag[j] = s.boundary_flag
-                    occ[seg] = lone(s._posv, s.max_distance_ever)
+                    occ[seg] = s._occ
                     load[j] = occ[seg].sum()
                 if None in slots:  # `systems` is spent: close the gaps
                     rows = [j for j, slot in enumerate(slots) if slot is not None]
@@ -734,7 +740,7 @@ def lockstep_pool(
     except BaseException:
         for j, slot in enumerate(slots):
             if slot is not None:
-                settle(j, False)
+                settle(j)
         raise
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "to_unit",
     "to_unit_array",
     "unit_threshold",
-    "RandomStream",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -171,27 +170,3 @@ def stream_counts(words: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 def to_unit_array(raws: np.ndarray) -> np.ndarray:
     return (raws >> np.uint64(11)) * 2.0**-53
-
-
-class RandomStream:
-    """Sequential view of one counter-based stream.
-
-    Exclusively owned by one caller at a time; each next_* call
-    consumes exactly one counter position.
-    """
-
-    __slots__ = ("key", "counter")
-
-    def __init__(self, key: int, counter: int = 0):
-        self.key = key & MASK64
-        self.counter = counter
-
-    def next_raw(self) -> int:
-        self.counter += 1
-        return draw(self.key, self.counter)
-
-    def next_uniform(self) -> float:
-        return to_unit(self.next_raw())
-
-    def clone(self) -> "RandomStream":
-        return RandomStream(self.key, self.counter)

@@ -50,15 +50,12 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .rng import RandomStream
-
 __all__ = [
     "Family",
     "TopologySpec",
     "Topology",
     "build",
     "degree",
-    "sample_neighbor",
     "distance_to_origin",
     "ball_size",
     "pigeonhole_radius",
@@ -333,10 +330,6 @@ class Topology:
 
     def neighbors(self, v: Any) -> list[Any]:
         return [self.neighbor(v, i) for i in range(self.degree(v))]
-
-    def sample_neighbor(self, v: Any, rand: RandomStream) -> Any:
-        """Uniform draw over the neighbour multiset; exactly one draw."""
-        return self.neighbor(v, rand.next_raw() % self.degree(v))
 
     def distance_to_origin(self, v: Any) -> int:
         raise NotImplementedError
@@ -963,10 +956,6 @@ def build(spec: TopologySpec) -> Topology:
 
 def degree(spec: TopologySpec, v: Any) -> int:
     return build(spec).degree(v)
-
-
-def sample_neighbor(spec: TopologySpec, v: Any, rand: RandomStream) -> Any:
-    return build(spec).sample_neighbor(v, rand)
 
 
 def distance_to_origin(spec: TopologySpec, v: Any) -> int:

@@ -20,7 +20,7 @@ from disperse.engine import (
     run,
     step,
 )
-from disperse.rng import LAZINESS_TAG, MASK64, draw, stream_key, unit_threshold
+from disperse.rng import DIRECTION_TAG, LAZINESS_TAG, MASK64, draw, stream_key, unit_threshold
 from disperse.topology import Family, TopologySpec, build
 
 
@@ -308,6 +308,41 @@ def test_trajectory_replay_matches_final_positions():
 
 
 @pytest.mark.parametrize("force_generic", [False, True])
+def test_positions_before_the_start_are_refused(force_generic):
+    ps = ParticleSystem(TopologySpec.grid(2), 6, seed=31, force_generic=force_generic)
+    ps.record_trajectories(True)
+    log = ps.run(1000).trajectories
+    for t in (-1, -3):
+        with pytest.raises(ValueError, match="before the run's start"):
+            log.positions_at(t)
+
+
+def test_each_step_counts_occupancy_once(monkeypatch):
+    calls = []
+    count = engine._Occupancy.__call__
+
+    def counted(self, v, reach):
+        calls.append(reach)
+        return count(self, v, reach)
+
+    monkeypatch.setattr(engine._Occupancy, "__call__", counted)
+    ps = ParticleSystem(K(100, loops=True), 60, seed=5)
+    ps.record_trajectories(True)
+    for _ in range(10):
+        calls.clear()
+        ps.happy_unhappy_counts()
+        ps.is_dispersed()
+        assert calls == []
+        ps.step()
+        assert len(calls) == 1
+    log = ps.run(30).trajectories
+    assert log.steps == 30
+    calls.clear()
+    log.events
+    assert len(calls) == log.steps
+
+
+@pytest.mark.parametrize("force_generic", [False, True])
 def test_event_cap_fails_when_events_are_read(monkeypatch, force_generic):
     monkeypatch.setattr(engine, "RECORD_EVENT_CAP", 25)
     ps = ParticleSystem(K(30), 20, seed=4, force_generic=force_generic)
@@ -352,6 +387,7 @@ def test_a_log_that_does_not_replay_to_its_final_positions_raises(force_generic)
     ps = ParticleSystem(TopologySpec.grid(2), 6, seed=31, force_generic=force_generic)
     ps.record_trajectories(True)
     ps._posv[0, :3] = 1
+    ps._occ[:] = 3  # three particles on (1, 0), three on the origin
     with pytest.raises(RuntimeError, match="does not replay"):
         ps.run(1000).trajectories.events
 
@@ -440,6 +476,17 @@ def test_a_coin_drawn_on_its_threshold_moves(force_generic):
     ps = ParticleSystem(K(50, loops=True), M, lazy(p), seed=seed, force_generic=force_generic)
     ps.step()  # every particle starts on the origin, so each flips a coin
     assert ps.walk_counts[i] == 1
+
+
+@pytest.mark.parametrize("force_generic", [False, True])
+def test_a_move_spends_one_direction_draw(force_generic):
+    # Every particle starts on the origin, so each moves in step 0, to
+    # the neighbour its first direction draw picks.
+    ps = ParticleSystem(TopologySpec.grid(2), 6, seed=77, force_generic=force_generic)
+    ps.step()
+    keys = [stream_key(ps.seed, i, DIRECTION_TAG) for i in range(6)]
+    assert ps.walk_counts.tolist() == [1] * 6
+    assert ps.positions == [ps.topo.neighbor((0, 0), draw(key, 1) % 4) for key in keys]
 
 
 def test_tree_keys_refuse_to_leave_int64():

@@ -1,9 +1,15 @@
 """Invariant checks driven by randomised topologies, seeds and variants."""
 
+from collections import Counter
+from unittest import mock
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, given, settings
 
-from disperse.engine import STANDARD, ParticleSystem, Status, WalkMode, lazy
+from disperse import engine
+from disperse.engine import STANDARD, ParticleSystem, Status, WalkMode, lazy, lockstep_pool
+from disperse.rng import derive_seed
 from disperse.topology import TopologySpec, build
 
 SETTINGS = dict(deadline=None, max_examples=60)
@@ -164,3 +170,39 @@ def test_walk_modes_are_interchangeable(exp, variant, seed):
         assert a.positions == b.positions
     assert a.meeting_total == b.meeting_total
     assert a.walk_counts.tolist() == b.walk_counts.tolist()
+
+
+def _assert_stored_counts(ps):
+    pos = ps.positions
+    occupancy = Counter(pos)
+    assert ps._occ.tolist() == [occupancy[v] for v in pos]
+
+
+@given(experiments(), variants(), st.integers(0, 2**32), st.booleans())
+@settings(**SETTINGS)
+def test_stored_occupancy_is_the_count_of_positions(exp, variant, seed, force_generic):
+    spec, m = exp
+    ps = ParticleSystem(spec, m, variant=variant, seed=seed, force_generic=force_generic)
+    _assert_stored_counts(ps)
+    for _ in range(15):
+        ps.step()
+        _assert_stored_counts(ps)
+    ps.run(200)
+    _assert_stored_counts(ps)
+    # A step that raises: two particles on a depth-1 vertex of tree(2^40),
+    # whose level 2 passes int64.
+    placed = ParticleSystem(
+        TopologySpec.tree(2**40, leaf_depth=0), 2, variant, seed, force_generic=force_generic
+    )
+    placed._posv[:] = placed.topo.to_array([(5,), (5,)])
+    placed.max_distance_ever = 1
+    with pytest.raises(ValueError, match="int64"):
+        placed.run(10**4)
+    _assert_stored_counts(placed)
+    # A pool two wide, one system ahead of the rest: replicas leave, and
+    # newcomers take their slots.
+    pooled = [ParticleSystem(spec, m, variant, derive_seed(seed, i)) for i in range(5)]
+    pooled[2]._advance(3)
+    with mock.patch.object(engine, "lockstep_batch_size", lambda topo, M: 2):
+        for _, left in lockstep_pool(iter(pooled), 12):
+            _assert_stored_counts(left)

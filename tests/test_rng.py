@@ -9,7 +9,6 @@ from disperse.rng import (
     GOLDEN_U64,
     LAZINESS_TAG,
     MASK64,
-    RandomStream,
     derive_seed,
     draw,
     draw_array,
@@ -197,21 +196,6 @@ def test_to_unit_roughly_uniform():
     us = [to_unit(draw(5, c)) for c in range(1, 20001)]
     mean = sum(us) / len(us)
     assert abs(mean - 0.5) < 0.01
-
-
-def test_random_stream_sequences_and_clone():
-    s = RandomStream(314)
-    first = [s.next_raw() for _ in range(5)]
-    assert first == [draw(314, c) for c in range(1, 6)]
-    c = s.clone()
-    assert c.next_raw() == s.next_raw()
-    u = RandomStream(314).next_uniform()
-    assert u == to_unit(draw(314, 1))
-
-
-def test_random_stream_key_masked():
-    s = RandomStream((1 << 70) + 12)
-    assert s.key == ((1 << 70) + 12) & MASK64
 
 
 @pytest.mark.parametrize("bit", range(0, 64, 7))

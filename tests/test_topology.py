@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from disperse.rng import RandomStream, draw
+from disperse.rng import draw, mix64_array, stream_words
 from disperse.topology import (
     COORDINATE_LIMIT,
     MAX_CAYLEY_VERTICES,
@@ -16,7 +16,6 @@ from disperse.topology import (
     distance_to_origin,
     is_bipartite,
     pigeonhole_radius,
-    sample_neighbor,
     with_leaf_depth,
 )
 
@@ -395,13 +394,6 @@ def test_with_leaf_depth_resolution():
 # -- sampling ------------------------------------------------------------------
 
 
-def test_sample_neighbor_consumes_one_draw():
-    t = build(TopologySpec.grid(2))
-    s = RandomStream(77)
-    t.sample_neighbor((0, 0), s)
-    assert s.counter == 1
-
-
 @pytest.mark.parametrize(
     "spec,vertex",
     [
@@ -413,14 +405,21 @@ def test_sample_neighbor_consumes_one_draw():
         (TopologySpec.cycle(9), 4),
     ],
 )
-def test_sample_neighbor_uniform(spec, vertex):
+def test_both_loops_draw_uniform_neighbours_alike(spec, vertex):
+    # The kernel moves by neighbor_array on mixed stream words, the
+    # reference loop by neighbor(v, draw % degree): the same neighbour
+    # draw for draw, uniform over the neighbour multiset.
     t = build(spec)
     deg = t.degree(vertex)
-    s = RandomStream(0xC0FFEE)
-    counts = {}
+    key = 0xC0FFEE
     draws = 4000 * deg
-    for _ in range(draws):
-        w = t.sample_neighbor(vertex, s)
+    src = np.repeat(t.to_array([vertex]), draws, axis=-1)
+    words = stream_words(key, np.arange(1, draws + 1))
+    kernel = t.from_array(t.neighbor_array(src, mix64_array(words)))
+    reference = [t.neighbor(vertex, draw(key, n) % deg) for n in range(1, draws + 1)]
+    assert kernel == reference
+    counts = {}
+    for w in reference:
         counts[w] = counts.get(w, 0) + 1
     assert set(counts) == set(t.neighbors(vertex))
     _, p = stats.chisquare(list(counts.values()))
@@ -431,20 +430,16 @@ def test_functional_mirrors_match_methods():
     spec = TopologySpec.grid(2)
     t = build(spec)
     assert distance_to_origin(spec, (2, 2)) == t.distance_to_origin((2, 2))
-    a = sample_neighbor(spec, (0, 0), RandomStream(5))
-    b = t.sample_neighbor((0, 0), RandomStream(5))
-    assert a == b
 
 
 # -- local distance structure ---------------------------------------------------
 
 
 def walk_vertices(t, steps=60, seed=9):
-    s = RandomStream(seed)
     v = t.origin
     out = [v]
-    for _ in range(steps):
-        v = t.sample_neighbor(v, s)
+    for n in range(1, steps + 1):
+        v = t.neighbor(v, draw(seed, n) % t.degree(v))
         out.append(v)
     return out
 
