@@ -1,17 +1,28 @@
-"""Replay of the golden-result corpus (tests/golden/) on every kernel."""
+"""Replay of the golden-result corpus (tests/golden/) on every kernel,
+and of the golden CLI output digests."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "golden_corpus", Path(__file__).resolve().parent / "golden" / "corpus.py"
-)
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
+from disperse import oracles
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _load(name: str, filename: str):
+    spec = importlib.util.spec_from_file_location(name, _GOLDEN / filename)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden = _load("golden_corpus", "corpus.py")
+golden_cli = _load("golden_cli", "cli.py")
 
 STORED = golden.load()
+STORED_CLI = golden_cli.load()
 
 
 def test_corpus_covers_every_case():
@@ -22,3 +33,18 @@ def test_corpus_covers_every_case():
 @pytest.mark.parametrize("case", golden.cases(), ids=golden.case_id)
 def test_golden_replay(case, kernel):
     assert golden.replay(case, kernel) == STORED[golden.case_id(case)]
+
+
+def test_cli_digests_cover_every_invocation_and_oracle():
+    assert sorted(STORED_CLI) == sorted(golden_cli.INVOCATIONS)
+    called = {argv[1] for argv in golden_cli.INVOCATIONS.values() if argv[0] == "oracle"}
+    assert called == set(oracles.ORACLES) | {"mixing-step"}
+    run_scan = [argv for argv in golden_cli.INVOCATIONS.values() if argv[0] != "oracle"]
+    for sub in ("run", "scan"):
+        formats = {a[a.index("--format") + 1] for a in run_scan if a[0] == sub and "--format" in a}
+        assert formats == {"ndjson", "csv", "json", "svg-summary"}
+
+
+@pytest.mark.parametrize("name", sorted(golden_cli.INVOCATIONS))
+def test_cli_output_digest(name):
+    assert golden_cli.replay(name) == STORED_CLI[name]
