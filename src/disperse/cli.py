@@ -37,11 +37,6 @@ __all__ = ["main", "parse_and_dispatch", "build_parser"]
 
 _FORMATS = ("csv", "ndjson", "json", "svg-summary")
 
-_TOPOLOGY_KEYS = ("family", "n", "k", "dim", "leaf_depth", "with_loops", "moduli", "generators")
-_EXPERIMENT_KEYS = _TOPOLOGY_KEYS + (
-    "particles", "lazy_p", "budget", "replicas", "seed", "walk_mode", "record_trajectories", "omega"
-)
-
 
 def _fmt(v) -> str:
     """One formatting rule for CSV cells and SVG labels, so the two
@@ -60,41 +55,38 @@ def _fmt(v) -> str:
 # -- config plumbing ---------------------------------------------------------
 
 
+# (config key, ExperimentSpec field, parser, writer): a key the config
+# leaves out leaves the spec's own default, and a writer's None leaves
+# the key out of the written config.
+_EXPERIMENT_FIELDS = (
+    ("particles", "M", int, _fmt),
+    ("lazy_p", "variant", lambda p: lazy(float(p)), lambda v: repr(v.p) if v.kind == "lazy" else None),
+    ("budget", "budget", int, _fmt),
+    ("replicas", "replicas", int, _fmt),
+    ("seed", "master_seed", int, _fmt),
+    ("walk_mode", "walk_mode", WalkMode, lambda m: m.value),
+    ("record_trajectories", "record_trajectories", config_bool, _fmt),
+    ("omega", "omega", float, lambda w: None if w is None else _fmt(w)),
+)
+_TOPOLOGY_KEYS = tuple(f.name for f in dataclasses.fields(TopologySpec))
+_EXPERIMENT_KEYS = _TOPOLOGY_KEYS + tuple(key for key, *_ in _EXPERIMENT_FIELDS)
+
+
 def experiment_to_config(exp: ExperimentSpec) -> dict[str, str]:
     cfg = exp.topology.to_config()
-    cfg["particles"] = str(exp.M)
-    if exp.variant.kind == "lazy":
-        cfg["lazy_p"] = repr(exp.variant.p)
-    cfg["budget"] = str(exp.budget)
-    cfg["replicas"] = str(exp.replicas)
-    cfg["seed"] = str(exp.master_seed)
-    cfg["walk_mode"] = exp.walk_mode.value
-    cfg["record_trajectories"] = "true" if exp.record_trajectories else "false"
-    if exp.omega is not None:
-        cfg["omega"] = _fmt(exp.omega)
+    for key, field, _, write in _EXPERIMENT_FIELDS:
+        text = write(getattr(exp, field))
+        if text is not None:
+            cfg[key] = text
     return cfg
 
 
-# (config key, ExperimentSpec field, parser); a key the config leaves
-# out leaves the spec's own default.
-_OPTIONAL_KEYS = (
-    ("lazy_p", "variant", lambda v: lazy(float(v))),
-    ("budget", "budget", int),
-    ("replicas", "replicas", int),
-    ("seed", "master_seed", int),
-    ("record_trajectories", "record_trajectories", config_bool),
-    ("walk_mode", "walk_mode", WalkMode),
-    ("omega", "omega", float),
-)
-
-
 def config_to_experiment(cfg: dict[str, str]) -> ExperimentSpec:
-    topo_cfg = {k: v for k, v in cfg.items() if k in _TOPOLOGY_KEYS}
-    topology = TopologySpec.from_config(topo_cfg)
+    topology = TopologySpec.from_config({k: v for k, v in cfg.items() if k in _TOPOLOGY_KEYS})
     if "particles" not in cfg:
         raise ValueError("config needs a particles count")
-    given = {field: parse(cfg[key]) for key, field, parse in _OPTIONAL_KEYS if key in cfg}
-    return ExperimentSpec(topology=topology, M=int(cfg["particles"]), **given)
+    given = {field: parse(cfg[key]) for key, field, parse, _ in _EXPERIMENT_FIELDS if key in cfg}
+    return ExperimentSpec(topology=topology, **given)
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -439,14 +431,7 @@ def _cmd_oracle(args) -> int:
         if name == "kn-changes" and args.with_loops is not None:
             inputs["with_loops"] = args.with_loops
         ov = oracles.evaluate(name, inputs)
-    payload = {
-        "name": ov.name,
-        "inputs": ov.inputs,
-        "value": ov.value,
-        "equation_tag": ov.equation_tag,
-    }
-    text = json.dumps(payload, sort_keys=True) + "\n"
-    _write(args.out, text)
+    _write(args.out, json.dumps(dataclasses.asdict(ov), sort_keys=True) + "\n")
     return 0
 
 

@@ -138,6 +138,8 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
 
 
 _QUANTILE_KEYS = ("min", "p25", "p50", "p75", "p95", "max")
+# The AggregateStats fields that hold nearest_rank_quantiles dicts.
+_QUANTILE_FIELDS = ("t_disp", "d_disp", "max_distance")
 
 
 def nearest_rank_quantiles(values) -> dict[str, Optional[float]]:
@@ -173,44 +175,15 @@ class AggregateStats:
         "dispersal_fraction",
         "ci_lo",
         "ci_hi",
-        "t_disp_min",
-        "t_disp_p25",
-        "t_disp_p50",
-        "t_disp_p75",
-        "t_disp_p95",
-        "t_disp_max",
-        "d_disp_min",
-        "d_disp_p25",
-        "d_disp_p50",
-        "d_disp_p75",
-        "d_disp_p95",
-        "d_disp_max",
-        "max_distance_min",
-        "max_distance_p25",
-        "max_distance_p50",
-        "max_distance_p75",
-        "max_distance_p95",
-        "max_distance_max",
+        *(f"{q}_{key}" for q in _QUANTILE_FIELDS for key in _QUANTILE_KEYS),
         "mean_meetings",
     )
 
     def to_row(self) -> dict:
-        row = {
-            "replicas": self.replicas,
-            "boundary_hits": self.boundary_hits,
-            "dispersed": self.dispersed,
-            "dispersal_fraction": self.dispersal_fraction,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "mean_meetings": self.mean_meetings,
-        }
-        for prefix, q in (
-            ("t_disp", self.t_disp),
-            ("d_disp", self.d_disp),
-            ("max_distance", self.max_distance),
-        ):
-            for key in _QUANTILE_KEYS:
-                row[f"{prefix}_{key}"] = q[key]
+        """The CSV row: each quantile dict flattened to prefix_key cells."""
+        row = dataclasses.asdict(self)
+        for q in _QUANTILE_FIELDS:
+            row.update((f"{q}_{key}", v) for key, v in row.pop(q).items())
         return {c: row[c] for c in self.COLUMNS}
 
 

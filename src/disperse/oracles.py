@@ -90,9 +90,18 @@ class LazyOccupancyProfile:
 
 
 class TreeConstants(NamedTuple):
-    k: int
     alpha_k: float
     beta_k: float
+
+
+class Band(NamedTuple):
+    lower: float
+    upper: float
+
+
+class TailBound(NamedTuple):
+    exact: Fraction
+    bound: float
 
 
 class KnChanges(NamedTuple):
@@ -178,10 +187,10 @@ def tree_constants(k: int) -> TreeConstants:
     lg = math.log(k) / math.log(k - 1)
     alpha = 1.0 - 1.0 / (2.0 * lg - 1.0)
     beta = 1.0 / 3.0 - 1.0 / (3.0 * lg)
-    return TreeConstants(k, alpha, beta)
+    return TreeConstants(alpha, beta)
 
 
-def tree_depth_bounds(k: int, M: int, eps: float) -> tuple[float, float]:
+def tree_depth_bounds(k: int, M: int, eps: float) -> Band:
     """Band [(2 - alpha_k - eps) log_{k-1} M, (2 - beta_k + 2 eps) log_{k-1} M]
     containing the dispersal depth of M particles on the k-regular tree."""
     if M < 2:
@@ -190,7 +199,7 @@ def tree_depth_bounds(k: int, M: int, eps: float) -> tuple[float, float]:
         raise ValueError("eps must be positive")
     c = tree_constants(k)
     logm = math.log(M) / math.log(k - 1)
-    return (2.0 - c.alpha_k - eps) * logm, (2.0 - c.beta_k + 2.0 * eps) * logm
+    return Band((2.0 - c.alpha_k - eps) * logm, (2.0 - c.beta_k + 2.0 * eps) * logm)
 
 
 def tree_ruin_probability(k: int, d: int) -> float:
@@ -214,7 +223,7 @@ def line_returns_pmf(T: int, r: int) -> Fraction:
     return Fraction(math.comb(2 * T - r, T), 1 << (2 * T - r))
 
 
-def line_returns_tail(T: int, r: int) -> tuple[Fraction, float]:
+def line_returns_tail(T: int, r: int) -> TailBound:
     """Probability of at least r returns in 2T steps, with the closed
     upper bound pmf(T, r) * (2T - r)/r. The bound degenerates at r=0,
     where an infinite sentinel is returned."""
@@ -226,9 +235,8 @@ def line_returns_tail(T: int, r: int) -> tuple[Fraction, float]:
         (line_returns_pmf(T, s) for s in range(r, T + 1)), Fraction(0)
     )
     if r == 0:
-        return exact, math.inf
-    bound = float(line_returns_pmf(T, r)) * (2 * T - r) / r
-    return exact, bound
+        return TailBound(exact, math.inf)
+    return TailBound(exact, float(line_returns_pmf(T, r)) * (2 * T - r) / r)
 
 
 def grid2d_expected_returns(t: int) -> float:
@@ -260,14 +268,14 @@ def hypercube_return_probability(d: int, s: int) -> Fraction:
     return Fraction(num, (1 << d) * d**s)
 
 
-def path_distance_bounds(M: int, eps: float) -> tuple[int, float]:
+def path_distance_bounds(M: int, eps: float) -> Band:
     """Dispersal-distance band for M particles on the infinite line:
     floor(M/2) below, 4(1+eps) M ln M above."""
     if M < 2:
         raise ValueError("need M >= 2")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return M // 2, 4.0 * (1.0 + eps) * M * math.log(M)
+    return Band(M // 2, 4.0 * (1.0 + eps) * M * math.log(M))
 
 
 # -- uniform-mixing step ----------------------------------------------------
@@ -387,44 +395,16 @@ class OracleDef:
     equation_tag: str
 
 
-def _kn_changes(n: int, H: int, U: int, with_loops: bool = True):
-    v = kn_expected_changes(KnState(n, H, U, with_loops))
-    return {"EX": v.EX, "EY": v.EY, "EdH": v.EdH, "approximate": v.approximate}
+# Only these two build their argument from flags; every other entry
+# names its library function.
 
 
-def _lazy_range(n: int, p: float, occupancies, E_empty: int):
-    v = lazy_expected_range_changes(
-        LazyOccupancyProfile(n, p, tuple(occupancies), E_empty)
-    )
-    return {"ER_plus": v.ER_plus, "ER_minus_exact": v.ER_minus_exact}
+def _kn_changes(n: int, H: int, U: int, with_loops: bool = True) -> KnChanges:
+    return kn_expected_changes(KnState(n, H, U, with_loops))
 
 
-def _tree_constants(k: int):
-    v = tree_constants(k)
-    return {"alpha_k": v.alpha_k, "beta_k": v.beta_k}
-
-
-def _tree_depth(k: int, M: int, eps: float):
-    lo, hi = tree_depth_bounds(k, M, eps)
-    return {"lower": lo, "upper": hi}
-
-
-def _line_pmf(T: int, r: int):
-    return float(line_returns_pmf(T, r))
-
-
-def _line_tail(T: int, r: int):
-    exact, bound = line_returns_tail(T, r)
-    return {"exact": float(exact), "bound": bound}
-
-
-def _hcube_return(d: int, s: int):
-    return float(hypercube_return_probability(d, s))
-
-
-def _path_bounds(M: int, eps: float):
-    lo, hi = path_distance_bounds(M, eps)
-    return {"lower": lo, "upper": hi}
+def _lazy_range(n: int, p: float, occupancies, E_empty: int) -> RangeChanges:
+    return lazy_expected_range_changes(LazyOccupancyProfile(n, p, occupancies, E_empty))
 
 
 ORACLES: dict[str, OracleDef] = {
@@ -449,12 +429,12 @@ ORACLES: dict[str, OracleDef] = {
         "ceil(4 ln n / (p alpha))",
     ),
     "tree-constants": OracleDef(
-        _tree_constants,
+        tree_constants,
         (("k", int),),
         "alpha_k=1-1/(2 log_{k-1} k - 1); beta_k=1/3-1/(3 log_{k-1} k)",
     ),
     "tree-depth": OracleDef(
-        _tree_depth,
+        tree_depth_bounds,
         (("k", int), ("M", int), ("eps", float)),
         "(2-alpha_k-eps) log_{k-1} M <= depth <= (2-beta_k+2 eps) log_{k-1} M",
     ),
@@ -464,12 +444,12 @@ ORACLES: dict[str, OracleDef] = {
         "(1/(k-1))^d",
     ),
     "line-pmf": OracleDef(
-        _line_pmf,
+        line_returns_pmf,
         (("T", int), ("r", int)),
         "2^-(2T-r) C(2T-r, T)",
     ),
     "line-tail": OracleDef(
-        _line_tail,
+        line_returns_tail,
         (("T", int), ("r", int)),
         "exact = sum_{s>=r} pmf(T,s); bound = pmf(T,r)(2T-r)/r",
     ),
@@ -479,12 +459,12 @@ ORACLES: dict[str, OracleDef] = {
         "sum_{s=0..t} C(2s,s)^2 / 16^s",
     ),
     "hypercube-return": OracleDef(
-        _hcube_return,
+        hypercube_return_probability,
         (("d", int), ("s", int)),
         "2^-d sum_k C(d,k)((d-2k)/d)^s",
     ),
     "path-bounds": OracleDef(
-        _path_bounds,
+        path_distance_bounds,
         (("M", int), ("eps", float)),
         "floor(M/2) <= distance <= 4(1+eps) M ln M",
     ),
@@ -501,8 +481,15 @@ def evaluate(name: str, inputs: dict) -> OracleValue:
             mixing_step(spec),
             "min even T: |P^T(u,u) - 1/n'| <= 1/(2n') for all even s >= T",
         )
-    if name not in ORACLES:
-        raise KeyError(name)
     d = ORACLES[name]
-    value = d.func(**inputs)
-    return OracleValue(name, dict(inputs), value, d.equation_tag)
+    return OracleValue(name, dict(inputs), _encode(d.func(**inputs)), d.equation_tag)
+
+
+def _encode(value):
+    """An oracle's value as the CLI writes it: a named tuple as a dict of
+    its fields, a Fraction as a float."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {k: _encode(v) for k, v in value._asdict().items()}
+    if isinstance(value, Fraction):
+        return float(value)
+    return value
