@@ -16,6 +16,7 @@ import configparser
 import dataclasses
 import io
 import json
+import os
 import sys
 from typing import Callable, Optional
 
@@ -46,7 +47,7 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        if v == int(v) and abs(v) < 1e15:
+        if v.is_integer() and abs(v) < 1e15:
             return str(int(v))
         return repr(v)
     return str(v)
@@ -452,6 +453,11 @@ def parse_and_dispatch(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        # Fail before the work, not when its output is written.
+        out = getattr(args, "out", None)
+        folder = os.path.dirname(os.path.abspath(out)) if out else None
+        if folder and not os.path.isdir(folder):
+            raise ValueError(f"--out {out}: directory {folder} does not exist")
         if args.subcommand == "run":
             return _cmd_run(args)
         if args.subcommand == "scan":

@@ -31,10 +31,14 @@ at the same step, and R is at most `lockstep_batch_size`: when one
 leaves, the next waiting system takes over its slot and its stored
 counts are copied in, so a long run of replicas keeps the batch full
 until the last ones. A single system's step() and run() are the R = 1
-case, stepped on the system's own arrays. Occupancy is counted on packed (replica, vertex) keys: replica
-* span plus a vertex code in [0, span), where the span is n on K_n,
-star, cycle, hypercube and cayley, and grows with the farthest
-distance reached so far on the path, grid and tree. One
+case. A lone system, one the pool knows no other system follows
+(`systems` ran out before the batch was full), is stepped on its own
+arrays; every other system is copied into its slot.
+
+Occupancy is counted on packed (replica, vertex) keys: replica * span
+plus a vertex code in [0, span), where the span is n on K_n, star,
+cycle, hypercube and cayley, and grows with the farthest distance
+reached so far on the path, grid and tree. One
 bincount over R*span bins counts them when R*span <= LOCKSTEP_ELEMENTS,
 else one sort of keys with particle ids packed below them where those
 words fit an int64, else one lexsort of the vertex rows under the replica
@@ -328,8 +332,8 @@ class ParticleSystem:
         return self.particles - unhappy, unhappy
 
     def record_trajectories(self, on: bool) -> None:
-        if on and self.t > 0:
-            raise RuntimeError("record_trajectories(True) must come before the first step")
+        """Whether run() returns a TrajectoryLog. A log replays its seed
+        from t = 0, so it may be turned on at any step."""
         self._record = on
 
     # -- stepping, scalar reference loop ---------------------------------------
@@ -561,7 +565,8 @@ def lockstep_pool(
     arrays it was built with, and the next system of `systems`, taken
     only now, takes over its slot in place; its stored counts are copied
     in. A system already at t_end, dispersed or out of bounds is yielded
-    as it is taken. A lone system is stepped on its own arrays. A step
+    as it is taken. A lone system, the only one `systems` yields into a
+    pool wider than one, is stepped on its own arrays. A step
     that raises (a tree vertex past int64) leaves each live system at
     its last completed step, and systems not yet taken untouched.
     """
@@ -603,9 +608,9 @@ def lockstep_pool(
     full = topo.max_distance
 
     R = len(slots)
-    # A single slot (a lone system, or a width of one) steps each system
-    # on its own arrays, with only its counts to write back.
-    own = R == 1
+    # A lone system (one slot, with `systems` spent, so no slot is ever
+    # refilled) steps on its own arrays, with only its counts to write back.
+    own = R == 1 < width
     if own:
         s = slots[0][1]
         pos, dw = s._posv, s._dwv
@@ -672,15 +677,10 @@ def lockstep_pool(
                     slots[j] = got
                     s = got[1]
                     seg = slice(j * M, (j + 1) * M)
-                    if own:
-                        pos, dw = s._posv, s._dwv
-                        if lazyv:
-                            lw = s._lwv
-                    else:
-                        pos[..., seg] = s._posv
-                        dw[seg] = s._dwv
-                        if lazyv:
-                            lw[seg] = s._lwv
+                    pos[..., seg] = s._posv
+                    dw[seg] = s._dwv
+                    if lazyv:
+                        lw[seg] = s._lwv
                     lag[j] = s.t - k
                     meet[j] = 2 * s.meeting_total + M * s.t
                     far[j] = s.max_distance_ever

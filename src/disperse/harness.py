@@ -87,8 +87,8 @@ class ExperimentSpec:
             raise ValueError("budget must be >= 1")
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-        if self.omega is not None and self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if self.omega is not None and not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
 
     def resolve(self) -> "ExperimentSpec":
         """Fill derived defaults: tree leaf depth from the particle
@@ -286,6 +286,8 @@ class ScanSpec:
         self.base.validate()
         if not self.grid:
             raise ValueError("scan grid must be non-empty")
+        if not all(math.isfinite(v) for v in self.grid):
+            raise ValueError("scan grid values must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("scan grid must be strictly increasing")
         axis = ScanAxis(self.axis)

@@ -35,8 +35,12 @@ vertices compactly below it. The engine asks for codes only where keys
 over that span fit an int64; otherwise it sorts the array rows
 themselves.
 
-All topology queries are read-only after construction and safe for
-concurrent use.
+Every topology query is read-only after construction but one: the
+tree's `vertex_codes` grows its table of per-level offsets the first
+time it is asked for a reach beyond any before. Entries once written
+never change, so no code changes; but two threads growing the table at
+once can race, so a tree topology is not safe for concurrent use while
+its reach grows.
 """
 
 from __future__ import annotations

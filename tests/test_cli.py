@@ -417,3 +417,72 @@ def test_hypercube_cap_takes_dimensions_past_float_range(capsys):
 
 def test_exit_2_on_missing_config_file():
     assert run_cli(["run", "--config", "/nonexistent/x.ini"]) == 2
+
+
+# -- input refused before any work ---------------------------------------------------
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started on refused input")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Any replica built or validation check run fails the test."""
+    monkeypatch.setattr(harness, "ParticleSystem", _refuse)
+    monkeypatch.setattr(cli, "validate_suite", _refuse)
+
+
+NON_FINITE = {
+    "run-omega-inf": RUN_ARGS + ["--omega", "inf"],
+    "run-omega-nan": RUN_ARGS + ["--omega", "nan"],
+    "run-lazy-p-inf": RUN_ARGS + ["--lazy-p", "inf"],
+    "scan-density-inf": SCAN_ARGS[:-1] + ["inf"],
+    "scan-tree-k-inf": [
+        "scan", "--family", "tree", "--k", "3", "--particles", "5", "--axis", "tree-k", "--grid", "inf"
+    ],
+    "scan-grid-dim-inf": [
+        "scan", "--family", "grid", "--dim", "2", "--particles", "5", "--axis", "grid-dim", "--grid", "inf"
+    ],
+}
+
+
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("disperse: error: ")
+
+
+@pytest.mark.parametrize("args", list(NON_FINITE.values()), ids=list(NON_FINITE))
+def test_exit_2_on_non_finite_numbers(args, no_work, tmp_path, capsys):
+    out = tmp_path / "o.ndjson"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_exit_2_on_non_finite_omega_in_config_file(no_work, tmp_path, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[disperse]\nfamily = complete\nn = 20\nparticles = 5\nomega = inf\n")
+    out = tmp_path / "o.ndjson"
+    assert run_cli(["run", "--config", str(ini), "--out", str(out)]) == 2
+    _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_format_writes_non_finite_floats_as_repr():
+    assert [cli._fmt(v) for v in (float("inf"), float("-inf"), float("nan"))] == ["inf", "-inf", "nan"]
+    assert cli._fmt(20.0) == "20" and cli._fmt(0.25) == "0.25"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [RUN_ARGS, SCAN_ARGS, ["validate", "--quick"], ["oracle", "tree-ruin", "--k", "3", "--d", "2"]],
+    ids=["run", "scan", "validate", "oracle"],
+)
+def test_exit_2_at_once_on_out_in_a_missing_directory(args, no_work, tmp_path, capsys):
+    out = tmp_path / "missing" / "o.json"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"disperse: error: --out {out}: directory {out.parent} does not exist\n"

@@ -284,11 +284,25 @@ def test_to_record_shape_and_walk_stats():
     assert rec["walk_steps_median"] == counts[(len(counts) + 1) // 2 - 1]
 
 
-def test_record_trajectories_must_precede_first_step():
-    ps = ParticleSystem(K(10), 3, seed=2)
-    ps.step()
-    with pytest.raises(RuntimeError):
-        ps.record_trajectories(True)
+@pytest.mark.parametrize("force_generic", [False, True])
+@pytest.mark.parametrize(
+    "spec, M", [(K(10), 6), (TopologySpec.grid(2), 16)], ids=["complete", "grid"]
+)
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy0.5"])
+def test_recording_turned_on_mid_run_logs_the_whole_run(force_generic, spec, M, variant):
+    # A log replays its seed from t = 0, so one turned on after three
+    # steps is the log of a run recorded from the start.
+    late = ParticleSystem(spec, M, variant, seed=17, force_generic=force_generic)
+    for _ in range(3):
+        late.step()
+    assert late.t == 3 and not late.is_dispersed()
+    late.record_trajectories(True)
+    early = ParticleSystem(spec, M, variant, seed=17, force_generic=force_generic)
+    early.record_trajectories(True)
+    a, b = late.run(500).trajectories, early.run(500).trajectories
+    assert a == b
+    assert np.array_equal(a.final, b.final)
+    assert a.events == b.events and a.events
 
 
 def test_trajectory_replay_matches_final_positions():

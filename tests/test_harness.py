@@ -168,6 +168,8 @@ def test_experiment_validation_errors():
         dataclasses.replace(good, budget=0),
         dataclasses.replace(good, replicas=0),
         dataclasses.replace(good, omega=-1.0),
+        dataclasses.replace(good, omega=math.inf),
+        dataclasses.replace(good, omega=math.nan),
     ):
         with pytest.raises(ValueError):
             bad.validate()
@@ -663,7 +665,19 @@ def test_lockstep_pool_steps_systems_at_different_steps(monkeypatch, family, var
     # t=5: one steps beside a fresh one from the start, the other waits
     # and takes over a freed slot, as the fresh ones do, at another step.
     # Each ends as a lone run from t=0 on the reference loop does.
-    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
+    _assert_pool_matches_lone_runs(monkeypatch, family, variant, width=2)
+
+
+@pytest.mark.parametrize("family", list(POOL_FAMILIES))
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy0.5"])
+def test_a_pool_one_wide_copies_each_newcomer_in(monkeypatch, family, variant):
+    # The same five systems through one slot, refilled four times: each
+    # newcomer, fresh or at t=5, is copied in as in a wider pool.
+    _assert_pool_matches_lone_runs(monkeypatch, family, variant, width=1)
+
+
+def _assert_pool_matches_lone_runs(monkeypatch, family, variant, width):
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: width)
     spec, M = POOL_FAMILIES[family]
     pooled = [ParticleSystem(spec, M, variant, derive_seed(59, i)) for i in range(5)]
     for ps in pooled[1], pooled[3]:
@@ -787,6 +801,12 @@ def test_scan_validation_errors():
     path_base = base_exp(topology=TopologySpec.path(), M=6)
     with pytest.raises(ValueError):
         ScanSpec(base=path_base, axis=ScanAxis.DENSITY, grid=(0.5,)).validate()
+    tree_base = base_exp(topology=TopologySpec.tree(3), M=6)
+    grid_base = base_exp(topology=TopologySpec.grid(2), M=6)
+    for b, axis in ((base, ScanAxis.DENSITY), (tree_base, ScanAxis.TREE_K), (grid_base, ScanAxis.GRID_DIM)):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ScanSpec(base=b, axis=axis, grid=(value,)).validate()
 
 
 @pytest.mark.parametrize(
