@@ -336,3 +336,12 @@ def test_evaluate_mixing_step_from_config():
 def test_evaluate_unknown_name():
     with pytest.raises(KeyError):
         evaluate("krylov-subspace", {})
+
+
+def test_paired_results_are_named_tuples_that_unpack():
+    lo, hi = band = tree_depth_bounds(3, 4096, 0.2)
+    assert (band.lower, band.upper) == (lo, hi)
+    assert path_distance_bounds(100, 0.2).lower == path_distance_bounds(100, 0.2)[0] == 50
+    exact, bound = tail = line_returns_tail(4, 2)
+    assert (tail.exact, tail.bound) == (exact, bound)
+    assert tree_constants(3)._fields == ("alpha_k", "beta_k")
