@@ -458,6 +458,8 @@ def parse_and_dispatch(argv=None) -> int:
         folder = os.path.dirname(os.path.abspath(out)) if out else None
         if folder and not os.path.isdir(folder):
             raise ValueError(f"--out {out}: directory {folder} does not exist")
+        if out and os.path.isdir(out):
+            raise ValueError(f"--out {out}: is a directory")
         if args.subcommand == "run":
             return _cmd_run(args)
         if args.subcommand == "scan":

@@ -28,12 +28,11 @@ grid and the hypercube as rows, cayley as mixed-radix ints. It steps R
 replicas together on flat arrays of R*M particles, so numpy's per-call
 cost is paid once per step for all of them. The replicas need not be
 at the same step, and R is at most `lockstep_batch_size`: when one
-leaves, the next waiting system takes over its slot and its stored
-counts are copied in, so a long run of replicas keeps the batch full
-until the last ones. A single system's step() and run() are the R = 1
-case. A lone system, one the pool knows no other system follows
-(`systems` ran out before the batch was full), is stepped on its own
-arrays; every other system is copied into its slot.
+leaves, the next waiting system takes over its slot, so a long run of
+replicas keeps the batch full until the last ones. Every system, a
+lone one included, is copied into its slot as it enters and back to
+its own arrays as it leaves; a single system's step() and run() are
+the R = 1 case, and so copy the system in and out on each call.
 
 Occupancy is counted on packed (replica, vertex) keys: replica * span
 plus a vertex code in [0, span), where the span is n on K_n, star,
@@ -104,12 +103,6 @@ __all__ = [
     "advance_lockstep",
     "lockstep_pool",
     "lockstep_batch_size",
-    "init",
-    "step",
-    "run",
-    "is_dispersed",
-    "happy_unhappy_counts",
-    "record_trajectories",
 ]
 
 SCHEMA = "disperse/1"
@@ -559,14 +552,15 @@ def lockstep_pool(
     not the step: each keeps its own t. At most `lockstep_batch_size`
     of them are live at once, each in a slot of flat arrays of R*M
     particles laid end to end, and one occupancy count over (replica,
-    vertex) keys serves every replica. A replica leaves, keeping its own
-    t, once it reaches t_end or disperses or, on an unbounded graph, once
-    its reach passes COORDINATE_LIMIT. Its state is written back to the
-    arrays it was built with, and the next system of `systems`, taken
-    only now, takes over its slot in place; its stored counts are copied
-    in. A system already at t_end, dispersed or out of bounds is yielded
-    as it is taken. A lone system, the only one `systems` yields into a
-    pool wider than one, is stepped on its own arrays. A step
+    vertex) keys serves every replica. A system's state crosses into a
+    slot only by `enter` and back to its own arrays only by `settle`.
+    A replica leaves, keeping its own t, once it reaches t_end or
+    disperses or, on an unbounded graph, once its reach passes
+    COORDINATE_LIMIT; it is settled, and the next system of `systems`,
+    taken only now, enters its slot. Once `systems` is spent and a slot
+    stays empty, the live systems are settled and entered, in their
+    order, into a fresh batch as wide as they are. A system already at
+    t_end, dispersed or out of bounds is yielded as it is taken. A step
     that raises (a tree vertex past int64) leaves each live system at
     its last completed step, and systems not yet taken untouched.
     """
@@ -587,18 +581,18 @@ def lockstep_pool(
             raise ValueError("lockstep systems must share the graph, particle count and variant")
         return True
 
-    slots = []  # (i, system) live in each slot, None once it left
+    batch = []  # (i, system) to enter into a fresh batch as wide as they are
     for got in queue:
         if not live(got[1]):
             yield got
             continue
-        slots.append(got)
-        if len(slots) == 1:
+        batch.append(got)
+        if len(batch) == 1:
             topo, M, variant = got[1].topo, got[1].particles, got[1].variant
             width = lockstep_batch_size(topo, M)
-        if len(slots) == width:
+        if len(batch) == width:
             break
-    if not slots:
+    if not batch:
         return
     lazyv = variant.kind == "lazy"
     # A coin's draw r moves its particle when to_unit(r) < p, that is r <= this.
@@ -606,38 +600,29 @@ def lockstep_pool(
     leaf = topo.spec.family is Family.TREE and topo.leaf_depth  # truncated leaves' depth
     unbounded = topo.unbounded
     full = topo.max_distance
-
-    R = len(slots)
-    # A lone system (one slot, with `systems` spent, so no slot is ever
-    # refilled) steps on its own arrays, with only its counts to write back.
-    own = R == 1 < width
-    if own:
-        s = slots[0][1]
-        pos, dw = s._posv, s._dwv
-        if lazyv:
-            lw = s._lwv
-    else:
-        pos = np.concatenate([s._posv for _, s in slots], axis=-1)
-        dw = np.concatenate([s._dwv for _, s in slots])
-        if lazyv:
-            lw = np.concatenate([s._lwv for _, s in slots])
-    # The pool's own step count k: slot j is at step k + lag[j], and
-    # the first slot reaches t_end at k = due.
+    rows = batch[0][1]._posv.shape[:-1]  # of an array-form vertex
+    # The pool's own step count k: slot j is at step k + lag[j].
     k = 0
-    ts = [s.t for _, s in slots]
-    lag = np.array(ts, dtype=np.int64)
-    due = t_end - max(ts)
-    # Twice the meetings so far plus M per step: a step adds its load.
-    meet = np.array([2 * s.meeting_total + M * s.t for _, s in slots], dtype=np.int64)
-    far = np.array([s.max_distance_ever for _, s in slots], dtype=np.int64)
-    reach = int(far.max())
-    all_far = reach == full and bool((far == full).all())
-    flag = np.array([s.boundary_flag for _, s in slots])
-    occupancy = _Occupancy(topo, M, R)
-    occ = np.concatenate([s._occ for _, s in slots])
-    # Sum over a replica's particles of their vertex's occupancy: M
-    # exactly when it is dispersed, else M + 2 * its meetings.
-    load = occ.reshape(R, M).sum(1)
+    slots = []  # (i, system) live in each slot, None once it left
+
+    def enter(j, got):
+        """Copy system got[1]'s state into the free slot j."""
+        slots[j] = got
+        s = got[1]
+        seg = slice(j * M, (j + 1) * M)
+        pos[..., seg] = s._posv
+        dw[seg] = s._dwv
+        if lazyv:
+            lw[seg] = s._lwv
+        occ[seg] = s._occ
+        # Sum over a replica's particles of their vertex's occupancy: M
+        # exactly when it is dispersed, else M + 2 * its meetings.
+        load[j] = occ[seg].sum()
+        lag[j] = s.t - k
+        # Twice the meetings so far plus M per step: a step adds its load.
+        meet[j] = 2 * s.meeting_total + M * s.t
+        far[j] = s.max_distance_ever
+        flag[j] = s.boundary_flag
 
     def settle(j):
         """Write slot j's state back to its system and free the slot;
@@ -645,12 +630,11 @@ def lockstep_pool(
         i, s = slots[j]
         slots[j] = None
         seg = slice(j * M, (j + 1) * M)
+        s._posv[:] = pos[..., seg]
+        s._dwv[:] = dw[seg]
+        if lazyv:
+            s._lwv[:] = lw[seg]
         s._occ[:] = occ[seg]
-        if not own:
-            s._posv[:] = pos[..., seg]
-            s._dwv[:] = dw[seg]
-            if lazyv:
-                s._lwv[:] = lw[seg]
         s.t = k + int(lag[j])
         s.meeting_total = (int(meet[j]) - M * s.t) // 2
         s.max_distance_ever = int(far[j])
@@ -659,125 +643,77 @@ def lockstep_pool(
 
     try:
         while True:
-            outside = unbounded and reach > COORDINATE_LIMIT
-            if k >= due or load.min() == M or outside:
-                leave = load == M
-                if k >= due:
-                    leave |= lag >= t_end - k
-                if outside:
-                    leave |= far > COORDINATE_LIMIT
-                for j in leave.nonzero()[0].tolist():
-                    yield settle(j)
-                    for got in queue:
-                        if live(got[1]):
-                            break
-                        yield got
+            if batch:
+                R = len(batch)
+                slots = [None] * R
+                pos = np.empty(rows + (R * M,), dtype=np.int64)
+                dw = np.empty(R * M, dtype=np.uint64)
+                if lazyv:
+                    lw = np.empty(R * M, dtype=np.uint64)
+                occ = np.empty(R * M, dtype=np.int64)
+                load, lag, meet, far = (np.empty(R, dtype=np.int64) for _ in range(4))
+                flag = np.empty(R, dtype=bool)
+                for j, got in enumerate(batch):
+                    enter(j, got)
+                batch = []
+                occupancy = _Occupancy(topo, M, R)
+            reach = int(far.max())
+            all_far = reach == full and bool((far == full).all())
+            due = t_end - int(lag.max())  # k at which the first slot reaches t_end
+            while True:
+                outside = unbounded and reach > COORDINATE_LIMIT
+                if k >= due or load.min() == M or outside:
+                    leave = load == M
+                    if k >= due:
+                        leave |= lag >= t_end - k
+                    if outside:
+                        leave |= far > COORDINATE_LIMIT
+                    for j in leave.nonzero()[0].tolist():
+                        yield settle(j)
+                        for got in queue:
+                            if live(got[1]):
+                                enter(j, got)
+                                break
+                            yield got
+                    if None in slots:  # `systems` is spent: narrow the batch
+                        batch = [settle(j) for j, slot in enumerate(slots) if slot is not None]
+                        if not batch:
+                            return
+                    break  # a newcomer may be over at once
+                unhappy = idx = (occ >= 2).nonzero()[0]
+                if lazyv:
+                    lc = lw.take(unhappy)
+                    lc += GOLDEN_U64
+                    idx = unhappy.compress(mix64_array(lc) <= threshold)
+                if idx.size:
+                    c = dw.take(idx)
+                    c += GOLDEN_U64
+                    flat = pos.ndim == 1  # else the rows of the grid or the tree
+                    src = pos.take(idx) if flat else pos.take(idx, axis=1)
+                    dest = topo.neighbor_array(src, mix64_array(c))
+                # Nothing below raises: the step is applied whole.
+                if lazyv:
+                    lw[unhappy] = lc
+                if idx.size:
+                    dw[idx] = c
+                    if leaf:
+                        # A truncated leaf's move to its parent marks the run.
+                        flag[idx[src[0] == leaf] // M] = True
+                    if flat:
+                        pos[idx] = dest
                     else:
-                        continue  # `systems` is spent
-                    slots[j] = got
-                    s = got[1]
-                    seg = slice(j * M, (j + 1) * M)
-                    pos[..., seg] = s._posv
-                    dw[seg] = s._dwv
-                    if lazyv:
-                        lw[seg] = s._lwv
-                    lag[j] = s.t - k
-                    meet[j] = 2 * s.meeting_total + M * s.t
-                    far[j] = s.max_distance_ever
-                    flag[j] = s.boundary_flag
-                    occ[seg] = s._occ
-                    load[j] = occ[seg].sum()
-                if None in slots:  # `systems` is spent: close the gaps
-                    rows = [j for j, slot in enumerate(slots) if slot is not None]
-                    if not rows:
-                        return
-                    slots = [slots[j] for j in rows]
-                    R = len(rows)
-                    pos, dw = _keep(pos, rows, M), _keep(dw, rows, M)
-                    if lazyv:
-                        lw = _keep(lw, rows, M)
-                    occ = _keep(occ, rows, M)
-                    load, meet, far, flag, lag = (
-                        load[rows], meet[rows], far[rows], flag[rows], lag[rows]
-                    )
-                    occupancy = _Occupancy(topo, M, R)
-                reach = int(far.max())
-                all_far = reach == full and bool((far == full).all())
-                due = t_end - int(lag.max())
-                continue  # a newcomer may be over at once
-            unhappy = idx = (occ >= 2).nonzero()[0]
-            if lazyv:
-                lc = lw.take(unhappy)
-                lc += GOLDEN_U64
-                idx = unhappy.compress(mix64_array(lc) <= threshold)
-            if idx.size:
-                c = dw.take(idx)
-                c += GOLDEN_U64
-                flat = pos.ndim == 1  # else the rows of the grid or the tree
-                src = pos.take(idx) if flat else pos.take(idx, axis=1)
-                dest = topo.neighbor_array(src, mix64_array(c))
-            # Nothing below raises: the step is applied whole.
-            if lazyv:
-                lw[unhappy] = lc
-            if idx.size:
-                dw[idx] = c
-                if leaf:
-                    # A truncated leaf's move to its parent marks the run.
-                    flag[idx[src[0] == leaf] // M] = True
-                if flat:
-                    pos[idx] = dest
-                else:
-                    for row, new in zip(pos, dest):
-                        row[idx] = new
-                if not all_far:
-                    np.maximum.at(far, idx // M, topo.distance_array(dest))
-                    reach = int(far.max())
-                    all_far = reach == full and bool((far == full).all())
-            meet += load
-            k += 1
-            occ = occupancy(pos, reach)
-            load = occ.reshape(R, M).sum(1)
+                        for row, new in zip(pos, dest):
+                            row[idx] = new
+                    if not all_far:
+                        np.maximum.at(far, idx // M, topo.distance_array(dest))
+                        reach = int(far.max())
+                        all_far = reach == full and bool((far == full).all())
+                meet += load
+                k += 1
+                occ = occupancy(pos, reach)
+                load = occ.reshape(R, M).sum(1)
     except BaseException:
         for j, slot in enumerate(slots):
             if slot is not None:
                 settle(j)
         raise
-
-
-def _keep(x: np.ndarray, rows: list[int], M: int) -> np.ndarray:
-    """The M-long segments of x (along its last axis) of replicas `rows`."""
-    lead = x.shape[:-1]
-    return x.reshape(lead + (-1, M)).take(rows, axis=-2).reshape(lead + (-1,))
-
-
-# Functional mirrors of the spec operations.
-
-
-def init(
-    spec: TopologySpec,
-    particles: int,
-    variant: Variant = STANDARD,
-    seed: int = 0,
-    walk_mode: WalkMode = WalkMode.ON_DEMAND,
-) -> ParticleSystem:
-    return ParticleSystem(spec, particles, variant, seed, walk_mode)
-
-
-def step(sys: ParticleSystem) -> StepReport:
-    return sys.step()
-
-
-def run(sys: ParticleSystem, budget: int = DEFAULT_BUDGET) -> RunResult:
-    return sys.run(budget)
-
-
-def is_dispersed(sys: ParticleSystem) -> bool:
-    return sys.is_dispersed()
-
-
-def happy_unhappy_counts(sys: ParticleSystem) -> tuple[int, int]:
-    return sys.happy_unhappy_counts()
-
-
-def record_trajectories(sys: ParticleSystem, on: bool) -> None:
-    sys.record_trajectories(on)

@@ -145,8 +145,8 @@ def kn_expected_changes(s: KnState) -> KnChanges:
 def kn_subcritical_time(n, delta: float) -> int:
     """Step count after which subcritical complete-graph dispersion has
     failed with probability O(1/n): ceil((2/delta) ln n)."""
-    if not 0 < delta:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     if n <= 0:
         raise ValueError("need n > 0")
     return math.ceil((2.0 / delta) * math.log(n))
@@ -171,8 +171,8 @@ def lazy_expected_range_changes(prof: LazyOccupancyProfile) -> RangeChanges:
 def lazy_subcritical_time(n, p: float, alpha: float) -> int:
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if n <= 0:
         raise ValueError("need n > 0")
     return math.ceil(4.0 * math.log(n) / (p * alpha))
@@ -195,8 +195,8 @@ def tree_depth_bounds(k: int, M: int, eps: float) -> Band:
     containing the dispersal depth of M particles on the k-regular tree."""
     if M < 2:
         raise ValueError("need M >= 2")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     c = tree_constants(k)
     logm = math.log(M) / math.log(k - 1)
     return Band((2.0 - c.alpha_k - eps) * logm, (2.0 - c.beta_k + 2.0 * eps) * logm)
@@ -273,8 +273,8 @@ def path_distance_bounds(M: int, eps: float) -> Band:
     floor(M/2) below, 4(1+eps) M ln M above."""
     if M < 2:
         raise ValueError("need M >= 2")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     return Band(M // 2, 4.0 * (1.0 + eps) * M * math.log(M))
 
 

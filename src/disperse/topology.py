@@ -59,11 +59,6 @@ __all__ = [
     "TopologySpec",
     "Topology",
     "build",
-    "degree",
-    "distance_to_origin",
-    "ball_size",
-    "pigeonhole_radius",
-    "is_bipartite",
     "default_leaf_depth",
     "config_bool",
     "COORDINATE_LIMIT",
@@ -952,30 +947,6 @@ _BUILDERS = {
 def build(spec: TopologySpec) -> Topology:
     spec.validate()
     return _BUILDERS[spec.family](spec)
-
-
-# Functional mirrors of the per-instance queries. Convenient for
-# one-off evaluation; repeated callers should keep the built instance.
-
-
-def degree(spec: TopologySpec, v: Any) -> int:
-    return build(spec).degree(v)
-
-
-def distance_to_origin(spec: TopologySpec, v: Any) -> int:
-    return build(spec).distance_to_origin(v)
-
-
-def ball_size(spec: TopologySpec, r: int) -> int:
-    return build(spec).ball_size(r)
-
-
-def pigeonhole_radius(spec: TopologySpec, particles: int) -> int:
-    return build(spec).pigeonhole_radius(particles)
-
-
-def is_bipartite(spec: TopologySpec) -> bool:
-    return build(spec).is_bipartite()
 
 
 def with_leaf_depth(spec: TopologySpec, particles: int) -> TopologySpec:

@@ -444,6 +444,11 @@ NON_FINITE = {
     "scan-grid-dim-inf": [
         "scan", "--family", "grid", "--dim", "2", "--particles", "5", "--axis", "grid-dim", "--grid", "inf"
     ],
+    "oracle-tree-depth-eps-inf": ["oracle", "tree-depth", "--k", "3", "--M", "100", "--eps", "inf"],
+    "oracle-kn-time-delta-inf": ["oracle", "kn-time", "--n", "1000", "--delta", "inf"],
+    "oracle-lazy-time-alpha-inf": ["oracle", "lazy-time", "--n", "1000", "--p", "0.5", "--alpha", "inf"],
+    "oracle-lazy-time-alpha-nan": ["oracle", "lazy-time", "--n", "1000", "--p", "0.5", "--alpha", "nan"],
+    "oracle-path-bounds-eps-nan": ["oracle", "path-bounds", "--M", "100", "--eps", "nan"],
 }
 
 
@@ -486,3 +491,16 @@ def test_exit_2_at_once_on_out_in_a_missing_directory(args, no_work, tmp_path, c
     assert run_cli(args + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"disperse: error: --out {out}: directory {out.parent} does not exist\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [RUN_ARGS, SCAN_ARGS, ["validate", "--quick"], ["oracle", "tree-ruin", "--k", "3", "--d", "2"]],
+    ids=["run", "scan", "validate", "oracle"],
+)
+def test_exit_2_at_once_on_out_naming_a_directory(args, no_work, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(oracles, "evaluate", _refuse)
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"disperse: error: --out {tmp_path}: is a directory\n"
+    assert list(tmp_path.iterdir()) == []

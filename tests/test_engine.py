@@ -13,12 +13,7 @@ from disperse.engine import (
     Status,
     Variant,
     WalkMode,
-    happy_unhappy_counts,
-    init,
-    is_dispersed,
     lazy,
-    run,
-    step,
 )
 from disperse.rng import DIRECTION_TAG, LAZINESS_TAG, MASK64, draw, stream_key, unit_threshold
 from disperse.topology import Family, TopologySpec, build
@@ -651,18 +646,3 @@ def test_pair_meeting_total_counts_cooccupied_step_starts():
         assert r.status is Status.DISPERSED
         assert r.meeting_total == r.t_disp
 
-
-# -- module-level functional mirrors ------------------------------------------------
-
-
-def test_functional_interface():
-    sys_ = init(K(12), 4, seed=3)
-    assert not is_dispersed(sys_)
-    rep = step(sys_)
-    assert rep.movers == 4
-    res = run(sys_, 200)
-    assert res.status is Status.DISPERSED
-    assert happy_unhappy_counts(sys_) == (4, 0)
-    twin = init(K(12), 4, seed=3)
-    res2 = run(twin, 200)
-    assert res2.t_disp == res.t_disp

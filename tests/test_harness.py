@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import weakref
@@ -693,15 +694,94 @@ def _assert_pool_matches_lone_runs(monkeypatch, family, variant, width):
     for ps in lone:
         ps._advance(t_end)
     for b, a in zip(pooled, lone):
-        assert (b.t, b.is_dispersed(), b.boundary_abort) == (a.t, a.is_dispersed(), a.boundary_abort)
-        assert b.positions == a.positions
-        assert b.walk_counts.tolist() == a.walk_counts.tolist()
-        assert (b.meeting_total, b.max_distance_ever, b.boundary_flag) == (
-            a.meeting_total, a.max_distance_ever, a.boundary_flag
-        )
-        if variant.kind == "lazy":
-            assert _laziness_counts(b) == _laziness_counts(a)
+        assert (b.is_dispersed(), b.boundary_abort) == (a.is_dispersed(), a.boundary_abort)
+        _assert_same_state(b, a)
     assert len({ps.t for ps in lone}) > 1
+
+
+def _assert_same_state(b, a):
+    """b and a are at the same step with the same stored state."""
+    assert b.t == a.t
+    assert b.positions == a.positions
+    assert b.walk_counts.tolist() == a.walk_counts.tolist()
+    assert b._occ.tolist() == a._occ.tolist()
+    assert (b.meeting_total, b.max_distance_ever, b.boundary_flag) == (
+        a.meeting_total, a.max_distance_ever, a.boundary_flag
+    )
+    if a.variant.kind == "lazy":
+        assert _laziness_counts(b) == _laziness_counts(a)
+
+
+@pytest.mark.parametrize("family", list(POOL_FAMILIES))
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy0.5"])
+def test_closing_a_pool_settles_every_live_system(monkeypatch, family, variant):
+    # Five systems in a pool two wide, closed as the first one leaves:
+    # the other one taken is written back at the pool's step, and the
+    # three not yet taken are untouched.
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
+    spec, M = POOL_FAMILIES[family]
+
+    def fresh(i, **kw):
+        return ParticleSystem(spec, M, variant, derive_seed(61, i), **kw)
+
+    pooled, taken = [fresh(i) for i in range(5)], []
+
+    def queue():
+        for i, ps in enumerate(pooled):
+            taken.append(i)
+            yield ps
+
+    pool = lockstep_pool(queue(), 40)
+    first, _ = next(pool)
+    pool.close()
+    assert taken == [0, 1]
+    t = pooled[first].t
+    assert t > 0
+    for i in taken:
+        assert pooled[i].t == t
+        ref = fresh(i, force_generic=True)
+        ref._advance(t)
+        _assert_same_state(pooled[i], ref)
+    for i in range(2, 5):
+        _assert_same_state(pooled[i], fresh(i))
+
+
+@pytest.mark.parametrize("master", [1, 2, 3])
+def test_a_raising_step_after_the_batch_narrowed_settles_every_live_system(monkeypatch, master):
+    # Three lazy systems on tree(2^40) in a pool three wide. The first
+    # starts with both particles at the root and disperses at its first
+    # move; the other two start on depth-1 vertices, where a move raises.
+    # Once the first leaves the batch narrows to two, and the step that
+    # raises leaves both at their last completed step.
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 3)
+    variant = lazy(0.05)
+
+    def rooted(**kw):
+        return ParticleSystem(
+            TopologySpec.tree(2**40, leaf_depth=0), 2, variant, derive_seed(master, 0), **kw
+        )
+
+    def raised_at(j):
+        ref = _placed_on_tree(variant, master, j, force_generic=True)
+        with pytest.raises(ValueError, match="int64"):
+            ref.run(10**4)
+        return ref.t
+
+    left_at = rooted(force_generic=True).run(10**4).t_disp
+    # The first two placed systems that complete a step in the narrowed batch.
+    js = list(itertools.islice((j for j in itertools.count(1) if raised_at(j) > left_at), 2))
+    last = min(map(raised_at, js))
+    systems = [rooted()] + [_placed_on_tree(variant, master, j) for j in js]
+    left = []
+    with pytest.raises(ValueError, match="int64"):
+        for i, _ in lockstep_pool(iter(systems), 10**4):
+            left.append(i)
+    assert left == [0] and systems[0].t == left_at
+    for j, ps in zip(js, systems[1:]):
+        ref = _placed_on_tree(variant, master, j, force_generic=True)
+        ref.run(last)
+        assert ps.t == last
+        _assert_same_state(ps, ref)
 
 
 def test_cayley_bfs_runs_once_per_group():

@@ -241,6 +241,22 @@ def test_path_distance_bounds_values():
         path_distance_bounds(10, 0.0)
 
 
+NON_FINITE_CALLS = {
+    "kn-time-delta": (lambda x: kn_subcritical_time(1000, x), "delta"),
+    "lazy-time-alpha": (lambda x: lazy_subcritical_time(1000, 0.5, x), "alpha"),
+    "tree-depth-eps": (lambda x: tree_depth_bounds(3, 100, x), "eps"),
+    "path-bounds-eps": (lambda x: path_distance_bounds(100, x), "eps"),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", list(NON_FINITE_CALLS))
+def test_closed_forms_refuse_non_finite_parameters(name, value):
+    call, param = NON_FINITE_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{param} must be"):
+        call(value)
+
+
 # -- mixing step ----------------------------------------------------------------------
 
 

@@ -13,9 +13,6 @@ from disperse.topology import (
     build,
     config_bool,
     default_leaf_depth,
-    distance_to_origin,
-    is_bipartite,
-    pigeonhole_radius,
     with_leaf_depth,
 )
 
@@ -144,12 +141,12 @@ def test_ball_sizes_monotone_everywhere():
 
 
 def test_pigeonhole_radius_examples():
-    assert pigeonhole_radius(TopologySpec.path(), 100) == 50
-    assert pigeonhole_radius(TopologySpec.tree(3), 4096) == 11
-    assert pigeonhole_radius(TopologySpec.grid(2), 50) == 5
-    assert pigeonhole_radius(TopologySpec.hypercube(16), 100) == 2
-    assert pigeonhole_radius(TopologySpec.complete(10), 1) == 0
-    assert pigeonhole_radius(TopologySpec.complete(10), 2) == 1
+    assert build(TopologySpec.path()).pigeonhole_radius(100) == 50
+    assert build(TopologySpec.tree(3)).pigeonhole_radius(4096) == 11
+    assert build(TopologySpec.grid(2)).pigeonhole_radius(50) == 5
+    assert build(TopologySpec.hypercube(16)).pigeonhole_radius(100) == 2
+    assert build(TopologySpec.complete(10)).pigeonhole_radius(1) == 0
+    assert build(TopologySpec.complete(10)).pigeonhole_radius(2) == 1
 
 
 def test_pigeonhole_radius_rejects_overfill():
@@ -180,17 +177,17 @@ BIPARTITE_TABLE = {
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_bipartite_table(name):
-    assert is_bipartite(spec_for(name)) == BIPARTITE_TABLE[name]
+    assert build(spec_for(name)).is_bipartite() == BIPARTITE_TABLE[name]
 
 
 def test_bipartite_edge_cases():
-    assert is_bipartite(TopologySpec.complete(2))
-    assert not is_bipartite(TopologySpec.cayley((9,), [(1,), (-1,)]))
-    assert not is_bipartite(TopologySpec.cayley((3, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)]))
+    assert build(TopologySpec.complete(2)).is_bipartite()
+    assert not build(TopologySpec.cayley((9,), [(1,), (-1,)])).is_bipartite()
+    assert not build(
+        TopologySpec.cayley((3, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    ).is_bipartite()
     # A generator pair that closes an odd cycle.
-    assert not is_bipartite(
-        TopologySpec.cayley((6,), [(1,), (-1,), (2,), (-2,)])
-    )
+    assert not build(TopologySpec.cayley((6,), [(1,), (-1,), (2,), (-2,)])).is_bipartite()
 
 
 # -- cayley equivalences -------------------------------------------------------
@@ -424,12 +421,6 @@ def test_both_loops_draw_uniform_neighbours_alike(spec, vertex):
     assert set(counts) == set(t.neighbors(vertex))
     _, p = stats.chisquare(list(counts.values()))
     assert p > 0.001
-
-
-def test_functional_mirrors_match_methods():
-    spec = TopologySpec.grid(2)
-    t = build(spec)
-    assert distance_to_origin(spec, (2, 2)) == t.distance_to_origin((2, 2))
 
 
 # -- local distance structure ---------------------------------------------------
