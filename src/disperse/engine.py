@@ -16,10 +16,13 @@ its streams' splitmix64 state words, key + GOLDEN * n (mod 2^64) after
 n draws, in place of the counts n: the kernel's next draw adds GOLDEN
 to a word and mixes it, and its laziness coin compares the mixed word
 with an integer threshold (see rng). The keys are kept only to decode
-counts on demand (`walk_counts`, the reference loop). The two
-walk modes run the same code: a counter-based draw needs no buffer, so
-`walk_mode` has no effect on results and is kept only so that
-configs naming either mode still replay.
+counts on demand (`walk_counts`, the reference loop). They come from
+`stream_keys`, one vectorised pass over any number of seeds: the
+harness derives a chunk of seeds' keys at once and hands each system
+its block, and a system given none derives its own one-seed block the
+same way. The two walk modes run the same code: a counter-based draw
+needs no buffer, so `walk_mode` has no effect on results and is kept
+only so that configs naming either mode still replay.
 
 One production kernel, the lockstep array kernel `lockstep_pool`
 (`advance_lockstep` runs it to its end), runs every input on int64
@@ -103,6 +106,7 @@ __all__ = [
     "advance_lockstep",
     "lockstep_pool",
     "lockstep_batch_size",
+    "stream_keys",
 ]
 
 SCHEMA = "disperse/1"
@@ -251,9 +255,21 @@ class RunResult:
         }
 
 
+def stream_keys(seeds, particles: int, variant: Variant) -> np.ndarray:
+    """The stream keys of `particles` particles under each of `seeds`, in
+    one pass: a (tags, particles) uint64 block per seed, whose rows are
+    the direction keys and, for the lazy variant, the laziness keys."""
+    tags = (DIRECTION_TAG, LAZINESS_TAG) if variant.kind == "lazy" else (DIRECTION_TAG,)
+    return stream_key_array(seeds, particles, tags)
+
+
 class ParticleSystem:
     """Mutable state of one run. Single-threaded by contract:
     exclusive mutation, no cross-system sharing.
+
+    `keys`, when given, is the system's block of `stream_keys` for its
+    seed, so that many systems' keys can be derived in one pass; it is
+    kept, not copied. Without it the system derives its own.
     """
 
     def __init__(
@@ -264,6 +280,7 @@ class ParticleSystem:
         seed: int = 0,
         walk_mode: WalkMode = WalkMode.ON_DEMAND,
         force_generic: bool = False,
+        keys: Optional[np.ndarray] = None,
     ):
         if particles < 1:
             raise ValueError("need at least one particle")
@@ -292,10 +309,14 @@ class ParticleSystem:
         self._occ = np.full(particles, particles, dtype=np.int64)
         # Stream keys, and the state words key + GOLDEN * count that the
         # loops step (see rng).
-        self._dkv = stream_key_array(self.seed, particles, DIRECTION_TAG)
+        if keys is None:
+            keys = stream_keys([self.seed], particles, variant)[0]
+        elif keys.dtype != np.uint64 or keys.shape != (1 + self._lazy, particles):
+            raise ValueError("keys must be one seed's block of stream_keys")
+        self._dkv = keys[0]
         self._dwv = self._dkv.copy()
         if self._lazy:
-            self._lkv = stream_key_array(self.seed, particles, LAZINESS_TAG)
+            self._lkv = keys[1]
             self._lwv = self._lkv.copy()
 
     # -- queries -------------------------------------------------------
@@ -698,7 +719,7 @@ def lockstep_pool(
                     dw[idx] = c
                     if leaf:
                         # A truncated leaf's move to its parent marks the run.
-                        flag[idx[src[0] == leaf] // M] = True
+                        flag[idx.compress(src[0] == leaf) // M] = True
                     if flat:
                         pos[idx] = dest
                     else:

@@ -6,8 +6,9 @@ so result lists are a pure function of (spec, master_seed) and do not
 depend on the parallelism level. Replicas are stepped in lockstep
 (`engine.lockstep_pool`), which gives the same bits as stepping them
 one by one. A serial run is one pool over every seed: it holds at most
-`engine.lockstep_batch_size` replicas live, builds a replica's system
-only once a slot frees, and packages each result as its replica
+`engine.lockstep_batch_size` replicas live, derives stream keys for
+that many seeds at a time in one pass, hands the pool a replica's
+system only once a slot frees, and packages each result as its replica
 leaves. A parallel run splits the seeds into contiguous runs, one pool
 each, about four per worker but none narrower than a full width (or a
 worker's share, where that is smaller). Scans derive one sub-master
@@ -38,6 +39,7 @@ from .engine import (
     lazy,
     lockstep_batch_size,
     lockstep_pool,
+    stream_keys,
 )
 from .rng import derive_seed
 from .topology import Family, TopologySpec, build, with_leaf_depth
@@ -212,16 +214,25 @@ def aggregate(results: list[RunResult]) -> AggregateStats:
 
 def _pool_results(exp: ExperimentSpec, seeds: list[int]) -> Iterator[tuple[int, RunResult]]:
     """(i, result of seeds[i]) as each replica leaves one lockstep pool
-    over `seeds`; a replica's system is built only once a slot is free."""
+    over `seeds`. A replica's system is built only once a slot is free,
+    from stream keys derived in one pass for a chunk of seeds: the first
+    seed alone, whose topology gives the pool's width, then that many at
+    a time, so at most one chunk waits."""
 
     def systems():
-        for seed in seeds:
-            ps = ParticleSystem(
-                exp.topology, exp.M, variant=exp.variant, seed=seed, walk_mode=exp.walk_mode
-            )
-            if exp.record_trajectories:
-                ps.record_trajectories(True)
-            yield ps
+        start, width = 0, 1
+        while start < len(seeds):
+            chunk = seeds[start : start + width]
+            for seed, keys in zip(chunk, stream_keys(chunk, exp.M, exp.variant)):
+                ps = ParticleSystem(
+                    exp.topology, exp.M, variant=exp.variant, seed=seed,
+                    walk_mode=exp.walk_mode, keys=keys,
+                )
+                if exp.record_trajectories:
+                    ps.record_trajectories(True)
+                yield ps
+            start += len(chunk)
+            width = lockstep_batch_size(ps.topo, exp.M)
 
     for i, ps in lockstep_pool(systems(), exp.budget):
         yield i, ps.run(exp.budget)

@@ -138,17 +138,20 @@ def draw_array(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return mix64_array(x)
 
 
-def stream_key_array(seed: int, particles: int, tag: int) -> np.ndarray:
-    """Vectorised `stream_key` of particles 0..particles-1 (uint64)."""
+def stream_key_array(seeds, particles: int, tags) -> np.ndarray:
+    """Vectorised `stream_key` of particles 0..particles-1 under every
+    seed and tag, in one pass: uint64 of shape
+    (len(seeds), len(tags), particles). Seeds are masked to 64 bits, as
+    `split_key` masks them."""
     # Scalar operands are masked Python ints: numpy warns when a uint64
     # scalar wraps, while arrays wrap silently by design.
+    salted = np.array([(seed & MASK64) ^ _SPLIT_SALT for seed in seeds], dtype=np.uint64)
     x = np.arange(1, particles + 1, dtype=np.uint64)
     x *= GOLDEN_U64
-    x += np.uint64((seed & MASK64) ^ _SPLIT_SALT)
-    x = mix64_array(x)  # split_key(seed, particle)
+    x = mix64_array(salted[:, None] + x)  # split_key(seed, particle)
     x ^= np.uint64(_SPLIT_SALT)
-    x += np.uint64((GOLDEN * (tag + 1)) & MASK64)
-    return mix64_array(x)  # split_key(., tag)
+    steps = np.array([(GOLDEN * (tag + 1)) & MASK64 for tag in tags], dtype=np.uint64)
+    return mix64_array(x[:, None, :] + steps[:, None])  # split_key(., tag)
 
 
 def stream_words(keys, counts) -> np.ndarray:

@@ -669,7 +669,7 @@ class _Tree(Topology):
         to_index -= inner
         parent = x // (self.k - 1)
         parent *= depth != 1  # the root, from depth 1
-        np.copyto(to_index, parent, where=up)
+        np.putmask(to_index, up, parent)
         np.add(depth, 1, out=to_depth)
         to_depth -= up
         to_depth -= up

@@ -14,6 +14,7 @@ from disperse.engine import (
     Variant,
     WalkMode,
     lazy,
+    stream_keys,
 )
 from disperse.rng import DIRECTION_TAG, LAZINESS_TAG, MASK64, draw, stream_key, unit_threshold
 from disperse.topology import Family, TopologySpec, build
@@ -49,6 +50,22 @@ def test_variant_validation():
 def test_seed_is_masked_to_64_bits():
     ps = ParticleSystem(K(5), 2, seed=(1 << 80) + 3)
     assert ps.seed == ((1 << 80) + 3) & MASK64
+
+
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy"])
+def test_given_stream_keys_are_the_derived_ones(variant):
+    seeds = [3, 4, (1 << 64) + 3]
+    blocks = stream_keys(seeds, 7, variant)
+    assert blocks.shape == (3, 1 + (variant.kind == "lazy"), 7)
+    for seed, keys in zip(seeds, blocks):
+        given = ParticleSystem(K(20), 7, variant, seed, keys=keys)
+        own = ParticleSystem(K(20), 7, variant, seed)
+        assert given._dkv.tolist() == own._dkv.tolist()
+        assert given.run().to_record() == own.run().to_record()
+    assert ParticleSystem(K(20), 7, variant, 3)._dkv.tolist() == blocks[2, 0].tolist()
+    for bad in (blocks[0, :, :6], blocks[:, 0], blocks[0].astype(np.int64)):
+        with pytest.raises(ValueError, match="stream_keys"):
+            ParticleSystem(K(20), 7, variant, 3, keys=bad)
 
 
 # -- trivial and near-trivial runs ---------------------------------------------

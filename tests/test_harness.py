@@ -308,6 +308,28 @@ def test_run_replicas_holds_at_most_width_plus_one_systems(monkeypatch):
     assert len({r.steps for r in results}) > 1
 
 
+def test_chunked_stream_keys_equal_systems_built_one_by_one(monkeypatch):
+    # Keys are derived for the first seed, then a pool width of seeds at
+    # a time: 2 * width + 3 replicas cross three chunk boundaries.
+    spec = TopologySpec.complete(2000, with_loops=True)
+    M = 600
+    width = lockstep_batch_size(build(spec), M)
+    pools, systems = _kept_systems(monkeypatch)
+    exp = ExperimentSpec(spec, M, lazy(0.5), replicas=2 * width + 3, master_seed=19)
+    results, _ = run_replicas(exp)
+    chunks = [len(list(g)) for _, g in itertools.groupby(systems, lambda ps: id(ps._dkv.base))]
+    assert chunks == [1, width, width, 2] and pools == [(2 * width + 3, width)]
+    for i, (res, ps) in enumerate(zip(results, systems)):
+        alone = ParticleSystem(spec, M, lazy(0.5), derive_seed(19, i))
+        want = alone.run(exp.budget)
+        assert res.seed == ps.seed == want.seed
+        assert ps.positions == alone.positions
+        assert res.walk_counts.tolist() == want.walk_counts.tolist()
+        assert ps._lwv.tolist() == alone._lwv.tolist()
+        assert (res.t_disp, res.meeting_total) == (want.t_disp, want.meeting_total)
+    assert all(r.dispersed for r in results) and len({r.t_disp for r in results}) > 1
+
+
 # -- complete-graph replicas in lockstep ---------------------------------------
 
 

@@ -168,13 +168,33 @@ def test_stream_keys_disjoint_across_particles_and_tags():
     assert len(keys) == 400
 
 
-@pytest.mark.parametrize("seed", [0, 1, MASK64, derive_seed(2024, 7)])
-@pytest.mark.parametrize("tag", [DIRECTION_TAG, LAZINESS_TAG])
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        [0],
+        [MASK64],
+        [0, 1, MASK64, derive_seed(2024, 7)],
+        # At and past 2^64: masked to 64 bits, as split_key masks them.
+        [1 << 64, (1 << 64) + 5, 3 << 70, derive_seed(2024, 7) + (1 << 64)],
+    ],
+    ids=["zero", "mask64", "several", "past-2^64"],
+)
+@pytest.mark.parametrize(
+    "tags",
+    [(DIRECTION_TAG,), (LAZINESS_TAG,), (DIRECTION_TAG, LAZINESS_TAG)],
+    ids=["direction", "laziness", "both"],
+)
 @pytest.mark.parametrize("particles", [1, 1000])
-def test_stream_key_array_matches_scalar(seed, tag, particles):
-    keys = stream_key_array(seed, particles, tag)
+def test_stream_key_array_matches_scalar(seeds, tags, particles):
+    keys = stream_key_array(seeds, particles, tags)
     assert keys.dtype == np.uint64
-    assert keys.tolist() == [stream_key(seed, i, tag) for i in range(particles)]
+    assert keys.shape == (len(seeds), len(tags), particles)
+    assert keys.tolist() == [
+        [[stream_key(seed, i, tag) for i in range(particles)] for tag in tags]
+        for seed in seeds
+    ]
+    masked = stream_key_array([seed & MASK64 for seed in seeds], particles, tags)
+    assert np.array_equal(keys, masked)
 
 
 def test_derive_seed_matches_split():
