@@ -334,6 +334,49 @@ def test_config_booleans_have_one_spelling_rule():
         TopologySpec.from_config({"family": "complete", "n": "5", "with_loops": "maybe"})
 
 
+def test_which_configs_are_accepted_and_refused():
+    # A parameter counts as given whenever it is not None, so n = 0 on
+    # a family that takes no n is foreign, not absent.
+    with pytest.raises(ValueError, match="not valid for this family"):
+        TopologySpec(Family.PATH, n=0).validate()
+    with pytest.raises(ValueError, match="not valid for this family"):
+        TopologySpec(Family.GRID, dim=2, leaf_depth=0).validate()
+    with pytest.raises(ValueError, match="boolean"):
+        TopologySpec.from_config({"family": "complete", "n": "5", "with_loops": ""})
+    with pytest.raises(ValueError, match="boolean"):
+        TopologySpec.from_config({"family": "path", "with_loops": ""})
+    # An empty value is an absent one.
+    assert TopologySpec.from_config({"family": "path", "n": ""}) == TopologySpec.path()
+    assert TopologySpec.from_config({"family": "tree", "k": "3", "leaf_depth": ""}) == (
+        TopologySpec.tree(3)
+    )
+    assert TopologySpec.from_config({"family": "path", "with_loops": "false"}) == (
+        TopologySpec.path()
+    )
+    with pytest.raises(ValueError, match="not valid for this family"):
+        TopologySpec.from_config({"family": "path", "with_loops": "true"})
+    for moduli in ("", ","):
+        with pytest.raises(ValueError, match="moduli must be a non-empty"):
+            TopologySpec.from_config({"family": "cayley", "moduli": moduli, "generators": "(1)"})
+    with pytest.raises(ValueError, match="moduli must be a non-empty"):
+        TopologySpec(Family.CAYLEY, moduli=(), generators=((1,),)).validate()
+    # with_loops is written for every complete graph and for no other
+    # family; leaf_depth = 0 (explicitly infinite) is kept.
+    for name in ALL_NAMES:
+        spec = spec_for(name)
+        assert ("with_loops" in spec.to_config()) == (spec.family is Family.COMPLETE)
+    assert TopologySpec.complete(4).to_config() == {
+        "family": "complete", "n": "4", "with_loops": "false",
+    }
+    assert TopologySpec.tree(3, leaf_depth=0).to_config() == {
+        "family": "tree", "k": "3", "leaf_depth": "0",
+    }
+    assert TopologySpec.from_config(TopologySpec.tree(3, leaf_depth=0).to_config()).leaf_depth == 0
+    assert TopologySpec.cayley((4, 3), [(1, 0), (3, 0), (0, 1), (0, 2)]).to_config() == {
+        "family": "cayley", "moduli": "4,3", "generators": "(1,0),(3,0),(0,1),(0,2)",
+    }
+
+
 def test_from_config_normalises_negative_generators():
     spec = TopologySpec.from_config(
         {"family": "cayley", "moduli": "8", "generators": "(1),(-1)"}
