@@ -7,22 +7,22 @@ all moves applied simultaneously. The lazy variant moves each
 unhappy particle independently with probability p. The process is
 over once every vertex holds at most one particle.
 
-Randomness: particle i owns two counter-based streams keyed by
-(seed, i, tag) with tags {direction, laziness}, so trajectories are
-a pure function of (spec, M, variant, seed, budget) and are identical
-whether draws are made one at a time by the reference loop or
-batch-evaluated by the vectorised array kernel. Each particle carries
-its streams' splitmix64 state words, key + GOLDEN * n (mod 2^64) after
-n draws, in place of the counts n: the kernel's next draw adds GOLDEN
-to a word and mixes it, and its laziness coin compares the mixed word
-with an integer threshold (see rng). The keys are kept only to decode
-counts on demand (`walk_counts`, the reference loop). They come from
-`stream_keys`, one vectorised pass over any number of seeds: the
-harness derives a chunk of seeds' keys at once and hands each system
-its block, and a system given none derives its own one-seed block the
-same way. The two walk modes run the same code: a counter-based draw
-needs no buffer, so `walk_mode` has no effect on results and is kept
-only so that configs naming either mode still replay.
+Randomness: particle i owns counter-based streams keyed by (seed, i,
+tag), one for its direction and, when lazy, one for its coin, so
+trajectories are a pure function of (spec, M, variant, seed, budget),
+the same whether the reference loop draws one at a time or the array
+kernel draws in batches. A system holds them as one (tags, M) uint64
+block of keys from `stream_keys` and one block of splitmix64 state
+words, key + GOLDEN * n (mod 2^64) after n draws: the kernel's next
+draw adds GOLDEN to a word and mixes it, and a coin compares the mixed
+word with an integer threshold (see rng). Each copy into or out of a
+slot, and the reference loop's decoding, moves the whole block; only
+`stream_keys` and the two draw sites know which streams a variant has.
+`stream_keys` is one pass over any number of seeds: the harness
+derives a chunk of seeds' keys at once, and a system given none
+derives its own. The two walk modes run the same code: a counter-based
+draw needs no buffer, so `walk_mode` has no effect on results and is
+kept only so that configs naming either mode still replay.
 
 One production kernel, the lockstep array kernel `lockstep_pool`
 (`advance_lockstep` runs it to its end), runs every input on int64
@@ -183,6 +183,11 @@ class TrajectoryLog:
     def __post_init__(self):
         self.final.flags.writeable = False
 
+    def __setstate__(self, state):
+        # Unpickling skips __post_init__, and numpy drops the flag.
+        self.__dict__.update(state)
+        self.final.flags.writeable = False
+
     def _rerun(self) -> ParticleSystem:
         return ParticleSystem(
             self.spec, self.particles, self.variant, self.seed, force_generic=self.force_generic
@@ -255,12 +260,16 @@ class RunResult:
         }
 
 
+def _tags(variant: Variant) -> tuple[int, ...]:
+    """The streams each particle draws from under `variant`."""
+    return (DIRECTION_TAG, LAZINESS_TAG) if variant.kind == "lazy" else (DIRECTION_TAG,)
+
+
 def stream_keys(seeds, particles: int, variant: Variant) -> np.ndarray:
     """The stream keys of `particles` particles under each of `seeds`, in
     one pass: a (tags, particles) uint64 block per seed, whose rows are
     the direction keys and, for the lazy variant, the laziness keys."""
-    tags = (DIRECTION_TAG, LAZINESS_TAG) if variant.kind == "lazy" else (DIRECTION_TAG,)
-    return stream_key_array(seeds, particles, tags)
+    return stream_key_array(seeds, particles, _tags(variant))
 
 
 class ParticleSystem:
@@ -308,16 +317,13 @@ class ParticleSystem:
         # step t; only the stepping loops write it.
         self._occ = np.full(particles, particles, dtype=np.int64)
         # Stream keys, and the state words key + GOLDEN * count that the
-        # loops step (see rng).
+        # loops step (see rng): one (tags, M) block each, direction row first.
         if keys is None:
             keys = stream_keys([self.seed], particles, variant)[0]
-        elif keys.dtype != np.uint64 or keys.shape != (1 + self._lazy, particles):
+        elif keys.dtype != np.uint64 or keys.shape != (len(_tags(variant)), particles):
             raise ValueError("keys must be one seed's block of stream_keys")
-        self._dkv = keys[0]
-        self._dwv = self._dkv.copy()
-        if self._lazy:
-            self._lkv = keys[1]
-            self._lwv = self._lkv.copy()
+        self._keys = keys
+        self._words = keys.copy()
 
     # -- queries -------------------------------------------------------
 
@@ -327,7 +333,7 @@ class ParticleSystem:
 
     @property
     def walk_counts(self) -> np.ndarray:
-        return stream_counts(self._dwv, self._dkv)
+        return stream_counts(self._words[0], self._keys[0])
 
     def is_dispersed(self) -> bool:
         return int(self._occ.max()) <= 1
@@ -359,9 +365,8 @@ class ParticleSystem:
         It decodes the system's arrays on entry and encodes them on exit."""
         topo = self.topo
         pos = topo.from_array(self._posv)
-        N, dkeys = self.walk_counts.tolist(), self._dkv.tolist()
-        if self._lazy:
-            L, lkeys = stream_counts(self._lwv, self._lkv).tolist(), self._lkv.tolist()
+        counts, keys = stream_counts(self._words, self._keys).tolist(), self._keys.tolist()
+        N, L, dkeys, lkeys = counts[0], counts[-1], keys[0], keys[-1]  # L, lkeys read when lazy
         occupancy = Counter(pos)
         try:
             while not (len(occupancy) == self.particles or self.t >= t_end or self.boundary_abort):
@@ -392,9 +397,7 @@ class ParticleSystem:
         finally:
             self._posv[:] = topo.to_array(pos)
             self._occ[:] = [occupancy[v] for v in pos]
-            self._dwv[:] = stream_words(self._dkv, N)
-            if self._lazy:
-                self._lwv[:] = stream_words(self._lkv, L)
+            self._words[:] = stream_words(self._keys, counts)
 
     # -- public stepping ---------------------------------------------------
 
@@ -409,9 +412,9 @@ class ParticleSystem:
         particles that moved (their direction words changed) and the
         unhappy mask the step started from."""
         unhappy = self._unhappy()
-        words = self._dwv.copy()
+        words = self._words[0].copy()
         self._advance(self.t + 1)
-        return (self._dwv != words).nonzero()[0], unhappy
+        return (self._words[0] != words).nonzero()[0], unhappy
 
     def step(self) -> StepReport:
         """One synchronous step through the loop run() uses; the report
@@ -622,6 +625,7 @@ def lockstep_pool(
     unbounded = topo.unbounded
     full = topo.max_distance
     rows = batch[0][1]._posv.shape[:-1]  # of an array-form vertex
+    tags = len(batch[0][1]._words)  # streams per particle
     # The pool's own step count k: slot j is at step k + lag[j].
     k = 0
     slots = []  # (i, system) live in each slot, None once it left
@@ -632,9 +636,7 @@ def lockstep_pool(
         s = got[1]
         seg = slice(j * M, (j + 1) * M)
         pos[..., seg] = s._posv
-        dw[seg] = s._dwv
-        if lazyv:
-            lw[seg] = s._lwv
+        words[:, seg] = s._words
         occ[seg] = s._occ
         # Sum over a replica's particles of their vertex's occupancy: M
         # exactly when it is dispersed, else M + 2 * its meetings.
@@ -652,9 +654,7 @@ def lockstep_pool(
         slots[j] = None
         seg = slice(j * M, (j + 1) * M)
         s._posv[:] = pos[..., seg]
-        s._dwv[:] = dw[seg]
-        if lazyv:
-            s._lwv[:] = lw[seg]
+        s._words[:] = words[:, seg]
         s._occ[:] = occ[seg]
         s.t = k + int(lag[j])
         s.meeting_total = (int(meet[j]) - M * s.t) // 2
@@ -668,9 +668,8 @@ def lockstep_pool(
                 R = len(batch)
                 slots = [None] * R
                 pos = np.empty(rows + (R * M,), dtype=np.int64)
-                dw = np.empty(R * M, dtype=np.uint64)
-                if lazyv:
-                    lw = np.empty(R * M, dtype=np.uint64)
+                words = np.empty((tags, R * M), dtype=np.uint64)
+                dw, lw = words[0], words[-1]  # lw is read only when lazy
                 occ = np.empty(R * M, dtype=np.int64)
                 load, lag, meet, far = (np.empty(R, dtype=np.int64) for _ in range(4))
                 flag = np.empty(R, dtype=bool)

@@ -355,14 +355,19 @@ def scan(
     s: ScanSpec, parallelism: int = 1, progress: bool = False
 ) -> list[ScanPoint]:
     """One aggregated row per grid value, in grid order. Grid point i
-    runs under sub-master derive_seed(master_seed, i)."""
+    runs under sub-master derive_seed(master_seed, i). Every point's
+    experiment is resolved before any runs, so an invalid point costs
+    no replicas."""
     s.validate()
     axis = ScanAxis(s.axis)
+    exps = [
+        dataclasses.replace(
+            _apply_axis(s.base, axis, value), master_seed=derive_seed(s.base.master_seed, i)
+        ).resolve()
+        for i, value in enumerate(s.grid)
+    ]
     points = []
-    for i, value in enumerate(s.grid):
-        exp = _apply_axis(s.base, axis, value)
-        exp = dataclasses.replace(exp, master_seed=derive_seed(s.base.master_seed, i))
-        exp = exp.resolve()
+    for value, exp in zip(s.grid, exps):
         if progress:
             print(f"scan {axis.value}={value}", file=sys.stderr)
         _, stats = run_replicas(exp, parallelism=parallelism, progress=progress)

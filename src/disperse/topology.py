@@ -96,6 +96,11 @@ class TopologySpec:
     leaf_depth applies to trees only: None means "unset, let the
     harness fill the default truncation rule", 0 means explicitly
     infinite, and a positive value truncates at that depth.
+
+    Two module tables state the parameters once: those each family takes
+    (_FAMILY_FIELDS) and how each is read and written (_FIELDS). One that
+    differs from its default here is given, and `validate` refuses it on
+    a family that does not take it.
     """
 
     family: Family
@@ -156,31 +161,11 @@ class TopologySpec:
 
     def validate(self) -> None:
         f = self.family
-        allowed = {
-            Family.COMPLETE: {"n", "with_loops"},
-            Family.STAR: {"n"},
-            Family.PATH: set(),
-            Family.CYCLE: {"n"},
-            Family.TREE: {"k", "leaf_depth"},
-            Family.GRID: {"dim"},
-            Family.HYPERCUBE: {"dim"},
-            Family.CAYLEY: {"moduli", "generators"},
-        }[f]
-        present = {
+        extra = [
             name
-            for name, value in (
-                ("n", self.n),
-                ("k", self.k),
-                ("dim", self.dim),
-                ("leaf_depth", self.leaf_depth),
-                ("moduli", self.moduli),
-                ("generators", self.generators),
-            )
-            if value is not None
-        }
-        if self.with_loops:
-            present.add("with_loops")
-        extra = present - allowed
+            for name, _, _ in _FIELDS
+            if name not in _FAMILY_FIELDS[f] and getattr(self, name) != getattr(TopologySpec, name)
+        ]
         if extra:
             raise ValueError(f"{f.value}: parameters not valid for this family: {sorted(extra)}")
 
@@ -222,22 +207,10 @@ class TopologySpec:
 
     def to_config(self) -> dict[str, str]:
         out = {"family": self.family.value}
-        if self.n is not None:
-            out["n"] = str(self.n)
-        if self.k is not None:
-            out["k"] = str(self.k)
-        if self.dim is not None:
-            out["dim"] = str(self.dim)
-        if self.leaf_depth is not None:
-            out["leaf_depth"] = str(self.leaf_depth)
-        if self.family is Family.COMPLETE:
-            out["with_loops"] = "true" if self.with_loops else "false"
-        if self.moduli is not None:
-            out["moduli"] = ",".join(str(m) for m in self.moduli)
-        if self.generators is not None:
-            out["generators"] = ",".join(
-                "(" + ",".join(str(c) for c in g) + ")" for g in self.generators
-            )
+        for name, _, write in _FIELDS:
+            value = getattr(self, name)
+            if name in _FAMILY_FIELDS[self.family] and value is not None:
+                out[name] = write(value)
         return out
 
     @staticmethod
@@ -248,32 +221,8 @@ class TopologySpec:
             raise ValueError("config: missing 'family'") from None
         except ValueError:
             raise ValueError(f"config: unknown family {cfg['family']!r}") from None
-
-        def geti(key: str) -> Optional[int]:
-            raw = cfg.get(key)
-            return None if raw in (None, "") else int(raw)
-
-        moduli = None
-        if cfg.get("moduli"):
-            moduli = tuple(int(tok) for tok in cfg["moduli"].split(",") if tok.strip())
-        generators = None
-        if cfg.get("generators"):
-            tuples = re.findall(r"\(([^()]*)\)", cfg["generators"])
-            if not tuples:
-                raise ValueError("config: generators must be parenthesised tuples")
-            generators = tuple(
-                tuple(int(tok) for tok in body.split(",") if tok.strip()) for body in tuples
-            )
-        spec = TopologySpec(
-            family=family,
-            n=geti("n"),
-            k=geti("k"),
-            dim=geti("dim"),
-            leaf_depth=geti("leaf_depth"),
-            with_loops=config_bool(cfg.get("with_loops", "false")),
-            moduli=moduli,
-            generators=generators,
-        )
+        given = {name: read(cfg[name]) for name, read, _ in _FIELDS if name in cfg}
+        spec = TopologySpec(family, **given)
         spec.validate()
         return spec
 
@@ -287,6 +236,47 @@ def config_bool(raw: str) -> bool:
     if value in ("0", "false", "no"):
         return False
     raise ValueError(f"config: {raw!r} is not a boolean (true/false, yes/no, 1/0)")
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _generators(raw: str) -> tuple[tuple[int, ...], ...]:
+    tuples = re.findall(r"\(([^()]*)\)", raw)
+    if not tuples:
+        raise ValueError("config: generators must be parenthesised tuples")
+    return tuple(_ints(body) for body in tuples)
+
+
+def _ints_text(ints: Iterable[int]) -> str:
+    return ",".join(map(str, ints))
+
+
+def _optional(read):
+    return lambda raw: read(raw) if raw else None  # an empty value is an absent one
+
+
+# The parameters each family takes, beside its name.
+_FAMILY_FIELDS = {
+    Family.COMPLETE: ("n", "with_loops"),
+    Family.STAR: ("n",),
+    Family.PATH: (),
+    Family.CYCLE: ("n",),
+    Family.TREE: ("k", "leaf_depth"),
+    Family.GRID: ("dim",),
+    Family.HYPERCUBE: ("dim",),
+    Family.CAYLEY: ("moduli", "generators"),
+}
+
+# (field, read, write): each parameter read from a flat config's text and
+# written back, in the order to_config writes them.
+_FIELDS = (
+    *((name, _optional(int), str) for name in ("n", "k", "dim", "leaf_depth")),
+    ("with_loops", config_bool, lambda loops: "true" if loops else "false"),
+    ("moduli", _optional(_ints), _ints_text),
+    ("generators", _optional(_generators), lambda gs: ",".join(f"({_ints_text(g)})" for g in gs)),
+)
 
 
 def default_leaf_depth(k: int, particles: int, eps: float = 0.25) -> int:

@@ -271,6 +271,29 @@ def test_scan_requires_axis_and_grid(tmp_path):
     assert run_cli(SCAN_ARGS[:-4]) == 2
 
 
+@pytest.mark.parametrize(
+    "family, grid",
+    [(["complete", "--n", "20", "--with-loops"], "0.5,2.0"), (["hypercube", "--dim", "8"], "0.01,0.5")],
+    ids=["past-n", "hypercube-cap"],
+)
+def test_scan_with_an_invalid_point_runs_nothing_and_writes_nothing(
+    tmp_path, monkeypatch, family, grid
+):
+    calls = []
+    run_replicas = harness.run_replicas
+
+    def counted(exp, **kw):
+        calls.append(exp)
+        return run_replicas(exp, **kw)
+
+    monkeypatch.setattr(harness, "run_replicas", counted)
+    out = tmp_path / "s.csv"
+    args = ["scan", "--family", *family, "--particles", "5", "--replicas", "2", "--seed", "3",
+            "--axis", "density", "--grid", grid, "--out", str(out)]
+    assert run_cli(args) == 2
+    assert calls == [] and not out.exists()
+
+
 # -- oracle ---------------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -60,9 +62,9 @@ def test_given_stream_keys_are_the_derived_ones(variant):
     for seed, keys in zip(seeds, blocks):
         given = ParticleSystem(K(20), 7, variant, seed, keys=keys)
         own = ParticleSystem(K(20), 7, variant, seed)
-        assert given._dkv.tolist() == own._dkv.tolist()
+        assert given._keys.tolist() == own._keys.tolist()
         assert given.run().to_record() == own.run().to_record()
-    assert ParticleSystem(K(20), 7, variant, 3)._dkv.tolist() == blocks[2, 0].tolist()
+    assert ParticleSystem(K(20), 7, variant, 3)._keys.tolist() == blocks[2].tolist()
     for bad in (blocks[0, :, :6], blocks[:, 0], blocks[0].astype(np.int64)):
         with pytest.raises(ValueError, match="stream_keys"):
             ParticleSystem(K(20), 7, variant, 3, keys=bad)
@@ -392,6 +394,17 @@ def test_event_cap_fails_when_events_are_read(monkeypatch, force_generic):
         log.events
     monkeypatch.setattr(engine, "RECORD_EVENT_CAP", walked)
     assert len(log.events) == walked
+
+
+def test_a_log_stays_read_only_after_pickling():
+    ps = ParticleSystem(TopologySpec.complete(30), 12, lazy(0.5), seed=4)
+    ps.record_trajectories(True)
+    log = ps.run().trajectories
+    for back in (pickle.loads(pickle.dumps(log)), copy.deepcopy(log)):
+        assert back == log and np.array_equal(back.final, log.final)
+        with pytest.raises(ValueError, match="read-only"):
+            back.final[0] += 1
+        assert back.events == log.events
 
 
 @pytest.mark.parametrize("force_generic", [False, True])

@@ -317,7 +317,7 @@ def test_chunked_stream_keys_equal_systems_built_one_by_one(monkeypatch):
     pools, systems = _kept_systems(monkeypatch)
     exp = ExperimentSpec(spec, M, lazy(0.5), replicas=2 * width + 3, master_seed=19)
     results, _ = run_replicas(exp)
-    chunks = [len(list(g)) for _, g in itertools.groupby(systems, lambda ps: id(ps._dkv.base))]
+    chunks = [len(list(g)) for _, g in itertools.groupby(systems, lambda ps: id(ps._keys.base))]
     assert chunks == [1, width, width, 2] and pools == [(2 * width + 3, width)]
     for i, (res, ps) in enumerate(zip(results, systems)):
         alone = ParticleSystem(spec, M, lazy(0.5), derive_seed(19, i))
@@ -325,7 +325,7 @@ def test_chunked_stream_keys_equal_systems_built_one_by_one(monkeypatch):
         assert res.seed == ps.seed == want.seed
         assert ps.positions == alone.positions
         assert res.walk_counts.tolist() == want.walk_counts.tolist()
-        assert ps._lwv.tolist() == alone._lwv.tolist()
+        assert ps._words[1].tolist() == alone._words[1].tolist()
         assert (res.t_disp, res.meeting_total) == (want.t_disp, want.meeting_total)
     assert all(r.dispersed for r in results) and len({r.t_disp for r in results}) > 1
 
@@ -372,6 +372,7 @@ def test_lockstep_replicas_equal_single_runs(
             if record:
                 assert res.trajectories.events == want.trajectories.events
                 assert res.trajectories.steps == want.trajectories.steps
+                assert not res.trajectories.final.flags.writeable  # also from a worker
         assert res.d_disp == max(topo.distance_to_origin(v) for v in positions[i])
 
     statuses = {r.status for r in results}
@@ -542,7 +543,7 @@ def test_lockstep_grid_equals_generic_runs(monkeypatch, dim, M, limit):
 
 def _laziness_counts(ps):
     """Each particle's count of laziness draws, decoded from its words."""
-    return stream_counts(ps._lwv, ps._lkv).tolist()
+    return stream_counts(ps._words[1], ps._keys[1]).tolist()
 
 
 def _placed_on_tree(variant, master, j, **kw):
@@ -920,6 +921,31 @@ def test_density_scan_refuses_infinite_tree(tree):
     base = base_exp(topology=tree, M=10, replicas=2)
     with pytest.raises(ValueError, match="finite vertex set"):
         scan(ScanSpec(base=base, axis=ScanAxis.DENSITY, grid=(0.1,)))
+
+
+# Density grids whose later point is refused: past K_20's n, and past
+# the hypercube(8) particle cap sqrt(256) / 2 = 8.
+INVALID_SCANS = [
+    (TopologySpec.complete(20, with_loops=True), (0.5, 2.0), "M=40 outside"),
+    (TopologySpec.hypercube(8), (0.01, 0.5), "hypercube cap"),
+]
+
+
+@pytest.mark.parametrize("topo, grid, match", INVALID_SCANS, ids=["past-n", "hypercube-cap"])
+def test_scan_refuses_an_invalid_point_before_running_any(monkeypatch, topo, grid, match):
+    calls = []
+
+    def counted(exp, **kw):
+        calls.append(exp)
+        return run_replicas(exp, **kw)
+
+    monkeypatch.setattr(harness, "run_replicas", counted)
+    base = base_exp(topology=topo, M=5, replicas=2)
+    with pytest.raises(ValueError, match=match):
+        scan(ScanSpec(base=base, axis=ScanAxis.DENSITY, grid=grid))
+    assert calls == []
+    # Without the invalid point the scan runs.
+    assert len(scan(ScanSpec(base=base, axis=ScanAxis.DENSITY, grid=grid[:1]))) == len(calls) == 1
 
 
 # -- coupling audit ----------------------------------------------------------------
