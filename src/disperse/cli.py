@@ -1,11 +1,15 @@
 """Command line front end: run, scan, oracle, validate.
 
-Flags mirror flat INI config keys one to one; explicit flags override
-config-file values. Every run output embeds the fully resolved
-configuration and master seed. A scan output embeds its base experiment
-as given plus the resolved omega; each grid point resolves its own tree
-leaf depth, except on the density axis, whose points keep the base's.
-Feeding an embedded config back in reproduces the identical results.
+Flags mirror flat INI config keys one to one. The inputs of run, scan
+and oracle take one path: the keys of --config (run and scan), with
+every given flag over them, as flat config text. Each subcommand reads
+its own keys from that text and refuses any other by name before any
+work. Every run output embeds the fully resolved configuration and
+master seed. A scan output embeds its base experiment as given plus the
+resolved omega, and its axis and grid; each grid point resolves its own
+tree leaf depth, except on the density axis, whose points keep the
+base's. Feeding an embedded config back in reproduces the identical
+results.
 Exit codes: 0 success, 1 validation failure, 2 argument or config error.
 """
 
@@ -83,6 +87,9 @@ def experiment_to_config(exp: ExperimentSpec) -> dict[str, str]:
 
 
 def config_to_experiment(cfg: dict[str, str]) -> ExperimentSpec:
+    unknown = [key for key in cfg if key not in _EXPERIMENT_KEYS]
+    if unknown:
+        raise ValueError(f"config: not an experiment key: {', '.join(unknown)}")
     topology = TopologySpec.from_config({k: v for k, v in cfg.items() if k in _TOPOLOGY_KEYS})
     if "particles" not in cfg:
         raise ValueError("config needs a particles count")
@@ -130,18 +137,6 @@ def _add_experiment_flags(p: argparse.ArgumentParser):
     p.add_argument("--budget", type=int)
     p.add_argument("--replicas", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--walk-mode",
-        choices=[m.value for m in WalkMode],
-        help="accepted for replaying old configs; both modes run the same code "
-        "and give identical results",
-    )
-    p.add_argument(
-        "--record-trajectories",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="accepted for replaying configs; the command line writes no trajectories",
-    )
     p.add_argument("--omega", type=float)
     p.add_argument("--config", help="INI file; explicit flags override it")
     p.add_argument("--parallelism", type=int, default=1)
@@ -165,13 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     scanp.add_argument("--grid", help="comma list of grid values")
 
     orap = sub.add_parser("oracle", help="evaluate one closed form")
-    orap.add_argument("name", choices=sorted(oracles.ORACLES) + ["mixing-step"])
+    orap.add_argument("name", choices=oracles.NAMES)
     _add_topology_flags(orap)
-    # The topology flags already carry n and k.
-    params = {p: t for d in oracles.ORACLES.values() for p, t in d.params}
-    for pname, typ in params.items():
-        if pname not in ("n", "k"):
-            orap.add_argument(f"--{pname.replace('_', '-')}", type=str if typ is list else typ)
+    # Every other oracle input is a flag of its own; evaluate reads it.
+    params = {p: None for d in oracles.ORACLES.values() for p, _ in d.params + d.optional}
+    for pname in params:
+        if pname not in _TOPOLOGY_KEYS:
+            orap.add_argument(f"--{pname.replace('_', '-')}")
     orap.add_argument("--out")
 
     valp = sub.add_parser("validate", help="oracle cross-checks and invariant audits")
@@ -181,25 +176,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _flags_to_config(args, keys, cfg: dict[str, str]) -> dict[str, str]:
-    """Copy every given flag into cfg under its INI key (the argparse
-    dest), formatted as in the CSV output."""
-    for key in keys:
-        v = getattr(args, key)
-        if v is not None:
+# Arguments that steer a subcommand; every other one is an input.
+_CONTROL = ("subcommand", "name", "config", "parallelism", "out", "format")
+
+
+def _config_from_args(args) -> dict[str, str]:
+    """A subcommand's inputs as flat config text: --config's keys, with
+    every given flag over them under its INI key (the argparse dest),
+    formatted as in the CSV output. The subcommand reads its own keys
+    and refuses any other."""
+    cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key, v in vars(args).items():
+        if key not in _CONTROL and v is not None:
             cfg[key] = _fmt(v)
     return cfg
-
-
-def _experiment_from_args(args) -> ExperimentSpec:
-    """The experiment as given by --config and the flags, unresolved."""
-    if args.parallelism < 1:
-        raise ValueError(f"--parallelism must be >= 1, got {args.parallelism}")
-    cfg = read_config_file(args.config) if args.config else {}
-    cfg = _flags_to_config(args, _EXPERIMENT_KEYS, cfg)
-    if "family" not in cfg:
-        raise ValueError("a topology family is required (--family or config)")
-    return config_to_experiment(cfg)
 
 
 # -- output writers ----------------------------------------------------------
@@ -373,7 +363,7 @@ def _emit(
 
 
 def _cmd_run(args) -> int:
-    exp = _experiment_from_args(args).resolve()
+    exp = config_to_experiment(_config_from_args(args)).resolve()
     progress = sys.stderr.isatty()
     results, stats = run_replicas(exp, parallelism=args.parallelism, progress=progress)
     _emit(
@@ -388,50 +378,29 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    exp = _experiment_from_args(args)
+    cfg = _config_from_args(args)
+    axis, grid = cfg.pop("axis", None), cfg.pop("grid", None)
+    if not axis or not grid:
+        raise ValueError("scan needs an axis and a grid (--axis and --grid, or config)")
+    exp = config_to_experiment(cfg)
     # No axis changes the family, so omega is fixed here; scan() fixes
     # or derives each point's tree leaf depth.
     base = dataclasses.replace(exp, omega=exp.resolve().omega)
-    if not args.axis or not args.grid:
-        raise ValueError("scan needs --axis and --grid")
-    grid = tuple(float(x) for x in args.grid.split(","))
-    spec = ScanSpec(base=base, axis=ScanAxis(args.axis), grid=grid)
+    spec = ScanSpec(base=base, axis=ScanAxis(axis), grid=tuple(float(x) for x in grid.split(",")))
     progress = sys.stderr.isatty()
     points = scan(spec, parallelism=args.parallelism, progress=progress)
-    cfg = experiment_to_config(base)
-    cfg["axis"] = args.axis
-    cfg["grid"] = args.grid
     _emit(
         args,
-        cfg,
-        [args.axis] + list(AggregateStats.COLUMNS),
-        [{args.axis: pt.value, **pt.stats.to_row()} for pt in points],
-        lambda: _svg_scan_summary(points, args.axis),
+        {**experiment_to_config(base), "axis": axis, "grid": grid},
+        [axis] + list(AggregateStats.COLUMNS),
+        [{axis: pt.value, **pt.stats.to_row()} for pt in points],
+        lambda: _svg_scan_summary(points, axis),
     )
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    name = args.name
-    if name == "mixing-step":
-        cfg = _flags_to_config(args, _TOPOLOGY_KEYS, {})
-        if "family" not in cfg:
-            raise ValueError("mixing-step needs --family and its parameters")
-        ov = oracles.evaluate(name, cfg)
-    else:
-        d = oracles.ORACLES[name]
-        inputs = {}
-        for pname, typ in d.params:
-            v = getattr(args, pname)
-            if v is None:
-                raise ValueError(f"oracle {name} requires --{pname.replace('_', '-')}")
-            if typ is list:
-                v = [int(x) for x in str(v).split(",")]
-            inputs[pname] = v
-        # Loopless walks shift the complete-graph change formulas.
-        if name == "kn-changes" and args.with_loops is not None:
-            inputs["with_loops"] = args.with_loops
-        ov = oracles.evaluate(name, inputs)
+    ov = oracles.evaluate(args.name, _config_from_args(args))
     _write(args.out, json.dumps(dataclasses.asdict(ov), sort_keys=True) + "\n")
     return 0
 
@@ -460,6 +429,8 @@ def parse_and_dispatch(argv=None) -> int:
             raise ValueError(f"--out {out}: directory {folder} does not exist")
         if out and os.path.isdir(out):
             raise ValueError(f"--out {out}: is a directory")
+        if getattr(args, "parallelism", 1) < 1:
+            raise ValueError(f"--parallelism must be >= 1, got {args.parallelism}")
         if args.subcommand == "run":
             return _cmd_run(args)
         if args.subcommand == "scan":

@@ -688,6 +688,8 @@ def lockstep_pool(
                         leave |= lag >= t_end - k
                     if outside:
                         leave |= far > COORDINATE_LIMIT
+                    if not leave.any():  # each way in names a leaving slot; else the pool spins
+                        raise RuntimeError("lockstep pool: no slot leaves at its exit")
                     for j in leave.nonzero()[0].tolist():
                         yield settle(j)
                         for got in queue:

@@ -215,13 +215,12 @@ def aggregate(results: list[RunResult]) -> AggregateStats:
 def _pool_results(exp: ExperimentSpec, seeds: list[int]) -> Iterator[tuple[int, RunResult]]:
     """(i, result of seeds[i]) as each replica leaves one lockstep pool
     over `seeds`. A replica's system is built only once a slot is free,
-    from stream keys derived in one pass for a chunk of seeds: the first
-    seed alone, whose topology gives the pool's width, then that many at
-    a time, so at most one chunk waits."""
+    from stream keys derived in one pass for a chunk of seeds, a pool
+    width at a time, so at most one chunk waits."""
+    width = lockstep_batch_size(build(exp.topology), exp.M)
 
     def systems():
-        start, width = 0, 1
-        while start < len(seeds):
+        for start in range(0, len(seeds), width):
             chunk = seeds[start : start + width]
             for seed, keys in zip(chunk, stream_keys(chunk, exp.M, exp.variant)):
                 ps = ParticleSystem(
@@ -231,8 +230,6 @@ def _pool_results(exp: ExperimentSpec, seeds: list[int]) -> Iterator[tuple[int, 
                 if exp.record_trajectories:
                     ps.record_trajectories(True)
                 yield ps
-            start += len(chunk)
-            width = lockstep_batch_size(ps.topo, exp.M)
 
     for i, ps in lockstep_pool(systems(), exp.budget):
         yield i, ps.run(exp.budget)

@@ -9,13 +9,13 @@ float only at the boundary; "log" always means the natural logarithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .topology import Family, TopologySpec
+from .topology import Family, TopologySpec, config_bool
 
 __all__ = [
     "MIXING_VERTEX_CAP",
@@ -391,8 +391,9 @@ def mixing_step(spec: TopologySpec) -> int:
 @dataclass(frozen=True)
 class OracleDef:
     func: Callable
-    params: tuple  # (flag, python type) pairs, in call order
+    params: tuple  # (name, reader of its config text) pairs, in call order
     equation_tag: str
+    optional: tuple = ()  # pairs as in params, each left to the function's default when not given
 
 
 # Only these two build their argument from flags; every other entry
@@ -407,11 +408,17 @@ def _lazy_range(n: int, p: float, occupancies, E_empty: int) -> RangeChanges:
     return lazy_expected_range_changes(LazyOccupancyProfile(n, p, occupancies, E_empty))
 
 
+def _int_list(raw: str) -> list[int]:
+    return [int(x) for x in raw.split(",")]
+
+
 ORACLES: dict[str, OracleDef] = {
     "kn-changes": OracleDef(
         _kn_changes,
         (("n", int), ("H", int), ("U", int)),
         "EX=H(1-(1-1/n)^U); EY=U((n-H)/n)(1-1/n)^(U-1); EdH=EY-EX",
+        # Loopless walks shift the complete-graph change formulas.
+        optional=(("with_loops", config_bool),),
     ),
     "kn-time": OracleDef(
         kn_subcritical_time,
@@ -420,7 +427,7 @@ ORACLES: dict[str, OracleDef] = {
     ),
     "lazy-range": OracleDef(
         _lazy_range,
-        (("n", int), ("p", float), ("occupancies", list), ("E_empty", int)),
+        (("n", int), ("p", float), ("occupancies", _int_list), ("E_empty", int)),
         "ER+ = E(1-(1-p/n)^U); ER- = sum_v p^Ov (1-1/n)^Ov (1-p/n)^(U-Ov)",
     ),
     "lazy-time": OracleDef(
@@ -471,18 +478,35 @@ ORACLES: dict[str, OracleDef] = {
 }
 
 
-def evaluate(name: str, inputs: dict) -> OracleValue:
-    """Run a registered oracle by CLI name on already-typed inputs."""
+# Every name `evaluate` takes; `mixing-step` reads the topology config keys.
+NAMES = (*sorted(ORACLES), "mixing-step")
+
+
+def evaluate(name: str, config: dict) -> OracleValue:
+    """Run an oracle by CLI name on flat config text, each input read by
+    its registry entry's reader. A key the oracle does not take, or a
+    required one left out, is a ValueError naming it as a flag."""
     if name == "mixing-step":
-        spec = TopologySpec.from_config(dict(inputs))
+        d, takes = None, [f.name for f in fields(TopologySpec)]
+    else:
+        d = ORACLES[name]
+        takes = [p for p, _ in d.params + d.optional]
+    extra = ["--" + key.replace("_", "-") for key in config if key not in takes]
+    if extra:
+        raise ValueError(f"oracle {name} takes no {', '.join(extra)}")
+    if d is None:
+        spec = TopologySpec.from_config(dict(config))
         return OracleValue(
             name,
             spec.to_config(),
             mixing_step(spec),
             "min even T: |P^T(u,u) - 1/n'| <= 1/(2n') for all even s >= T",
         )
-    d = ORACLES[name]
-    return OracleValue(name, dict(inputs), _encode(d.func(**inputs)), d.equation_tag)
+    for p, _ in d.params:
+        if p not in config:
+            raise ValueError(f"oracle {name} requires --{p.replace('_', '-')}")
+    inputs = {p: read(config[p]) for p, read in d.params + d.optional if p in config}
+    return OracleValue(name, inputs, _encode(d.func(**inputs)), d.equation_tag)
 
 
 def _encode(value):

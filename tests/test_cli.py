@@ -96,6 +96,22 @@ def test_run_reproducible_from_embedded_config(tmp_path):
     assert first.read_text() == second.read_text()
 
 
+def test_walk_mode_and_record_trajectories_are_config_keys_only(tmp_path):
+    # Neither changes a result, so neither is a flag; configs naming them
+    # still run and echo them.
+    assert run_cli(RUN_ARGS + ["--walk-mode", "predetermined"]) == 2
+    assert run_cli(RUN_ARGS + ["--record-trajectories"]) == 2
+    ini = tmp_path / "old.ini"
+    ini.write_text(
+        "[disperse]\nfamily = complete\nn = 60\nparticles = 25\nreplicas = 2\nseed = 7\n"
+        "walk_mode = predetermined\nrecord_trajectories = true\n"
+    )
+    out = tmp_path / "o.ndjson"
+    assert run_cli(["run", "--config", str(ini), "--out", str(out)]) == 0
+    config = json.loads(out.read_text().splitlines()[0])["config"]
+    assert (config["walk_mode"], config["record_trajectories"]) == ("predetermined", "true")
+
+
 def test_flags_override_config_file(tmp_path):
     ini = tmp_path / "base.ini"
     ini.write_text(
@@ -183,6 +199,17 @@ SCAN_ARGS = [
     "--grid",
     "0.2,0.4",
 ]
+
+
+def test_scan_reproducible_from_embedded_config(tmp_path):
+    first = tmp_path / "a.ndjson"
+    assert run_cli(SCAN_ARGS + ["--out", str(first)]) == 0
+    header = json.loads(first.read_text().splitlines()[0])
+    ini = tmp_path / "replay.ini"
+    ini.write_text(cli.write_config_ini(header["config"]))
+    second = tmp_path / "b.ndjson"
+    assert run_cli(["scan", "--config", str(ini), "--out", str(second)]) == 0
+    assert first.read_text() == second.read_text()
 
 
 def test_scan_csv_layout(tmp_path):
@@ -332,6 +359,18 @@ def test_oracle_mixing_step(capsys):
     assert run_cli(["oracle", "mixing-step", "--family", "cycle", "--n", "9"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == 24
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["tree-ruin", "--k", "3", "--d", "2"], ["mixing-step", "--family", "cycle", "--n", "9"]],
+    ids=["tree-ruin", "mixing-step"],
+)
+def test_oracle_refuses_a_parameter_it_does_not_take(args, capsys):
+    assert run_cli(["oracle", *args, "--delta", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"disperse: error: oracle {args[0]} takes no --delta\n"
 
 
 def test_oracle_missing_parameter_is_config_error(capsys):
@@ -497,6 +536,24 @@ def test_exit_2_on_non_finite_omega_in_config_file(no_work, tmp_path, capsys):
     assert run_cli(["run", "--config", str(ini), "--out", str(out)]) == 2
     _assert_one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sub, extra, named",
+    [("run", "replica = 6\n", "replica"), ("run", "axis = density\n", "axis"),
+     ("scan", "axis = density\ngrid = 0.2\nreplica = 6\n", "replica")],
+    ids=["run-replica", "run-scan-key", "scan-replica"],
+)
+def test_exit_2_on_a_config_key_the_subcommand_does_not_take(
+    sub, extra, named, no_work, tmp_path, capsys
+):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[disperse]\nfamily = complete\nn = 60\nparticles = 25\n" + extra)
+    out = tmp_path / "o.ndjson"
+    assert run_cli([sub, "--config", str(ini), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"disperse: error: config: not an experiment key: {named}\n"
 
 
 def test_format_writes_non_finite_floats_as_repr():

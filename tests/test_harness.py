@@ -309,8 +309,8 @@ def test_run_replicas_holds_at_most_width_plus_one_systems(monkeypatch):
 
 
 def test_chunked_stream_keys_equal_systems_built_one_by_one(monkeypatch):
-    # Keys are derived for the first seed, then a pool width of seeds at
-    # a time: 2 * width + 3 replicas cross three chunk boundaries.
+    # Keys are derived a pool width of seeds at a time: 2 * width + 3
+    # replicas fill two chunks and start a third.
     spec = TopologySpec.complete(2000, with_loops=True)
     M = 600
     width = lockstep_batch_size(build(spec), M)
@@ -318,7 +318,7 @@ def test_chunked_stream_keys_equal_systems_built_one_by_one(monkeypatch):
     exp = ExperimentSpec(spec, M, lazy(0.5), replicas=2 * width + 3, master_seed=19)
     results, _ = run_replicas(exp)
     chunks = [len(list(g)) for _, g in itertools.groupby(systems, lambda ps: id(ps._keys.base))]
-    assert chunks == [1, width, width, 2] and pools == [(2 * width + 3, width)]
+    assert chunks == [width, width, 3] and pools == [(2 * width + 3, width)]
     for i, (res, ps) in enumerate(zip(results, systems)):
         alone = ParticleSystem(spec, M, lazy(0.5), derive_seed(19, i))
         want = alone.run(exp.budget)
@@ -812,8 +812,9 @@ def test_cayley_bfs_runs_once_per_group():
     spec = TopologySpec.cayley((5, 7), [(1, 0), (-1, 0), (0, 1), (0, -1)])
     results, _ = run_replicas(ExperimentSpec(spec, 6, replicas=4, master_seed=2))
     info = topology._cayley_bfs.cache_info()
-    # The first of the four systems runs the BFS; the other three reuse it.
-    assert len(results) == 4 and (info.misses, info.hits) == (1, 3)
+    # The graph built for the pool's width runs the BFS; the four systems
+    # reuse it.
+    assert len(results) == 4 and (info.misses, info.hits) == (1, 4)
 
 
 def test_lockstep_batch_size_batches_every_array_family():
