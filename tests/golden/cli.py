@@ -40,6 +40,18 @@ INVOCATIONS: dict[str, list[str]] = {
     "scan-tree-k-json": ["scan", "--family", "tree", "--k", "3", "--particles", "6",
                          "--replicas", "2", "--seed", "8", "--axis", "tree-k",
                          "--grid", "3,4", "--format", "json"],
+    "scan-grid-dim-csv": ["scan", "--family", "grid", "--dim", "1", "--particles", "6",
+                          "--replicas", "2", "--seed", "9", "--axis", "grid-dim",
+                          "--grid", "1,2", "--format", "csv"],
+    # Density points keep the base's tree depth, which the header leaves out.
+    "scan-tree-density-ndjson": ["scan", "--family", "tree", "--k", "3", "--particles", "10",
+                                 "--replicas", "2", "--seed", "3", "--axis", "density",
+                                 "--grid", "1e-4,5e-4"],
+    # omega is resolved by family.
+    "scan-hypercube-density-csv": ["scan", "--family", "hypercube", "--dim", "8",
+                                   "--particles", "5", "--replicas", "2", "--seed", "1",
+                                   "--axis", "density", "--grid", "0.01,0.02",
+                                   "--format", "csv"],
     "oracle-kn-changes": ["oracle", "kn-changes", "--n", "100", "--H", "30", "--U", "20"],
     "oracle-kn-changes-loopless": ["oracle", "kn-changes", "--n", "100", "--H", "30",
                                    "--U", "20", "--no-with-loops"],
