@@ -382,13 +382,11 @@ def _cmd_scan(args) -> int:
     axis, grid = cfg.pop("axis", None), cfg.pop("grid", None)
     if not axis or not grid:
         raise ValueError("scan needs an axis and a grid (--axis and --grid, or config)")
-    exp = config_to_experiment(cfg)
-    # No axis changes the family, so omega is fixed here; scan() fixes
-    # or derives each point's tree leaf depth.
-    base = dataclasses.replace(exp, omega=exp.resolve().omega)
-    spec = ScanSpec(base=base, axis=ScanAxis(axis), grid=tuple(float(x) for x in grid.split(",")))
+    spec = ScanSpec(config_to_experiment(cfg), ScanAxis(axis), tuple(float(x) for x in grid.split(",")))
     progress = sys.stderr.isatty()
     points = scan(spec, parallelism=args.parallelism, progress=progress)
+    # No axis changes the family, so every point resolves the base's omega.
+    base = dataclasses.replace(spec.base, omega=points[0].experiment.omega)
     _emit(
         args,
         {**experiment_to_config(base), "axis": axis, "grid": grid},

@@ -290,7 +290,11 @@ class ScanSpec:
     axis: ScanAxis
     grid: tuple
 
-    def validate(self):
+    def points(self) -> list[ExperimentSpec]:
+        """Every grid point's resolved experiment, under sub-master
+        derive_seed(master_seed, i), in grid order. Raises on the first
+        point that does not resolve, so a grid can be checked, or a point
+        replayed, before anything runs."""
         self.base.validate()
         if not self.grid:
             raise ValueError("scan grid must be non-empty")
@@ -299,25 +303,13 @@ class ScanSpec:
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("scan grid must be strictly increasing")
         axis = ScanAxis(self.axis)
-        fam = self.base.topology.family
-        if axis is ScanAxis.DENSITY:
-            # On the graph _apply_axis measures the density against.
-            topo = with_leaf_depth(self.base.topology, self.base.M)
-            if build(topo).n_vertices is None:
-                raise ValueError("density scan needs a finite vertex set")
-        elif axis is ScanAxis.LAZY_P:
-            if any(not 0 < v <= 1 for v in self.grid):
-                raise ValueError("lazy-p grid values must be in (0, 1]")
-        elif axis is ScanAxis.TREE_K:
-            if fam is not Family.TREE:
-                raise ValueError("tree-k scan needs a tree topology")
-            if any(int(v) != v or v < 3 for v in self.grid):
-                raise ValueError("tree-k grid values must be integers >= 3")
-        elif axis is ScanAxis.GRID_DIM:
-            if fam is not Family.GRID:
-                raise ValueError("grid-dim scan needs a grid topology")
-            if any(int(v) != v or v < 1 for v in self.grid):
-                raise ValueError("grid-dim grid values must be integers >= 1")
+        return [
+            dataclasses.replace(
+                _apply_axis(self.base, axis, value),
+                master_seed=derive_seed(self.base.master_seed, i),
+            ).resolve()
+            for i, value in enumerate(self.grid)
+        ]
 
 
 @dataclass(frozen=True)
@@ -328,11 +320,18 @@ class ScanPoint:
 
 
 def _apply_axis(base: ExperimentSpec, axis: ScanAxis, value) -> ExperimentSpec:
+    """The base with one grid value applied, unresolved. Checks only what
+    resolving the point would not: a density axis needs a finite graph,
+    tree-k and grid-dim values must be integers (TopologySpec would take
+    int(3.5) as 3), and grid-dim needs a grid, since a hypercube also
+    takes `dim`."""
     if axis is ScanAxis.DENSITY:
         # Fix the tree depth at the base's, so every point runs on the
         # graph whose n the density is measured against.
         topo = with_leaf_depth(base.topology, base.M)
         n = build(topo).n_vertices
+        if n is None:
+            raise ValueError("density scan needs a finite vertex set")
         M = round(value * n)
         if not 1 <= M <= n:
             raise ValueError(f"density {value} gives M={M} outside [1, {n}]")
@@ -340,9 +339,15 @@ def _apply_axis(base: ExperimentSpec, axis: ScanAxis, value) -> ExperimentSpec:
     if axis is ScanAxis.LAZY_P:
         return dataclasses.replace(base, variant=lazy(float(value)))
     if axis is ScanAxis.TREE_K:
+        if int(value) != value or value < 3:
+            raise ValueError("tree-k grid values must be integers >= 3")
         topo = dataclasses.replace(base.topology, k=int(value))
         return dataclasses.replace(base, topology=topo)
     if axis is ScanAxis.GRID_DIM:
+        if base.topology.family is not Family.GRID:
+            raise ValueError("grid-dim scan needs a grid topology")
+        if int(value) != value or value < 1:
+            raise ValueError("grid-dim grid values must be integers >= 1")
         topo = dataclasses.replace(base.topology, dim=int(value))
         return dataclasses.replace(base, topology=topo)
     raise ValueError(f"unknown axis {axis!r}")
@@ -351,22 +356,13 @@ def _apply_axis(base: ExperimentSpec, axis: ScanAxis, value) -> ExperimentSpec:
 def scan(
     s: ScanSpec, parallelism: int = 1, progress: bool = False
 ) -> list[ScanPoint]:
-    """One aggregated row per grid value, in grid order. Grid point i
-    runs under sub-master derive_seed(master_seed, i). Every point's
-    experiment is resolved before any runs, so an invalid point costs
+    """One aggregated row per grid value, in grid order: each point of
+    `s.points()`, all resolved before any runs, so an invalid point costs
     no replicas."""
-    s.validate()
-    axis = ScanAxis(s.axis)
-    exps = [
-        dataclasses.replace(
-            _apply_axis(s.base, axis, value), master_seed=derive_seed(s.base.master_seed, i)
-        ).resolve()
-        for i, value in enumerate(s.grid)
-    ]
     points = []
-    for value, exp in zip(s.grid, exps):
+    for value, exp in zip(s.grid, s.points()):
         if progress:
-            print(f"scan {axis.value}={value}", file=sys.stderr)
+            print(f"scan {ScanAxis(s.axis).value}={value}", file=sys.stderr)
         _, stats = run_replicas(exp, parallelism=parallelism, progress=progress)
         points.append(ScanPoint(float(value), exp, stats))
     return points

@@ -280,6 +280,25 @@ def test_scan_points_resolve_like_library_scan(tmp_path, monkeypatch, k, particl
     assert "leaf_depth" not in lines[0]["config"]
 
 
+def test_hypercube_density_scan_runs_past_the_base_cap(tmp_path):
+    # The base M=100 exceeds the hypercube(8) cap sqrt(256)/2 = 8, but no
+    # grid point does (M = 3 and 5), so the CLI runs what scan() runs.
+    out = tmp_path / "h.ndjson"
+    args = ["scan", "--family", "hypercube", "--dim", "8", "--particles", "100",
+            "--replicas", "2", "--seed", "1", "--axis", "density", "--grid", "0.01,0.02"]
+    assert run_cli(args + ["--out", str(out)]) == 0
+    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    base = ExperimentSpec(TopologySpec.hypercube(8), 100, replicas=2, master_seed=1)
+    points = scan(ScanSpec(base, ScanAxis.DENSITY, (0.01, 0.02)))
+    assert [pt.experiment.M for pt in points] == [3, 5]
+    expected = [
+        {"schema": "disperse/1", "record": "scan-point", "density": pt.value, **pt.stats.to_row()}
+        for pt in points
+    ]
+    assert lines[1:] == expected
+    assert lines[0]["config"]["omega"] == "2"
+
+
 def test_scan_svg_has_fraction_labels(tmp_path):
     out = tmp_path / "s.svg"
     assert run_cli(SCAN_ARGS + ["--format", "svg-summary", "--out", str(out)]) == 0

@@ -893,24 +893,24 @@ def test_tree_k_and_grid_dim_scans():
 def test_scan_validation_errors():
     base = base_exp()
     with pytest.raises(ValueError):
-        ScanSpec(base=base, axis=ScanAxis.DENSITY, grid=()).validate()
+        ScanSpec(base=base, axis=ScanAxis.DENSITY, grid=()).points()
     with pytest.raises(ValueError):
-        ScanSpec(base=base, axis=ScanAxis.DENSITY, grid=(0.5, 0.3)).validate()
+        ScanSpec(base=base, axis=ScanAxis.DENSITY, grid=(0.5, 0.3)).points()
     with pytest.raises(ValueError):
-        ScanSpec(base=base, axis=ScanAxis.LAZY_P, grid=(0.0, 0.5)).validate()
+        ScanSpec(base=base, axis=ScanAxis.LAZY_P, grid=(0.0, 0.5)).points()
     with pytest.raises(ValueError):
-        ScanSpec(base=base, axis=ScanAxis.TREE_K, grid=(3.0, 4.0)).validate()
+        ScanSpec(base=base, axis=ScanAxis.TREE_K, grid=(3.0, 4.0)).points()
     with pytest.raises(ValueError):
-        ScanSpec(base=base, axis=ScanAxis.TREE_K, grid=(3.5,)).validate()
+        ScanSpec(base=base, axis=ScanAxis.TREE_K, grid=(3.5,)).points()
     path_base = base_exp(topology=TopologySpec.path(), M=6)
     with pytest.raises(ValueError):
-        ScanSpec(base=path_base, axis=ScanAxis.DENSITY, grid=(0.5,)).validate()
+        ScanSpec(base=path_base, axis=ScanAxis.DENSITY, grid=(0.5,)).points()
     tree_base = base_exp(topology=TopologySpec.tree(3), M=6)
     grid_base = base_exp(topology=TopologySpec.grid(2), M=6)
     for b, axis in ((base, ScanAxis.DENSITY), (tree_base, ScanAxis.TREE_K), (grid_base, ScanAxis.GRID_DIM)):
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
-                ScanSpec(base=b, axis=axis, grid=(value,)).validate()
+                ScanSpec(base=b, axis=axis, grid=(value,)).points()
 
 
 @pytest.mark.parametrize(
