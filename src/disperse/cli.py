@@ -35,7 +35,7 @@ from .harness import (
     run_replicas,
     scan,
 )
-from .topology import Family, TopologySpec, config_bool
+from .topology import Family, TopologySpec, config_bool, config_value
 from .validate import validate_suite
 
 __all__ = ["main", "parse_and_dispatch", "build_parser"]
@@ -93,7 +93,7 @@ def config_to_experiment(cfg: dict[str, str]) -> ExperimentSpec:
     topology = TopologySpec.from_config({k: v for k, v in cfg.items() if k in _TOPOLOGY_KEYS})
     if "particles" not in cfg:
         raise ValueError("config needs a particles count")
-    given = {field: parse(cfg[key]) for key, field, parse, _ in _EXPERIMENT_FIELDS if key in cfg}
+    given = {f: config_value(key, cfg[key], read) for key, f, read, _ in _EXPERIMENT_FIELDS if key in cfg}
     return ExperimentSpec(topology=topology, **given)
 
 
@@ -382,7 +382,8 @@ def _cmd_scan(args) -> int:
     axis, grid = cfg.pop("axis", None), cfg.pop("grid", None)
     if not axis or not grid:
         raise ValueError("scan needs an axis and a grid (--axis and --grid, or config)")
-    spec = ScanSpec(config_to_experiment(cfg), ScanAxis(axis), tuple(float(x) for x in grid.split(",")))
+    values = config_value("grid", grid, lambda raw: tuple(float(x) for x in raw.split(",")))
+    spec = ScanSpec(config_to_experiment(cfg), config_value("axis", axis, ScanAxis), values)
     progress = sys.stderr.isatty()
     points = scan(spec, parallelism=args.parallelism, progress=progress)
     # No axis changes the family, so every point resolves the base's omega.

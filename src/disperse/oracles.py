@@ -15,7 +15,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .topology import Family, TopologySpec, config_bool
+from .topology import Family, TopologySpec, config_bool, config_value
 
 __all__ = [
     "MIXING_VERTEX_CAP",
@@ -505,7 +505,9 @@ def evaluate(name: str, config: dict) -> OracleValue:
     for p, _ in d.params:
         if p not in config:
             raise ValueError(f"oracle {name} requires --{p.replace('_', '-')}")
-    inputs = {p: read(config[p]) for p, read in d.params + d.optional if p in config}
+    inputs = {
+        p: config_value(p, config[p], read) for p, read in d.params + d.optional if p in config
+    }
     return OracleValue(name, inputs, _encode(d.func(**inputs)), d.equation_tag)
 
 

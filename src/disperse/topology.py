@@ -61,6 +61,7 @@ __all__ = [
     "build",
     "default_leaf_depth",
     "config_bool",
+    "config_value",
     "COORDINATE_LIMIT",
     "INT64_MAX",
     "MAX_CAYLEY_VERTICES",
@@ -221,7 +222,9 @@ class TopologySpec:
             raise ValueError("config: missing 'family'") from None
         except ValueError:
             raise ValueError(f"config: unknown family {cfg['family']!r}") from None
-        given = {name: read(cfg[name]) for name, read, _ in _FIELDS if name in cfg}
+        given = {
+            name: config_value(name, cfg[name], read) for name, read, _ in _FIELDS if name in cfg
+        }
         spec = TopologySpec(family, **given)
         spec.validate()
         return spec
@@ -235,7 +238,15 @@ def config_bool(raw: str) -> bool:
         return True
     if value in ("0", "false", "no"):
         return False
-    raise ValueError(f"config: {raw!r} is not a boolean (true/false, yes/no, 1/0)")
+    raise ValueError(f"{raw!r} is not a boolean (true/false, yes/no, 1/0)")
+
+
+def config_value(key: str, raw: str, read):
+    """`read(raw)` for one flat config key; a ValueError names the key."""
+    try:
+        return read(raw)
+    except ValueError as e:
+        raise ValueError(f"{key}: {e}") from None
 
 
 def _ints(raw: str) -> tuple[int, ...]:
@@ -245,7 +256,7 @@ def _ints(raw: str) -> tuple[int, ...]:
 def _generators(raw: str) -> tuple[tuple[int, ...], ...]:
     tuples = re.findall(r"\(([^()]*)\)", raw)
     if not tuples:
-        raise ValueError("config: generators must be parenthesised tuples")
+        raise ValueError("must be parenthesised tuples")
     return tuple(_ints(body) for body in tuples)
 
 

@@ -317,6 +317,30 @@ def test_scan_requires_axis_and_grid(tmp_path):
     assert run_cli(SCAN_ARGS[:-4]) == 2
 
 
+_BASE_INI = "[disperse]\nfamily = complete\nn = 10\nparticles = 3\n"
+
+
+@pytest.mark.parametrize(
+    "ini, args, key",
+    [
+        (_BASE_INI.replace("particles = 3", "particles = x"), ["run"], "particles"),
+        (_BASE_INI + "axis = sideways\ngrid = 0.1\n", ["scan"], "axis"),
+        (None, ["oracle", "lazy-range", "--n", "100", "--p", "x", "--occupancies", "2,2,3",
+                "--E-empty", "60"], "p"),
+        (None, SCAN_ARGS[:-1] + ["0.1,,0.2"], "grid"),
+    ],
+    ids=["particles", "axis", "p", "grid"],
+)
+def test_a_malformed_value_names_its_key(tmp_path, capsys, ini, args, key):
+    if ini is not None:
+        path = tmp_path / "bad.ini"
+        path.write_text(ini)
+        args = args + ["--config", str(path)]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"disperse: error: {key}: "), err
+
+
 @pytest.mark.parametrize(
     "family, grid",
     [(["complete", "--n", "20", "--with-loops"], "0.5,2.0"), (["hypercube", "--dim", "8"], "0.01,0.5")],
