@@ -676,3 +676,40 @@ def test_pair_meeting_total_counts_cooccupied_step_starts():
         assert r.status is Status.DISPERSED
         assert r.meeting_total == r.t_disp
 
+
+
+# -- run-level identities between families ---------------------------------------
+
+# Pairs of families whose runs are the same process: equal neighbour order
+# from equal addresses, so a seed gives the same record on both. The torus
+# is wide enough that no run reaches around it.
+_UNITS = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+IDENTICAL_FAMILIES = {
+    "path-grid1": (TopologySpec.path(), TopologySpec.grid(1), 40),
+    "cycle13-cayley": (TopologySpec.cycle(13), TopologySpec.cayley((13,), [(-1,), (1,)]), 12),
+    "cycle14-cayley": (TopologySpec.cycle(14), TopologySpec.cayley((14,), [(-1,), (1,)]), 12),
+    "hypercube-cayley": (TopologySpec.hypercube(6), TopologySpec.cayley((2,) * 6, _UNITS), 6),
+    "grid2-torus": (
+        TopologySpec.grid(2),
+        TopologySpec.cayley((64, 64), [(-1, 0), (1, 0), (0, -1), (0, 1)]),
+        20,
+    ),
+}
+
+
+@pytest.mark.parametrize("force_generic", [False, True], ids=["lockstep", "generic"])
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy0.5"])
+@pytest.mark.parametrize("name", list(IDENTICAL_FAMILIES))
+def test_identical_families_give_identical_runs(name, variant, force_generic):
+    a, b, M = IDENTICAL_FAMILIES[name]
+    for seed in range(5):
+        ra, rb = (
+            ParticleSystem(spec, M, variant=variant, seed=seed, force_generic=force_generic).run()
+            for spec in (a, b)
+        )
+        assert ra.status is Status.DISPERSED, (name, seed)
+        for field in ("status", "steps", "t_disp", "d_disp", "max_distance_ever", "meeting_total"):
+            assert getattr(ra, field) == getattr(rb, field), (name, seed, field)
+        assert np.array_equal(ra.walk_counts, rb.walk_counts), (name, seed)
+        if b.family is Family.CAYLEY and len(b.moduli) == 2:
+            assert 2 * rb.max_distance_ever < min(b.moduli), (name, seed)
