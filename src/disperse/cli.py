@@ -93,7 +93,7 @@ def config_to_experiment(cfg: dict[str, str]) -> ExperimentSpec:
     topology = TopologySpec.from_config({k: v for k, v in cfg.items() if k in _TOPOLOGY_KEYS})
     if "particles" not in cfg:
         raise ValueError("config needs a particles count")
-    given = {f: config_value(key, cfg[key], read) for key, f, read, _ in _EXPERIMENT_FIELDS if key in cfg}
+    given = {field: config_value(key, cfg[key], read) for key, field, read, _ in _EXPERIMENT_FIELDS if key in cfg}
     return ExperimentSpec(topology=topology, **given)
 
 
