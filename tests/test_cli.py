@@ -599,6 +599,45 @@ def test_exit_2_on_a_config_key_the_subcommand_does_not_take(
     assert captured.err == f"disperse: error: config: not an experiment key: {named}\n"
 
 
+_SMALL_RUN = ["run", "--family", "complete", "--n", "10", "--particles", "3", "--replicas", "2"]
+REFUSED = {
+    "cycle-n2": (["run", "--family", "cycle", "--n", "2", "--particles", "2"], "cycle: n >= 3 required"),
+    "path-n": (
+        ["run", "--family", "path", "--n", "7", "--particles", "2"],
+        "path: parameters not valid for this family: ['n']",
+    ),
+    "complete-n1": (
+        ["run", "--family", "complete", "--n", "1", "--particles", "1"],
+        "complete without loops needs n >= 2 for positive degree",
+    ),
+    "particles-0": (_SMALL_RUN[:6] + ["0"] + _SMALL_RUN[7:], "need at least one particle"),
+    "budget-0": (_SMALL_RUN + ["--budget", "0"], "budget must be >= 1"),
+    "replicas-0": (_SMALL_RUN[:-1] + ["0"], "need at least one replica"),
+    "omega-neg": (_SMALL_RUN + ["--omega", "-1"], "omega must be positive and finite, got -1.0"),
+    "lazy-p-decreasing": (
+        ["scan", *_SMALL_RUN[1:], "--axis", "lazy-p", "--grid", "0.5,0.25"],
+        "scan grid must be strictly increasing",
+    ),
+    "density-past-n": (
+        ["scan", *_SMALL_RUN[1:], "--axis", "density", "--grid", "2"],
+        "density 2.0 gives M=20 outside [1, 10]",
+    ),
+    "tree-k-fraction": (
+        ["scan", "--family", "tree", "--k", "3", "--particles", "3", "--axis", "tree-k", "--grid", "3.5"],
+        "tree-k grid values must be integers >= 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, message", list(REFUSED.values()), ids=list(REFUSED))
+def test_refused_input_exits_2_with_one_named_line(args, message, no_work, tmp_path, capsys):
+    out = tmp_path / "o.ndjson"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"disperse: error: {message}\n"
+
+
 def test_format_writes_non_finite_floats_as_repr():
     assert [cli._fmt(v) for v in (float("inf"), float("-inf"), float("nan"))] == ["inf", "-inf", "nan"]
     assert cli._fmt(20.0) == "20" and cli._fmt(0.25) == "0.25"
