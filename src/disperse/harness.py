@@ -81,8 +81,7 @@ class ExperimentSpec:
     walk_mode: WalkMode = WalkMode.ON_DEMAND
     omega: Optional[float] = None
 
-    def validate(self):
-        self.topology.validate()
+    def __post_init__(self):
         if self.M < 1:
             raise ValueError("need at least one particle")
         if self.budget < 1:
@@ -96,7 +95,6 @@ class ExperimentSpec:
         """Fill derived defaults: tree leaf depth from the particle
         count, omega by family, and enforce the hypercube particle cap
         M <= sqrt(n)/omega."""
-        self.validate()
         topo = with_leaf_depth(self.topology, self.M)
         omega = self.omega
         if omega is None:
@@ -290,22 +288,24 @@ class ScanSpec:
     axis: ScanAxis
     grid: tuple
 
-    def points(self) -> list[ExperimentSpec]:
-        """Every grid point's resolved experiment, under sub-master
-        derive_seed(master_seed, i), in grid order. Raises on the first
-        point that does not resolve, so a grid can be checked, or a point
-        replayed, before anything runs."""
-        self.base.validate()
+    def __post_init__(self):
         if not self.grid:
             raise ValueError("scan grid must be non-empty")
         if not all(math.isfinite(v) for v in self.grid):
             raise ValueError("scan grid values must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("scan grid must be strictly increasing")
-        axis = ScanAxis(self.axis)
+        object.__setattr__(self, "axis", ScanAxis(self.axis))
+
+    def points(self) -> list[ExperimentSpec]:
+        """Every grid point's resolved experiment, under sub-master
+        derive_seed(master_seed, i), in grid order. Raises on the first
+        point that does not resolve, so a grid can be checked, or a point
+        replayed, before anything runs; a malformed grid is refused
+        already when the ScanSpec is made."""
         return [
             dataclasses.replace(
-                _apply_axis(self.base, axis, value),
+                _apply_axis(self.base, self.axis, value),
                 master_seed=derive_seed(self.base.master_seed, i),
             ).resolve()
             for i, value in enumerate(self.grid)
@@ -362,7 +362,7 @@ def scan(
     points = []
     for value, exp in zip(s.grid, s.points()):
         if progress:
-            print(f"scan {ScanAxis(s.axis).value}={value}", file=sys.stderr)
+            print(f"scan {s.axis.value}={value}", file=sys.stderr)
         _, stats = run_replicas(exp, parallelism=parallelism, progress=progress)
         points.append(ScanPoint(float(value), exp, stats))
     return points

@@ -366,7 +366,6 @@ def _cayley_mixing(moduli: tuple, generators: tuple) -> int:
 def mixing_step(spec: TopologySpec) -> int:
     """Smallest even T such that the walk's diagonal is within 1/(2n')
     of uniform-on-its-parity for every even s >= T."""
-    spec.validate()
     fam = spec.family
     if fam is Family.HYPERCUBE:
         n = 1 << spec.dim

@@ -92,7 +92,7 @@ class Family(str, Enum):
 
 @dataclass(frozen=True)
 class TopologySpec:
-    """Declarative description of one graph; validated on build.
+    """Declarative description of one graph, checked when it is made.
 
     leaf_depth applies to trees only: None means "unset, let the
     harness fill the default truncation rule", 0 means explicitly
@@ -100,8 +100,8 @@ class TopologySpec:
 
     Two module tables state the parameters once: those each family takes
     (_FAMILY_FIELDS) and how each is read and written (_FIELDS). One that
-    differs from its default here is given, and `validate` refuses it on
-    a family that does not take it.
+    differs from its default here is given, and is refused on a family
+    that does not take it.
     """
 
     family: Family
@@ -115,12 +115,57 @@ class TopologySpec:
 
     def __post_init__(self):
         # Canonical cayley generators: each residue reduced mod its
-        # modulus, here and nowhere else. validate() rejects the shapes
-        # this leaves alone.
+        # modulus, here and nowhere else. The checks below refuse the
+        # shapes this leaves alone.
         mods, gens = self.moduli, self.generators
         if mods and gens and min(mods) > 0 and all(len(g) == len(mods) for g in gens):
             gens = tuple(tuple(c % m for c, m in zip(g, mods)) for g in gens)
             object.__setattr__(self, "generators", gens)
+
+        f = self.family
+        extra = [
+            name
+            for name, _, _ in _FIELDS
+            if name not in _FAMILY_FIELDS[f] and getattr(self, name) != getattr(TopologySpec, name)
+        ]
+        if extra:
+            raise ValueError(f"{f.value}: parameters not valid for this family: {sorted(extra)}")
+
+        if f in (Family.COMPLETE, Family.STAR, Family.CYCLE):
+            if self.n is None or self.n < 1:
+                raise ValueError(f"{f.value}: n >= 1 required")
+            if self.n > INT64_MAX:
+                raise ValueError(f"{f.value}: n <= {INT64_MAX} (the int64 limit) required")
+            if f is Family.STAR and self.n < 2:
+                raise ValueError("star: need at least one leaf (n >= 2)")
+            if f is Family.CYCLE and self.n < 3:
+                raise ValueError("cycle: n >= 3 required")
+            if f is Family.COMPLETE and not self.with_loops and self.n < 2:
+                raise ValueError("complete without loops needs n >= 2 for positive degree")
+        elif f is Family.TREE:
+            if self.k is None or self.k < 2:
+                raise ValueError("tree: k >= 2 required")
+            if self.leaf_depth is not None and self.leaf_depth < 0:
+                raise ValueError("tree: leaf_depth must be >= 0")
+        elif f in (Family.GRID, Family.HYPERCUBE):
+            if self.dim is None or self.dim < 1:
+                raise ValueError(f"{f.value}: dim >= 1 required")
+        elif f is Family.CAYLEY:
+            if not self.moduli or any(m < 2 for m in self.moduli):
+                raise ValueError("cayley: moduli must be a non-empty tuple of ints >= 2")
+            if not self.generators:
+                raise ValueError("cayley: generator list must be non-empty")
+            gens = self.generators
+            if any(len(g) != len(self.moduli) for g in gens):
+                raise ValueError("cayley: generator width must match moduli")
+            # Symmetric as a multiset: count(g) == count(-g).
+            for g in set(gens):
+                inv = tuple((-c) % m for c, m in zip(g, self.moduli))
+                if gens.count(g) != gens.count(inv):
+                    raise ValueError(f"cayley: generator set not symmetric at {g}")
+            n = math.prod(self.moduli)
+            if n > MAX_CAYLEY_VERTICES:
+                raise ValueError(f"cayley: group size {n} exceeds cap {MAX_CAYLEY_VERTICES}")
 
     # -- constructors ------------------------------------------------
 
@@ -158,52 +203,6 @@ class TopologySpec:
         gens = tuple(tuple(int(c) for c in g) for g in generators)
         return TopologySpec(Family.CAYLEY, moduli=mods, generators=gens)
 
-    # -- validation --------------------------------------------------
-
-    def validate(self) -> None:
-        f = self.family
-        extra = [
-            name
-            for name, _, _ in _FIELDS
-            if name not in _FAMILY_FIELDS[f] and getattr(self, name) != getattr(TopologySpec, name)
-        ]
-        if extra:
-            raise ValueError(f"{f.value}: parameters not valid for this family: {sorted(extra)}")
-
-        if f in (Family.COMPLETE, Family.STAR, Family.CYCLE):
-            if self.n is None or self.n < 1:
-                raise ValueError(f"{f.value}: n >= 1 required")
-            if self.n > INT64_MAX:
-                raise ValueError(f"{f.value}: n <= {INT64_MAX} (the int64 limit) required")
-            if f is Family.STAR and self.n < 2:
-                raise ValueError("star: need at least one leaf (n >= 2)")
-            if f is Family.CYCLE and self.n < 3:
-                raise ValueError("cycle: n >= 3 required")
-        elif f is Family.TREE:
-            if self.k is None or self.k < 2:
-                raise ValueError("tree: k >= 2 required")
-            if self.leaf_depth is not None and self.leaf_depth < 0:
-                raise ValueError("tree: leaf_depth must be >= 0")
-        elif f in (Family.GRID, Family.HYPERCUBE):
-            if self.dim is None or self.dim < 1:
-                raise ValueError(f"{f.value}: dim >= 1 required")
-        elif f is Family.CAYLEY:
-            if not self.moduli or any(m < 2 for m in self.moduli):
-                raise ValueError("cayley: moduli must be a non-empty tuple of ints >= 2")
-            if not self.generators:
-                raise ValueError("cayley: generator list must be non-empty")
-            gens = self.generators
-            if any(len(g) != len(self.moduli) for g in gens):
-                raise ValueError("cayley: generator width must match moduli")
-            # Symmetric as a multiset: count(g) == count(-g).
-            for g in set(gens):
-                inv = tuple((-c) % m for c, m in zip(g, self.moduli))
-                if gens.count(g) != gens.count(inv):
-                    raise ValueError(f"cayley: generator set not symmetric at {g}")
-            n = math.prod(self.moduli)
-            if n > MAX_CAYLEY_VERTICES:
-                raise ValueError(f"cayley: group size {n} exceeds cap {MAX_CAYLEY_VERTICES}")
-
     # -- flat config serialisation -----------------------------------
 
     def to_config(self) -> dict[str, str]:
@@ -225,9 +224,7 @@ class TopologySpec:
         given = {
             name: config_value(name, cfg[name], read) for name, read, _ in _FIELDS if name in cfg
         }
-        spec = TopologySpec(family, **given)
-        spec.validate()
-        return spec
+        return TopologySpec(family, **given)
 
 
 def config_bool(raw: str) -> bool:
@@ -401,8 +398,6 @@ class _Complete(Topology):
         self.with_loops = spec.with_loops
         self.origin = 0
         self.n_vertices = spec.n
-        if not spec.with_loops and spec.n < 2:
-            raise ValueError("complete without loops needs n >= 2 for positive degree")
 
     def degree(self, v: Any) -> int:
         return self.n if self.with_loops else self.n - 1
@@ -946,7 +941,6 @@ _BUILDERS = {
 
 
 def build(spec: TopologySpec) -> Topology:
-    spec.validate()
     return _BUILDERS[spec.family](spec)
 
 

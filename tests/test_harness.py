@@ -163,17 +163,16 @@ def test_resolve_enforces_hypercube_cap():
 
 def test_experiment_validation_errors():
     good = ExperimentSpec(topology=TopologySpec.complete(10), M=4)
-    good.validate()
     for bad in (
-        dataclasses.replace(good, M=0),
-        dataclasses.replace(good, budget=0),
-        dataclasses.replace(good, replicas=0),
-        dataclasses.replace(good, omega=-1.0),
-        dataclasses.replace(good, omega=math.inf),
-        dataclasses.replace(good, omega=math.nan),
+        dict(M=0),
+        dict(budget=0),
+        dict(replicas=0),
+        dict(omega=-1.0),
+        dict(omega=math.inf),
+        dict(omega=math.nan),
     ):
         with pytest.raises(ValueError):
-            bad.validate()
+            dataclasses.replace(good, **bad)
 
 
 # -- replication ---------------------------------------------------------------

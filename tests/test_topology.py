@@ -231,21 +231,18 @@ def test_cayley_matches_hypercube(d):
 
 
 def test_cayley_rejects_non_generating_set():
-    spec = TopologySpec.cayley((8,), [(2,), (-2,)])
-    spec.validate()  # shape is fine
+    spec = TopologySpec.cayley((8,), [(2,), (-2,)])  # shape is fine
     with pytest.raises(ValueError, match="generate"):
         build(spec)
 
 
 def test_cayley_rejects_asymmetric_or_oversized():
     with pytest.raises(ValueError, match="symmetric"):
-        TopologySpec.cayley((8,), [(1,), (2,)]).validate()
+        TopologySpec.cayley((8,), [(1,), (2,)])
     with pytest.raises(ValueError, match="width"):
-        TopologySpec(
-            Family.CAYLEY, moduli=(8, 8), generators=((1,), (7,))
-        ).validate()
+        TopologySpec(Family.CAYLEY, moduli=(8, 8), generators=((1,), (7,)))
     with pytest.raises(ValueError, match="cap"):
-        TopologySpec.cayley((2048, 2048), [(1, 0), (-1, 0)]).validate()
+        TopologySpec.cayley((2048, 2048), [(1, 0), (-1, 0)])
 
 
 def test_cayley_self_inverse_generator_allowed():
@@ -259,23 +256,23 @@ def test_cayley_self_inverse_generator_allowed():
 
 def test_validate_rejects_bad_parameters():
     bad = [
-        TopologySpec(Family.STAR, n=1),
-        TopologySpec(Family.CYCLE, n=2),
-        TopologySpec(Family.TREE, k=1),
-        TopologySpec(Family.GRID, dim=0),
-        TopologySpec(Family.COMPLETE, n=0),
-        TopologySpec(Family.TREE, k=3, leaf_depth=-1),
-        TopologySpec(Family.COMPLETE, n=5, k=3),  # foreign parameter
-        TopologySpec(Family.PATH, n=7),
-        TopologySpec(Family.GRID, dim=2, with_loops=True),
+        dict(family=Family.STAR, n=1),
+        dict(family=Family.CYCLE, n=2),
+        dict(family=Family.TREE, k=1),
+        dict(family=Family.GRID, dim=0),
+        dict(family=Family.COMPLETE, n=0),
+        dict(family=Family.TREE, k=3, leaf_depth=-1),
+        dict(family=Family.COMPLETE, n=5, k=3),  # foreign parameter
+        dict(family=Family.PATH, n=7),
+        dict(family=Family.GRID, dim=2, with_loops=True),
         # Past int64, the type of every vertex in every loop.
-        TopologySpec.complete(2**63 + 5),
-        TopologySpec.star(2**63),
-        TopologySpec.cycle(2**63 + 3),
+        dict(family=Family.COMPLETE, n=2**63 + 5),
+        dict(family=Family.STAR, n=2**63 + 1),
+        dict(family=Family.CYCLE, n=2**63 + 3),
     ]
-    for spec in bad:
+    for fields in bad:
         with pytest.raises(ValueError):
-            spec.validate()
+            TopologySpec(**fields)
 
 
 def test_validate_address_accepts_and_rejects():
@@ -338,9 +335,9 @@ def test_which_configs_are_accepted_and_refused():
     # A parameter counts as given whenever it is not None, so n = 0 on
     # a family that takes no n is foreign, not absent.
     with pytest.raises(ValueError, match="not valid for this family"):
-        TopologySpec(Family.PATH, n=0).validate()
+        TopologySpec(Family.PATH, n=0)
     with pytest.raises(ValueError, match="not valid for this family"):
-        TopologySpec(Family.GRID, dim=2, leaf_depth=0).validate()
+        TopologySpec(Family.GRID, dim=2, leaf_depth=0)
     with pytest.raises(ValueError, match="boolean"):
         TopologySpec.from_config({"family": "complete", "n": "5", "with_loops": ""})
     with pytest.raises(ValueError, match="boolean"):
@@ -359,7 +356,7 @@ def test_which_configs_are_accepted_and_refused():
         with pytest.raises(ValueError, match="moduli must be a non-empty"):
             TopologySpec.from_config({"family": "cayley", "moduli": moduli, "generators": "(1)"})
     with pytest.raises(ValueError, match="moduli must be a non-empty"):
-        TopologySpec(Family.CAYLEY, moduli=(), generators=((1,),)).validate()
+        TopologySpec(Family.CAYLEY, moduli=(), generators=((1,),))
     # with_loops is written for every complete graph and for no other
     # family; leaf_depth = 0 (explicitly infinite) is kept.
     for name in ALL_NAMES:
@@ -398,9 +395,9 @@ def test_cayley_residues_are_canonical_however_the_spec_is_made():
     for spec in made:
         assert spec == want and hash(spec) == hash(want)
         assert build(spec).gens == want.generators
-    # A width that does not match the moduli is left for validate() to name.
+    # A width that does not match the moduli is left for the checks to name.
     for bad in (
-        lambda: TopologySpec.cayley((8, 3), [(1,), (-1,)]).validate(),
+        lambda: TopologySpec.cayley((8, 3), [(1,), (-1,)]),
         lambda: TopologySpec.from_config(
             {"family": "cayley", "moduli": "8,3", "generators": "(1),(-1)"}
         ),
