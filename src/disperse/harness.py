@@ -42,7 +42,7 @@ from .engine import (
     stream_keys,
 )
 from .rng import derive_seed
-from .topology import Family, TopologySpec, build, with_leaf_depth
+from .topology import Family, TopologySpec, as_int, build, with_leaf_depth
 
 __all__ = [
     "DEFAULT_GRID_OMEGA",
@@ -82,6 +82,8 @@ class ExperimentSpec:
     omega: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("M", "budget", "replicas", "master_seed"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.M < 1:
             raise ValueError("need at least one particle")
         if self.budget < 1:

@@ -46,6 +46,7 @@ its reach grows.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -130,6 +131,9 @@ class TopologySpec:
         ]
         if extra:
             raise ValueError(f"{f.value}: parameters not valid for this family: {sorted(extra)}")
+        for name in ("n", "k", "dim", "leaf_depth"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, as_int(f"{f.value}: {name}", getattr(self, name)))
 
         if f in (Family.COMPLETE, Family.STAR, Family.CYCLE):
             if self.n is None or self.n < 1:
@@ -225,6 +229,15 @@ class TopologySpec:
             name: config_value(name, cfg[name], read) for name, read, _ in _FIELDS if name in cfg
         }
         return TopologySpec(family, **given)
+
+
+def as_int(name: str, value) -> int:
+    """`value` as a Python int, from any integer type; anything else, such
+    as a float, is a ValueError that names `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def config_bool(raw: str) -> bool:

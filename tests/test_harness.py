@@ -175,6 +175,15 @@ def test_experiment_validation_errors():
             dataclasses.replace(good, **bad)
 
 
+@pytest.mark.parametrize("field", ["M", "budget", "replicas", "master_seed"])
+def test_experiment_integer_fields_refuse_other_numbers(field):
+    # A float budget used to run and then write a header --config refuses.
+    good = ExperimentSpec(topology=TopologySpec.complete(100), M=4)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got 50.5$"):
+        dataclasses.replace(good, **{field: 50.5})
+    assert type(getattr(dataclasses.replace(good, **{field: np.int64(5)}), field)) is int
+
+
 # -- replication ---------------------------------------------------------------
 
 

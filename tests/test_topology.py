@@ -275,6 +275,24 @@ def test_validate_rejects_bad_parameters():
             TopologySpec(**fields)
 
 
+def test_integer_parameters_refuse_other_numbers():
+    # A float n, k, dim or leaf_depth used to pass and fail mid-run.
+    for make, name in (
+        (lambda: TopologySpec.complete(1e4), "complete: n"),
+        (lambda: TopologySpec.cycle(10.0), "cycle: n"),
+        (lambda: TopologySpec.tree(3.5), "tree: k"),
+        (lambda: TopologySpec.tree(3, leaf_depth=2.0), "tree: leaf_depth"),
+        (lambda: TopologySpec.grid(2.0), "grid: dim"),
+        (lambda: TopologySpec.hypercube(8.0), "hypercube: dim"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            make()
+    # Any integer type is taken, and held as a Python int.
+    spec = TopologySpec.tree(np.int64(3), leaf_depth=np.int32(4))
+    assert spec == TopologySpec.tree(3, leaf_depth=4)
+    assert type(spec.k) is int and type(spec.leaf_depth) is int
+
+
 def test_validate_address_accepts_and_rejects():
     cases = [
         (spec_for("complete"), 3, [10, -1, "x"]),
