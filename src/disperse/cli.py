@@ -101,11 +101,10 @@ def read_config_file(path: str) -> dict[str, str]:
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
-    if "disperse" in cp:
-        section = cp["disperse"]
-    else:
-        section = cp[cp.default_section]
-    return dict(section)
+    other = [name for name in cp.sections() if name != "disperse"]
+    if other:
+        raise ValueError(f"config: keys go under [disperse], not {', '.join(f'[{n}]' for n in other)}")
+    return dict(cp["disperse"] if "disperse" in cp else cp[cp.default_section])
 
 
 def write_config_ini(cfg: dict[str, str]) -> str:

@@ -112,6 +112,32 @@ def test_walk_mode_and_record_trajectories_are_config_keys_only(tmp_path):
     assert (config["walk_mode"], config["record_trajectories"]) == ("predetermined", "true")
 
 
+@pytest.mark.parametrize(
+    "ini, err",
+    [
+        ("[experiment]\nfamily = complete\nn = 10\nparticles = 3\n", "[experiment]"),
+        ("[disperse]\nfamily = complete\nn = 10\n[extra]\nparticles = 3\n[more]\n", "[extra], [more]"),
+    ],
+    ids=["only-other", "beside-disperse"],
+)
+def test_config_section_other_than_disperse_is_named(ini, err, no_work, tmp_path, capsys):
+    path = tmp_path / "c.ini"
+    path.write_text(ini)
+    out = tmp_path / "o.ndjson"
+    assert run_cli(["run", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"disperse: error: config: keys go under [disperse], not {err}\n"
+
+
+def test_config_file_of_default_keys_only_runs(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[DEFAULT]\nfamily = complete\nn = 10\nparticles = 3\nreplicas = 2\n")
+    out = tmp_path / "o.ndjson"
+    assert run_cli(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[0])["config"]["replicas"] == "2"
+
+
 def test_flags_override_config_file(tmp_path):
     ini = tmp_path / "base.ini"
     ini.write_text(
