@@ -46,7 +46,6 @@ __all__ = [
     "stream_words",
     "stream_counts",
     "to_unit",
-    "to_unit_array",
     "unit_threshold",
 ]
 
@@ -169,7 +168,3 @@ def stream_counts(words: np.ndarray, keys: np.ndarray) -> np.ndarray:
     n = words - keys
     n *= _NP_GOLDEN_INVERSE
     return n.view(np.int64)
-
-
-def to_unit_array(raws: np.ndarray) -> np.ndarray:
-    return (raws >> np.uint64(11)) * 2.0**-53
