@@ -458,6 +458,12 @@ def test_vertex_counts_past_int64_are_refused_before_a_run():
     assert kernel.dispersed
 
 
+@pytest.mark.parametrize("force_generic", [False, True], ids=["kernel", "reference"])
+def test_one_particle_on_K1_with_loops_is_dispersed_at_once(force_generic):
+    res = ParticleSystem(K(1, loops=True), 1, seed=3, force_generic=force_generic).run(10)
+    assert res.dispersed and res.t_disp == 0 and res.meeting_total == 0
+
+
 ARRAY_SPECS = {
     "complete": (K(20), 12),
     "star": (TopologySpec.star(12), 6),

@@ -245,6 +245,13 @@ def test_cayley_rejects_asymmetric_or_oversized():
         TopologySpec.cayley((2048, 2048), [(1, 0), (-1, 0)])
 
 
+def test_loopless_K1_is_refused_when_made():
+    # K_1 without loops has degree 0: no particle could ever move.
+    with pytest.raises(ValueError, match="^complete without loops needs n >= 2 for positive degree$"):
+        TopologySpec.complete(1)
+    assert build(TopologySpec.complete(1, with_loops=True)).degree(0) == 1
+
+
 def test_cayley_self_inverse_generator_allowed():
     # In Z_4, the element 2 is its own inverse; a single copy is symmetric.
     t = build(TopologySpec.cayley((4,), [(1,), (-1,), (2,)]))
