@@ -101,9 +101,9 @@ def read_config_file(path: str) -> dict[str, str]:
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
-    other = [name for name in cp.sections() if name != "disperse"]
+    other = ", ".join(f"[{name}]" for name in cp.sections() if name != "disperse")
     if other:
-        raise ValueError(f"config: keys go under [disperse], not {', '.join(f'[{n}]' for n in other)}")
+        raise ValueError(f"config: keys go under [disperse], not {other}")
     return dict(cp["disperse"] if "disperse" in cp else cp[cp.default_section])
 
 

@@ -61,6 +61,7 @@ __all__ = [
     "Topology",
     "build",
     "default_leaf_depth",
+    "as_int",
     "config_bool",
     "config_value",
     "COORDINATE_LIMIT",
@@ -132,8 +133,9 @@ class TopologySpec:
         if extra:
             raise ValueError(f"{f.value}: parameters not valid for this family: {sorted(extra)}")
         for name in ("n", "k", "dim", "leaf_depth"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, as_int(f"{f.value}: {name}", getattr(self, name)))
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, as_int(f"{f.value}: {name}", value))
 
         if f in (Family.COMPLETE, Family.STAR, Family.CYCLE):
             if self.n is None or self.n < 1:
