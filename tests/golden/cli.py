@@ -1,10 +1,11 @@
 """Golden CLI digests: the SHA-256 of what each of a fixed list of
 `disperse` invocations writes to stdout, with its exit code.
 
-The list covers `run` and `scan` in every output format, every
-registered oracle and `mixing-step`. A change to any of these outputs,
-down to one byte, is a change of output format or of results and shows
-here. Regenerate only on purpose, and say why in CHANGES.md:
+The list covers `run` and `scan` in every output format, every run
+input flag, every registered oracle and `mixing-step`. A change to any
+of these outputs, down to one byte, is a change of output format or of
+results and shows here. Regenerate only on purpose, and say why in
+CHANGES.md:
 
     PYTHONPATH=src python tests/golden/cli.py --write
 """
@@ -34,6 +35,18 @@ INVOCATIONS: dict[str, list[str]] = {
                      "--replicas", "3", "--seed", "2", "--format", "csv"],
     "run-tree-ndjson": ["run", "--family", "tree", "--k", "3", "--particles", "12",
                         "--replicas", "3", "--seed", "4"],
+    # Together with the above, every run input flag is passed at least once.
+    "run-cayley-csv": ["run", "--family", "cayley", "--moduli", "8,8",
+                       "--generators", "(1,0),(-1,0),(0,1),(0,-1)", "--particles", "6",
+                       "--replicas", "2", "--seed", "3", "--budget", "40", "--format", "csv"],
+    "run-hypercube-omega-ndjson": ["run", "--family", "hypercube", "--dim", "10", "--omega", "4",
+                                   "--particles", "6", "--replicas", "2", "--seed", "5"],
+    "run-tree-leaf-depth-json": ["run", "--family", "tree", "--k", "3", "--leaf-depth", "6",
+                                 "--particles", "20", "--replicas", "2", "--seed", "2",
+                                 "--format", "json"],
+    "run-complete-loops-csv": ["run", "--family", "complete", "--n", "12", "--with-loops",
+                               "--particles", "8", "--replicas", "3", "--seed", "4",
+                               "--format", "csv"],
     "scan-lazy-p-csv": ["scan", "--family", "cycle", "--n", "30", "--particles", "8",
                         "--replicas", "3", "--seed", "6", "--axis", "lazy-p",
                         "--grid", "0.25,0.5,1", "--format", "csv"],

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from pathlib import Path
@@ -490,6 +491,28 @@ def test_exit_2_on_unknown_subcommand():
 
 def test_exit_2_on_unknown_flag():
     assert run_cli(RUN_ARGS + ["--warp", "9"]) == 2
+
+
+_TOPOLOGY_FLAGS = ["--dim", "--family", "--generators", "--k", "--leaf-depth", "--moduli", "--n",
+                   "--no-with-loops", "--with-loops"]
+_RUN_FLAGS = sorted(_TOPOLOGY_FLAGS + ["--budget", "--config", "--format", "--help", "--lazy-p",
+                                       "--omega", "--out", "--parallelism", "--particles",
+                                       "--replicas", "--seed", "-h"])
+_FLAGS = {
+    "run": _RUN_FLAGS,
+    "scan": sorted(_RUN_FLAGS + ["--axis", "--grid"]),
+    "oracle": sorted(_TOPOLOGY_FLAGS + ["--E-empty", "--H", "--M", "--T", "--U", "--alpha", "--d",
+                                        "--delta", "--eps", "--help", "--occupancies", "--out",
+                                        "--p", "--r", "--s", "--t", "-h"]),
+}
+
+
+@pytest.mark.parametrize("sub", list(_FLAGS))
+def test_subcommand_flags_are_fixed(sub):
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[sub]._actions
+    assert sorted(s for a in actions for s in a.option_strings) == _FLAGS[sub]
 
 
 def test_exit_2_when_family_missing(capsys):

@@ -1,12 +1,13 @@
 """Replay of the golden-result corpus (tests/golden/) on every kernel,
 and of the golden CLI output digests."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from disperse import oracles
+from disperse import cli, oracles
 
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -43,6 +44,13 @@ def test_cli_digests_cover_every_invocation_and_oracle():
     for sub in ("run", "scan"):
         formats = {a[a.index("--format") + 1] for a in run_scan if a[0] == sub and "--format" in a}
         assert formats == {"ndjson", "csv", "json", "svg-summary"}
+    runs = [argv for argv in run_scan if argv[0] == "run"]
+    passed = {a for argv in runs for a in argv if a.startswith("--")}
+    control = {"--config", "--parallelism", "--out", "--no-with-loops", "--help"}
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {s for a in sub.choices["run"]._actions for s in a.option_strings if s.startswith("--")}
+    assert passed >= flags - control
 
 
 @pytest.mark.parametrize("name", sorted(golden_cli.INVOCATIONS))
