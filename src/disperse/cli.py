@@ -1,15 +1,18 @@
 """Command line front end: run, scan, oracle, validate.
 
-Flags mirror flat INI config keys one to one. The inputs of run, scan
-and oracle take one path: the keys of --config (run and scan), with
-every given flag over them, as flat config text. Each subcommand reads
-its own keys from that text and refuses any other by name before any
-work. Every run output embeds the fully resolved configuration and
-master seed. A scan output embeds its base experiment as given plus the
-resolved omega, and its axis and grid; each grid point resolves its own
-tree leaf depth, except on the density axis, whose points keep the
-base's. Feeding an embedded config back in reproduces the identical
-results.
+Every input flag is a flat INI config key's text, under the key's name
+with dashes for underscores. argparse reads no input value: the key's
+reader reads a flag as it reads the key in a config file, so a
+malformed value exits 2 with one line that names the key. The inputs of
+run, scan and oracle take one path: the keys of --config (run and
+scan), with every given flag over them, as flat config text. Each
+subcommand reads its own keys from that text and refuses any other by
+name before any work. Every run output embeds the fully resolved
+configuration and master seed. A scan output embeds its base experiment
+as given plus the resolved omega, and its axis and grid; each grid
+point resolves its own tree leaf depth, except on the density axis,
+whose points keep the base's. Feeding an embedded config back in
+reproduces the identical results.
 Exit codes: 0 success, 1 validation failure, 2 argument or config error.
 """
 
@@ -35,7 +38,7 @@ from .harness import (
     run_replicas,
     scan,
 )
-from .topology import Family, TopologySpec, config_bool, config_value
+from .topology import TopologySpec, config_bool, config_value
 from .validate import validate_suite
 
 __all__ = ["main", "parse_and_dispatch", "build_parser"]
@@ -118,25 +121,21 @@ def write_config_ini(cfg: dict[str, str]) -> str:
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_topology_flags(p: argparse.ArgumentParser):
-    p.add_argument("--family", choices=[f.value for f in Family])
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--leaf-depth", type=int)
-    p.add_argument("--with-loops", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--moduli", help="comma list, e.g. 8,8")
-    p.add_argument("--generators", help="tuple list, e.g. (1,0),(-1,0)")
+def _add_input_flags(p: argparse.ArgumentParser, keys):
+    """One flag per config key, whose value is that key's text for the
+    key's reader; --with-loops is the one switch."""
+    for key in dict.fromkeys(keys):
+        flag = "--" + key.replace("_", "-")
+        if key == "with_loops":
+            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
+        else:
+            p.add_argument(flag)
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser):
-    _add_topology_flags(p)
-    p.add_argument("--particles", type=int)
-    p.add_argument("--lazy-p", type=float, dest="lazy_p")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--omega", type=float)
+    # walk_mode and record_trajectories are replayed from a config only.
+    replay_only = ("walk_mode", "record_trajectories")
+    _add_input_flags(p, (key for key in _EXPERIMENT_KEYS if key not in replay_only))
     p.add_argument("--config", help="INI file; explicit flags override it")
     p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--out")
@@ -155,17 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     scanp = sub.add_parser("scan", help="sweep one axis over a grid of values")
     _add_experiment_flags(scanp)
-    scanp.add_argument("--axis", choices=[a.value for a in ScanAxis])
-    scanp.add_argument("--grid", help="comma list of grid values")
+    _add_input_flags(scanp, ("axis", "grid"))
 
     orap = sub.add_parser("oracle", help="evaluate one closed form")
     orap.add_argument("name", choices=oracles.NAMES)
-    _add_topology_flags(orap)
-    # Every other oracle input is a flag of its own; evaluate reads it.
-    params = {p: None for d in oracles.ORACLES.values() for p, _ in d.params + d.optional}
-    for pname in params:
-        if pname not in _TOPOLOGY_KEYS:
-            orap.add_argument(f"--{pname.replace('_', '-')}")
+    params = (p for d in oracles.ORACLES.values() for p, _ in d.params + d.optional)
+    _add_input_flags(orap, (*_TOPOLOGY_KEYS, *params))
     orap.add_argument("--out")
 
     valp = sub.add_parser("validate", help="oracle cross-checks and invariant audits")
@@ -181,9 +175,9 @@ _CONTROL = ("subcommand", "name", "config", "parallelism", "out", "format")
 
 def _config_from_args(args) -> dict[str, str]:
     """A subcommand's inputs as flat config text: --config's keys, with
-    every given flag over them under its INI key (the argparse dest),
-    formatted as in the CSV output. The subcommand reads its own keys
-    and refuses any other."""
+    every given flag's text over them under its INI key (the argparse
+    dest), and --with-loops as true or false. The subcommand reads its
+    own keys and refuses any other."""
     cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
     for key, v in vars(args).items():
         if key not in _CONTROL and v is not None:
