@@ -7,7 +7,7 @@ import pytest
 
 from disperse import cli, harness, oracles
 from disperse.harness import AggregateStats, ExperimentSpec, ScanAxis, ScanSpec, scan
-from disperse.topology import TopologySpec, build, with_leaf_depth
+from disperse.topology import Family, TopologySpec, build, with_leaf_depth
 
 RUN_ARGS = [
     "run",
@@ -338,6 +338,12 @@ def test_readme_scan_axes_match_code():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     line = next(l for l in readme.splitlines() if l.startswith("Scan axes:"))
     assert re.findall(r"`([^`]+)`", line) == [a.value for a in ScanAxis]
+
+
+def test_readme_families_match_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    line = next(l for l in readme.splitlines() if l.startswith("Families:"))
+    assert re.findall(r"`([^`]+)`", line) == [f.value for f in Family]
 
 
 def test_scan_requires_axis_and_grid(tmp_path):
@@ -674,6 +680,25 @@ REFUSED = {
     "tree-k-fraction": (
         ["scan", "--family", "tree", "--k", "3", "--particles", "3", "--axis", "tree-k", "--grid", "3.5"],
         "tree-k grid values must be integers >= 3",
+    ),
+    # A flag's value is its key's text, read as the key in a config file is.
+    "particles-x": (
+        _SMALL_RUN[:6] + ["x"] + _SMALL_RUN[7:],
+        "particles: invalid literal for int() with base 10: 'x'",
+    ),
+    "n-1e3": (
+        _SMALL_RUN[:4] + ["1e3"] + _SMALL_RUN[5:],
+        "n: invalid literal for int() with base 10: '1e3'",
+    ),
+    "lazy-p-x": (_SMALL_RUN + ["--lazy-p", "x"], "lazy_p: could not convert string to float: 'x'"),
+    "family-bogus": (_SMALL_RUN[:2] + ["bogus"] + _SMALL_RUN[3:], "config: unknown family 'bogus'"),
+    "oracle-n-x": (
+        ["oracle", "kn-time", "--n", "x", "--delta", "0.2"],
+        "n: invalid literal for int() with base 10: 'x'",
+    ),
+    "axis-sideways": (
+        ["scan", *_SMALL_RUN[1:], "--axis", "sideways", "--grid", "0.5"],
+        "axis: 'sideways' is not a valid ScanAxis",
     ),
 }
 
