@@ -87,7 +87,7 @@ from .rng import (
     to_unit,
     unit_threshold,
 )
-from .topology import COORDINATE_LIMIT, INT64_MAX, Family, Topology, TopologySpec, build
+from .topology import COORDINATE_LIMIT, INT64_MAX, Family, Topology, TopologySpec, as_int, build
 
 __all__ = [
     "SCHEMA",
@@ -291,6 +291,7 @@ class ParticleSystem:
         force_generic: bool = False,
         keys: Optional[np.ndarray] = None,
     ):
+        particles = as_int("particles", particles)
         if particles < 1:
             raise ValueError("need at least one particle")
         topo = build(spec)
@@ -431,6 +432,7 @@ class ParticleSystem:
         )
 
     def run(self, budget: int = DEFAULT_BUDGET) -> RunResult:
+        budget = as_int("budget", budget)
         if budget < 0:
             raise ValueError("budget must be >= 0")
         self._advance(budget)
