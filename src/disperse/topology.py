@@ -116,14 +116,6 @@ class TopologySpec:
     generators: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self):
-        # Canonical cayley generators: each residue reduced mod its
-        # modulus, here and nowhere else. The checks below refuse the
-        # shapes this leaves alone.
-        mods, gens = self.moduli, self.generators
-        if mods and gens and min(mods) > 0 and all(len(g) == len(mods) for g in gens):
-            gens = tuple(tuple(c % m for c, m in zip(g, mods)) for g in gens)
-            object.__setattr__(self, "generators", gens)
-
         f = self.family
         extra = [
             name
@@ -157,19 +149,27 @@ class TopologySpec:
             if self.dim is None or self.dim < 1:
                 raise ValueError(f"{f.value}: dim >= 1 required")
         elif f is Family.CAYLEY:
-            if not self.moduli or any(m < 2 for m in self.moduli):
+            mods = tuple(as_int("cayley: each modulus", m) for m in self.moduli or ())
+            if not mods or min(mods) < 2:
                 raise ValueError("cayley: moduli must be a non-empty tuple of ints >= 2")
             if not self.generators:
                 raise ValueError("cayley: generator list must be non-empty")
-            gens = self.generators
-            if any(len(g) != len(self.moduli) for g in gens):
+            if any(len(g) != len(mods) for g in self.generators):
                 raise ValueError("cayley: generator width must match moduli")
+            # Canonical generators: integer residues, each reduced mod its
+            # modulus, here and nowhere else.
+            gens = tuple(
+                tuple(as_int("cayley: each generator residue", c) % m for c, m in zip(g, mods))
+                for g in self.generators
+            )
+            object.__setattr__(self, "moduli", mods)
+            object.__setattr__(self, "generators", gens)
             # Symmetric as a multiset: count(g) == count(-g).
             for g in set(gens):
-                inv = tuple((-c) % m for c, m in zip(g, self.moduli))
+                inv = tuple((-c) % m for c, m in zip(g, mods))
                 if gens.count(g) != gens.count(inv):
                     raise ValueError(f"cayley: generator set not symmetric at {g}")
-            n = math.prod(self.moduli)
+            n = math.prod(mods)
             if n > MAX_CAYLEY_VERTICES:
                 raise ValueError(f"cayley: group size {n} exceeds cap {MAX_CAYLEY_VERTICES}")
 
@@ -205,9 +205,7 @@ class TopologySpec:
 
     @staticmethod
     def cayley(moduli: Sequence[int], generators: Iterable[Sequence[int]]) -> "TopologySpec":
-        mods = tuple(int(m) for m in moduli)
-        gens = tuple(tuple(int(c) for c in g) for g in generators)
-        return TopologySpec(Family.CAYLEY, moduli=mods, generators=gens)
+        return TopologySpec(Family.CAYLEY, moduli=tuple(moduli), generators=tuple(generators))
 
     # -- flat config serialisation -----------------------------------
 

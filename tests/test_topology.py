@@ -291,6 +291,12 @@ def test_integer_parameters_refuse_other_numbers():
         (lambda: TopologySpec.tree(3, leaf_depth=2.0), "tree: leaf_depth"),
         (lambda: TopologySpec.grid(2.0), "grid: dim"),
         (lambda: TopologySpec.hypercube(8.0), "hypercube: dim"),
+        # A float modulus or residue used to be truncated, or to pass and
+        # fail in build.
+        (lambda: TopologySpec.cayley((8.5,), [(1,), (-1,)]), "cayley: each modulus"),
+        (lambda: TopologySpec(Family.CAYLEY, moduli=(8.0,), generators=((1,), (-1,))),
+         "cayley: each modulus"),
+        (lambda: TopologySpec.cayley((8,), [(1.5,), (-1.5,)]), "cayley: each generator residue"),
     ):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             make()
@@ -298,6 +304,9 @@ def test_integer_parameters_refuse_other_numbers():
     spec = TopologySpec.tree(np.int64(3), leaf_depth=np.int32(4))
     assert spec == TopologySpec.tree(3, leaf_depth=4)
     assert type(spec.k) is int and type(spec.leaf_depth) is int
+    spec = TopologySpec.cayley(np.array([8, 3]), np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]))
+    assert spec == TopologySpec.cayley((8, 3), [(1, 0), (7, 0), (0, 1), (0, 2)])
+    assert {type(c) for g in (spec.moduli, *spec.generators) for c in g} == {int}
 
 
 def test_validate_address_accepts_and_rejects():
