@@ -324,9 +324,8 @@ class ScanPoint:
 def _apply_axis(base: ExperimentSpec, axis: ScanAxis, value) -> ExperimentSpec:
     """The base with one grid value applied, unresolved. Checks only what
     resolving the point would not: a density axis needs a finite graph,
-    tree-k and grid-dim values must be integers (TopologySpec would take
-    int(3.5) as 3), and grid-dim needs a grid, since a hypercube also
-    takes `dim`."""
+    tree-k and grid-dim values must be integers (the grid holds floats),
+    and grid-dim needs a grid, since a hypercube also takes `dim`."""
     if axis is ScanAxis.DENSITY:
         # Fix the tree depth at the base's, so every point runs on the
         # graph whose n the density is measured against.

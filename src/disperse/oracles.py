@@ -299,9 +299,7 @@ def _smallest_even(cond: Callable[[int], bool]) -> int:
             raise RuntimeError("mixing step search diverged")
     lo = hi // 2  # cond(lo) is False
     while hi - lo > 2:
-        mid = (lo + hi) // 2
-        if mid % 2:
-            mid += 1
+        mid = (lo + hi) // 2  # even: hi - lo is a power of two >= 4
         if cond(mid):
             hi = mid
         else:

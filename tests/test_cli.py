@@ -681,6 +681,7 @@ REFUSED = {
         ["scan", "--family", "tree", "--k", "3", "--particles", "3", "--axis", "tree-k", "--grid", "3.5"],
         "tree-k grid values must be integers >= 3",
     ),
+    "particles-missing": (_SMALL_RUN[:5], "config needs a particles count"),
     # A flag's value is its key's text, read as the key in a config file is.
     "particles-x": (
         _SMALL_RUN[:6] + ["x"] + _SMALL_RUN[7:],

@@ -39,12 +39,14 @@ def test_rejects_bad_particle_counts():
 
 
 @pytest.mark.parametrize("force_generic", [False, True])
-def test_particle_count_and_budget_are_integers(force_generic):
+def test_particle_count_and_budget_are_checked(force_generic):
     with pytest.raises(ValueError, match=r"^particles must be an integer, got 2\.0$"):
         ParticleSystem(TopologySpec.cycle(10), 2.0, seed=1, force_generic=force_generic)
     ps = ParticleSystem(K(2), 2, seed=5, force_generic=force_generic)  # never disperses
     with pytest.raises(ValueError, match=r"^budget must be an integer, got 10\.5$"):
         ps.run(10.5)
+    with pytest.raises(ValueError, match="^budget must be >= 0$"):
+        ps.run(-1)
     assert ps.t == 0
     a, b = (ParticleSystem(K(10), m, seed=1, force_generic=force_generic) for m in (np.int64(4), 4))
     assert type(a.particles) is int

@@ -910,6 +910,13 @@ def test_scan_validation_errors():
         ScanSpec(base=base, axis=ScanAxis.TREE_K, grid=(3.0, 4.0)).points()
     with pytest.raises(ValueError):
         ScanSpec(base=base, axis=ScanAxis.TREE_K, grid=(3.5,)).points()
+    cube_base = base_exp(topology=TopologySpec.hypercube(3), M=2)
+    with pytest.raises(ValueError, match="^grid-dim scan needs a grid topology$"):
+        ScanSpec(base=cube_base, axis=ScanAxis.GRID_DIM, grid=(2.0,)).points()
+    for value in (1.5, 0.0):
+        with pytest.raises(ValueError, match="^grid-dim grid values must be integers >= 1$"):
+            ScanSpec(base=base_exp(topology=TopologySpec.grid(2), M=2), axis=ScanAxis.GRID_DIM,
+                     grid=(value,)).points()
     path_base = base_exp(topology=TopologySpec.path(), M=6)
     with pytest.raises(ValueError):
         ScanSpec(base=path_base, axis=ScanAxis.DENSITY, grid=(0.5,)).points()

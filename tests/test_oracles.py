@@ -288,6 +288,11 @@ def test_mixing_step_grows_with_cycle_length():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def test_mixing_step_with_nothing_left_to_mix():
+    # Z_2 under its one generator is K_2: its only eigenvalues are +1 and -1.
+    assert mixing_step(TopologySpec.cayley((2,), [(1,)])) == 2
+
+
 def test_mixing_step_error_paths():
     with pytest.raises(ValueError, match="generate"):
         mixing_step(TopologySpec.cayley((8,), [(2,), (-2,)]))
