@@ -44,6 +44,9 @@ INVOCATIONS: dict[str, list[str]] = {
     "run-tree-leaf-depth-json": ["run", "--family", "tree", "--k", "3", "--leaf-depth", "6",
                                  "--particles", "20", "--replicas", "2", "--seed", "2",
                                  "--format", "json"],
+    "run-tree-leaf-depth-ndjson": ["run", "--family", "tree", "--k", "3", "--leaf-depth", "6",
+                                   "--particles", "20", "--replicas", "2", "--seed", "2",
+                                   "--format", "ndjson"],
     "run-complete-loops-csv": ["run", "--family", "complete", "--n", "12", "--with-loops",
                                "--particles", "8", "--replicas", "3", "--seed", "4",
                                "--format", "csv"],
@@ -53,6 +56,9 @@ INVOCATIONS: dict[str, list[str]] = {
     "scan-tree-k-json": ["scan", "--family", "tree", "--k", "3", "--particles", "6",
                          "--replicas", "2", "--seed", "8", "--axis", "tree-k",
                          "--grid", "3,4", "--format", "json"],
+    "scan-tree-k-ndjson": ["scan", "--family", "tree", "--k", "3", "--particles", "6",
+                           "--replicas", "2", "--seed", "8", "--axis", "tree-k",
+                           "--grid", "3,4", "--format", "ndjson"],
     "scan-grid-dim-csv": ["scan", "--family", "grid", "--dim", "1", "--particles", "6",
                           "--replicas", "2", "--seed", "9", "--axis", "grid-dim",
                           "--grid", "1,2", "--format", "csv"],
