@@ -25,15 +25,14 @@ import io
 import json
 import os
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from . import oracles
-from .engine import SCHEMA, Status, WalkMode, lazy
+from .engine import SCHEMA, WalkMode, lazy
 from .harness import (
     AggregateStats,
     ExperimentSpec,
     ScanAxis,
-    ScanPoint,
     ScanSpec,
     run_replicas,
     scan,
@@ -43,12 +42,11 @@ from .validate import validate_suite
 
 __all__ = ["main", "parse_and_dispatch", "build_parser"]
 
-_FORMATS = ("csv", "ndjson", "json", "svg-summary")
+_FORMATS = ("csv", "ndjson")
 
 
 def _fmt(v) -> str:
-    """One formatting rule for CSV cells and SVG labels, so the two
-    outputs agree textually."""
+    """One formatting rule for CSV cells and config values."""
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -165,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     valp = sub.add_parser("validate", help="oracle cross-checks and invariant audits")
     valp.add_argument("--quick", action="store_true")
     valp.add_argument("--out")
-    valp.add_argument("--format", choices=("json", "text"), default="text")
     return ap
 
 
@@ -188,19 +185,11 @@ def _config_from_args(args) -> dict[str, str]:
 # -- output writers ----------------------------------------------------------
 
 
-def _infer_format(fmt: Optional[str], out: Optional[str], default: str) -> str:
+def _infer_format(fmt: Optional[str], out: Optional[str]) -> str:
+    """--format, else CSV for a .csv --out, else NDJSON."""
     if fmt:
         return fmt
-    if out:
-        if out.endswith(".csv"):
-            return "csv"
-        if out.endswith(".json"):
-            return "json"
-        if out.endswith(".svg"):
-            return "svg-summary"
-        if out.endswith(".ndjson"):
-            return "ndjson"
-    return default
+    return "csv" if out and out.endswith(".csv") else "ndjson"
 
 
 def _write(out: Optional[str], text: str):
@@ -221,134 +210,27 @@ def _csv_text(cfg: dict, header: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _svg_header(width, height) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-
-
-def _svg_run_summary(results, stats: AggregateStats) -> str:
-    dispersed = [r for r in results if r.status is Status.DISPERSED]
-    d_values = [r.d_disp for r in dispersed]
-    W, H = 920, 360
-    parts = _svg_header(W, H)
-    parts.append(
-        f'<text x="10" y="18">dispersal {_fmt(stats.dispersal_fraction)} '
-        f"[{_fmt(stats.ci_lo)}, {_fmt(stats.ci_hi)}] over {stats.replicas} replicas, "
-        f"{stats.boundary_hits} boundary</text>"
-    )
-    # Left panel: d_disp histogram.
-    parts.append('<text x="10" y="44">d_disp histogram</text>')
-    if d_values:
-        lo, hi = min(d_values), max(d_values)
-        span = max(1, hi - lo + 1)
-        nbins = span if span <= 24 else 12
-        countsb = [0] * nbins
-        for v in d_values:
-            b = (v - lo) * nbins // span
-            countsb[b] += 1
-        peak = max(countsb)
-        x0, y0, wpanel, hpanel = 10, 60, 420, 240
-        bw = wpanel / nbins
-        for b, c in enumerate(countsb):
-            bh = 0 if peak == 0 else c * (hpanel - 30) / peak
-            x = x0 + b * bw
-            parts.append(
-                f'<rect x="{x:.1f}" y="{y0 + (hpanel - 30) - bh:.1f}" width="{max(bw - 2, 1):.1f}" '
-                f'height="{bh:.1f}" fill="#4477aa"/>'
-            )
-            if c:
-                parts.append(
-                    f'<text x="{x + bw / 2:.1f}" y="{y0 + (hpanel - 30) - bh - 4:.1f}" '
-                    f'text-anchor="middle">{c}</text>'
-                )
-            lo_edge = lo + b * span // nbins
-            parts.append(
-                f'<text x="{x + bw / 2:.1f}" y="{y0 + hpanel - 10}" text-anchor="middle">{lo_edge}</text>'
-            )
-    else:
-        parts.append('<text x="10" y="80">no dispersed runs</text>')
-    # Right panel: t_disp quantiles.
-    parts.append('<text x="470" y="44">t_disp quantiles</text>')
-    q = stats.t_disp
-    if q["min"] is not None:
-        x0, y0 = 470, 70
-        hi = max(q["max"], 1)
-        for i, (key, value) in enumerate(q.items()):
-            y = y0 + i * 38
-            parts.append(f'<text x="{x0}" y="{y}">{key}</text>')
-            parts.append(f'<text x="{x0 + 60}" y="{y}">{_fmt(value)}</text>')
-            frac = value / hi
-            parts.append(
-                f'<rect x="{x0 + 160}" y="{y - 10}" width="{8 + 240 * frac:.1f}" height="12" fill="#aa7744"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def _svg_scan_summary(points: list[ScanPoint], axis: str) -> str:
-    W, H = 920, 360
-    parts = _svg_header(W, H)
-    parts.append(f'<text x="10" y="18">dispersal fraction by {axis}</text>')
-    n = len(points)
-    x0, y0, wpanel, hpanel = 60, 40, W - 100, 250
-    bw = wpanel / max(n, 1)
-    for i, pt in enumerate(points):
-        f = pt.stats.dispersal_fraction
-        bh = f * hpanel
-        x = x0 + i * bw
-        parts.append(
-            f'<rect x="{x:.1f}" y="{y0 + hpanel - bh:.1f}" width="{max(bw - 4, 1):.1f}" '
-            f'height="{bh:.1f}" fill="#447744"/>'
-        )
-        parts.append(
-            f'<text x="{x + bw / 2:.1f}" y="{y0 + hpanel - bh - 6:.1f}" '
-            f'text-anchor="middle">{_fmt(f)}</text>'
-        )
-        parts.append(
-            f'<text x="{x + bw / 2:.1f}" y="{y0 + hpanel + 16}" text-anchor="middle">{_fmt(pt.value)}</text>'
-        )
-        p50 = pt.stats.t_disp["p50"]
-        parts.append(
-            f'<text x="{x + bw / 2:.1f}" y="{y0 + hpanel + 34}" text-anchor="middle">t50={_fmt(p50)}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 def _emit(
     args,
     cfg: dict,
     columns: list[str],
     rows: list[dict],
-    svg: Callable[[], str],
     replicas: Optional[list[dict]] = None,
 ):
     """Write one output in the format --format or the --out extension
-    picks: CSV rows under columns, NDJSON records after a header, one
-    JSON document, or the SVG summary. A run passes its replica records
-    and its one aggregate row; a scan passes one row per point."""
-    fmt = _infer_format(args.format, args.out, "ndjson")
-    if fmt == "csv":
+    picks: CSV rows under columns, or NDJSON records after a header. A
+    run passes its replica records and its one aggregate row; a scan
+    passes one row per point."""
+    if _infer_format(args.format, args.out) == "csv":
         text = _csv_text(cfg, columns, rows)
-    elif fmt == "svg-summary":
-        text = svg()
     else:
         if replicas is None:
             records = [{"schema": SCHEMA, "record": "scan-point", **row} for row in rows]
-            body = {"points": rows}
         else:
             records = [{**rec, "record": "replica", "replica": i} for i, rec in enumerate(replicas)]
             records.append({"schema": SCHEMA, "record": "aggregate", **rows[0]})
-            body = {"replicas": replicas, "aggregate": rows[0]}
-        if fmt == "ndjson":
-            header = {"schema": SCHEMA, "record": "header", "config": cfg}
-            text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in [header, *records])
-        else:
-            doc = {"schema": SCHEMA, "config": cfg, **body}
-            text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        header = {"schema": SCHEMA, "record": "header", "config": cfg}
+        text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in [header, *records])
     _write(args.out, text)
 
 
@@ -364,7 +246,6 @@ def _cmd_run(args) -> int:
         experiment_to_config(exp),
         list(AggregateStats.COLUMNS),
         [stats.to_row()],
-        lambda: _svg_run_summary(results, stats),
         replicas=[r.to_record() for r in results],
     )
     return 0
@@ -386,7 +267,6 @@ def _cmd_scan(args) -> int:
         {**experiment_to_config(base), "axis": axis, "grid": grid},
         [axis] + list(AggregateStats.COLUMNS),
         [{axis: pt.value, **pt.stats.to_row()} for pt in points],
-        lambda: _svg_scan_summary(points, axis),
     )
     return 0
 
@@ -399,11 +279,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_validate(args) -> int:
     report = validate_suite(quick=args.quick)
-    if args.format == "json":
-        text = json.dumps(report.to_json(), sort_keys=True, indent=1) + "\n"
-    else:
-        text = str(report) + "\n"
-    _write(args.out, text)
+    _write(args.out, str(report) + "\n")
     return 0 if report.passed else 1
 
 

@@ -304,7 +304,7 @@ class ParticleSystem:
         self.particles = particles
         self.variant = variant
         self.walk_mode = WalkMode(walk_mode)
-        self.seed = seed & MASK64
+        self.seed = as_int("seed", seed) & MASK64
         self.t = 0
         self.meeting_total = 0
         self.max_distance_ever = 0
@@ -436,6 +436,11 @@ class ParticleSystem:
         if budget < 0:
             raise ValueError("budget must be >= 0")
         self._advance(budget)
+        return self._result()
+
+    def _result(self) -> RunResult:
+        """The result of the run so far, read off the system's state; a
+        system that a lockstep pool has settled is packaged by this alone."""
         if self.boundary_abort or self.boundary_flag:
             status = Status.BOUNDARY_HIT
         elif self.is_dispersed():

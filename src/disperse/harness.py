@@ -232,7 +232,7 @@ def _pool_results(exp: ExperimentSpec, seeds: list[int]) -> Iterator[tuple[int, 
                 yield ps
 
     for i, ps in lockstep_pool(systems(), exp.budget):
-        yield i, ps.run(exp.budget)
+        yield i, ps._result()
 
 
 def _replica_pool(job: tuple[ExperimentSpec, list[int]]) -> list[RunResult]:

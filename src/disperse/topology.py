@@ -219,12 +219,7 @@ class TopologySpec:
 
     @staticmethod
     def from_config(cfg: dict[str, str]) -> "TopologySpec":
-        try:
-            family = Family(cfg["family"])
-        except KeyError:
-            raise ValueError("config: missing 'family'") from None
-        except ValueError:
-            raise ValueError(f"config: unknown family {cfg['family']!r}") from None
+        family = config_value("family", cfg.get("family"), _family)
         given = {
             name: config_value(name, cfg[name], read) for name, read, _ in _FIELDS if name in cfg
         }
@@ -257,6 +252,15 @@ def config_value(key: str, raw: str, read):
         return read(raw)
     except ValueError as e:
         raise ValueError(f"{key}: {e}") from None
+
+
+def _family(raw: Optional[str]) -> Family:
+    if raw is None:
+        raise ValueError("missing")
+    try:
+        return Family(raw)
+    except ValueError:
+        raise ValueError(f"unknown family {raw!r}") from None
 
 
 def _ints(raw: str) -> tuple[int, ...]:

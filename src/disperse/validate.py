@@ -6,7 +6,7 @@ Carlo), plus the cross-implementation replay checks, in one report.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -45,9 +45,6 @@ class ValidationReport:
     @property
     def failures(self) -> list:
         return [c for c in self.checks if not c.passed]
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
     def __str__(self) -> str:
         lines = [c.line() for c in self.checks]

@@ -1,7 +1,7 @@
 """Golden CLI digests: the SHA-256 of what each of a fixed list of
 `disperse` invocations writes to stdout, with its exit code.
 
-The list covers `run` and `scan` in every output format, every run
+The list covers `run` and `scan` in both output formats, every run
 input flag, every registered oracle and `mixing-step`. A change to any
 of these outputs, down to one byte, is a change of output format or of
 results and shows here. Regenerate only on purpose, and say why in
@@ -25,7 +25,7 @@ _RUN = ["run", "--family", "complete", "--n", "60", "--particles", "25", "--repl
         "--seed", "7", "--lazy-p", "0.5"]
 _SCAN = ["scan", "--family", "complete", "--n", "50", "--particles", "10", "--replicas", "3",
          "--seed", "5", "--axis", "density", "--grid", "0.2,0.4"]
-_FORMATS = ("ndjson", "csv", "json", "svg-summary")
+_FORMATS = ("ndjson", "csv")
 
 # name -> argv
 INVOCATIONS: dict[str, list[str]] = {
@@ -41,9 +41,6 @@ INVOCATIONS: dict[str, list[str]] = {
                        "--replicas", "2", "--seed", "3", "--budget", "40", "--format", "csv"],
     "run-hypercube-omega-ndjson": ["run", "--family", "hypercube", "--dim", "10", "--omega", "4",
                                    "--particles", "6", "--replicas", "2", "--seed", "5"],
-    "run-tree-leaf-depth-json": ["run", "--family", "tree", "--k", "3", "--leaf-depth", "6",
-                                 "--particles", "20", "--replicas", "2", "--seed", "2",
-                                 "--format", "json"],
     "run-tree-leaf-depth-ndjson": ["run", "--family", "tree", "--k", "3", "--leaf-depth", "6",
                                    "--particles", "20", "--replicas", "2", "--seed", "2",
                                    "--format", "ndjson"],
@@ -53,9 +50,6 @@ INVOCATIONS: dict[str, list[str]] = {
     "scan-lazy-p-csv": ["scan", "--family", "cycle", "--n", "30", "--particles", "8",
                         "--replicas", "3", "--seed", "6", "--axis", "lazy-p",
                         "--grid", "0.25,0.5,1", "--format", "csv"],
-    "scan-tree-k-json": ["scan", "--family", "tree", "--k", "3", "--particles", "6",
-                         "--replicas", "2", "--seed", "8", "--axis", "tree-k",
-                         "--grid", "3,4", "--format", "json"],
     "scan-tree-k-ndjson": ["scan", "--family", "tree", "--k", "3", "--particles", "6",
                            "--replicas", "2", "--seed", "8", "--axis", "tree-k",
                            "--grid", "3,4", "--format", "ndjson"],

@@ -66,14 +66,11 @@ def test_run_format_inferred_from_extension(tmp_path):
     assert out.read_text().splitlines()[-2].startswith("# ") is False  # header+row present
 
 
-def test_run_json_document(tmp_path):
-    out = tmp_path / "r.json"
+@pytest.mark.parametrize("ext", ["json", "svg"])
+def test_out_extension_other_than_csv_writes_ndjson(ext, tmp_path):
+    out = tmp_path / f"r.{ext}"
     assert run_cli(RUN_ARGS + ["--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == "disperse/1"
-    assert len(doc["replicas"]) == 6
-    assert doc["aggregate"]["replicas"] == 6
-    assert doc["config"]["family"] == "complete"
+    assert json.loads(out.read_text().splitlines()[0])["record"] == "header"
 
 
 def test_run_stdout_when_no_out(capsys):
@@ -179,26 +176,6 @@ def test_config_file_booleans_in_any_case(tmp_path, capsys):
     assert "disperse: error:" in capsys.readouterr().err
 
 
-def test_svg_labels_match_csv_values(tmp_path):
-    csv_out = tmp_path / "r.csv"
-    svg_out = tmp_path / "r.svg"
-    assert run_cli(RUN_ARGS + ["--format", "csv", "--out", str(csv_out)]) == 0
-    assert run_cli(RUN_ARGS + ["--format", "svg-summary", "--out", str(svg_out)]) == 0
-    lines = [l for l in csv_out.read_text().splitlines() if not l.startswith("#")]
-    row = dict(zip(lines[0].split(","), lines[1].split(",")))
-    svg = svg_out.read_text()
-    labels = set(re.findall(r">([^<>]+)</text>", svg))
-    for col in (
-        "t_disp_min",
-        "t_disp_p25",
-        "t_disp_p50",
-        "t_disp_p75",
-        "t_disp_p95",
-        "t_disp_max",
-    ):
-        assert any(row[col] == lab.split()[-1] for lab in labels), (col, row[col])
-
-
 def test_run_lazy_flag_recorded_and_used(tmp_path):
     out = tmp_path / "l.ndjson"
     assert run_cli(RUN_ARGS + ["--lazy-p", "0.5", "--out", str(out)]) == 0
@@ -257,15 +234,6 @@ def test_scan_ndjson_records(tmp_path):
     assert lines[0]["config"]["axis"] == "density"
     points = [l for l in lines if l.get("record") == "scan-point"]
     assert [p["density"] for p in points] == [0.2, 0.4]
-    # The JSON document carries the same config and rows.
-    doc_out = tmp_path / "s.json"
-    assert run_cli(SCAN_ARGS + ["--out", str(doc_out)]) == 0
-    doc = json.loads(doc_out.read_text())
-    assert doc["schema"] == "disperse/1"
-    assert doc["config"] == lines[0]["config"]
-    for p in points:
-        del p["schema"], p["record"]
-    assert doc["points"] == points
 
 
 @pytest.mark.parametrize(
@@ -324,14 +292,6 @@ def test_hypercube_density_scan_runs_past_the_base_cap(tmp_path):
     ]
     assert lines[1:] == expected
     assert lines[0]["config"]["omega"] == "2"
-
-
-def test_scan_svg_has_fraction_labels(tmp_path):
-    out = tmp_path / "s.svg"
-    assert run_cli(SCAN_ARGS + ["--format", "svg-summary", "--out", str(out)]) == 0
-    svg = out.read_text()
-    assert "dispersal fraction by density" in svg
-    assert svg.count("<rect") >= 3  # background + one bar per point
 
 
 def test_readme_scan_axes_match_code():
@@ -474,13 +434,6 @@ def test_validate_quick_exit_zero(quick_cli, capsys):
     assert "14/14 checks passed" in out
 
 
-def test_validate_json_format(quick_cli, tmp_path):
-    out = tmp_path / "v.json"
-    assert run_cli(["validate", "--quick", "--format", "json", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["passed"] is True
-
-
 def test_validate_detects_corrupted_oracle(monkeypatch, capsys):
     # Breaking one closed form must turn the suite red and exit 1.
     monkeypatch.setattr(oracles, "tree_ruin_probability", lambda k, d: 0.5)
@@ -510,20 +463,34 @@ _FLAGS = {
     "oracle": sorted(_TOPOLOGY_FLAGS + ["--E-empty", "--H", "--M", "--T", "--U", "--alpha", "--d",
                                         "--delta", "--eps", "--help", "--occupancies", "--out",
                                         "--p", "--r", "--s", "--t", "-h"]),
+    "validate": ["--help", "--out", "--quick", "-h"],
 }
+
+
+def _subparser_actions(sub):
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[sub]._actions
 
 
 @pytest.mark.parametrize("sub", list(_FLAGS))
 def test_subcommand_flags_are_fixed(sub):
-    parser = cli.build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = subparsers.choices[sub]._actions
+    actions = _subparser_actions(sub)
     assert sorted(s for a in actions for s in a.option_strings) == _FLAGS[sub]
+
+
+@pytest.mark.parametrize("sub", ["run", "scan"])
+def test_output_formats_are_csv_and_ndjson(sub, no_work, capsys):
+    fmt = next(a for a in _subparser_actions(sub) if "--format" in a.option_strings)
+    assert sorted(fmt.choices) == ["csv", "ndjson"]
+    for gone in ("json", "svg-summary"):
+        assert run_cli({"run": RUN_ARGS, "scan": SCAN_ARGS}[sub] + ["--format", gone]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_exit_2_when_family_missing(capsys):
     assert run_cli(["run", "--particles", "5"]) == 2
-    assert "family" in capsys.readouterr().err
+    assert capsys.readouterr().err == "disperse: error: family: missing\n"
 
 
 @pytest.mark.parametrize("args", [RUN_ARGS, SCAN_ARGS])
@@ -692,7 +659,7 @@ REFUSED = {
         "n: invalid literal for int() with base 10: '1e3'",
     ),
     "lazy-p-x": (_SMALL_RUN + ["--lazy-p", "x"], "lazy_p: could not convert string to float: 'x'"),
-    "family-bogus": (_SMALL_RUN[:2] + ["bogus"] + _SMALL_RUN[3:], "config: unknown family 'bogus'"),
+    "family-bogus": (_SMALL_RUN[:2] + ["bogus"] + _SMALL_RUN[3:], "family: unknown family 'bogus'"),
     "oracle-n-x": (
         ["oracle", "kn-time", "--n", "x", "--delta", "0.2"],
         "n: invalid literal for int() with base 10: 'x'",

@@ -54,6 +54,16 @@ def test_particle_count_and_budget_are_checked(force_generic):
     assert a.positions == b.positions
 
 
+@pytest.mark.parametrize("force_generic", [False, True])
+def test_seed_is_read_as_an_integer(force_generic):
+    a, b = (ParticleSystem(K(10), 3, seed=s, force_generic=force_generic) for s in (np.int64(5), 5))
+    assert type(a.seed) is int
+    assert a.run().to_record() == b.run().to_record()
+    assert a.positions == b.positions
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 5\.5$"):
+        ParticleSystem(K(10), 3, seed=5.5, force_generic=force_generic)
+
+
 def test_variant_validation():
     with pytest.raises(ValueError):
         Variant("weird")
