@@ -1,9 +1,9 @@
 """Synchronous dispersion processes on graphs.
 
-Simulator, closed-form oracles, and an experiment harness for particles
-that scatter from a common origin: every particle sharing a vertex with
-another moves to a uniform random neighbour, all at once, until each
-vertex holds at most one.
+The simulator and experiment harness for particles that scatter from a
+common origin: every particle sharing a vertex with another moves to a
+uniform random neighbour, all at once, until each vertex holds at most
+one. `disperse.oracles` and `disperse.validate` load when imported.
 """
 
 from .engine import (
@@ -34,30 +34,8 @@ from .harness import (
     scan,
     wilson_interval,
 )
-from .oracles import (
-    MIXING_VERTEX_CAP,
-    ORACLES,
-    KnState,
-    LazyOccupancyProfile,
-    OracleValue,
-    evaluate,
-    grid2d_expected_returns,
-    hypercube_return_probability,
-    kn_expected_changes,
-    kn_subcritical_time,
-    lazy_expected_range_changes,
-    lazy_subcritical_time,
-    line_returns_pmf,
-    line_returns_tail,
-    mixing_step,
-    path_distance_bounds,
-    tree_constants,
-    tree_depth_bounds,
-    tree_ruin_probability,
-)
 from .rng import derive_seed, split_key, stream_key
 from .topology import COORDINATE_LIMIT, Family, TopologySpec
-from .validate import ValidationReport, validate_suite
 
 __version__ = "0.1.0"
 
@@ -67,11 +45,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "ExperimentSpec",
     "Family",
-    "KnState",
-    "LazyOccupancyProfile",
-    "MIXING_VERTEX_CAP",
-    "ORACLES",
-    "OracleValue",
     "ParticleSystem",
     "RECORD_EVENT_CAP",
     "RunResult",
@@ -84,34 +57,18 @@ __all__ = [
     "StepReport",
     "TopologySpec",
     "TrajectoryLog",
-    "ValidationReport",
     "Variant",
     "WalkMode",
     "aggregate",
     "derive_seed",
-    "evaluate",
-    "grid2d_expected_returns",
     "grid_step_budget",
-    "hypercube_return_probability",
-    "kn_expected_changes",
-    "kn_subcritical_time",
     "lazy",
-    "lazy_expected_range_changes",
-    "lazy_subcritical_time",
-    "line_returns_pmf",
-    "line_returns_tail",
-    "mixing_step",
     "nearest_rank_quantiles",
     "pair_coupling_audit",
-    "path_distance_bounds",
     "run_replicas",
     "scan",
     "split_key",
     "stream_key",
-    "tree_constants",
-    "tree_depth_bounds",
-    "tree_ruin_probability",
-    "validate_suite",
     "wilson_interval",
     "__version__",
 ]

@@ -38,7 +38,6 @@ from .harness import (
     scan,
 )
 from .topology import TopologySpec, config_bool, config_value
-from .validate import validate_suite
 
 __all__ = ["main", "parse_and_dispatch", "build_parser"]
 
@@ -278,6 +277,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # Imported here: run, scan and oracle never load the suite.
+    from .validate import validate_suite
+
     report = validate_suite(quick=args.quick)
     _write(args.out, str(report) + "\n")
     return 0 if report.passed else 1
@@ -297,8 +299,6 @@ def parse_and_dispatch(argv=None) -> int:
             raise ValueError(f"--out {out}: directory {folder} does not exist")
         if out and os.path.isdir(out):
             raise ValueError(f"--out {out}: is a directory")
-        if getattr(args, "parallelism", 1) < 1:
-            raise ValueError(f"--parallelism must be >= 1, got {args.parallelism}")
         if args.subcommand == "run":
             return _cmd_run(args)
         if args.subcommand == "scan":

@@ -216,6 +216,7 @@ class TrajectoryLog:
     def positions_at(self, t: int) -> list[Any]:
         """Positions at the start of step t; from `steps` on, the run's
         final positions."""
+        t = as_int("step", t)
         if t < 0:
             raise ValueError(f"step {t} is before the run's start")
         if t >= self.steps:

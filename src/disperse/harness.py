@@ -22,7 +22,6 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -246,6 +245,9 @@ def _replica_pool(job: tuple[ExperimentSpec, list[int]]) -> list[RunResult]:
 def run_replicas(
     exp: ExperimentSpec, parallelism: int = 1, progress: bool = False
 ) -> tuple[list[RunResult], AggregateStats]:
+    parallelism = as_int("parallelism", parallelism)
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     exp = exp.resolve()
     seeds = [derive_seed(exp.master_seed, i) for i in range(exp.replicas)]
     # More workers than replicas or cores only costs process start-up.
@@ -254,6 +256,9 @@ def run_replicas(
     finished = 0
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            # Imported here: a serial run loads no process machinery.
+            from concurrent.futures import ProcessPoolExecutor
+
             # About four jobs per worker, for load balance and progress,
             # but none so small that its pool cannot fill its width when
             # a worker's share could.

@@ -1,11 +1,14 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from disperse import cli, harness, oracles
+from disperse import cli, harness, oracles, validate
 from disperse.harness import AggregateStats, ExperimentSpec, ScanAxis, ScanSpec, scan
 from disperse.topology import Family, TopologySpec, build, with_leaf_depth
 
@@ -425,7 +428,7 @@ def quick_cli(monkeypatch, quick_report):
         assert quick is True
         return quick_report
 
-    monkeypatch.setattr(cli, "validate_suite", suite)
+    monkeypatch.setattr(validate, "validate_suite", suite)
 
 
 def test_validate_quick_exit_zero(quick_cli, capsys):
@@ -439,6 +442,42 @@ def test_validate_detects_corrupted_oracle(monkeypatch, capsys):
     monkeypatch.setattr(oracles, "tree_ruin_probability", lambda k, d: 0.5)
     assert run_cli(["validate", "--quick"]) == 1
     assert "tree-ruin" in capsys.readouterr().out
+
+
+# -- what a run loads ---------------------------------------------------------------
+
+_LOADED = """
+import sys
+import disperse
+from disperse import ExperimentSpec, TopologySpec, run_replicas
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "disperse" or m.startswith("disperse."))
+
+def held(*names):
+    return [m for m in names if m in sys.modules]
+
+run_replicas(ExperimentSpec(TopologySpec.path(), 4, replicas=2))
+print(loaded(), held("concurrent.futures", "fractions"))
+from disperse import cli
+assert cli.parse_and_dispatch(sys.argv[1:]) == 0
+print(loaded(), held("concurrent.futures", "disperse.validate"))
+"""
+
+
+def test_a_run_loads_the_simulator_only(tmp_path):
+    # A fresh interpreter, since this test process has loaded every module.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    )}
+    argv = RUN_ARGS + ["--out", str(tmp_path / "r.ndjson")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    simulator = ["disperse", "disperse.engine", "disperse.harness", "disperse.rng", "disperse.topology"]
+    after_run, after_cli = proc.stdout.splitlines()
+    assert after_run == f"{simulator} []"
+    assert after_cli == f"{sorted(simulator + ['disperse.cli', 'disperse.oracles'])} []"
 
 
 # -- error handling ----------------------------------------------------------------
@@ -495,10 +534,10 @@ def test_exit_2_when_family_missing(capsys):
 
 @pytest.mark.parametrize("args", [RUN_ARGS, SCAN_ARGS])
 @pytest.mark.parametrize("parallelism", ["0", "-3"])
-def test_exit_2_on_nonpositive_parallelism(args, parallelism, capsys):
+def test_exit_2_on_nonpositive_parallelism(args, parallelism, no_work, capsys):
     assert run_cli(args + ["--parallelism", parallelism]) == 2
     captured = capsys.readouterr()
-    assert "--parallelism must be >= 1" in captured.err
+    assert captured.err == f"disperse: error: parallelism must be >= 1, got {parallelism}\n"
     assert captured.out == ""
 
 
@@ -557,7 +596,7 @@ def _refuse(*args, **kwargs):
 def no_work(monkeypatch):
     """Any replica built or validation check run fails the test."""
     monkeypatch.setattr(harness, "ParticleSystem", _refuse)
-    monkeypatch.setattr(cli, "validate_suite", _refuse)
+    monkeypatch.setattr(validate, "validate_suite", _refuse)
 
 
 NON_FINITE = {

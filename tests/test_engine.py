@@ -371,6 +371,16 @@ def test_positions_before_the_start_are_refused(force_generic):
             log.positions_at(t)
 
 
+def test_positions_at_reads_the_step_as_an_integer():
+    ps = ParticleSystem(TopologySpec.grid(2), 6, seed=31)
+    ps.record_trajectories(True)
+    log = ps.run(1000).trajectories
+    assert log.steps > 3
+    assert log.positions_at(np.int64(3)) == log.positions_at(3)
+    with pytest.raises(ValueError, match="^step must be an integer, got 2.5$"):
+        log.positions_at(2.5)
+
+
 def test_each_step_counts_occupancy_once(monkeypatch):
     calls = []
     count = engine._Occupancy.__call__

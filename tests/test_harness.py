@@ -1,7 +1,9 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import math
 import os
+import re
 import weakref
 
 import numpy as np
@@ -229,7 +231,7 @@ def in_process_pool(monkeypatch):
             jobs.extend(given)
             return map(fn, given)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return asked, jobs
 
 
@@ -245,6 +247,26 @@ def test_worker_count_capped_by_replicas_and_cores(monkeypatch, in_process_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     run_replicas(exp, parallelism=10**6)
     assert asked == [3, 2]
+
+
+@pytest.mark.parametrize(
+    "parallelism, message",
+    [
+        (0, "parallelism must be >= 1, got 0"),
+        (-3, "parallelism must be >= 1, got -3"),
+        (2.5, "parallelism must be an integer, got 2.5"),
+        ("2", "parallelism must be an integer, got '2'"),
+    ],
+)
+def test_run_replicas_refuses_bad_parallelism_before_any_replica(
+    monkeypatch, parallelism, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replica was built")
+
+    monkeypatch.setattr(harness, "ParticleSystem", refuse)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_replicas(base_exp(), parallelism=parallelism)
 
 
 def test_run_replicas_stats_match_aggregate():
