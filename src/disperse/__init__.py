@@ -30,6 +30,7 @@ from .harness import (
     grid_step_budget,
     nearest_rank_quantiles,
     pair_coupling_audit,
+    replica_results,
     run_replicas,
     scan,
     wilson_interval,
@@ -65,6 +66,7 @@ __all__ = [
     "lazy",
     "nearest_rank_quantiles",
     "pair_coupling_audit",
+    "replica_results",
     "run_replicas",
     "scan",
     "split_key",

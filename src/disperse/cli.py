@@ -32,9 +32,11 @@ from .engine import SCHEMA, WalkMode, lazy
 from .harness import (
     AggregateStats,
     ExperimentSpec,
+    Outcome,
     ScanAxis,
     ScanSpec,
-    run_replicas,
+    aggregate,
+    replica_results,
     scan,
 )
 from .topology import TopologySpec, config_bool, config_value
@@ -218,8 +220,8 @@ def _emit(
 ):
     """Write one output in the format --format or the --out extension
     picks: CSV rows under columns, or NDJSON records after a header. A
-    run passes its replica records and its one aggregate row; a scan
-    passes one row per point."""
+    run passes its one aggregate row and, for NDJSON, its replica
+    records; a scan passes one row per point."""
     if _infer_format(args.format, args.out) == "csv":
         text = _csv_text(cfg, columns, rows)
     else:
@@ -239,13 +241,20 @@ def _emit(
 def _cmd_run(args) -> int:
     exp = config_to_experiment(_config_from_args(args)).resolve()
     progress = sys.stderr.isatty()
-    results, stats = run_replicas(exp, parallelism=args.parallelism, progress=progress)
+    # Each result is dropped once packaged: its record, which CSV does
+    # not write, and the fields the aggregate reads.
+    records = None if _infer_format(args.format, args.out) == "csv" else [None] * exp.replicas
+    outcomes = []
+    for i, res in replica_results(exp, parallelism=args.parallelism, progress=progress):
+        outcomes.append(Outcome.of(res))
+        if records is not None:
+            records[i] = res.to_record()
     _emit(
         args,
         experiment_to_config(exp),
         list(AggregateStats.COLUMNS),
-        [stats.to_row()],
-        replicas=[r.to_record() for r in results],
+        [aggregate(outcomes).to_row()],
+        replicas=records,
     )
     return 0
 

@@ -87,7 +87,16 @@ from .rng import (
     to_unit,
     unit_threshold,
 )
-from .topology import COORDINATE_LIMIT, INT64_MAX, Family, Topology, TopologySpec, as_int, build
+from .topology import (
+    COORDINATE_LIMIT,
+    INT64_MAX,
+    Family,
+    Topology,
+    TopologySpec,
+    as_float,
+    as_int,
+    build,
+)
 
 __all__ = [
     "SCHEMA",
@@ -140,6 +149,9 @@ class Variant:
     def __post_init__(self):
         if self.kind not in ("standard", "lazy"):
             raise ValueError(f"unknown variant kind {self.kind!r}")
+        object.__setattr__(self, "p", as_float("move probability p", self.p))
+        if self.kind == "standard" and self.p != 1.0:
+            raise ValueError(f"the standard variant moves with p = 1, got {self.p}")
         if self.kind == "lazy" and not 0.0 < self.p <= 1.0:
             raise ValueError("lazy move probability must be in (0, 1]")
 

@@ -13,6 +13,11 @@ leaves. A parallel run splits the seeds into contiguous runs, one pool
 each, about four per worker but none narrower than a full width (or a
 worker's share, where that is smaller). Scans derive one sub-master
 per grid point the same way.
+
+`replica_results` yields each result as its replica leaves (serial)
+or as its job returns (parallel); `run_replicas` collects them, and
+`scan` folds each point's stream into `aggregate`, so it holds no
+result once the fold has read it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .engine import (
     DEFAULT_BUDGET,
@@ -41,7 +46,7 @@ from .engine import (
     stream_keys,
 )
 from .rng import derive_seed
-from .topology import Family, TopologySpec, as_int, build, with_leaf_depth
+from .topology import Family, TopologySpec, as_float, as_int, build, with_leaf_depth
 
 __all__ = [
     "DEFAULT_GRID_OMEGA",
@@ -54,6 +59,8 @@ __all__ = [
     "wilson_interval",
     "nearest_rank_quantiles",
     "aggregate",
+    "Outcome",
+    "replica_results",
     "run_replicas",
     "scan",
     "grid_step_budget",
@@ -89,8 +96,10 @@ class ExperimentSpec:
             raise ValueError("budget must be >= 1")
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-        if self.omega is not None and not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        if self.omega is not None:
+            object.__setattr__(self, "omega", as_float("omega", self.omega))
+            if not (math.isfinite(self.omega) and self.omega > 0):
+                raise ValueError(f"omega must be positive and finite, got {self.omega}")
 
     def resolve(self) -> "ExperimentSpec":
         """Fill derived defaults: tree leaf depth from the particle
@@ -188,27 +197,52 @@ class AggregateStats:
         return {c: row[c] for c in self.COLUMNS}
 
 
-def aggregate(results: list[RunResult]) -> AggregateStats:
-    """Deterministic fold over a seed-ordered result list. Boundary
+def aggregate(results: Iterable[RunResult]) -> AggregateStats:
+    """Deterministic fold, in one pass, over results in any order: it
+    reads only each result's status, t_disp, d_disp, max_distance_ever
+    and meeting_total, so anything with those fields will do. Boundary
     hits are counted separately and excluded from every statistic;
     dispersal quantiles cover dispersed runs only."""
-    clean = [r for r in results if r.status is not Status.BOUNDARY_HIT]
-    dispersed = [r for r in clean if r.status is Status.DISPERSED]
-    n = len(clean)
-    frac = len(dispersed) / n if n else 0.0
-    lo, hi = wilson_interval(len(dispersed), n)
+    replicas = meetings = 0
+    t_disp, d_disp, max_distance = [], [], []
+    for r in results:
+        replicas += 1
+        if r.status is Status.BOUNDARY_HIT:
+            continue
+        max_distance.append(r.max_distance_ever)
+        meetings += r.meeting_total
+        if r.status is Status.DISPERSED:
+            t_disp.append(r.t_disp)
+            d_disp.append(r.d_disp)
+    n = len(max_distance)
+    lo, hi = wilson_interval(len(t_disp), n)
     return AggregateStats(
-        replicas=len(results),
-        boundary_hits=len(results) - n,
-        dispersed=len(dispersed),
-        dispersal_fraction=frac,
+        replicas=replicas,
+        boundary_hits=replicas - n,
+        dispersed=len(t_disp),
+        dispersal_fraction=len(t_disp) / n if n else 0.0,
         ci_lo=lo,
         ci_hi=hi,
-        t_disp=nearest_rank_quantiles([r.t_disp for r in dispersed]),
-        d_disp=nearest_rank_quantiles([r.d_disp for r in dispersed]),
-        max_distance=nearest_rank_quantiles([r.max_distance_ever for r in clean]),
-        mean_meetings=(sum(r.meeting_total for r in clean) / n) if n else 0.0,
+        t_disp=nearest_rank_quantiles(t_disp),
+        d_disp=nearest_rank_quantiles(d_disp),
+        max_distance=nearest_rank_quantiles(max_distance),
+        mean_meetings=meetings / n if n else 0.0,
     )
+
+
+class Outcome(NamedTuple):
+    """The fields of a RunResult that `aggregate` reads, kept without
+    the result's walk counts."""
+
+    status: Status
+    t_disp: Optional[int]
+    d_disp: int
+    max_distance_ever: int
+    meeting_total: int
+
+    @classmethod
+    def of(cls, r: RunResult) -> "Outcome":
+        return cls(r.status, r.t_disp, r.d_disp, r.max_distance_ever, r.meeting_total)
 
 
 def _pool_results(exp: ExperimentSpec, seeds: list[int]) -> Iterator[tuple[int, RunResult]]:
@@ -242,9 +276,13 @@ def _replica_pool(job: tuple[ExperimentSpec, list[int]]) -> list[RunResult]:
     return results
 
 
-def run_replicas(
+def replica_results(
     exp: ExperimentSpec, parallelism: int = 1, progress: bool = False
-) -> tuple[list[RunResult], AggregateStats]:
+) -> Iterator[tuple[int, RunResult]]:
+    """(i, result of replica i) for every replica of `exp`, as each
+    leaves its lockstep pool (serial) or as its job returns (parallel),
+    so a caller can fold the results without holding them all. The
+    arguments are checked and `exp` resolved when this is called."""
     parallelism = as_int("parallelism", parallelism)
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -252,7 +290,12 @@ def run_replicas(
     seeds = [derive_seed(exp.master_seed, i) for i in range(exp.replicas)]
     # More workers than replicas or cores only costs process start-up.
     workers = min(parallelism, exp.replicas, os.cpu_count() or 1)
-    results: list = [None] * exp.replicas
+    return _replica_stream(exp, seeds, workers, progress)
+
+
+def _replica_stream(
+    exp: ExperimentSpec, seeds: list[int], workers: int, progress: bool
+) -> Iterator[tuple[int, RunResult]]:
     finished = 0
     with contextlib.ExitStack() as stack:
         if workers > 1:
@@ -273,12 +316,22 @@ def run_replicas(
             # One pool over every seed: each replica is reported as it leaves.
             outputs = ((i, [res]) for i, res in _pool_results(exp, seeds))
         for i, res in outputs:
-            results[i : i + len(res)] = res
             finished += len(res)
             if progress:
                 print(f"\rreplica {finished}/{exp.replicas}", end="", file=sys.stderr)
+            for j, r in enumerate(res, i):
+                yield j, r
     if progress:
         print(file=sys.stderr)
+
+
+def run_replicas(
+    exp: ExperimentSpec, parallelism: int = 1, progress: bool = False
+) -> tuple[list[RunResult], AggregateStats]:
+    """Every replica's result, in seed order, and their aggregate."""
+    results: list = [None] * exp.replicas
+    for i, res in replica_results(exp, parallelism, progress):
+        results[i] = res
     return results, aggregate(results)
 
 
@@ -364,13 +417,14 @@ def scan(
 ) -> list[ScanPoint]:
     """One aggregated row per grid value, in grid order: each point of
     `s.points()`, all resolved before any runs, so an invalid point costs
-    no replicas."""
+    no replicas. A point's results are folded into its aggregate as
+    they come, and none is kept."""
     points = []
     for value, exp in zip(s.grid, s.points()):
         if progress:
             print(f"scan {s.axis.value}={value}", file=sys.stderr)
-        _, stats = run_replicas(exp, parallelism=parallelism, progress=progress)
-        points.append(ScanPoint(float(value), exp, stats))
+        stream = replica_results(exp, parallelism=parallelism, progress=progress)
+        points.append(ScanPoint(float(value), exp, aggregate(res for _, res in stream)))
     return points
 
 

@@ -46,6 +46,7 @@ its reach grows.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass, replace
@@ -233,6 +234,18 @@ def as_int(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_float(name: str, value) -> float:
+    """`value` as a Python float, from any real number type (numpy's
+    too); anything else, such as a string, is a ValueError that names
+    `name`."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a finite number, got {value!r}") from None
 
 
 def config_bool(raw: str) -> bool:

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from disperse import cli, harness, oracles, validate
+from disperse.engine import lazy
 from disperse.harness import AggregateStats, ExperimentSpec, ScanAxis, ScanSpec, scan
 from disperse.topology import Family, TopologySpec, build, with_leaf_depth
 
@@ -95,6 +97,41 @@ def test_run_reproducible_from_embedded_config(tmp_path):
     second = tmp_path / "b.ndjson"
     assert run_cli(["run", "--config", str(ini), "--out", str(second)]) == 0
     assert first.read_text() == second.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_run_holds_each_result_only_until_it_is_packaged(tmp_path, live_results, fmt):
+    # Never more than two results alive of 30: the one just made and
+    # the one before it, already packaged.
+    out = tmp_path / f"r.{fmt}"
+    args = ["run", "--family", "complete", "--n", "40", "--particles", "15", "--lazy-p", "0.5",
+            "--replicas", "30", "--seed", "8", "--out", str(out)]
+    assert run_cli(args) == 0
+    assert len(live_results) == 30 and max(live_results) <= 2
+    exp = ExperimentSpec(TopologySpec.complete(40), 15, lazy(0.5), replicas=30, master_seed=8)
+    results, stats = harness.run_replicas(exp)
+    lines = out.read_text().splitlines()
+    if fmt == "csv":
+        assert lines[-1] == ",".join(cli._fmt(v) for v in stats.to_row().values())
+    else:
+        records = [json.loads(line) for line in lines[1:]]
+        assert records[:-1] == [
+            {**r.to_record(), "record": "replica", "replica": i} for i, r in enumerate(results)
+        ]
+        assert records[-1] == {"schema": "disperse/1", "record": "aggregate", **stats.to_row()}
+
+
+@pytest.mark.parametrize(
+    "exp",
+    [
+        ExperimentSpec(TopologySpec.complete(30), 5, lazy(np.float64(0.5))),
+        ExperimentSpec(TopologySpec.grid(2), 5, omega=np.float64(2.5)),
+    ],
+    ids=["lazy-p", "omega"],
+)
+def test_specs_made_with_numpy_floats_replay(exp):
+    cfg = cli.experiment_to_config(exp)
+    assert cli.config_to_experiment(cfg) == exp
 
 
 def test_walk_mode_and_record_trajectories_are_config_keys_only(tmp_path):
@@ -251,13 +288,13 @@ def test_scan_ndjson_records(tmp_path):
 )
 def test_scan_points_resolve_like_library_scan(tmp_path, monkeypatch, k, particles, axis, grid):
     ran = []
-    real_run_replicas = harness.run_replicas
+    real_replica_results = harness.replica_results
 
-    def recording_run_replicas(exp, **kw):
+    def recording_replica_results(exp, **kw):
         ran.append(exp)
-        return real_run_replicas(exp, **kw)
+        return real_replica_results(exp, **kw)
 
-    monkeypatch.setattr(harness, "run_replicas", recording_run_replicas)
+    monkeypatch.setattr(harness, "replica_results", recording_replica_results)
     out = tmp_path / "t.ndjson"
     args = ["scan", "--family", "tree", "--k", str(k), "--particles", str(particles),
             "--replicas", "4", "--seed", "3", "--axis", axis.value,
@@ -346,13 +383,13 @@ def test_scan_with_an_invalid_point_runs_nothing_and_writes_nothing(
     tmp_path, monkeypatch, family, grid
 ):
     calls = []
-    run_replicas = harness.run_replicas
+    replica_results = harness.replica_results
 
     def counted(exp, **kw):
         calls.append(exp)
-        return run_replicas(exp, **kw)
+        return replica_results(exp, **kw)
 
-    monkeypatch.setattr(harness, "run_replicas", counted)
+    monkeypatch.setattr(harness, "replica_results", counted)
     out = tmp_path / "s.csv"
     args = ["scan", "--family", *family, "--particles", "5", "--replicas", "2", "--seed", "3",
             "--axis", "density", "--grid", grid, "--out", str(out)]

@@ -75,6 +75,17 @@ def test_variant_validation():
     assert STANDARD.kind == "standard"
 
 
+def test_variant_reads_p_as_a_float():
+    # p is held as a float, since a config writes its repr; a standard
+    # variant has p = 1, so it equals, and batches with, STANDARD.
+    assert type(lazy(np.float64(0.5)).p) is float
+    assert Variant("standard", np.float64(1.0)) == STANDARD
+    with pytest.raises(ValueError, match=r"^the standard variant moves with p = 1, got 0.5$"):
+        Variant("standard", 0.5)
+    with pytest.raises(ValueError, match=r"^move probability p must be a number, got '0.5'$"):
+        lazy("0.5")
+
+
 def test_seed_is_masked_to_64_bits():
     ps = ParticleSystem(K(5), 2, seed=(1 << 80) + 3)
     assert ps.seed == ((1 << 80) + 3) & MASK64

@@ -25,12 +25,14 @@ from disperse.harness import (
     DEFAULT_HYPERCUBE_OMEGA,
     AggregateStats,
     ExperimentSpec,
+    Outcome,
     ScanAxis,
     ScanSpec,
     aggregate,
     grid_step_budget,
     nearest_rank_quantiles,
     pair_coupling_audit,
+    replica_results,
     run_replicas,
     scan,
     wilson_interval,
@@ -114,6 +116,9 @@ def test_aggregate_excludes_boundary_hits():
     # Boundary run's distances and meetings must not leak in.
     assert stats.max_distance["max"] == 9
     assert stats.mean_meetings == pytest.approx((2 + 4 + 6) / 3)
+    # One pass over any iterable, in any order, of anything with the fields.
+    assert aggregate(iter(results)) == aggregate(results[::-1]) == stats
+    assert aggregate(map(Outcome.of, results)) == stats
 
 
 def test_aggregate_no_dispersals():
@@ -175,6 +180,16 @@ def test_experiment_validation_errors():
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(good, **bad)
+
+
+def test_omega_is_read_as_a_float():
+    # omega is held as a float, since a config writes its text back.
+    exp = ExperimentSpec(TopologySpec.grid(2), 5, omega=np.float64(2.5))
+    assert type(exp.omega) is float and type(exp.resolve().omega) is float
+    with pytest.raises(ValueError, match=r"^omega must be a number, got '3'$"):
+        ExperimentSpec(TopologySpec.grid(2), 5, omega="3")
+    with pytest.raises(ValueError, match=r"^omega must be a finite number, got 1000"):
+        ExperimentSpec(TopologySpec.grid(2), 5, omega=10**400)
 
 
 @pytest.mark.parametrize("field", ["M", "budget", "replicas", "master_seed"])
@@ -267,6 +282,9 @@ def test_run_replicas_refuses_bad_parallelism_before_any_replica(
     monkeypatch.setattr(harness, "ParticleSystem", refuse)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_replicas(base_exp(), parallelism=parallelism)
+    # The stream checks its arguments when it is made, not when read.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replica_results(base_exp(), parallelism=parallelism)
 
 
 def test_run_replicas_stats_match_aggregate():
@@ -309,6 +327,27 @@ def test_parallel_run_keeps_several_pools_per_worker(
     assert stats == serial_stats
 
 
+@pytest.mark.parametrize("parallelism", [1, 2], ids=["serial", "parallel"])
+def test_replica_results_stream_what_run_replicas_collects(
+    monkeypatch, capsys, in_process_pool, parallelism
+):
+    # Pools and jobs three wide over seven replicas: serial replicas come
+    # as they leave their pool, parallel ones a job at a time.
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 3)
+    monkeypatch.setattr(harness, "lockstep_batch_size", lambda topo, M: 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    exp = base_exp(replicas=7, variant=lazy(0.5))
+    got = list(replica_results(exp, parallelism=parallelism, progress=True))
+    err = capsys.readouterr().err
+    results, _ = run_replicas(exp, parallelism=parallelism, progress=True)
+    assert capsys.readouterr().err == err
+    assert sorted(i for i, _ in got) == list(range(7))
+    streamed = dict(got)
+    for i, res in enumerate(results):
+        assert streamed[i].to_record() == res.to_record()
+        assert streamed[i].walk_counts.tolist() == res.walk_counts.tolist()
+
+
 def test_run_replicas_holds_at_most_width_plus_one_systems(monkeypatch):
     # A system is built only when a slot frees and dropped once its
     # result is packaged: the width live, plus one that just left.
@@ -336,6 +375,16 @@ def test_run_replicas_holds_at_most_width_plus_one_systems(monkeypatch):
         assert res.to_record() == want.to_record()
         assert res.walk_counts.tolist() == want.walk_counts.tolist()
     assert len({r.steps for r in results}) > 1
+
+
+def test_scan_folds_each_result_as_it_is_made(live_results):
+    # Each point's results go straight into its aggregate: never more
+    # than two alive, the one just made and the one the fold last read.
+    s = ScanSpec(base_exp(variant=lazy(0.5), replicas=15), ScanAxis.DENSITY, (0.25, 0.5))
+    points = scan(s)
+    assert len(live_results) == 30 and max(live_results) <= 2
+    for pt in points:
+        assert pt.stats == run_replicas(pt.experiment)[1]
 
 
 def test_a_settled_replica_is_packaged_without_a_second_pool(monkeypatch):
@@ -982,12 +1031,13 @@ INVALID_SCANS = [
 @pytest.mark.parametrize("topo, grid, match", INVALID_SCANS, ids=["past-n", "hypercube-cap"])
 def test_scan_refuses_an_invalid_point_before_running_any(monkeypatch, topo, grid, match):
     calls = []
+    replica_results = harness.replica_results
 
     def counted(exp, **kw):
         calls.append(exp)
-        return run_replicas(exp, **kw)
+        return replica_results(exp, **kw)
 
-    monkeypatch.setattr(harness, "run_replicas", counted)
+    monkeypatch.setattr(harness, "replica_results", counted)
     base = base_exp(topology=topo, M=5, replicas=2)
     with pytest.raises(ValueError, match=match):
         scan(ScanSpec(base=base, axis=ScanAxis.DENSITY, grid=grid))
