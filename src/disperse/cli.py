@@ -22,10 +22,11 @@ import argparse
 import configparser
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import oracles
 from .engine import SCHEMA, WalkMode, lazy
@@ -193,22 +194,22 @@ def _infer_format(fmt: Optional[str], out: Optional[str]) -> str:
     return "csv" if out and out.endswith(".csv") else "ndjson"
 
 
-def _write(out: Optional[str], text: str):
+def _write(out: Optional[str], lines: Iterable[str]):
+    """Write `lines` to --out, else to stdout, one at a time as they
+    are made."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
-def _csv_text(cfg: dict, header: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
+def _csv_lines(cfg: dict, header: list[str], rows: list[dict]) -> Iterable[str]:
     for key in sorted(cfg):
-        buf.write(f"# {key}={cfg[key]}\n")
-    buf.write(",".join(header) + "\n")
+        yield f"# {key}={cfg[key]}\n"
+    yield ",".join(header) + "\n"
     for row in rows:
-        buf.write(",".join(_fmt(row.get(h)) for h in header) + "\n")
-    return buf.getvalue()
+        yield ",".join(_fmt(row.get(h)) for h in header) + "\n"
 
 
 def _emit(
@@ -219,20 +220,22 @@ def _emit(
     replicas: Optional[list[dict]] = None,
 ):
     """Write one output in the format --format or the --out extension
-    picks: CSV rows under columns, or NDJSON records after a header. A
-    run passes its one aggregate row and, for NDJSON, its replica
-    records; a scan passes one row per point."""
+    picks: CSV rows under columns, or NDJSON records after a header, line
+    by line. A run passes its one aggregate row and, for NDJSON, its
+    replica records, written as they are; a scan passes one row per
+    point."""
     if _infer_format(args.format, args.out) == "csv":
-        text = _csv_text(cfg, columns, rows)
+        lines = _csv_lines(cfg, columns, rows)
     else:
         if replicas is None:
-            records = [{"schema": SCHEMA, "record": "scan-point", **row} for row in rows]
+            records = ({"schema": SCHEMA, "record": "scan-point", **row} for row in rows)
         else:
-            records = [{**rec, "record": "replica", "replica": i} for i, rec in enumerate(replicas)]
-            records.append({"schema": SCHEMA, "record": "aggregate", **rows[0]})
+            records = itertools.chain(
+                replicas, [{"schema": SCHEMA, "record": "aggregate", **rows[0]}]
+            )
         header = {"schema": SCHEMA, "record": "header", "config": cfg}
-        text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in [header, *records])
-    _write(args.out, text)
+        lines = (json.dumps(rec, sort_keys=True) + "\n" for rec in itertools.chain([header], records))
+    _write(args.out, lines)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -241,14 +244,15 @@ def _emit(
 def _cmd_run(args) -> int:
     exp = config_to_experiment(_config_from_args(args)).resolve()
     progress = sys.stderr.isatty()
-    # Each result is dropped once packaged: its record, which CSV does
-    # not write, and the fields the aggregate reads.
+    # Each result is dropped once packaged: its NDJSON record, which CSV
+    # does not write, and the fields the aggregate reads.
     records = None if _infer_format(args.format, args.out) == "csv" else [None] * exp.replicas
     outcomes = []
     for i, res in replica_results(exp, parallelism=args.parallelism, progress=progress):
         outcomes.append(Outcome.of(res))
         if records is not None:
-            records[i] = res.to_record()
+            rec = records[i] = res.to_record()
+            rec["record"], rec["replica"] = "replica", i
     _emit(
         args,
         experiment_to_config(exp),
@@ -281,7 +285,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_oracle(args) -> int:
     ov = oracles.evaluate(args.name, _config_from_args(args))
-    _write(args.out, json.dumps(dataclasses.asdict(ov), sort_keys=True) + "\n")
+    _write(args.out, [json.dumps(dataclasses.asdict(ov), sort_keys=True) + "\n"])
     return 0
 
 
@@ -290,7 +294,7 @@ def _cmd_validate(args) -> int:
     from .validate import validate_suite
 
     report = validate_suite(quick=args.quick)
-    _write(args.out, str(report) + "\n")
+    _write(args.out, [str(report) + "\n"])
     return 0 if report.passed else 1
 
 

@@ -33,9 +33,15 @@ cost is paid once per step for all of them. The replicas need not be
 at the same step, and R is at most `lockstep_batch_size`: when one
 leaves, the next waiting system takes over its slot, so a long run of
 replicas keeps the batch full until the last ones. Every system, a
-lone one included, is copied into its slot as it enters and back to
-its own arrays as it leaves; a single system's step() and run() are
-the R = 1 case, and so copy the system in and out on each call.
+lone one included, moves into its slot as it enters: its positions,
+words and occupancy are copied in and its own arrays dropped, so a live
+replica's state exists once, and a system that a pool holds is refused
+by name if it is stepped or pooled again. As it leaves it gets fresh
+arrays cut from the slot. A single system's step() and run() are the
+R = 1 case, and so move the system in and out on each call. A step
+gathers the movers' vertex rows and hands them, with their draws, to
+`neighbor_array`, which may overwrite both: the tree, the grid and the
+hypercube write the destinations into the gathered rows.
 
 Occupancy is counted on packed (replica, vertex) keys: replica * span
 plus a vertex code in [0, span), where the span is n on K_n, star,
@@ -287,7 +293,9 @@ def stream_keys(seeds, particles: int, variant: Variant) -> np.ndarray:
 
 class ParticleSystem:
     """Mutable state of one run. Single-threaded by contract:
-    exclusive mutation, no cross-system sharing.
+    exclusive mutation, no cross-system sharing. While a lockstep pool
+    holds it, its position, word and occupancy arrays are its slot's and
+    its own are None.
 
     `keys`, when given, is the system's block of `stream_keys` for its
     seed, so that many systems' keys can be derived in one pass; it is
@@ -357,6 +365,11 @@ class ParticleSystem:
         """Whether a particle passed COORDINATE_LIMIT on an unbounded graph."""
         return self.topo.unbounded and self.max_distance_ever > COORDINATE_LIMIT
 
+    def _check_free(self) -> None:
+        """Refuse, by name, a system whose state a lockstep pool holds."""
+        if self._posv is None:
+            raise ValueError("a lockstep pool holds this system until it leaves")
+
     def _unhappy(self) -> np.ndarray:
         """Mask of the particles that share their vertex."""
         return self._occ >= 2
@@ -425,6 +438,7 @@ class ParticleSystem:
         """One step through the loop run() uses; returns the ids of the
         particles that moved (their direction words changed) and the
         unhappy mask the step started from."""
+        self._check_free()
         unhappy = self._unhappy()
         words = self._words[0].copy()
         self._advance(self.t + 1)
@@ -596,8 +610,10 @@ def lockstep_pool(
     not the step: each keeps its own t. At most `lockstep_batch_size`
     of them are live at once, each in a slot of flat arrays of R*M
     particles laid end to end, and one occupancy count over (replica,
-    vertex) keys serves every replica. A system's state crosses into a
-    slot only by `enter` and back to its own arrays only by `settle`.
+    vertex) keys serves every replica. A system's state moves into a
+    slot only by `enter`, which drops the system's own arrays, and back
+    only by `settle`, which gives it fresh ones; a system passed twice,
+    or held by another pool, is refused by name.
     A replica leaves, keeping its own t, once it reaches t_end or
     disperses or, on an unbounded graph, once its reach passes
     COORDINATE_LIMIT; it is settled, and the next system of `systems`,
@@ -617,6 +633,7 @@ def lockstep_pool(
         nonlocal shape
         if s._reference:
             raise ValueError("lockstep systems must be on the array kernel")
+        s._check_free()
         if s.is_dispersed() or s.boundary_abort or s.t >= t_end:
             return False
         if shape is None:
@@ -651,13 +668,15 @@ def lockstep_pool(
     slots = []  # (i, system) live in each slot, None once it left
 
     def enter(j, got):
-        """Copy system got[1]'s state into the free slot j."""
-        slots[j] = got
+        """Move system got[1]'s state into the free slot j."""
         s = got[1]
+        s._check_free()  # taken twice into the first batch
+        slots[j] = got
         seg = slice(j * M, (j + 1) * M)
         pos[..., seg] = s._posv
         words[:, seg] = s._words
         occ[seg] = s._occ
+        s._posv = s._words = s._occ = None
         # Sum over a replica's particles of their vertex's occupancy: M
         # exactly when it is dispersed, else M + 2 * its meetings.
         load[j] = occ[seg].sum()
@@ -668,14 +687,14 @@ def lockstep_pool(
         flag[j] = s.boundary_flag
 
     def settle(j):
-        """Write slot j's state back to its system and free the slot;
-        returns (i, system)."""
+        """Give slot j's state back to its system, in fresh arrays, and
+        free the slot; returns (i, system)."""
         i, s = slots[j]
         slots[j] = None
         seg = slice(j * M, (j + 1) * M)
-        s._posv[:] = pos[..., seg]
-        s._words[:] = words[:, seg]
-        s._occ[:] = occ[seg]
+        s._posv = pos[..., seg].copy()
+        s._words = words[:, seg].copy()
+        s._occ = occ[seg].copy()
         s.t = k + int(lag[j])
         s.meeting_total = (int(meet[j]) - M * s.t) // 2
         s.max_distance_ever = int(far[j])
@@ -731,8 +750,11 @@ def lockstep_pool(
                     c = dw.take(idx)
                     c += GOLDEN_U64
                     flat = pos.ndim == 1  # else the rows of the grid or the tree
-                    src = pos.take(idx) if flat else pos.take(idx, axis=1)
-                    dest = topo.neighbor_array(src, mix64_array(c))
+                    dest = pos.take(idx) if flat else pos.take(idx, axis=1)
+                    if leaf:
+                        at_leaf = dest[0] == leaf
+                    # The gathered rows take their destinations in place.
+                    dest = topo.neighbor_array(dest, mix64_array(c))
                 # Nothing below raises: the step is applied whole.
                 if lazyv:
                     lw[unhappy] = lc
@@ -740,7 +762,7 @@ def lockstep_pool(
                     dw[idx] = c
                     if leaf:
                         # A truncated leaf's move to its parent marks the run.
-                        flag[idx.compress(src[0] == leaf) // M] = True
+                        flag[idx.compress(at_leaf) // M] = True
                     if flat:
                         pos[idx] = dest
                     else:

@@ -36,11 +36,14 @@ over that span fit an int64; otherwise it sorts the array rows
 themselves.
 
 Every topology query is read-only after construction but one: the
-tree's `vertex_codes` grows its table of per-level offsets the first
-time it is asked for a reach beyond any before. Entries once written
-never change, so no code changes; but two threads growing the table at
-once can race, so a tree topology is not safe for concurrent use while
-its reach grows.
+tree's `vertex_codes` replaces its table of per-level offsets with a
+longer one the first time it is asked for a reach beyond any before.
+Each call indexes the table it read or built itself, never one another
+thread published meanwhile, so concurrent calls give the same codes.
+
+`neighbor_array` may overwrite both its arguments: the tree, the grid
+and the hypercube write the destinations into the vertex rows they are
+given, which the engine has just gathered for the movers.
 """
 
 from __future__ import annotations
@@ -403,7 +406,8 @@ class Topology:
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
         """neighbor(v, raw % degree(v)) of each vertex, for uint64 draws
-        `raw`, which may be overwritten."""
+        `raw`. Both arguments may be overwritten, and the result may be
+        `v` itself; a move that raises leaves `v` as given."""
         raise NotImplementedError
 
     def distance_array(self, v: np.ndarray) -> np.ndarray:
@@ -679,29 +683,29 @@ class _Tree(Topology):
         return out
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        depth, x = v
+        depth, x = v  # rows of v, which take the destinations
         i = _remainder(raw, self.k)
         inner = depth > 0
         up = i == 0
         up &= inner
         if self.leaf_depth:
             up |= depth == self.leaf_depth
-        dest = np.empty_like(v)
-        to_depth, to_index = dest
-        # Child i - 1 of a non-root vertex, child i of the root. An upward
-        # mover's child index is discarded, so its wrapping does no harm.
-        np.multiply(x, self.k - 1, out=to_index)
-        to_index += i
-        to_index -= inner
+        # Checked before anything is written; only a vertex on the deepest
+        # int64 level or below can move past it.
+        if depth.size and int(depth.max()) >= self._index_depth:
+            self._check_depth(int((depth + 1 - 2 * up).max()))
         parent = x // (self.k - 1)
         parent *= depth != 1  # the root, from depth 1
-        np.putmask(to_index, up, parent)
-        np.add(depth, 1, out=to_depth)
-        to_depth -= up
-        to_depth -= up
-        if dest.size:
-            self._check_depth(int(to_depth.max()))
-        return dest
+        # Child i - 1 of a non-root vertex, child i of the root. An upward
+        # mover's child index is discarded, so its wrapping does no harm.
+        x *= self.k - 1
+        x += i
+        x -= inner
+        np.putmask(x, up, parent)
+        depth += 1
+        depth -= up
+        depth -= up
+        return v
 
     def distance_array(self, v: np.ndarray) -> np.ndarray:
         return v[0]
@@ -712,10 +716,11 @@ class _Tree(Topology):
     def vertex_codes(self, v: np.ndarray, reach: int) -> np.ndarray:
         # Breadth-first numbering: a vertex's code is its index plus the
         # number of vertices above its level, tabled once per reach.
-        if self._above.size <= reach:
-            above = [0] + [self._full_ball(d) for d in range(reach)]
-            self._above = np.array(above, dtype=np.int64)
-        codes = self._above.take(v[0])
+        above = self._above  # another thread may publish a shorter table meanwhile
+        if above.size <= reach:
+            above = np.array([0] + [self._full_ball(d) for d in range(reach)], dtype=np.int64)
+            self._above = above
+        codes = above.take(v[0])
         codes += v[1]
         return codes
 
@@ -759,10 +764,9 @@ class _Grid(Topology):
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
         i = _remainder(raw, 2 * self.dim)
-        dest = v.copy()
         # Neighbour i steps along axis i // 2, down for even i, up for odd.
-        dest[i >> 1, np.arange(i.size)] += 2 * (i & 1) - 1
-        return dest
+        v[i >> 1, np.arange(i.size)] += 2 * (i & 1) - 1
+        return v
 
     def distance_array(self, v: np.ndarray) -> np.ndarray:
         return np.abs(v).sum(axis=0)
@@ -828,10 +832,9 @@ class _Hypercube(Topology):
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
         i = _remainder(raw, self.dim)
-        dest = v.copy()
         # Neighbour i flips bit i % 63 of row i // 63.
-        dest[i // 63, np.arange(i.size)] ^= np.left_shift(1, i % 63)
-        return dest
+        v[i // 63, np.arange(i.size)] ^= np.left_shift(1, i % 63)
+        return v
 
     def distance_array(self, v: np.ndarray) -> np.ndarray:
         return np.bitwise_count(v).sum(axis=0, dtype=np.int64)

@@ -65,6 +65,19 @@ def test_run_csv_columns_and_config_comments(tmp_path):
     assert len(data) == 2
 
 
+def test_run_csv_leaves_dispersal_cells_empty_when_no_replica_disperses(tmp_path):
+    # One step on the path cannot spread five particles from the origin.
+    out = tmp_path / "r.csv"
+    args = ["run", "--family", "path", "--particles", "5", "--replicas", "3",
+            "--budget", "1", "--format", "csv", "--out", str(out)]
+    assert run_cli(args) == 0
+    header, row = (l.split(",") for l in out.read_text().splitlines() if not l.startswith("#"))
+    cells = dict(zip(header, row))
+    assert cells["dispersed"] == "0" and cells["max_distance_max"] == "1"
+    dispersal = [c for c in header if c.startswith(("t_disp_", "d_disp_"))]
+    assert len(dispersal) == 12 and {cells[c] for c in dispersal} == {""}
+
+
 def test_run_format_inferred_from_extension(tmp_path):
     out = tmp_path / "r.csv"
     assert run_cli(RUN_ARGS + ["--out", str(out)]) == 0

@@ -858,6 +858,80 @@ def test_closing_a_pool_settles_every_live_system(monkeypatch, family, variant):
         _assert_same_state(pooled[i], fresh(i))
 
 
+def _arrays(ps):
+    return ps._posv, ps._words, ps._occ
+
+
+def _has_arrays(ps):
+    """Whether ps has each of its position, word and occupancy arrays."""
+    return [a is not None for a in _arrays(ps)]
+
+
+@pytest.mark.parametrize("family", list(POOL_FAMILIES))
+def test_a_pooled_system_holds_its_state_only_in_its_slot(monkeypatch, family):
+    # Four systems in a pool two wide. As the first leaves, the other one
+    # taken has no arrays of its own, the one leaving has fresh ones and
+    # the two not yet taken keep theirs. Each ends as a lone run does.
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
+    spec, M = POOL_FAMILIES[family]
+
+    def fresh(i, **kw):
+        return ParticleSystem(spec, M, lazy(0.5), derive_seed(67, i), **kw)
+
+    pooled = [fresh(i) for i in range(4)]
+    given = [_arrays(ps) for ps in pooled]
+    pool = lockstep_pool(iter(pooled), 40)
+    first, _ = next(pool)
+    assert first in (0, 1)
+    assert _has_arrays(pooled[1 - first]) == [False] * 3
+    assert not any(a is b for a, b in zip(_arrays(pooled[first]), given[first]))
+    for i in (2, 3):
+        assert all(a is b for a, b in zip(_arrays(pooled[i]), given[i]))
+    assert sorted([first] + [i for i, _ in pool]) == [0, 1, 2, 3]
+    for i, ps in enumerate(pooled):
+        assert _has_arrays(ps) == [True] * 3
+        lone = fresh(i).run(40)
+        assert ps._result().to_record() == lone.to_record()
+        assert ps.walk_counts.tolist() == lone.walk_counts.tolist()
+        ref = fresh(i, force_generic=True)
+        ref._advance(40)
+        _assert_same_state(ps, ref)
+
+
+def test_a_pool_refuses_a_system_passed_twice(monkeypatch):
+    # Thirty particles on the path take far more than 40 steps to disperse.
+    a, b = (ParticleSystem(TopologySpec.path(), 30, STANDARD, derive_seed(71, i)) for i in range(2))
+    # Twice into the first batch: the first copy is given back untouched.
+    with pytest.raises(ValueError, match="^a lockstep pool holds this system until it leaves$"):
+        list(lockstep_pool([a, b, a], 40))
+    assert (a.t, b.t) == (0, 0) and _has_arrays(a) == _has_arrays(b) == [True] * 3
+    # Taken again into the slot b frees while a is still live.
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
+    b._advance(39)
+    left = []
+    with pytest.raises(ValueError, match="^a lockstep pool holds this system until it leaves$"):
+        for i, _ in lockstep_pool([b, a, a], 40):
+            left.append(i)
+    assert left == [0] and b.t == 40 and a.t == 1 and _has_arrays(a) == [True] * 3
+
+
+def test_a_system_a_pool_holds_cannot_be_stepped_or_pooled(monkeypatch):
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
+    spec, M = POOL_FAMILIES["path"]
+    pooled = [ParticleSystem(spec, M, STANDARD, derive_seed(73, i)) for i in range(3)]
+    pool = lockstep_pool(iter(pooled), 40)
+    first, _ = next(pool)
+    held = pooled[1 - first]
+    message = "^a lockstep pool holds this system until it leaves$"
+    for use in (held.step, lambda: held.run(50), lambda: list(lockstep_pool([held], 50))):
+        with pytest.raises(ValueError, match=message):
+            use()
+    pool.close()
+    t = held.t
+    held.step()
+    assert held.t == t + 1
+
+
 @pytest.mark.parametrize("master", [1, 2, 3])
 def test_a_raising_step_after_the_batch_narrowed_settles_every_live_system(monkeypatch, master):
     # Three lazy systems on tree(2^40) in a pool three wide. The first
@@ -977,6 +1051,13 @@ def test_tree_k_and_grid_dim_scans():
     gridbase = base_exp(topology=TopologySpec.grid(2), M=6, replicas=2)
     pts = scan(ScanSpec(base=gridbase, axis=ScanAxis.GRID_DIM, grid=(2.0, 3.0)))
     assert [pt.experiment.topology.dim for pt in pts] == [2, 3]
+
+
+def test_scan_progress_names_each_point_before_its_replicas(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
+    scan(ScanSpec(base_exp(replicas=3), ScanAxis.LAZY_P, (0.5, 1.0)), progress=True)
+    replicas = "".join(f"\rreplica {k}/3" for k in range(1, 4)) + "\n"
+    assert capsys.readouterr().err == f"scan lazy-p=0.5\n{replicas}scan lazy-p=1.0\n{replicas}"
 
 
 def test_scan_validation_errors():

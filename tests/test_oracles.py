@@ -105,6 +105,17 @@ def test_lazy_profile_invariants():
         LazyOccupancyProfile(3, 0.5, (2, 2), 2)
 
 
+def test_lazy_profile_refuses_a_negative_empty_count():
+    with pytest.raises(ValueError, match="^empty count must be nonnegative$"):
+        LazyOccupancyProfile(10, 0.5, (2,), -1)
+
+
+def test_lazy_subcritical_time_refuses_a_graph_without_vertices():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="^need n > 0$"):
+            lazy_subcritical_time(n, 0.5, 0.1)
+
+
 def test_lazy_subcritical_time_values():
     assert lazy_subcritical_time(1000, 0.5, 0.05) == 1106
     assert lazy_subcritical_time(1000, 0.5, 1.0) == 56
@@ -177,6 +188,17 @@ def test_line_pmf_validation():
         line_returns_pmf(3, 4)
     with pytest.raises(ValueError):
         line_returns_pmf(3, -1)
+
+
+def test_line_tail_refuses_a_horizon_below_one():
+    with pytest.raises(ValueError, match="^need T >= 1$"):
+        line_returns_tail(0, 0)
+
+
+def test_line_tail_refuses_a_count_outside_the_horizon():
+    for r in (-1, 6):
+        with pytest.raises(ValueError, match="^need 0 <= r <= T$"):
+            line_returns_tail(5, r)
 
 
 def test_line_tail_exact_and_bound():

@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -243,6 +247,11 @@ def test_cayley_rejects_asymmetric_or_oversized():
         TopologySpec(Family.CAYLEY, moduli=(8, 8), generators=((1,), (7,)))
     with pytest.raises(ValueError, match="cap"):
         TopologySpec.cayley((2048, 2048), [(1, 0), (-1, 0)])
+
+
+def test_cayley_refuses_an_empty_generator_list():
+    with pytest.raises(ValueError, match="^cayley: generator list must be non-empty$"):
+        TopologySpec.cayley((8,), [])
 
 
 def test_loopless_K1_is_refused_when_made():
@@ -548,7 +557,7 @@ def test_array_form_matches_scalar_queries(name):
     assert t.from_array(arr) == verts
     raw = np.array([draw(7, i) for i in range(1, len(verts) + 1)], dtype=np.uint64)
     want = [t.neighbor(v, int(r) % t.degree(v)) for v, r in zip(verts, raw.tolist())]
-    assert t.from_array(t.neighbor_array(arr, raw.copy())) == want
+    assert t.from_array(t.neighbor_array(arr.copy(), raw.copy())) == want
     assert t.distance_array(arr).tolist() == [t.distance_to_origin(v) for v in verts]
     # Codes are distinct and below the span for vertices within the reach.
     reach = max(t.distance_to_origin(v) for v in verts)
@@ -572,7 +581,79 @@ def test_hypercube_array_form_spans_rows_of_63_bits(dim):
     assert t.from_array(arr) == verts
     raw = np.array([draw(5, i) for i in range(1, len(verts) + 1)], dtype=np.uint64)
     want = [t.neighbor(v, int(r) % dim) for v, r in zip(verts, raw.tolist())]
-    assert t.from_array(t.neighbor_array(arr, raw.copy())) == want
+    assert t.from_array(t.neighbor_array(arr.copy(), raw.copy())) == want
     assert t.distance_array(arr).tolist() == [t.distance_to_origin(v) for v in verts]
     # 2^dim passes int64, so the engine lexsorts these rows instead of codes.
     assert t.code_span(dim) == 2**dim
+
+
+@pytest.mark.parametrize(
+    "spec, vertices",
+    [
+        (TopologySpec.tree(3, leaf_depth=4), [(), (1,), (2, 0), (0, 1, 1, 0)]),
+        (TopologySpec.grid(3), [(0, 0, 0), (1, -2, 0), (-5, 3, 7)]),
+        (TopologySpec.hypercube(70), [0, 1 << 62, 1 << 69, (1 << 70) - 1]),
+    ],
+    ids=["tree", "grid", "hypercube"],
+)
+def test_rows_take_their_destinations_in_place(spec, vertices):
+    # The engine hands neighbor_array the rows it has just gathered for
+    # the movers; these families write the destinations into them.
+    t = build(spec)
+    v = t.to_array(vertices * 8)
+    raw = np.array([draw(3, i) for i in range(1, v.shape[-1] + 1)], dtype=np.uint64)
+    want = [t.neighbor(u, int(r) % t.degree(u)) for u, r in zip(vertices * 8, raw.tolist())]
+    dest = t.neighbor_array(v, raw)
+    assert dest is v
+    assert t.from_array(v) == want
+
+
+def test_a_tree_move_past_int64_leaves_the_rows_as_given():
+    # Level 1 of tree(2^40) is the deepest whose indices fit an int64:
+    # a move down from it raises before anything is written.
+    k = 2**40
+    t = build(TopologySpec.tree(k, leaf_depth=0))
+    v = t.to_array([(k - 1,), ()])
+    given = v.copy()
+    with pytest.raises(ValueError, match="int64"):
+        t.neighbor_array(v, np.array([1, 0], dtype=np.uint64))  # to level 2; to (0,)
+    assert v.tolist() == given.tolist()
+    # Up from level 1 and down from the root stay within it.
+    assert t.from_array(t.neighbor_array(v, np.array([0, 5], dtype=np.uint64))) == [(), (5,)]
+
+
+def test_tree_codes_hold_while_threads_grow_the_level_table():
+    # Threads ask one tree for codes at reaches beyond any before, all at
+    # once, switching as often as the interpreter lets them: a call never
+    # indexes a shorter table that another thread published meanwhile.
+    # Each round is a fresh tree, whose table starts at one level.
+    workers = 2 * (os.cpu_count() or 1) + 1
+    reaches = range(1, 40)
+    failures = []
+
+    def ask(t, start):
+        try:
+            start.wait()
+            for reach in reaches:
+                v = np.array([[reach, 1, reach], [0, 2, 2**reach - 1]], dtype=np.int64)
+                want = [t.ball_size(d - 1) + x for d, x in v.T.tolist()]
+                assert t.vertex_codes(v, reach).tolist() == want
+        except Exception as e:  # reported by the main thread
+            failures.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline and not failures:
+            t = build(TopologySpec.tree(3, leaf_depth=0))
+            start = threading.Barrier(workers, timeout=30)
+            threads = [threading.Thread(target=ask, args=(t, start)) for _ in range(workers)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+                assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures, failures[0]
