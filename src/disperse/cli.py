@@ -33,7 +33,6 @@ from .engine import SCHEMA, WalkMode, lazy
 from .harness import (
     AggregateStats,
     ExperimentSpec,
-    Outcome,
     ScanAxis,
     ScanSpec,
     aggregate,
@@ -244,22 +243,20 @@ def _emit(
 def _cmd_run(args) -> int:
     exp = config_to_experiment(_config_from_args(args)).resolve()
     progress = sys.stderr.isatty()
-    # Each result is dropped once packaged: its NDJSON record, which CSV
-    # does not write, and the fields the aggregate reads.
+    # The results are folded into the aggregate as they come, as a scan
+    # folds a point's; each leaves behind only its NDJSON record, which
+    # CSV does not write.
     records = None if _infer_format(args.format, args.out) == "csv" else [None] * exp.replicas
-    outcomes = []
-    for i, res in replica_results(exp, parallelism=args.parallelism, progress=progress):
-        outcomes.append(Outcome.of(res))
-        if records is not None:
-            rec = records[i] = res.to_record()
-            rec["record"], rec["replica"] = "replica", i
-    _emit(
-        args,
-        experiment_to_config(exp),
-        list(AggregateStats.COLUMNS),
-        [aggregate(outcomes).to_row()],
-        replicas=records,
-    )
+
+    def packaged():
+        for i, res in replica_results(exp, parallelism=args.parallelism, progress=progress):
+            if records is not None:
+                rec = records[i] = res.to_record()
+                rec["record"], rec["replica"] = "replica", i
+            yield res
+
+    stats = aggregate(packaged())
+    _emit(args, experiment_to_config(exp), list(AggregateStats.COLUMNS), [stats.to_row()], replicas=records)
     return 0
 
 

@@ -295,7 +295,11 @@ class ParticleSystem:
     """Mutable state of one run. Single-threaded by contract:
     exclusive mutation, no cross-system sharing. While a lockstep pool
     holds it, its position, word and occupancy arrays are its slot's and
-    its own are None.
+    its own are None: every read of its state (`positions`,
+    `walk_counts`, `is_dispersed()`, `boundary_abort`, the happy and
+    unhappy counts, its result) and every step is refused by name, while
+    the plain attributes `t`, `meeting_total`, `max_distance_ever` and
+    `boundary_flag` keep their values from when it entered.
 
     `keys`, when given, is the system's block of `stream_keys` for its
     seed, so that many systems' keys can be derived in one pass; it is
@@ -351,18 +355,22 @@ class ParticleSystem:
 
     @property
     def positions(self) -> list[Any]:
+        self._check_free()
         return self.topo.from_array(self._posv)
 
     @property
     def walk_counts(self) -> np.ndarray:
+        self._check_free()
         return stream_counts(self._words[0], self._keys[0])
 
     def is_dispersed(self) -> bool:
+        self._check_free()
         return int(self._occ.max()) <= 1
 
     @property
     def boundary_abort(self) -> bool:
         """Whether a particle passed COORDINATE_LIMIT on an unbounded graph."""
+        self._check_free()
         return self.topo.unbounded and self.max_distance_ever > COORDINATE_LIMIT
 
     def _check_free(self) -> None:
@@ -372,6 +380,7 @@ class ParticleSystem:
 
     def _unhappy(self) -> np.ndarray:
         """Mask of the particles that share their vertex."""
+        self._check_free()
         return self._occ >= 2
 
     def happy_unhappy_counts(self) -> tuple[int, int]:
@@ -438,7 +447,6 @@ class ParticleSystem:
         """One step through the loop run() uses; returns the ids of the
         particles that moved (their direction words changed) and the
         unhappy mask the step started from."""
-        self._check_free()
         unhappy = self._unhappy()
         words = self._words[0].copy()
         self._advance(self.t + 1)
@@ -633,7 +641,6 @@ def lockstep_pool(
         nonlocal shape
         if s._reference:
             raise ValueError("lockstep systems must be on the array kernel")
-        s._check_free()
         if s.is_dispersed() or s.boundary_abort or s.t >= t_end:
             return False
         if shape is None:

@@ -16,8 +16,8 @@ per grid point the same way.
 
 `replica_results` yields each result as its replica leaves (serial)
 or as its job returns (parallel); `run_replicas` collects them, and
-`scan` folds each point's stream into `aggregate`, so it holds no
-result once the fold has read it.
+`scan` and `disperse run` fold the stream into `aggregate`, so neither
+holds a result once the fold has read it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 from .engine import (
     DEFAULT_BUDGET,
@@ -59,7 +59,6 @@ __all__ = [
     "wilson_interval",
     "nearest_rank_quantiles",
     "aggregate",
-    "Outcome",
     "replica_results",
     "run_replicas",
     "scan",
@@ -230,21 +229,6 @@ def aggregate(results: Iterable[RunResult]) -> AggregateStats:
     )
 
 
-class Outcome(NamedTuple):
-    """The fields of a RunResult that `aggregate` reads, kept without
-    the result's walk counts."""
-
-    status: Status
-    t_disp: Optional[int]
-    d_disp: int
-    max_distance_ever: int
-    meeting_total: int
-
-    @classmethod
-    def of(cls, r: RunResult) -> "Outcome":
-        return cls(r.status, r.t_disp, r.d_disp, r.max_distance_ever, r.meeting_total)
-
-
 def _pool_results(exp: ExperimentSpec, seeds: list[int]) -> Iterator[tuple[int, RunResult]]:
     """(i, result of seeds[i]) as each replica leaves one lockstep pool
     over `seeds`. A replica's system is built only once a slot is free,
@@ -349,6 +333,7 @@ class ScanSpec:
     grid: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "grid", tuple(as_float("scan grid value", v) for v in self.grid))
         if not self.grid:
             raise ValueError("scan grid must be non-empty")
         if not all(math.isfinite(v) for v in self.grid):
@@ -396,7 +381,7 @@ def _apply_axis(base: ExperimentSpec, axis: ScanAxis, value) -> ExperimentSpec:
             raise ValueError(f"density {value} gives M={M} outside [1, {n}]")
         return dataclasses.replace(base, topology=topo, M=M)
     if axis is ScanAxis.LAZY_P:
-        return dataclasses.replace(base, variant=lazy(float(value)))
+        return dataclasses.replace(base, variant=lazy(value))
     if axis is ScanAxis.TREE_K:
         if int(value) != value or value < 3:
             raise ValueError("tree-k grid values must be integers >= 3")
@@ -424,7 +409,7 @@ def scan(
         if progress:
             print(f"scan {s.axis.value}={value}", file=sys.stderr)
         stream = replica_results(exp, parallelism=parallelism, progress=progress)
-        points.append(ScanPoint(float(value), exp, aggregate(res for _, res in stream)))
+        points.append(ScanPoint(value, exp, aggregate(res for _, res in stream)))
     return points
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import weakref
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from disperse.harness import (
     DEFAULT_HYPERCUBE_OMEGA,
     AggregateStats,
     ExperimentSpec,
-    Outcome,
     ScanAxis,
     ScanSpec,
     aggregate,
@@ -118,7 +118,8 @@ def test_aggregate_excludes_boundary_hits():
     assert stats.mean_meetings == pytest.approx((2 + 4 + 6) / 3)
     # One pass over any iterable, in any order, of anything with the fields.
     assert aggregate(iter(results)) == aggregate(results[::-1]) == stats
-    assert aggregate(map(Outcome.of, results)) == stats
+    fields = namedtuple("Fields", "status t_disp d_disp max_distance_ever meeting_total")
+    assert aggregate(fields(*(getattr(r, f) for f in fields._fields)) for r in results) == stats
 
 
 def test_aggregate_no_dispersals():
@@ -932,6 +933,34 @@ def test_a_system_a_pool_holds_cannot_be_stepped_or_pooled(monkeypatch):
     assert held.t == t + 1
 
 
+_HELD_READS = {
+    "positions": lambda ps: ps.positions,
+    "walk_counts": lambda ps: ps.walk_counts.tolist(),
+    "happy_unhappy_counts": lambda ps: ps.happy_unhappy_counts(),
+    "is_dispersed": lambda ps: ps.is_dispersed(),
+    "boundary_abort": lambda ps: ps.boundary_abort,
+    "result": lambda ps: ps._result().to_record(),
+}
+
+
+@pytest.mark.parametrize("read", list(_HELD_READS))
+def test_a_system_a_pool_holds_refuses_every_read(monkeypatch, read):
+    # Each read is refused by name while the pool holds the system, and
+    # once the pool is closed reads as a lone run to the same step does.
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
+    spec, M = POOL_FAMILIES["path"]
+    pooled = [ParticleSystem(spec, M, STANDARD, derive_seed(73, i)) for i in range(3)]
+    pool = lockstep_pool(iter(pooled), 40)
+    first, _ = next(pool)
+    held = pooled[1 - first]
+    with pytest.raises(ValueError, match="^a lockstep pool holds this system until it leaves$"):
+        _HELD_READS[read](held)
+    pool.close()
+    lone = ParticleSystem(spec, M, STANDARD, derive_seed(73, 1 - first), force_generic=True)
+    lone._advance(held.t)
+    assert _HELD_READS[read](held) == _HELD_READS[read](lone)
+
+
 @pytest.mark.parametrize("master", [1, 2, 3])
 def test_a_raising_step_after_the_batch_narrowed_settles_every_live_system(monkeypatch, master):
     # Three lazy systems on tree(2^40) in a pool three wide. The first
@@ -1088,6 +1117,17 @@ def test_scan_validation_errors():
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 ScanSpec(base=b, axis=axis, grid=(value,)).points()
+
+
+def test_scan_grid_refuses_a_non_number_by_name():
+    with pytest.raises(ValueError, match="^scan grid value must be a number, got '0.2'$"):
+        ScanSpec(base_exp(), ScanAxis.DENSITY, (0.1, "0.2"))
+
+
+def test_scan_grid_given_as_a_list_is_its_tuple():
+    listed = ScanSpec(base_exp(), ScanAxis.DENSITY, [0.1, 0.2])
+    given = ScanSpec(base_exp(), ScanAxis.DENSITY, (0.1, 0.2))
+    assert listed == given and hash(listed) == hash(given)
 
 
 @pytest.mark.parametrize(
