@@ -29,7 +29,9 @@ import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .engine import (
     DEFAULT_BUDGET,
@@ -333,7 +335,12 @@ class ScanSpec:
     grid: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(as_float("scan grid value", v) for v in self.grid))
+        grid = self.grid
+        if isinstance(grid, np.ndarray) and grid.ndim == 1:
+            grid = grid.tolist()
+        if isinstance(grid, (str, bytes)) or not isinstance(grid, Sequence):
+            raise ValueError(f"scan grid must be a sequence of numbers, got {grid!r}")
+        object.__setattr__(self, "grid", tuple(as_float("scan grid value", v) for v in grid))
         if not self.grid:
             raise ValueError("scan grid must be non-empty")
         if not all(math.isfinite(v) for v in self.grid):

@@ -396,9 +396,9 @@ def test_each_step_counts_occupancy_once(monkeypatch):
     calls = []
     count = engine._Occupancy.__call__
 
-    def counted(self, v, reach):
+    def counted(self, v, reach, movers):
         calls.append(reach)
-        return count(self, v, reach)
+        return count(self, v, reach, movers)
 
     monkeypatch.setattr(engine._Occupancy, "__call__", counted)
     ps = ParticleSystem(K(100, loops=True), 60, seed=5)

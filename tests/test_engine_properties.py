@@ -206,3 +206,82 @@ def test_stored_occupancy_is_the_count_of_positions(exp, variant, seed, force_ge
     with mock.patch.object(engine, "lockstep_batch_size", lambda topo, M: 2):
         for _, left in lockstep_pool(iter(pooled), 12):
             _assert_stored_counts(left)
+
+
+# One graph of each finite family, and the path, whose span grows.
+POOLED_FAMILIES = {
+    "complete": TopologySpec.complete(12),
+    "complete-loops": TopologySpec.complete(12, with_loops=True),
+    "star": TopologySpec.star(9),
+    "cycle": TopologySpec.cycle(14),
+    "hypercube": TopologySpec.hypercube(4),
+    "cayley": TopologySpec.cayley((4, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)]),
+    "path": TopologySpec.path(),
+}
+
+
+@pytest.mark.parametrize("fraction", [1.0, -1.0], ids=["update", "recount"])
+@given(
+    st.sampled_from(sorted(POOLED_FAMILIES)),
+    st.sampled_from([STANDARD, lazy(0.5)]),
+    st.integers(2, 3),
+    st.integers(2, 8),
+    st.integers(0, 2**32),
+)
+@settings(deadline=None, max_examples=30)
+def test_kept_counts_equal_a_fresh_recount(fraction, family, variant, width, m, seed):
+    # UPDATE_FRACTION at 1 updates every step it can; at -1 none does.
+    spec, budget = POOLED_FAMILIES[family], 40
+    count = engine._Occupancy.__call__
+
+    def checked(self, v, reach, movers=None):
+        got = count(self, v, reach, movers)
+        fresh = engine._Occupancy(self.topo, self.M, self.R)
+        assert got.tolist() == count(fresh, v, reach).tolist()
+        return got
+
+    pooled = [ParticleSystem(spec, m, variant, derive_seed(seed, i)) for i in range(8)]
+    pooled[2]._advance(3)  # one replica ahead of the rest
+    with mock.patch.object(engine, "UPDATE_FRACTION", fraction), mock.patch.object(
+        engine, "lockstep_batch_size", lambda topo, M: width
+    ), mock.patch.object(engine._Occupancy, "__call__", checked):
+        settled = [s for _, s in lockstep_pool(iter(pooled), budget)]
+    assert sorted(map(id, settled)) == sorted(map(id, pooled))
+    for i, s in enumerate(pooled):
+        lone = ParticleSystem(spec, m, variant, derive_seed(seed, i), force_generic=True)
+        want = lone.run(budget)
+        got = s.run(budget)
+        assert got.to_record() == want.to_record()
+        assert got.walk_counts.tolist() == want.walk_counts.tolist()
+        assert s.positions == lone.positions
+
+
+def test_sparse_steps_update_the_kept_counts():
+    # Lazy K_200 with loops at M=140 moves few particles per step: most
+    # counts update the kept bins, none keeps them past a denser step,
+    # and newcomers take the slots of replicas that left.
+    count, refill = engine._Occupancy.__call__, engine._Occupancy.refill
+    steps, refills = [], []
+
+    def watched(self, v, reach, movers=None):
+        kept = self.cnt
+        got = count(self, v, reach, movers)
+        dense = movers.size > engine.UPDATE_FRACTION * v.shape[-1]
+        steps.append((dense, self.cnt is not None and self.cnt is kept))
+        assert (self.cnt is None) is dense
+        return got
+
+    def named(self, j):
+        refills.append(self.cnt is not None)
+        refill(self, j)
+
+    spec = TopologySpec.complete(200, with_loops=True)
+    pooled = [ParticleSystem(spec, 140, lazy(0.5), derive_seed(3, i)) for i in range(12)]
+    with mock.patch.object(engine, "lockstep_batch_size", lambda topo, M: 3), mock.patch.object(
+        engine._Occupancy, "__call__", watched
+    ), mock.patch.object(engine._Occupancy, "refill", named):
+        for _, s in lockstep_pool(iter(pooled), 5000):
+            assert s.is_dispersed()
+    updated = sum(kept for _, kept in steps)
+    assert 0 < updated < len(steps) and not any(dense and kept for dense, kept in steps)
+    assert any(dense for dense, _ in steps) and any(refills)

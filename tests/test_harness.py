@@ -1124,6 +1124,14 @@ def test_scan_grid_refuses_a_non_number_by_name():
         ScanSpec(base_exp(), ScanAxis.DENSITY, (0.1, "0.2"))
 
 
+def test_scan_grid_refuses_a_non_sequence_by_name():
+    for grid in (0.5, None, "0.1,0.2", iter((0.1, 0.2))):
+        with pytest.raises(ValueError, match="^scan grid must be a sequence of numbers, got "):
+            ScanSpec(base_exp(), ScanAxis.DENSITY, grid)
+    # A one-dimensional array is a sequence of numbers.
+    assert ScanSpec(base_exp(), ScanAxis.DENSITY, np.array([0.1, 0.2])).grid == (0.1, 0.2)
+
+
 def test_scan_grid_given_as_a_list_is_its_tuple():
     listed = ScanSpec(base_exp(), ScanAxis.DENSITY, [0.1, 0.2])
     given = ScanSpec(base_exp(), ScanAxis.DENSITY, (0.1, 0.2))
