@@ -32,13 +32,21 @@ replicas together on flat arrays of R*M particles, so numpy's per-call
 cost is paid once per step for all of them. The replicas need not be
 at the same step, and R is at most `lockstep_batch_size`: when one
 leaves, the next waiting system takes over its slot, so a long run of
-replicas keeps the batch full until the last ones. Every system, a
-lone one included, moves into its slot as it enters: its positions,
-words and occupancy are copied in and its own arrays dropped, so a live
-replica's state exists once, and a system that a pool holds is refused
-by name if it is stepped or pooled again. As it leaves it gets fresh
-arrays cut from the slot. A single system's step() and run() are the
-R = 1 case, and so move the system in and out on each call. A step
+replicas keeps the batch full until the last ones. A new system holds
+only its stream keys, and makes its positions, words and occupancy
+from the origin, the keys and M when they are first read. Every
+system, a lone one included, moves into its slot as it enters: a
+fresh one's slot, as every harness-built replica's, is filled straight
+from those three, any other's arrays are copied in, and its own arrays
+are dropped, so a live replica's state exists once, and a system that
+a pool holds is refused by name if it is stepped or pooled again. The
+replicas that leave at one step get arrays cut from their slots in one
+take, and what their results read off them, dispersal and d_disp, is
+read for all of them at once. On 1e5 K_8 replicas (loops, M=5) through
+the harness a replica took about 26 µs when each system made its
+arrays at construction and left alone, and 15 µs since. A single
+system's step() and run() are the R = 1 case, and so move the system
+in and out on each call. A step
 gathers the movers' vertex rows and hands them, with their draws, to
 `neighbor_array`, which may overwrite both: the tree, the grid and the
 hypercube write the destinations into the gathered rows.
@@ -297,24 +305,47 @@ def stream_keys(seeds, particles: int, variant: Variant) -> np.ndarray:
     return stream_key_array(seeds, particles, _tags(variant))
 
 
+# A system's state arrays: positions, occupancy and stream words.
+_STATE = ("_posv", "_occ", "_words")
+
+
+def _start(topo: Topology, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (array form) and occupancy at t = 0: every particle on
+    the origin."""
+    return np.repeat(topo.to_array([topo.origin]), M, axis=-1), np.full(M, M, dtype=np.int64)
+
+
 class ParticleSystem:
     """Mutable state of one run. Single-threaded by contract:
-    exclusive mutation, no cross-system sharing. While a lockstep pool
-    holds it, its position, word and occupancy arrays are its slot's and
-    its own are None: every read of its state (`positions`,
+    exclusive mutation, no cross-system sharing. A new system holds only
+    its stream keys: its position, word and occupancy arrays are made
+    when its state is first read or stepped, every particle on the
+    origin with M particles on its vertex and its words its keys. One
+    that enters a lockstep pool first, as every system the harness
+    builds does, has its slot filled from those three, the origin's
+    array form, the keys and M, and never makes arrays of its own. While a pool holds it, its arrays are its slot's
+    and its own are None: every read of its state (`positions`,
     `walk_counts`, `is_dispersed()`, `boundary_abort`, the happy and
     unhappy counts, its result) and every step is refused by name, while
     the plain attributes `t`, `meeting_total`, `max_distance_ever` and
-    `boundary_flag` keep their values from when it entered.
+    `boundary_flag` keep their values from when it entered. As it leaves
+    it gets arrays cut from the slot, rows of blocks shared with the
+    replicas that leave at the same step, and the pool's reading of its
+    dispersal and d_disp, which its result takes until it steps again.
+    On 1e5 K_8 replicas (loops, M=5) through the harness a replica cost
+    about 26 µs before systems held only their keys and left in one
+    take, and 15 µs after.
 
-    `keys`, when given, is the system's block of `stream_keys` for its
-    seed, so that many systems' keys can be derived in one pass; it is
-    kept, not copied. Without it the system derives its own.
+    `spec` may be the graph's Topology instead, so that a pool's systems
+    share one build. `keys`, when given, is the system's block of
+    `stream_keys` for its seed, so that many systems' keys can be
+    derived in one pass; it is kept, not copied. Without it the system
+    derives its own.
     """
 
     def __init__(
         self,
-        spec: TopologySpec,
+        spec: TopologySpec | Topology,
         particles: int,
         variant: Variant = STANDARD,
         seed: int = 0,
@@ -325,12 +356,12 @@ class ParticleSystem:
         particles = as_int("particles", particles)
         if particles < 1:
             raise ValueError("need at least one particle")
-        topo = build(spec)
+        topo = spec if isinstance(spec, Topology) else build(spec)
         if topo.n_vertices is not None and particles > topo.n_vertices:
             raise ValueError(
                 f"{particles} particles cannot disperse on {topo.n_vertices} vertices"
             )
-        self.spec = spec
+        self.spec = topo.spec
         self.topo: Topology = topo
         self.particles = particles
         self.variant = variant
@@ -341,21 +372,40 @@ class ParticleSystem:
         self.max_distance_ever = 0
         self.boundary_flag = False  # truncated-leaf forcing fired
         self._record = False  # run() returns a TrajectoryLog
+        self._left = None  # (dispersed, d_disp) as read by the pool it last left
 
         self._lazy = variant.kind == "lazy"
         self._reference = force_generic  # step on the scalar reference loop
-        self._posv = np.repeat(topo.to_array([topo.origin]), particles, axis=-1)
-        # Each particle's count of particles on its vertex at the start of
-        # step t; only the stepping loops write it.
-        self._occ = np.full(particles, particles, dtype=np.int64)
-        # Stream keys, and the state words key + GOLDEN * count that the
-        # loops step (see rng): one (tags, M) block each, direction row first.
+        # Stream keys, one (tags, M) block, direction row first; the state
+        # arrays follow from them (__getattr__).
         if keys is None:
             keys = stream_keys([self.seed], particles, variant)[0]
         elif keys.dtype != np.uint64 or keys.shape != (len(_tags(variant)), particles):
             raise ValueError("keys must be one seed's block of stream_keys")
         self._keys = keys
-        self._words = keys.copy()
+
+    def __getattr__(self, name: str):
+        """Make the state arrays at their first read, as at t = 0; only
+        names that the system does not hold reach here. `_posv` holds the
+        positions in array form; `_occ` each particle's count of particles
+        on its vertex at the start of step t, which only the stepping
+        loops write; `_words` the state words key + GOLDEN * count that
+        the loops step (see rng), in a block shaped as the keys."""
+        if name not in _STATE:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # All are made at once; one that a caller set first is kept.
+        state = vars(self)
+        posv, occ = _start(self.topo, self.particles)
+        state.setdefault("_posv", posv)
+        state.setdefault("_occ", occ)
+        state.setdefault("_words", self._keys.copy())
+        return state[name]
+
+    @property
+    def _fresh(self) -> bool:
+        """Whether the state arrays are yet to be made: the system holds
+        only its keys."""
+        return vars(self).keys().isdisjoint(_STATE)
 
     # -- queries -------------------------------------------------------
 
@@ -377,11 +427,17 @@ class ParticleSystem:
     def boundary_abort(self) -> bool:
         """Whether a particle passed COORDINATE_LIMIT on an unbounded graph."""
         self._check_free()
+        return self._outside
+
+    @property
+    def _outside(self) -> bool:
+        """boundary_abort, unchecked: for callers that know the system free."""
         return self.topo.unbounded and self.max_distance_ever > COORDINATE_LIMIT
 
     def _check_free(self) -> None:
-        """Refuse, by name, a system whose state a lockstep pool holds."""
-        if self._posv is None:
+        """Refuse, by name, a system whose state a lockstep pool holds;
+        a fresh system's arrays stay unmade."""
+        if "_posv" in vars(self) and self._posv is None:
             raise ValueError("a lockstep pool holds this system until it leaves")
 
     def _unhappy(self) -> np.ndarray:
@@ -482,27 +538,32 @@ class ParticleSystem:
     def _result(self) -> RunResult:
         """The result of the run so far, read off the system's state; a
         system that a lockstep pool has settled is packaged by this alone."""
-        if self.boundary_abort or self.boundary_flag:
+        self._check_free()
+        t, posv = self.t, self._posv
+        left = self._left
+        if left is None:
+            left = self._occ.max() <= 1, int(self.topo.distance_array(posv).max())
+        dispersed, d_disp = left
+        if self.boundary_flag or self._outside:
             status = Status.BOUNDARY_HIT
-        elif self.is_dispersed():
+        elif dispersed:
             status = Status.DISPERSED
         else:
             status = Status.BUDGET_EXHAUSTED
-        d_disp = int(self.topo.distance_array(self._posv).max())
         log = None
         if self._record:
             log = TrajectoryLog(
                 self.spec, self.particles, self.topo.origin, self.seed,
-                self.variant, self._reference, self.t, self._posv.copy(),
+                self.variant, self._reference, t, posv.copy(),
             )
         return RunResult(
             status=status,
-            steps=self.t,
-            t_disp=self.t if status is Status.DISPERSED else None,
+            steps=t,
+            t_disp=t if status is Status.DISPERSED else None,
             d_disp=d_disp,
             max_distance_ever=self.max_distance_ever,
             meeting_total=self.meeting_total,
-            walk_counts=self.walk_counts,
+            walk_counts=stream_counts(self._words[0], self._keys[0]),
             seed=self.seed,
             boundary_flag=self.boundary_flag,
             trajectories=log,
@@ -684,15 +745,16 @@ def lockstep_pool(
     of them are live at once, each in a slot of flat arrays of R*M
     particles laid end to end, and one occupancy count over (replica,
     vertex) keys serves every replica. A system's state moves into a
-    slot only by `enter`, which drops the system's own arrays, and back
-    only by `settle`, which gives it fresh ones; a system passed twice,
-    or held by another pool, is refused by name.
+    slot only by `enter`, which fills a fresh system's slot from its keys
+    and drops any arrays of its own, and back only by `settle`, which
+    cuts the slots of the replicas leaving at one step in one take; a
+    system passed twice, or held by another pool, is refused by name.
     A replica leaves, keeping its own t, once it reaches t_end or
     disperses or, on an unbounded graph, once its reach passes
     COORDINATE_LIMIT; it is settled, and the next system of `systems`,
     taken only now, enters its slot. Once `systems` is spent and a slot
-    stays empty, the live systems are settled and entered, in their
-    order, into a fresh batch as wide as they are. A system already at
+    stays empty, the live slots are cut, in their order, into a batch as
+    wide as they are; their systems stay held. A system already at
     t_end, dispersed or out of bounds is yielded as it is taken. A step
     that raises (a tree vertex past int64) leaves each live system at
     its last completed step, and systems not yet taken untouched.
@@ -706,7 +768,10 @@ def lockstep_pool(
         nonlocal shape
         if s._reference:
             raise ValueError("lockstep systems must be on the array kernel")
-        if s.is_dispersed() or s.boundary_abort or s.t >= t_end:
+        # A fresh system has all its particles on one vertex; a held one
+        # is refused by is_dispersed().
+        dispersed = s.particles == 1 if s._fresh else s.is_dispersed()
+        if dispersed or s._outside or s.t >= t_end:
             return False
         if shape is None:
             shape = (s.spec, s.particles, s.variant)
@@ -733,8 +798,9 @@ def lockstep_pool(
     leaf = topo.spec.family is Family.TREE and topo.leaf_depth  # truncated leaves' depth
     unbounded = topo.unbounded
     full = topo.max_distance
-    rows = batch[0][1]._posv.shape[:-1]  # of an array-form vertex
-    tags = len(batch[0][1]._words)  # streams per particle
+    start_pos, start_occ = _start(topo, M)  # a fresh system's
+    rows = start_pos.shape[:-1]  # of an array-form vertex
+    tags = len(batch[0][1]._keys)  # streams per particle
     # The pool's own step count k: slot j is at step k + lag[j].
     k = 0
     slots = []  # (i, system) live in each slot, None once it left
@@ -742,36 +808,49 @@ def lockstep_pool(
     def enter(j, got):
         """Move system got[1]'s state into the free slot j."""
         s = got[1]
-        s._check_free()  # taken twice into the first batch
-        slots[j] = got
         seg = slice(j * M, (j + 1) * M)
-        pos[..., seg] = s._posv
-        words[:, seg] = s._words
-        occ[seg] = s._occ
-        s._posv = s._words = s._occ = None
         # Sum over a replica's particles of their vertex's occupancy: M
         # exactly when it is dispersed, else M + 2 * its meetings.
-        load[j] = occ[seg].sum()
+        if s._fresh:
+            # Filled as the system would make its arrays.
+            pos[..., seg] = start_pos
+            words[:, seg] = s._keys
+            occ[seg] = start_occ
+            load[j] = M * M
+        else:
+            s._check_free()  # taken twice into the first batch
+            pos[..., seg] = s._posv
+            words[:, seg] = s._words
+            occ[seg] = s._occ
+            load[j] = occ[seg].sum()
+        s._posv = s._words = s._occ = s._left = None
+        slots[j] = got
         lag[j] = s.t - k
         # Twice the meetings so far plus M per step: a step adds its load.
         meet[j] = 2 * s.meeting_total + M * s.t
         far[j] = s.max_distance_ever
         flag[j] = s.boundary_flag
 
-    def settle(j):
-        """Give slot j's state back to its system, in fresh arrays, and
-        free the slot; returns (i, system)."""
-        i, s = slots[j]
-        slots[j] = None
-        seg = slice(j * M, (j + 1) * M)
-        s._posv = pos[..., seg].copy()
-        s._words = words[:, seg].copy()
-        s._occ = occ[seg].copy()
-        s.t = k + int(lag[j])
-        s.meeting_total = (int(meet[j]) - M * s.t) // 2
-        s.max_distance_ever = int(far[j])
-        s.boundary_flag = bool(flag[j])
-        return i, s
+    def settle(js):
+        """Give each slot of js its state back and free it, yielding
+        (i, system) in turn; the arrays are cut from one take of all of
+        them, so each system's are rows of shared blocks."""
+        cut_pos = pos.reshape(rows + (R, M)).take(js, axis=-2)
+        cut_words = words.reshape(tags, R, M).take(js, axis=1)
+        cut_occ = occ.reshape(R, M).take(js, axis=0)
+        loads, lags, meets, fars, flags = book.take(js, axis=1).tolist()
+        # The distances its result reads off each one's positions.
+        d_disp = topo.distance_array(cut_pos.reshape(rows + (-1,))).reshape(-1, M).max(1).tolist()
+        for r, j in enumerate(js):
+            i, s = slots[j]
+            slots[j] = None
+            s._posv, s._words, s._occ = cut_pos[..., r, :], cut_words[:, r], cut_occ[r]
+            s._left = loads[r] == M, d_disp[r]
+            s.t = t = k + lags[r]
+            s.meeting_total = (meets[r] - M * t) // 2
+            s.max_distance_ever = fars[r]
+            s.boundary_flag = bool(flags[r])
+            yield i, s
 
     try:
         while True:
@@ -782,8 +861,10 @@ def lockstep_pool(
                 words = np.empty((tags, R * M), dtype=np.uint64)
                 dw, lw = words[0], words[-1]  # lw is read only when lazy
                 occ = np.empty(R * M, dtype=np.int64)
-                load, lag, meet, far = (np.empty(R, dtype=np.int64) for _ in range(4))
-                flag = np.empty(R, dtype=bool)
+                # Each slot's load, lag, doubled meetings plus M per step,
+                # reach and boundary flag, in rows that settle cuts in one take.
+                book = np.empty((5, R), dtype=np.int64)
+                load, lag, meet, far, flag = book
                 for j, got in enumerate(batch):
                     enter(j, got)
                 batch = []
@@ -801,8 +882,9 @@ def lockstep_pool(
                         leave |= far > COORDINATE_LIMIT
                     if not leave.any():  # each way in names a leaving slot; else the pool spins
                         raise RuntimeError("lockstep pool: no slot leaves at its exit")
-                    for j in leave.nonzero()[0].tolist():
-                        yield settle(j)
+                    gone = leave.nonzero()[0].tolist()
+                    for j, done in zip(gone, settle(gone)):
+                        yield done
                         for got in queue:
                             if live(got[1]):
                                 enter(j, got)
@@ -810,9 +892,18 @@ def lockstep_pool(
                                 break
                             yield got
                     if None in slots:  # `systems` is spent: narrow the batch
-                        batch = [settle(j) for j, slot in enumerate(slots) if slot is not None]
-                        if not batch:
+                        keep = [j for j, slot in enumerate(slots) if slot is not None]
+                        if not keep:
                             return
+                        R = len(keep)
+                        slots = [slots[j] for j in keep]
+                        pos = pos.reshape(rows + (-1, M)).take(keep, axis=-2).reshape(rows + (R * M,))
+                        words = words.reshape(tags, -1, M).take(keep, axis=1).reshape(tags, R * M)
+                        dw, lw = words[0], words[-1]
+                        occ = occ.reshape(-1, M).take(keep, axis=0).reshape(R * M)
+                        book = book.take(keep, axis=1)
+                        load, lag, meet, far, flag = book
+                        occupancy = _Occupancy(topo, M, R)
                     break  # a newcomer may be over at once
                 unhappy = idx = (occ >= 2).nonzero()[0]
                 if lazyv:
@@ -848,9 +939,10 @@ def lockstep_pool(
                 meet += load
                 k += 1
                 occ = occupancy(pos, reach, idx)
-                load = occ.reshape(R, M).sum(1)
+                occ.reshape(R, M).sum(1, out=load)
     except BaseException:
-        for j, slot in enumerate(slots):
-            if slot is not None:
-                settle(j)
+        held = [j for j, slot in enumerate(slots) if slot is not None]
+        if held:  # else the slots' arrays may not exist yet
+            for _ in settle(held):
+                pass
         raise

@@ -47,7 +47,7 @@ from .engine import (
     lockstep_pool,
     stream_keys,
 )
-from .rng import derive_seed
+from .rng import derive_seed, split_key_array
 from .topology import Family, TopologySpec, as_float, as_int, build, with_leaf_depth
 
 __all__ = [
@@ -234,16 +234,18 @@ def aggregate(results: Iterable[RunResult]) -> AggregateStats:
 def _pool_results(exp: ExperimentSpec, seeds: list[int]) -> Iterator[tuple[int, RunResult]]:
     """(i, result of seeds[i]) as each replica leaves one lockstep pool
     over `seeds`. A replica's system is built only once a slot is free,
-    from stream keys derived in one pass for a chunk of seeds, a pool
-    width at a time, so at most one chunk waits."""
-    width = lockstep_batch_size(build(exp.topology), exp.M)
+    on the pool's one topology, from stream keys derived in one pass for
+    a chunk of seeds, a pool width at a time, so at most one chunk waits.
+    It holds only its keys until its slot is filled from them."""
+    topo = build(exp.topology)
+    width = lockstep_batch_size(topo, exp.M)
 
     def systems():
         for start in range(0, len(seeds), width):
             chunk = seeds[start : start + width]
             for seed, keys in zip(chunk, stream_keys(chunk, exp.M, exp.variant)):
                 ps = ParticleSystem(
-                    exp.topology, exp.M, variant=exp.variant, seed=seed,
+                    topo, exp.M, variant=exp.variant, seed=seed,
                     walk_mode=exp.walk_mode, keys=keys,
                 )
                 if exp.record_trajectories:
@@ -273,7 +275,8 @@ def replica_results(
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     exp = exp.resolve()
-    seeds = [derive_seed(exp.master_seed, i) for i in range(exp.replicas)]
+    # derive_seed(master_seed, i) of every replica i, in one pass.
+    seeds = split_key_array([exp.master_seed], exp.replicas)[0].tolist()
     # More workers than replicas or cores only costs process start-up.
     workers = min(parallelism, exp.replicas, os.cpu_count() or 1)
     return _replica_stream(exp, seeds, workers, progress)

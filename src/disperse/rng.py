@@ -40,6 +40,7 @@ __all__ = [
     "draw",
     "draw_array",
     "split_key",
+    "split_key_array",
     "derive_seed",
     "stream_key",
     "stream_key_array",
@@ -137,17 +138,25 @@ def draw_array(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return mix64_array(x)
 
 
+def split_key_array(keys, count: int) -> np.ndarray:
+    """Vectorised `split_key` of children 0..count-1 of every key, in one
+    pass: uint64 of shape (len(keys), count). Keys are masked to 64
+    bits, as `split_key` masks them. `derive_seed(master, i)` for every
+    i < count is row 0 of split_key_array([master], count)."""
+    # Scalar operands are masked Python ints: numpy warns when a uint64
+    # scalar wraps, while arrays wrap silently by design.
+    salted = np.array([(key & MASK64) ^ _SPLIT_SALT for key in keys], dtype=np.uint64)
+    x = np.arange(1, count + 1, dtype=np.uint64)
+    x *= GOLDEN_U64
+    return mix64_array(salted[:, None] + x)
+
+
 def stream_key_array(seeds, particles: int, tags) -> np.ndarray:
     """Vectorised `stream_key` of particles 0..particles-1 under every
     seed and tag, in one pass: uint64 of shape
     (len(seeds), len(tags), particles). Seeds are masked to 64 bits, as
     `split_key` masks them."""
-    # Scalar operands are masked Python ints: numpy warns when a uint64
-    # scalar wraps, while arrays wrap silently by design.
-    salted = np.array([(seed & MASK64) ^ _SPLIT_SALT for seed in seeds], dtype=np.uint64)
-    x = np.arange(1, particles + 1, dtype=np.uint64)
-    x *= GOLDEN_U64
-    x = mix64_array(salted[:, None] + x)  # split_key(seed, particle)
+    x = split_key_array(seeds, particles)  # split_key(seed, particle)
     x ^= np.uint64(_SPLIT_SALT)
     steps = np.array([(GOLDEN * (tag + 1)) & MASK64 for tag in tags], dtype=np.uint64)
     return mix64_array(x[:, None, :] + steps[:, None])  # split_key(., tag)

@@ -107,6 +107,53 @@ def test_given_stream_keys_are_the_derived_ones(variant):
             ParticleSystem(K(20), 7, variant, 3, keys=bad)
 
 
+# A fresh system's first step report, (movers, newly happy, newly
+# unhappy, meetings, dispersed after), at seed 41: literals from the
+# engine before systems made their state arrays at first read.
+FRESH_CASES = {
+    "complete-loops": (K(12, loops=True), 7, 0, {"std": (7, 7, 0, 21, True), "lazy": (5, 5, 0, 21, False)}),
+    "tree": (TopologySpec.tree(3), 9, (), {"std": (9, 0, 0, 36, False), "lazy": (6, 1, 0, 36, False)}),
+    "grid": (TopologySpec.grid(2), 6, (0, 0), {"std": (6, 2, 0, 15, False), "lazy": (4, 2, 0, 15, False)}),
+}
+
+
+@pytest.mark.parametrize("family", list(FRESH_CASES))
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy"])
+def test_a_never_pooled_system_answers_each_first_read_as_made(family, variant):
+    # Each read is the first one a fresh system gets, so each makes the
+    # state arrays it reads from the origin, the keys and M.
+    spec, M, origin, first_step = FRESH_CASES[family]
+
+    def fresh():
+        return ParticleSystem(spec, M, variant, seed=41)
+
+    assert fresh().positions == [origin] * M
+    assert fresh().walk_counts.tolist() == [0] * M
+    assert fresh().is_dispersed() is False
+    assert fresh().happy_unhappy_counts() == (0, M)
+    assert fresh().boundary_abort is False
+    assert tuple(fresh().step()) == first_step["lazy" if variant.kind == "lazy" else "std"]
+    assert fresh().run(0).to_record() == {
+        "schema": SCHEMA, "status": "budget_exhausted", "t_disp": None, "d_disp": 0,
+        "max_distance_ever": 0, "meeting_total": 0, "walk_steps_min": 0,
+        "walk_steps_median": 0, "walk_steps_max": 0, "seed": 41,
+    }
+
+
+def test_a_state_array_set_on_a_fresh_system_is_kept():
+    # Arrays set by assignment before any read stay; the rest are made
+    # as at t = 0, the same as arrays written in place after a read.
+    written = ParticleSystem(TopologySpec.grid(2), 6, seed=31)
+    written._posv[0, :3] = 1
+    written._occ[:] = 3  # three particles on (1, 0), three on the origin
+    assigned = ParticleSystem(TopologySpec.grid(2), 6, seed=31)
+    assigned._posv = written._posv.copy()
+    assigned._occ = written._occ.copy()
+    assert assigned.walk_counts.tolist() == [0] * 6
+    assert assigned.positions == written.positions == [(1, 0)] * 3 + [(0, 0)] * 3
+    assert assigned.run(1000).to_record() == written.run(1000).to_record()
+
+
 # -- trivial and near-trivial runs ---------------------------------------------
 
 

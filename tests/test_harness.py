@@ -420,6 +420,30 @@ def test_chunked_stream_keys_equal_systems_built_one_by_one(monkeypatch):
     assert all(r.dispersed for r in results) and len({r.t_disp for r in results}) > 1
 
 
+@pytest.mark.parametrize("family", ["tree", "grid"])
+def test_chunked_stream_keys_fill_multi_row_slots_bit_for_bit(monkeypatch, family):
+    # Two-row vertices (tree addresses, 2-D grid points) fill their slots
+    # from the origin and the keys across key chunks and refills: with
+    # the width patched to 3 for the chunks and the pool, 2 * width + 3
+    # replicas fill two chunks and start a third.
+    spec, M = ARRAY_FAMILIES[family]
+    width = 3
+    monkeypatch.setattr(harness, "lockstep_batch_size", lambda topo, M: width)
+    pools, systems = _kept_systems(monkeypatch, width)
+    exp = ExperimentSpec(spec, M, lazy(0.5), budget=3000, replicas=2 * width + 3, master_seed=23)
+    results, _ = run_replicas(exp)
+    chunks = [len(list(g)) for _, g in itertools.groupby(systems, lambda ps: id(ps._keys.base))]
+    assert chunks == [width, width, 3] and pools == [(2 * width + 3, width)]
+    exp = exp.resolve()
+    for i, (res, ps) in enumerate(zip(results, systems)):
+        ref = ParticleSystem(exp.topology, M, exp.variant, derive_seed(23, i), force_generic=True)
+        want = ref.run(exp.budget)
+        assert res.to_record() == want.to_record()
+        assert res.walk_counts.tolist() == want.walk_counts.tolist()
+        assert ps.positions == ref.positions
+    assert all(r.dispersed for r in results) and len({r.t_disp for r in results}) > 1
+
+
 # -- complete-graph replicas in lockstep ---------------------------------------
 
 
@@ -1004,9 +1028,9 @@ def test_cayley_bfs_runs_once_per_group():
     spec = TopologySpec.cayley((5, 7), [(1, 0), (-1, 0), (0, 1), (0, -1)])
     results, _ = run_replicas(ExperimentSpec(spec, 6, replicas=4, master_seed=2))
     info = topology._cayley_bfs.cache_info()
-    # The graph built for the pool's width runs the BFS; the four systems
-    # reuse it.
-    assert len(results) == 4 and (info.misses, info.hits) == (1, 4)
+    # The pool's one build runs the BFS, and its four systems share that
+    # topology: none builds its own.
+    assert len(results) == 4 and (info.misses, info.hits) == (1, 0)
 
 
 def test_lockstep_batch_size_batches_every_array_family():

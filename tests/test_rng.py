@@ -15,6 +15,7 @@ from disperse.rng import (
     mix64,
     mix64_array,
     split_key,
+    split_key_array,
     stream_counts,
     stream_key,
     stream_key_array,
@@ -196,6 +197,18 @@ def test_stream_key_array_matches_scalar(seeds, tags, particles):
 
 def test_derive_seed_matches_split():
     assert derive_seed(123, 5) == split_key(123, 5)
+
+
+@given(st.lists(st.integers(0, 1 << 70), max_size=4), st.integers(0, 50))
+@settings(**SETTINGS)
+@example([MASK64, 1 << 64], 3)
+def test_split_key_array_matches_scalar(keys, count):
+    got = split_key_array(keys, count)
+    assert got.dtype == np.uint64 and got.shape == (len(keys), count)
+    assert got.tolist() == [[split_key(key, i) for i in range(count)] for key in keys]
+    # One master's row is every replica's derive_seed.
+    for key in keys[:1]:
+        assert split_key_array([key], count)[0].tolist() == [derive_seed(key, i) for i in range(count)]
 
 
 def test_to_unit_range_and_resolution():
