@@ -575,8 +575,9 @@ class ParticleSystem:
 # Occupancy of a batch of R replicas is counted with one bincount over
 # R * span bins, span being the width of the packed vertex codes, when
 # those fit in this many, else by a sort (see _Occupancy).
-# lockstep_batch_size sizes batches by it too.
-LOCKSTEP_ELEMENTS = 2**15
+# lockstep_batch_size sizes batches by it too, so a batch charged its
+# bins is always counted by bincount.
+LOCKSTEP_ELEMENTS = 2**16
 
 # A bincount-regime step that moves at most this share of the batch's
 # particles updates the kept bins by its moves instead of recounting
@@ -607,7 +608,7 @@ class _Occupancy:
     changed span or a fresh batch recounts too. The kept keys are their
     own array: at R = 1 the codes may be the positions themselves.
     A median step moves 4.4% of the particles on the `complete-lazy-cli`
-    benchmark, where 1284 of 1311 counts update, 18.7% on
+    benchmark, where 675 of 711 counts update, 18.7% on
     `complete-super`, where none does, and 32.5% on `path-long`, where
     220 of 2973 do."""
 
@@ -718,8 +719,11 @@ class _Occupancy:
 def lockstep_batch_size(topo: Topology, M: int) -> int:
     """Replicas of M particles on topo per lockstep batch (at least one):
     R * (M + n) <= LOCKSTEP_ELEMENTS when a replica's n occupancy bins fit
-    beside its particles, else R * M <= LOCKSTEP_ELEMENTS. Larger batches
-    cost memory and gain little speed."""
+    beside its particles, else R * M <= LOCKSTEP_ELEMENTS. A wider batch
+    pays a step's fixed cost for more replicas but holds more memory: on
+    `complete-lazy-cli` (K_1000, M=700), 38 replicas a step at 2^16 take
+    about 7% less time than 19 at 2^15, for 2-3 MB more peak RSS;
+    76 at 2^17 gain nothing more and hold about 8 MB more."""
     n = topo.n_vertices
     bins = n if n is not None and M + n <= LOCKSTEP_ELEMENTS else 0
     return max(1, LOCKSTEP_ELEMENTS // (M + bins))

@@ -1034,32 +1034,90 @@ def test_cayley_bfs_runs_once_per_group():
 
 
 def test_lockstep_batch_size_batches_every_array_family():
+    E = engine.LOCKSTEP_ELEMENTS
+
     def size(topo, M):
         return lockstep_batch_size(build(ExperimentSpec(topo, M).resolve().topology), M)
 
     # Bins fit: R (M + n) <= LOCKSTEP_ELEMENTS, as for K_n before.
-    assert size(TopologySpec.complete(1000), 600) == 2**15 // 1600
-    assert size(TopologySpec.cycle(100), 10) == 2**15 // 110
+    assert size(TopologySpec.complete(1000), 600) == E // 1600
+    assert size(TopologySpec.cycle(100), 10) == E // 110
     # Unbounded or too many vertices: R M particles, keys sorted.
-    assert size(TopologySpec.path(), 100) == 2**15 // 100
-    assert size(TopologySpec.tree(3), 4096) == 8
-    assert size(TopologySpec.hypercube(16), 100) == 2**15 // 100
+    assert size(TopologySpec.path(), 100) == E // 100
+    assert size(TopologySpec.tree(3), 4096) == E // 4096
+    assert size(TopologySpec.hypercube(16), 100) == E // 100
     # Keys past int64 lexsort the rows, so they do not limit a batch.
-    assert size(TopologySpec.hypercube(62), 2) == 2**15 // 2
-    assert size(TopologySpec.grid(2), 10) == 2**15 // 10
-    assert size(TopologySpec.cayley((4, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)]), 5) == 2**15 // 17
-    assert size(TopologySpec.hypercube(63), 2) == 2**15 // 2
-    # Bins that do not fit beside the particles are left out of the sum;
-    # past the budget a batch still holds one replica.
-    assert size(TopologySpec.complete(2**15), 2**14) == 2
-    assert size(TopologySpec.complete(2**14), 2**14) == 1
-    assert size(TopologySpec.path(), 2**16) == 1
+    assert size(TopologySpec.hypercube(62), 2) == E // 2
+    assert size(TopologySpec.grid(2), 10) == E // 10
+    assert size(TopologySpec.cayley((4, 3), [(1, 0), (-1, 0), (0, 1), (0, -1)]), 5) == E // 17
+    assert size(TopologySpec.hypercube(63), 2) == E // 2
+    # Bins that do not fit beside the particles are left out of the sum
+    # (M + n = 3E / 2); bins that just fit are charged (M + n = E); past
+    # the budget a batch still holds one replica.
+    assert size(TopologySpec.complete(E), E // 2) == 2
+    assert size(TopologySpec.complete(E // 2), E // 2) == 1
+    assert size(TopologySpec.path(), 2 * E) == 1
+
+
+# K_n, star, cycle, hypercube and cayley shapes whose batches are charged
+# their n bins: the batch rule keeps R (M + n), and so R n, within the
+# budget that the bincount rule reads.
+CHARGED_SHAPES = {
+    "complete": (TopologySpec.complete(1000, with_loops=True), 700, lazy(0.5)),
+    "star": (TopologySpec.star(2000), 300, STANDARD),
+    "cycle": (TopologySpec.cycle(5000), 100, STANDARD),
+    "hypercube": (TopologySpec.hypercube(12), 100, STANDARD),
+    "cayley": (TopologySpec.cayley((64, 64), [(1, 0), (-1, 0), (0, 1), (0, -1)]), 50, STANDARD),
+}
+
+
+@pytest.mark.parametrize("shape", list(CHARGED_SHAPES))
+@pytest.mark.parametrize("budget", ["default", "patched"])
+def test_a_full_width_pool_counts_by_bincount(monkeypatch, shape, budget):
+    spec, M, variant = CHARGED_SHAPES[shape]
+    topo = build(spec)
+    n = topo.n_vertices
+    if budget == "patched":
+        # Two replicas, with M + n - 1 elements of the budget unused.
+        monkeypatch.setattr(engine, "LOCKSTEP_ELEMENTS", 3 * (M + n) - 1)
+    width = lockstep_batch_size(topo, M)
+    # Charged its bins: a replica more would pass the budget.
+    assert width * (M + n) <= engine.LOCKSTEP_ELEMENTS < (width + 1) * (M + n)
+    counts = []
+
+    class Spy(engine._Occupancy):
+        def __call__(self, *args, **kwargs):
+            occ = super().__call__(*args, **kwargs)
+            counts.append((self.R, self.bins))  # for the span just counted
+            return occ
+
+    monkeypatch.setattr(engine, "_Occupancy", Spy)
+    advance_lockstep([ParticleSystem(spec, M, variant, seed=s) for s in range(width)], 1)
+    assert counts[0] == (width, True)
+
+
+def test_halving_the_budget_leaves_lazy_kn_records_unchanged(monkeypatch):
+    # 50 replicas through pools as wide as the default budget and half of
+    # it allow (38 and 19 at 2^16): refills and narrowing differ, the
+    # records do not.
+    exp = ExperimentSpec(
+        TopologySpec.complete(1000, with_loops=True), 700, lazy(0.5), replicas=50, master_seed=31
+    )
+    topo = build(exp.resolve().topology)
+    runs = []
+    for budget in (engine.LOCKSTEP_ELEMENTS, engine.LOCKSTEP_ELEMENTS // 2):
+        monkeypatch.setattr(engine, "LOCKSTEP_ELEMENTS", budget)
+        pools, _ = _kept_systems(monkeypatch)
+        results, stats = run_replicas(exp)
+        assert pools == [(50, lockstep_batch_size(topo, 700))]
+        runs.append(([r.to_record() for r in results], [r.walk_counts.tolist() for r in results], stats))
+    assert runs[0] == runs[1]
 
 
 def test_hypercube_past_62_dimensions_batches_by_default(monkeypatch):
     # Keys past int64 no longer cap a batch at one replica.
     exp = ExperimentSpec(TopologySpec.hypercube(64), 128, replicas=6, master_seed=3)
-    assert lockstep_batch_size(build(exp.resolve().topology), 128) == 2**15 // 128
+    assert lockstep_batch_size(build(exp.resolve().topology), 128) == engine.LOCKSTEP_ELEMENTS // 128
     pools, systems = _kept_systems(monkeypatch)
     results, _ = run_replicas(exp)
     assert pools == [(6, 6)]
