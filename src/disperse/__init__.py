@@ -17,7 +17,6 @@ from .engine import (
     StepReport,
     TrajectoryLog,
     Variant,
-    WalkMode,
     lazy,
 )
 from .harness import (
@@ -59,7 +58,6 @@ __all__ = [
     "TopologySpec",
     "TrajectoryLog",
     "Variant",
-    "WalkMode",
     "aggregate",
     "derive_seed",
     "grid_step_budget",

@@ -20,9 +20,7 @@ slot, and the reference loop's decoding, moves the whole block; only
 `stream_keys` and the two draw sites know which streams a variant has.
 `stream_keys` is one pass over any number of seeds: the harness
 derives a chunk of seeds' keys at once, and a system given none
-derives its own. The two walk modes run the same code: a counter-based
-draw needs no buffer, so `walk_mode` has no effect on results and is
-kept only so that configs naming either mode still replay.
+derives its own.
 
 One production kernel, the lockstep array kernel `lockstep_pool`
 (`advance_lockstep` runs it to its end), runs every input on int64
@@ -42,14 +40,12 @@ are dropped, so a live replica's state exists once, and a system that
 a pool holds is refused by name if it is stepped or pooled again. The
 replicas that leave at one step get arrays cut from their slots in one
 take, and what their results read off them, dispersal and d_disp, is
-read for all of them at once. On 1e5 K_8 replicas (loops, M=5) through
-the harness a replica took about 26 µs when each system made its
-arrays at construction and left alone, and 15 µs since. A single
-system's step() and run() are the R = 1 case, and so move the system
-in and out on each call. A step
-gathers the movers' vertex rows and hands them, with their draws, to
-`neighbor_array`, which may overwrite both: the tree, the grid and the
-hypercube write the destinations into the gathered rows.
+read for all of them at once, so a short replica costs little beyond
+its steps. A single system's step() and run() are the R = 1 case, and
+so move the system in and out on each call. A step gathers the movers'
+vertex rows and hands them, with their draws, to `neighbor_array`,
+which may overwrite both: the tree, the grid and the hypercube write
+the destinations into the gathered rows.
 
 Occupancy is counted on packed (replica, vertex) keys: replica * span
 plus a vertex code in [0, span), where the span is n on K_n, star,
@@ -62,11 +58,10 @@ index; the choice is made afresh each step, as the span grows and as
 replicas come and go. In the bincount regime a step that moves at most
 UPDATE_FRACTION (1/8) of the batch's particles keeps the bins and each
 particle's key, and the next such step at the same span updates them
-from its moves alone; a newcomer's slot is recounted on entry. A median
-step moves 4.4% of the particles on the lazy K_n runs of the
-`complete-lazy-cli` benchmark, which update, 18.7% on `complete-super`
-and 32.5% on `path-long`, which recount. `lockstep_batch_size` sizes a
-batch by the same budget of elements. Tuple addresses are decoded only
+from its moves alone; a newcomer's slot is recounted on entry. Lazy K_n
+steps move a few percent of the batch and so update; standard K_n and
+path steps move more and recount. `lockstep_batch_size` sizes a batch
+by the same budget of elements. Tuple addresses are decoded only
 for `positions` and trajectory events.
 
 A system carries its step-start occupancy, each particle's count of
@@ -140,8 +135,10 @@ __all__ = [
 
 SCHEMA = "disperse/1"
 
-# A trajectory log refuses to list more than this many move events.
-RECORD_EVENT_CAP = 50_000_000
+# A trajectory log refuses to list more than this many move events. A
+# held event takes about 90 B on the path and 180 B on the tree, so the
+# cap keeps a read under 2 GB and refuses it before memory runs out.
+RECORD_EVENT_CAP = 10_000_000
 
 # Supercritical runs never end on their own; a hard cap is mandatory.
 DEFAULT_BUDGET = 10**7
@@ -154,8 +151,14 @@ class Status(str, Enum):
 
 
 class WalkMode(str, Enum):
-    """Accepted so that configs naming either mode replay; both modes
-    run the same code and give identical results."""
+    """Selects nothing: every draw is counter-based, so both modes run
+    the same code and give identical results. It stays while something
+    still names it: `perfbench/bench.py` builds its step-profile system
+    with `walk_mode=exp.walk_mode`, and every NDJSON and CSV header
+    writes `walk_mode=on-demand`, so those headers replay. The enum, the
+    `ParticleSystem` keyword (which still refuses a value no mode names),
+    `ExperimentSpec.walk_mode` and the cli's config row go together once
+    the benchmark stops passing it."""
 
     ON_DEMAND = "on-demand"
     PREDETERMINED = "predetermined"
@@ -332,9 +335,6 @@ class ParticleSystem:
     it gets arrays cut from the slot, rows of blocks shared with the
     replicas that leave at the same step, and the pool's reading of its
     dispersal and d_disp, which its result takes until it steps again.
-    On 1e5 K_8 replicas (loops, M=5) through the harness a replica cost
-    about 26 µs before systems held only their keys and left in one
-    take, and 15 µs after.
 
     `spec` may be the graph's Topology instead, so that a pool's systems
     share one build. `keys`, when given, is the system's block of
@@ -365,7 +365,7 @@ class ParticleSystem:
         self.topo: Topology = topo
         self.particles = particles
         self.variant = variant
-        self.walk_mode = WalkMode(walk_mode)
+        WalkMode(walk_mode)  # refuses a value no mode names; stores nothing
         self.seed = as_int("seed", seed) & MASK64
         self.t = 0
         self.meeting_total = 0
@@ -607,10 +607,10 @@ class _Occupancy:
     A denser step recounts every particle and keeps nothing, and a
     changed span or a fresh batch recounts too. The kept keys are their
     own array: at R = 1 the codes may be the positions themselves.
-    A median step moves 4.4% of the particles on the `complete-lazy-cli`
-    benchmark, where 675 of 711 counts update, 18.7% on
-    `complete-super`, where none does, and 32.5% on `path-long`, where
-    220 of 2973 do."""
+    Lazy K_n steps move a few percent of the batch, so nearly all of
+    their counts update; a standard K_n pool in its long steady state
+    moves too many particles to update, and so does most of a path's
+    run."""
 
     def __init__(self, topo: Topology, M: int, R: int):
         self.topo, self.M, self.R = topo, M, R
@@ -720,10 +720,8 @@ def lockstep_batch_size(topo: Topology, M: int) -> int:
     """Replicas of M particles on topo per lockstep batch (at least one):
     R * (M + n) <= LOCKSTEP_ELEMENTS when a replica's n occupancy bins fit
     beside its particles, else R * M <= LOCKSTEP_ELEMENTS. A wider batch
-    pays a step's fixed cost for more replicas but holds more memory: on
-    `complete-lazy-cli` (K_1000, M=700), 38 replicas a step at 2^16 take
-    about 7% less time than 19 at 2^15, for 2-3 MB more peak RSS;
-    76 at 2^17 gain nothing more and hold about 8 MB more."""
+    pays a step's fixed cost for more replicas but holds more memory;
+    past 2^16 elements the time saved no longer pays for the memory."""
     n = topo.n_vertices
     bins = n if n is not None and M + n <= LOCKSTEP_ELEMENTS else 0
     return max(1, LOCKSTEP_ELEMENTS // (M + bins))

@@ -73,6 +73,7 @@ __all__ = [
 DEFAULT_GRID_OMEGA = 20.0
 DEFAULT_HYPERCUBE_OMEGA = 2.0
 
+# The standard normal quantile of a two-sided 95% interval.
 _Z95 = 1.959963984540054
 
 
@@ -134,9 +135,11 @@ def grid_step_budget(M: int, omega: float) -> int:
     return math.ceil(2.0 * omega * M * M * math.log(M))
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson score interval for a success fraction."""
     if trials == 0:
         return 0.0, 1.0
+    z = _Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -244,10 +247,7 @@ def _pool_results(exp: ExperimentSpec, seeds: list[int]) -> Iterator[tuple[int, 
         for start in range(0, len(seeds), width):
             chunk = seeds[start : start + width]
             for seed, keys in zip(chunk, stream_keys(chunk, exp.M, exp.variant)):
-                ps = ParticleSystem(
-                    topo, exp.M, variant=exp.variant, seed=seed,
-                    walk_mode=exp.walk_mode, keys=keys,
-                )
+                ps = ParticleSystem(topo, exp.M, variant=exp.variant, seed=seed, keys=keys)
                 if exp.record_trajectories:
                     ps.record_trajectories(True)
                 yield ps

@@ -3,8 +3,7 @@
 Every random decision in the simulator is a pure function of
 (key, counter), where keys are derived by splitting a 64-bit seed.
 That gives each particle its own direction and laziness stream,
-lets a draw be made when it is needed with no buffered walk (so the
-on-demand and predetermined walk modes run the same code), and keeps
+lets a draw be made when it is needed with no buffered walk, and keeps
 replicated runs reproducible under any parallelism level.
 
 The counter-th draw of stream `key` is mix64(key + GOLDEN * counter),

@@ -320,7 +320,11 @@ _FIELDS = (
 )
 
 
-def default_leaf_depth(k: int, particles: int, eps: float = 0.25) -> int:
+# The depth band's eps in the default tree truncation.
+_LEAF_DEPTH_EPS = 0.25
+
+
+def default_leaf_depth(k: int, particles: int) -> int:
     """Default tree truncation: the depth upper bound plus slack.
 
     ceil((2 - beta_k + 2*eps) * log_{k-1} M) + 8 with eps = 0.25, so a
@@ -331,7 +335,7 @@ def default_leaf_depth(k: int, particles: int, eps: float = 0.25) -> int:
     if particles < 2:
         return 8
     beta = 1.0 / 3.0 - 1.0 / (3.0 * math.log(k, k - 1))
-    return math.ceil((2.0 - beta + 2.0 * eps) * math.log(particles, k - 1)) + 8
+    return math.ceil((2.0 - beta + 2.0 * _LEAF_DEPTH_EPS) * math.log(particles, k - 1)) + 8
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,15 @@ def test_walk_modes_agree_bitwise(spec):
         assert ra.walk_counts.tolist() == rb.walk_counts.tolist()
 
 
+def test_walk_mode_is_checked_and_not_stored():
+    # The keyword only keeps old callers working: a name no mode has is
+    # still refused, and a system holds nothing for it.
+    with pytest.raises(ValueError, match="bogus"):
+        ParticleSystem(K(20), 8, walk_mode="bogus")
+    ps = ParticleSystem(K(20), 8, walk_mode="predetermined")
+    assert not hasattr(ps, "walk_mode")
+
+
 def test_lazy_p1_replays_standard_run():
     for seed in (0, 3, 8):
         a = ParticleSystem(TopologySpec.cycle(9), 5, seed=seed)

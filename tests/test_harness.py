@@ -1324,7 +1324,7 @@ def test_coupling_audit_rejects_bad_inputs():
 def test_validate_suite_quick_passes(quick_report):
     report = quick_report
     assert report.passed, str(report)
-    assert len(report.checks) == 14
+    assert len(report.checks) == 13
     assert not report.failures
     text = str(report)
-    assert "14/14 checks passed" in text
+    assert "13/13 checks passed" in text
