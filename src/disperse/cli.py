@@ -9,10 +9,10 @@ scan), with every given flag over them, as flat config text. Each
 subcommand reads its own keys from that text and refuses any other by
 name before any work. Every run output embeds the fully resolved
 configuration and master seed. A scan output embeds its base experiment
-as given plus the resolved omega, and its axis and grid; each grid
-point resolves its own tree leaf depth, except on the density axis,
-whose points keep the base's. Feeding an embedded config back in
-reproduces the identical results.
+exactly as given, and its axis and grid; each grid point resolves its
+own tree leaf depth, except on the density axis, whose points keep the
+base's. Feeding an embedded config back in reproduces the identical
+results.
 Exit codes: 0 success, 1 validation failure, 2 argument or config error.
 """
 
@@ -73,7 +73,6 @@ _EXPERIMENT_FIELDS = (
     ("seed", "master_seed", int, _fmt),
     ("walk_mode", "walk_mode", WalkMode, lambda m: m.value),
     ("record_trajectories", "record_trajectories", config_bool, _fmt),
-    ("omega", "omega", float, lambda w: None if w is None else _fmt(w)),
 )
 _TOPOLOGY_KEYS = tuple(f.name for f in dataclasses.fields(TopologySpec))
 _EXPERIMENT_KEYS = _TOPOLOGY_KEYS + tuple(key for key, *_ in _EXPERIMENT_FIELDS)
@@ -89,6 +88,8 @@ def experiment_to_config(exp: ExperimentSpec) -> dict[str, str]:
 
 
 def config_to_experiment(cfg: dict[str, str]) -> ExperimentSpec:
+    # Earlier grid and hypercube headers carry this key; it changed no result.
+    cfg = {key: text for key, text in cfg.items() if key != "omega"}
     unknown = [key for key in cfg if key not in _EXPERIMENT_KEYS]
     if unknown:
         raise ValueError(f"config: not an experiment key: {', '.join(unknown)}")
@@ -269,11 +270,9 @@ def _cmd_scan(args) -> int:
     spec = ScanSpec(config_to_experiment(cfg), config_value("axis", axis, ScanAxis), values)
     progress = sys.stderr.isatty()
     points = scan(spec, parallelism=args.parallelism, progress=progress)
-    # No axis changes the family, so every point resolves the base's omega.
-    base = dataclasses.replace(spec.base, omega=points[0].experiment.omega)
     _emit(
         args,
-        {**experiment_to_config(base), "axis": axis, "grid": grid},
+        {**experiment_to_config(spec.base), "axis": axis, "grid": grid},
         [axis] + list(AggregateStats.COLUMNS),
         [{axis: pt.value, **pt.stats.to_row()} for pt in points],
     )

@@ -337,10 +337,12 @@ class ParticleSystem:
     dispersal and d_disp, which its result takes until it steps again.
 
     `spec` may be the graph's Topology instead, so that a pool's systems
-    share one build. `keys`, when given, is the system's block of
-    `stream_keys` for its seed, so that many systems' keys can be
-    derived in one pass; it is kept, not copied. Without it the system
-    derives its own.
+    share one build. A tree spec whose leaf_depth is None runs on the
+    infinite tree; `ExperimentSpec.resolve()`, whose one job this is,
+    fills in the default depth for M particles. `keys`, when given, is
+    the system's block of `stream_keys` for its seed, so that many
+    systems' keys can be derived in one pass; it is kept, not copied.
+    Without it the system derives its own.
     """
 
     def __init__(

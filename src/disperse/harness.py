@@ -51,8 +51,6 @@ from .rng import derive_seed, split_key_array
 from .topology import Family, TopologySpec, as_float, as_int, build, with_leaf_depth
 
 __all__ = [
-    "DEFAULT_GRID_OMEGA",
-    "DEFAULT_HYPERCUBE_OMEGA",
     "ExperimentSpec",
     "AggregateStats",
     "ScanAxis",
@@ -68,11 +66,6 @@ __all__ = [
     "pair_coupling_audit",
 ]
 
-# The step-bound and particle-cap schedules leave a free factor omega;
-# these are the defaults recorded in every output.
-DEFAULT_GRID_OMEGA = 20.0
-DEFAULT_HYPERCUBE_OMEGA = 2.0
-
 # The standard normal quantile of a two-sided 95% interval.
 _Z95 = 1.959963984540054
 
@@ -87,7 +80,6 @@ class ExperimentSpec:
     master_seed: int = 0
     record_trajectories: bool = False
     walk_mode: WalkMode = WalkMode.ON_DEMAND
-    omega: Optional[float] = None
 
     def __post_init__(self):
         for name in ("M", "budget", "replicas", "master_seed"):
@@ -98,34 +90,10 @@ class ExperimentSpec:
             raise ValueError("budget must be >= 1")
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-        if self.omega is not None:
-            object.__setattr__(self, "omega", as_float("omega", self.omega))
-            if not (math.isfinite(self.omega) and self.omega > 0):
-                raise ValueError(f"omega must be positive and finite, got {self.omega}")
 
     def resolve(self) -> "ExperimentSpec":
-        """Fill derived defaults: tree leaf depth from the particle
-        count, omega by family, and enforce the hypercube particle cap
-        M <= sqrt(n)/omega."""
-        topo = with_leaf_depth(self.topology, self.M)
-        omega = self.omega
-        if omega is None:
-            if topo.family is Family.GRID:
-                omega = DEFAULT_GRID_OMEGA
-            elif topo.family is Family.HYPERCUBE:
-                omega = DEFAULT_HYPERCUBE_OMEGA
-        if topo.family is Family.HYPERCUBE:
-            # The cap is the float sqrt(2^dim)/omega = 2^(dim // 2) * q,
-            # compared with M exactly as the fraction q = num/den times a
-            # power of two: 2^dim as a float overflows past 1023 dimensions.
-            q = math.sqrt(2 ** (topo.dim % 2)) / omega
-            num, den = q.as_integer_ratio()
-            if self.M * den > num << topo.dim // 2:
-                cap = math.ldexp(q, topo.dim // 2)
-                raise ValueError(
-                    f"M={self.M} exceeds the hypercube cap sqrt(n)/omega = {cap:.1f}"
-                )
-        return dataclasses.replace(self, topology=topo, omega=omega)
+        """Fill in a tree's unset leaf depth from M; refuses nothing."""
+        return dataclasses.replace(self, topology=with_leaf_depth(self.topology, self.M))
 
 
 def grid_step_budget(M: int, omega: float) -> int:
@@ -355,9 +323,9 @@ class ScanSpec:
     def points(self) -> list[ExperimentSpec]:
         """Every grid point's resolved experiment, under sub-master
         derive_seed(master_seed, i), in grid order. Raises on the first
-        point that does not resolve, so a grid can be checked, or a point
-        replayed, before anything runs; a malformed grid is refused
-        already when the ScanSpec is made."""
+        grid value its axis cannot apply (`_apply_axis`), so a grid can
+        be checked, or a point replayed, before anything runs; a
+        malformed grid is refused already when the ScanSpec is made."""
         return [
             dataclasses.replace(
                 _apply_axis(self.base, self.axis, value),
@@ -375,8 +343,8 @@ class ScanPoint:
 
 
 def _apply_axis(base: ExperimentSpec, axis: ScanAxis, value) -> ExperimentSpec:
-    """The base with one grid value applied, unresolved. Checks only what
-    resolving the point would not: a density axis needs a finite graph,
+    """The base with one grid value applied, unresolved. Refuses a value
+    the axis cannot apply: a density needs a finite graph and M in [1, n],
     tree-k and grid-dim values must be integers (the grid holds floats),
     and grid-dim needs a grid, since a hypercube also takes `dim`."""
     if axis is ScanAxis.DENSITY:

@@ -39,8 +39,8 @@ INVOCATIONS: dict[str, list[str]] = {
     "run-cayley-csv": ["run", "--family", "cayley", "--moduli", "8,8",
                        "--generators", "(1,0),(-1,0),(0,1),(0,-1)", "--particles", "6",
                        "--replicas", "2", "--seed", "3", "--budget", "40", "--format", "csv"],
-    "run-hypercube-omega-ndjson": ["run", "--family", "hypercube", "--dim", "10", "--omega", "4",
-                                   "--particles", "6", "--replicas", "2", "--seed", "5"],
+    "run-hypercube-ndjson": ["run", "--family", "hypercube", "--dim", "10",
+                             "--particles", "6", "--replicas", "2", "--seed", "5"],
     "run-tree-leaf-depth-ndjson": ["run", "--family", "tree", "--k", "3", "--leaf-depth", "6",
                                    "--particles", "20", "--replicas", "2", "--seed", "2",
                                    "--format", "ndjson"],
@@ -60,7 +60,6 @@ INVOCATIONS: dict[str, list[str]] = {
     "scan-tree-density-ndjson": ["scan", "--family", "tree", "--k", "3", "--particles", "10",
                                  "--replicas", "2", "--seed", "3", "--axis", "density",
                                  "--grid", "1e-4,5e-4"],
-    # omega is resolved by family.
     "scan-hypercube-density-csv": ["scan", "--family", "hypercube", "--dim", "8",
                                    "--particles", "5", "--replicas", "2", "--seed", "1",
                                    "--axis", "density", "--grid", "0.01,0.02",

@@ -205,7 +205,6 @@ def test_criterion_6_grid_budget(capsys):
         M=50,
         replicas=50,
         budget=budget,
-        omega=20.0,
         master_seed=606,
     )
     _, stats = run_replicas(exp)
@@ -220,6 +219,10 @@ def test_criterion_6_grid_budget(capsys):
 
 def test_criterion_7_hypercube(capsys):
     d, M = 16, 100
+    # The paper's bounds hold for n large enough in terms of M; these
+    # parameters sit in M <= sqrt(2^d) / 2, which a particle cap once
+    # enforced.
+    assert 4 * M * M <= 2**d  # 40000 <= 65536
     budget = (M // 2) * (d**3 // 4)  # 51200
     exp = ExperimentSpec(
         topology=TopologySpec.hypercube(d),

@@ -134,15 +134,8 @@ def test_run_holds_each_result_only_until_it_is_packaged(tmp_path, live_results,
         assert records[-1] == {"schema": "disperse/1", "record": "aggregate", **stats.to_row()}
 
 
-@pytest.mark.parametrize(
-    "exp",
-    [
-        ExperimentSpec(TopologySpec.complete(30), 5, lazy(np.float64(0.5))),
-        ExperimentSpec(TopologySpec.grid(2), 5, omega=np.float64(2.5)),
-    ],
-    ids=["lazy-p", "omega"],
-)
-def test_specs_made_with_numpy_floats_replay(exp):
+def test_specs_made_with_numpy_floats_replay():
+    exp = ExperimentSpec(TopologySpec.complete(30), 5, lazy(np.float64(0.5)))
     cfg = cli.experiment_to_config(exp)
     assert cli.config_to_experiment(cfg) == exp
 
@@ -168,6 +161,25 @@ def test_walk_mode_and_record_trajectories_are_config_keys_only(tmp_path):
     lines, other_lines = out.read_text().splitlines(), other.read_text().splitlines()
     assert json.loads(other_lines[0])["config"]["walk_mode"] == "on-demand"
     assert lines[1:] == other_lines[1:]
+
+
+def test_old_headers_naming_omega_replay(tmp_path, capsys):
+    # Grid and hypercube headers of earlier versions carry an omega key,
+    # which is dropped unread: the records are those of the same config
+    # without it. It is no flag.
+    assert run_cli(RUN_ARGS + ["--omega", "4"]) == 2
+    assert "unrecognized arguments: --omega 4" in capsys.readouterr().err
+    for topology, omega in (("family = grid\ndim = 2\nparticles = 5\n", "20"),
+                            ("family = hypercube\ndim = 10\nparticles = 6\n", "4")):
+        config = f"[disperse]\n{topology}replicas = 3\nseed = 2\n"
+        outputs = []
+        for text in (config, config + f"omega = {omega}\n"):
+            ini, out = tmp_path / "c.ini", tmp_path / "o.ndjson"
+            ini.write_text(text)
+            assert run_cli(["run", "--config", str(ini), "--out", str(out)]) == 0
+            outputs.append(out.read_text().splitlines())
+        assert len(outputs[1]) == 5 and outputs[1][1:] == outputs[0][1:]
+        assert "omega" not in json.loads(outputs[1][0])["config"]
 
 
 @pytest.mark.parametrize(
@@ -336,8 +348,9 @@ def test_scan_points_resolve_like_library_scan(tmp_path, monkeypatch, k, particl
 
 
 def test_hypercube_density_scan_runs_past_the_base_cap(tmp_path):
-    # The base M=100 exceeds the hypercube(8) cap sqrt(256)/2 = 8, but no
-    # grid point does (M = 3 and 5), so the CLI runs what scan() runs.
+    # The base M=100 is above sqrt(256)/2 = 8, the hypercube(8) cap that
+    # once refused it; the CLI runs what scan() runs (M = 3 and 5) and
+    # embeds the base as given.
     out = tmp_path / "h.ndjson"
     args = ["scan", "--family", "hypercube", "--dim", "8", "--particles", "100",
             "--replicas", "2", "--seed", "1", "--axis", "density", "--grid", "0.01,0.02"]
@@ -351,7 +364,7 @@ def test_hypercube_density_scan_runs_past_the_base_cap(tmp_path):
         for pt in points
     ]
     assert lines[1:] == expected
-    assert lines[0]["config"]["omega"] == "2"
+    assert "omega" not in lines[0]["config"]
 
 
 def test_readme_scan_axes_match_code():
@@ -396,8 +409,8 @@ def test_a_malformed_value_names_its_key(tmp_path, capsys, ini, args, key):
 
 @pytest.mark.parametrize(
     "family, grid",
-    [(["complete", "--n", "20", "--with-loops"], "0.5,2.0"), (["hypercube", "--dim", "8"], "0.01,0.5")],
-    ids=["past-n", "hypercube-cap"],
+    [(["complete", "--n", "20", "--with-loops"], "0.5,2.0"), (["hypercube", "--dim", "8"], "0.01,2.0")],
+    ids=["past-n", "hypercube-past-n"],
 )
 def test_scan_with_an_invalid_point_runs_nothing_and_writes_nothing(
     tmp_path, monkeypatch, family, grid
@@ -551,7 +564,7 @@ def test_exit_2_on_unknown_flag():
 _TOPOLOGY_FLAGS = ["--dim", "--family", "--generators", "--k", "--leaf-depth", "--moduli", "--n",
                    "--no-with-loops", "--with-loops"]
 _RUN_FLAGS = sorted(_TOPOLOGY_FLAGS + ["--budget", "--config", "--format", "--help", "--lazy-p",
-                                       "--omega", "--out", "--parallelism", "--particles",
+                                       "--out", "--parallelism", "--particles",
                                        "--replicas", "--seed", "-h"])
 _FLAGS = {
     "run": _RUN_FLAGS,
@@ -624,18 +637,16 @@ def test_exit_2_on_vertex_count_past_int64(capsys):
 
 
 def test_hypercube_cap_takes_dimensions_past_float_range(capsys):
-    # 2^1100 has no float form; the cap sqrt(n)/omega is compared exactly.
+    # The hypercube caps no particle count: 513 once exceeded
+    # sqrt(2^20)/2 = 512 and exited 2.
+    args = ["run", "--family", "hypercube", "--dim", "20", "--particles", "513"]
+    assert run_cli(args) == 0
+    captured = capsys.readouterr()
+    assert '"status": "dispersed"' in captured.out and captured.err == ""
+    # 2^1100 has no float form, and nothing needs one.
     args = ["run", "--family", "hypercube", "--dim", "1100", "--particles", "10"]
     assert run_cli(args) == 0
     assert '"status": "dispersed"' in capsys.readouterr().out
-    # At dim 20 the cap is 2^10 / 2 = 512, as before.
-    at_cap = ["run", "--family", "hypercube", "--dim", "20", "--particles", "512"]
-    assert run_cli(at_cap) == 0
-    capsys.readouterr()
-    assert run_cli(at_cap[:-1] + ["513"]) == 2
-    captured = capsys.readouterr()
-    assert "M=513 exceeds the hypercube cap sqrt(n)/omega = 512.0" in captured.err
-    assert captured.out == ""
 
 
 def test_exit_2_on_missing_config_file():
@@ -657,8 +668,6 @@ def no_work(monkeypatch):
 
 
 NON_FINITE = {
-    "run-omega-inf": RUN_ARGS + ["--omega", "inf"],
-    "run-omega-nan": RUN_ARGS + ["--omega", "nan"],
     "run-lazy-p-inf": RUN_ARGS + ["--lazy-p", "inf"],
     "scan-density-inf": SCAN_ARGS[:-1] + ["inf"],
     "scan-tree-k-inf": [
@@ -686,15 +695,6 @@ def _assert_one_error_line(capsys):
 def test_exit_2_on_non_finite_numbers(args, no_work, tmp_path, capsys):
     out = tmp_path / "o.ndjson"
     assert run_cli(args + ["--out", str(out)]) == 2
-    _assert_one_error_line(capsys)
-    assert not out.exists()
-
-
-def test_exit_2_on_non_finite_omega_in_config_file(no_work, tmp_path, capsys):
-    ini = tmp_path / "c.ini"
-    ini.write_text("[disperse]\nfamily = complete\nn = 20\nparticles = 5\nomega = inf\n")
-    out = tmp_path / "o.ndjson"
-    assert run_cli(["run", "--config", str(ini), "--out", str(out)]) == 2
     _assert_one_error_line(capsys)
     assert not out.exists()
 
@@ -731,7 +731,6 @@ REFUSED = {
     "particles-0": (_SMALL_RUN[:6] + ["0"] + _SMALL_RUN[7:], "need at least one particle"),
     "budget-0": (_SMALL_RUN + ["--budget", "0"], "budget must be >= 1"),
     "replicas-0": (_SMALL_RUN[:-1] + ["0"], "need at least one replica"),
-    "omega-neg": (_SMALL_RUN + ["--omega", "-1"], "omega must be positive and finite, got -1.0"),
     "lazy-p-decreasing": (
         ["scan", *_SMALL_RUN[1:], "--axis", "lazy-p", "--grid", "0.5,0.25"],
         "scan grid must be strictly increasing",

@@ -22,8 +22,6 @@ from disperse.engine import (
     lockstep_pool,
 )
 from disperse.harness import (
-    DEFAULT_GRID_OMEGA,
-    DEFAULT_HYPERCUBE_OMEGA,
     AggregateStats,
     ExperimentSpec,
     ScanAxis,
@@ -144,29 +142,22 @@ def test_aggregate_single_particle_trivial_stats():
 
 def test_resolve_fills_family_defaults():
     grid = ExperimentSpec(topology=TopologySpec.grid(2), M=10).resolve()
-    assert grid.omega == DEFAULT_GRID_OMEGA
-    cube = ExperimentSpec(topology=TopologySpec.hypercube(16), M=10).resolve()
-    assert cube.omega == DEFAULT_HYPERCUBE_OMEGA
+    assert grid == ExperimentSpec(topology=TopologySpec.grid(2), M=10)
     tree = ExperimentSpec(topology=TopologySpec.tree(3), M=4096).resolve()
     assert tree.topology.leaf_depth == 37
-    comp = ExperimentSpec(topology=TopologySpec.complete(10), M=4).resolve()
-    assert comp.omega is None
     # Resolution is idempotent.
     assert grid.resolve() == grid
+    assert tree.resolve() == tree
 
 
-def test_resolve_enforces_hypercube_cap():
-    # sqrt(2^4)/2 = 2 particles at most.
-    exp = ExperimentSpec(topology=TopologySpec.hypercube(4), M=10)
-    with pytest.raises(ValueError, match="cap"):
-        exp.resolve()
-    override = dataclasses.replace(exp, omega=0.1)
-    assert override.resolve().M == 10
-    # Past 1023 dimensions 2^dim has no float form; the cap still applies.
-    big = ExperimentSpec(topology=TopologySpec.hypercube(1100), M=10).resolve()
-    assert big.omega == DEFAULT_HYPERCUBE_OMEGA
-    with pytest.raises(ValueError, match="cap"):
-        dataclasses.replace(big, omega=2.0**560).resolve()
+def test_hypercube_takes_any_particle_count(monkeypatch):
+    # hypercube(4) at M=10: sqrt(2^4)/2 = 2 was once the most it took.
+    pools, systems = _kept_systems(monkeypatch)
+    exp = ExperimentSpec(TopologySpec.hypercube(4), 10, budget=3000, replicas=3, master_seed=4)
+    assert exp.resolve() == exp
+    results, _ = run_replicas(exp)
+    assert len(systems) == 3 and all(r.dispersed for r in results)
+    _assert_equal_generic_runs(exp, results, systems)
 
 
 def test_experiment_validation_errors():
@@ -175,22 +166,9 @@ def test_experiment_validation_errors():
         dict(M=0),
         dict(budget=0),
         dict(replicas=0),
-        dict(omega=-1.0),
-        dict(omega=math.inf),
-        dict(omega=math.nan),
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(good, **bad)
-
-
-def test_omega_is_read_as_a_float():
-    # omega is held as a float, since a config writes its text back.
-    exp = ExperimentSpec(TopologySpec.grid(2), 5, omega=np.float64(2.5))
-    assert type(exp.omega) is float and type(exp.resolve().omega) is float
-    with pytest.raises(ValueError, match=r"^omega must be a number, got '3'$"):
-        ExperimentSpec(TopologySpec.grid(2), 5, omega="3")
-    with pytest.raises(ValueError, match=r"^omega must be a finite number, got 1000"):
-        ExperimentSpec(TopologySpec.grid(2), 5, omega=10**400)
 
 
 @pytest.mark.parametrize("field", ["M", "budget", "replicas", "master_seed"])
@@ -1232,14 +1210,14 @@ def test_density_scan_refuses_infinite_tree(tree):
 
 
 # Density grids whose later point is refused: past K_20's n, and past
-# the hypercube(8) particle cap sqrt(256) / 2 = 8.
+# the n = 256 of hypercube(8).
 INVALID_SCANS = [
     (TopologySpec.complete(20, with_loops=True), (0.5, 2.0), "M=40 outside"),
-    (TopologySpec.hypercube(8), (0.01, 0.5), "hypercube cap"),
+    (TopologySpec.hypercube(8), (0.01, 2.0), "M=512 outside"),
 ]
 
 
-@pytest.mark.parametrize("topo, grid, match", INVALID_SCANS, ids=["past-n", "hypercube-cap"])
+@pytest.mark.parametrize("topo, grid, match", INVALID_SCANS, ids=["past-n", "hypercube-past-n"])
 def test_scan_refuses_an_invalid_point_before_running_any(monkeypatch, topo, grid, match):
     calls = []
     replica_results = harness.replica_results
