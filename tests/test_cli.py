@@ -134,8 +134,16 @@ def test_run_holds_each_result_only_until_it_is_packaged(tmp_path, live_results,
         assert records[-1] == {"schema": "disperse/1", "record": "aggregate", **stats.to_row()}
 
 
-def test_specs_made_with_numpy_floats_replay():
-    exp = ExperimentSpec(TopologySpec.complete(30), 5, lazy(np.float64(0.5)))
+@pytest.mark.parametrize(
+    "exp",
+    [
+        ExperimentSpec(TopologySpec.complete(30), 5, lazy(np.float64(0.5))),
+        ExperimentSpec(TopologySpec.grid(2), np.int64(5), budget=np.int64(100),
+                       replicas=np.int64(2), master_seed=np.uint64(7)),
+    ],
+    ids=["lazy-p", "integer-fields"],
+)
+def test_specs_made_with_numpy_floats_replay(exp):
     cfg = cli.experiment_to_config(exp)
     assert cli.config_to_experiment(cfg) == exp
 
@@ -163,23 +171,34 @@ def test_walk_mode_and_record_trajectories_are_config_keys_only(tmp_path):
     assert lines[1:] == other_lines[1:]
 
 
-def test_old_headers_naming_omega_replay(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "topology, omega",
+    [
+        ("family = grid\ndim = 2\nparticles = 5\n", "20"),
+        ("family = hypercube\ndim = 10\nparticles = 6\n", "4"),
+        # A value once refused as non-finite is not read either.
+        ("family = complete\nn = 20\nparticles = 5\n", "inf"),
+    ],
+    ids=["grid-omega-20", "hypercube-omega-4", "complete-omega-inf"],
+)
+def test_old_headers_naming_omega_replay(tmp_path, topology, omega):
     # Grid and hypercube headers of earlier versions carry an omega key,
     # which is dropped unread: the records are those of the same config
-    # without it. It is no flag.
+    # without it.
+    config = f"[disperse]\n{topology}replicas = 3\nseed = 2\n"
+    outputs = []
+    for text in (config, config + f"omega = {omega}\n"):
+        ini, out = tmp_path / "c.ini", tmp_path / "o.ndjson"
+        ini.write_text(text)
+        assert run_cli(["run", "--config", str(ini), "--out", str(out)]) == 0
+        outputs.append(out.read_text().splitlines())
+    assert len(outputs[1]) == 5 and outputs[1][1:] == outputs[0][1:]
+    assert "omega" not in json.loads(outputs[1][0])["config"]
+
+
+def test_omega_is_no_flag(capsys):
     assert run_cli(RUN_ARGS + ["--omega", "4"]) == 2
     assert "unrecognized arguments: --omega 4" in capsys.readouterr().err
-    for topology, omega in (("family = grid\ndim = 2\nparticles = 5\n", "20"),
-                            ("family = hypercube\ndim = 10\nparticles = 6\n", "4")):
-        config = f"[disperse]\n{topology}replicas = 3\nseed = 2\n"
-        outputs = []
-        for text in (config, config + f"omega = {omega}\n"):
-            ini, out = tmp_path / "c.ini", tmp_path / "o.ndjson"
-            ini.write_text(text)
-            assert run_cli(["run", "--config", str(ini), "--out", str(out)]) == 0
-            outputs.append(out.read_text().splitlines())
-        assert len(outputs[1]) == 5 and outputs[1][1:] == outputs[0][1:]
-        assert "omega" not in json.loads(outputs[1][0])["config"]
 
 
 @pytest.mark.parametrize(
@@ -636,17 +655,19 @@ def test_exit_2_on_vertex_count_past_int64(capsys):
     assert captured.out == ""
 
 
-def test_hypercube_cap_takes_dimensions_past_float_range(capsys):
+@pytest.mark.parametrize(
+    "dim, particles",
     # The hypercube caps no particle count: 513 once exceeded
-    # sqrt(2^20)/2 = 512 and exited 2.
-    args = ["run", "--family", "hypercube", "--dim", "20", "--particles", "513"]
+    # sqrt(2^20)/2 = 512 and exited 2. 2^1100 has no float form, and
+    # nothing needs one.
+    [("20", "513"), ("1100", "10")],
+    ids=["dim-20-past-old-cap", "dim-1100"],
+)
+def test_hypercube_cap_takes_dimensions_past_float_range(capsys, dim, particles):
+    args = ["run", "--family", "hypercube", "--dim", dim, "--particles", particles]
     assert run_cli(args) == 0
     captured = capsys.readouterr()
     assert '"status": "dispersed"' in captured.out and captured.err == ""
-    # 2^1100 has no float form, and nothing needs one.
-    args = ["run", "--family", "hypercube", "--dim", "1100", "--particles", "10"]
-    assert run_cli(args) == 0
-    assert '"status": "dispersed"' in capsys.readouterr().out
 
 
 def test_exit_2_on_missing_config_file():

@@ -150,10 +150,15 @@ def test_resolve_fills_family_defaults():
     assert tree.resolve() == tree
 
 
-def test_hypercube_takes_any_particle_count(monkeypatch):
-    # hypercube(4) at M=10: sqrt(2^4)/2 = 2 was once the most it took.
+@pytest.mark.parametrize(
+    "dim, M",
+    # sqrt(2^4)/2 = 2 and sqrt(2^6)/2 = 4 were once the most each took.
+    [(4, 10), (6, 40)],
+    ids=["dim-4-M-10", "dim-6-M-40"],
+)
+def test_hypercube_takes_any_particle_count(monkeypatch, dim, M):
     pools, systems = _kept_systems(monkeypatch)
-    exp = ExperimentSpec(TopologySpec.hypercube(4), 10, budget=3000, replicas=3, master_seed=4)
+    exp = ExperimentSpec(TopologySpec.hypercube(dim), M, budget=3000, replicas=3, master_seed=4)
     assert exp.resolve() == exp
     results, _ = run_replicas(exp)
     assert len(systems) == 3 and all(r.dispersed for r in results)
