@@ -12,6 +12,7 @@ from .engine import (
     SCHEMA,
     STANDARD,
     ParticleSystem,
+    ResultBlock,
     RunResult,
     Status,
     StepReport,
@@ -26,10 +27,12 @@ from .harness import (
     ScanPoint,
     ScanSpec,
     aggregate,
+    aggregate_blocks,
     grid_step_budget,
     nearest_rank_quantiles,
     pair_coupling_audit,
     replica_results,
+    result_blocks,
     run_replicas,
     scan,
     wilson_interval,
@@ -47,6 +50,7 @@ __all__ = [
     "Family",
     "ParticleSystem",
     "RECORD_EVENT_CAP",
+    "ResultBlock",
     "RunResult",
     "SCHEMA",
     "STANDARD",
@@ -59,12 +63,14 @@ __all__ = [
     "TrajectoryLog",
     "Variant",
     "aggregate",
+    "aggregate_blocks",
     "derive_seed",
     "grid_step_budget",
     "lazy",
     "nearest_rank_quantiles",
     "pair_coupling_audit",
     "replica_results",
+    "result_blocks",
     "run_replicas",
     "scan",
     "split_key",

@@ -13,7 +13,8 @@ exactly as given, and its axis and grid; each grid point resolves its
 own tree leaf depth, except on the density axis, whose points keep the
 base's. Feeding an embedded config back in reproduces the identical
 results.
-Exit codes: 0 success, 1 validation failure, 2 argument or config error.
+Exit codes: 0 success, 1 validation failure, 2 argument or config error,
+141 (128 + SIGPIPE) when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .harness import (
     ExperimentSpec,
     ScanAxis,
     ScanSpec,
-    aggregate,
-    replica_results,
+    aggregate_blocks,
+    result_blocks,
     scan,
 )
 from .topology import TopologySpec, config_bool, config_value
@@ -44,6 +45,9 @@ from .topology import TopologySpec, config_bool, config_value
 __all__ = ["main", "parse_and_dispatch", "build_parser"]
 
 _FORMATS = ("csv", "ndjson")
+
+# A shell's status for a process that SIGPIPE ended: 128 + 13.
+_EXIT_PIPE = 141
 
 
 def _fmt(v) -> str:
@@ -244,19 +248,20 @@ def _emit(
 def _cmd_run(args) -> int:
     exp = config_to_experiment(_config_from_args(args)).resolve()
     progress = sys.stderr.isatty()
-    # The results are folded into the aggregate as they come, as a scan
-    # folds a point's; each leaves behind only its NDJSON record, which
-    # CSV does not write.
+    # The results are folded into the aggregate a block at a time, as a
+    # scan folds a point's; each leaves behind only its NDJSON records,
+    # which CSV does not write.
     records = None if _infer_format(args.format, args.out) == "csv" else [None] * exp.replicas
 
     def packaged():
-        for i, res in replica_results(exp, parallelism=args.parallelism, progress=progress):
+        for block in result_blocks(exp, parallelism=args.parallelism, progress=progress):
             if records is not None:
-                rec = records[i] = res.to_record()
-                rec["record"], rec["replica"] = "replica", i
-            yield res
+                for i, rec in zip(block.ids.tolist(), block.records()):
+                    rec["record"], rec["replica"] = "replica", i
+                    records[i] = rec
+            yield block
 
-    stats = aggregate(packaged())
+    stats = aggregate_blocks(packaged())
     _emit(args, experiment_to_config(exp), list(AggregateStats.COLUMNS), [stats.to_row()], replicas=records)
     return 0
 
@@ -315,6 +320,14 @@ def parse_and_dispatch(argv=None) -> int:
         if args.subcommand == "oracle":
             return _cmd_oracle(args)
         return _cmd_validate(args)
+    except BrokenPipeError:
+        # The reader stopped early, as `| head` does: not an input error.
+        # Output left in stdout's buffer goes to the null device, so the
+        # interpreter's final flush raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_PIPE
     except (ValueError, KeyError, OSError, configparser.Error) as e:
         print(f"disperse: error: {e}", file=sys.stderr)
         return 2

@@ -18,34 +18,40 @@ draw adds GOLDEN to a word and mixes it, and a coin compares the mixed
 word with an integer threshold (see rng). Each copy into or out of a
 slot, and the reference loop's decoding, moves the whole block; only
 `stream_keys` and the two draw sites know which streams a variant has.
-`stream_keys` is one pass over any number of seeds: the harness
+`stream_keys` is one pass over any number of seeds: `seed_rows`
 derives a chunk of seeds' keys at once, and a system given none
 derives its own.
 
-One production kernel, the lockstep array kernel `lockstep_pool`
-(`advance_lockstep` runs it to its end), runs every input on int64
-vertex arrays (see topology): the tree as (depth, index) pairs, the
-grid and the hypercube as rows, cayley as mixed-radix ints. It steps R
-replicas together on flat arrays of R*M particles, so numpy's per-call
-cost is paid once per step for all of them. The replicas need not be
-at the same step, and R is at most `lockstep_batch_size`: when one
-leaves, the next waiting system takes over its slot, so a long run of
-replicas keeps the batch full until the last ones. A new system holds
-only its stream keys, and makes its positions, words and occupancy
-from the origin, the keys and M when they are first read. Every
-system, a lone one included, moves into its slot as it enters: a
-fresh one's slot, as every harness-built replica's, is filled straight
-from those three, any other's arrays are copied in, and its own arrays
-are dropped, so a live replica's state exists once, and a system that
-a pool holds is refused by name if it is stepped or pooled again. The
-replicas that leave at one step get arrays cut from their slots in one
-take, and what their results read off them, dispersal and d_disp, is
-read for all of them at once, so a short replica costs little beyond
-its steps. A single system's step() and run() are the R = 1 case, and
-so move the system in and out on each call. A step gathers the movers'
-vertex rows and hands them, with their draws, to `neighbor_array`,
-which may overwrite both: the tree, the grid and the hypercube write
-the destinations into the gathered rows.
+One production kernel, the lockstep array kernel `lockstep_rows`, runs
+every input on int64 vertex arrays (see topology): the tree as (depth,
+index) pairs, the grid and the hypercube as rows, cayley as mixed-radix
+ints. It steps R replicas together on flat arrays of R*M particles, so
+numpy's per-call cost is paid once per step for all of them. A replica
+is a row of those arrays (a slot), not an object: rows enter as blocks
+(`ReplicaRows`) and leave as blocks. The replicas need not be at the
+same step, and R is at most `lockstep_batch_size`: when rows leave,
+the pool takes as many new ones for the freed slots, so a long run of
+replicas keeps the batch full until the last ones. The harness fills
+slots straight from blocks of fresh rows (`seed_rows`): positions from
+the origin's array form, occupancy M, words the stream keys, with no
+ParticleSystem built. The rows that leave at one step are copied out
+of their slots in one assignment per array, gathered into blocks, and
+packaged into a ResultBlock in one pass (`package_rows`): status,
+d_disp and walk counts are read for every row at once, so a short
+replica costs little beyond its steps. A RunResult is one row of a
+ResultBlock.
+
+A ParticleSystem is the one-replica API over the same rows:
+`lockstep_pool` and `advance_lockstep` run `lockstep_rows` over
+systems, each entering as a block of one row of its own arrays and
+leaving by having its row written back, and a single system's step()
+and run() are the R = 1 case, moving the system in and out on each
+call. While a pool holds a system, its arrays are the slot's and it is
+refused by name if it is read, stepped or pooled again; its result is
+the one row of a block packaged from its state. A step gathers the
+movers' vertex rows and hands them, with their draws, to
+`neighbor_array`, which may overwrite both: the tree, the grid and the
+hypercube write the destinations into the gathered rows.
 
 Occupancy is counted on packed (replica, vertex) keys: replica * span
 plus a vertex code in [0, span), where the span is n on K_n, star,
@@ -82,10 +88,11 @@ events are read back by running the same seed again on the same loop.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -125,11 +132,16 @@ __all__ = [
     "StepReport",
     "TrajectoryLog",
     "RunResult",
+    "ResultBlock",
     "ParticleSystem",
+    "ReplicaRows",
     "LOCKSTEP_ELEMENTS",
     "advance_lockstep",
     "lockstep_pool",
+    "lockstep_rows",
     "lockstep_batch_size",
+    "package_rows",
+    "seed_rows",
     "stream_keys",
 ]
 
@@ -261,39 +273,137 @@ class TrajectoryLog:
         return ps.positions
 
 
-@dataclass
+# A ResultBlock's status codes are indices into this.
+_STATUSES = (Status.DISPERSED, Status.BUDGET_EXHAUSTED, Status.BOUNDARY_HIT)
+
+
+def _record(code, steps, d_disp, far, meetings, lo, mid, hi, seed) -> dict:
+    """One replica's record from its Python-int fields."""
+    return {
+        "schema": SCHEMA,
+        "status": _STATUSES[code].value,
+        "t_disp": steps if code == 0 else None,
+        "d_disp": d_disp,
+        "max_distance_ever": far,
+        "meeting_total": meetings,
+        "walk_steps_min": lo,
+        "walk_steps_median": mid,
+        "walk_steps_max": hi,
+        "seed": seed,
+    }
+
+
+class ResultBlock:
+    """The results of a block of replicas of one run, one row each, kept
+    as columns: `ids` (int64, as the rows' pool numbered them), `code`
+    (each status's index in _STATUSES), `steps`, `d_disp`,
+    `max_distance_ever` and `meeting_total` (int64), `boundary_flag`
+    (bool), `seed` (uint64), the (rows, M) `walk_counts`, and
+    `trajectories`, a TrajectoryLog per row when the run records, else
+    None. A RunResult is one row of a block; `records()` gives every
+    row's `to_record()` at once."""
+
+    STATUSES = _STATUSES  # the status each code names
+
+    def __init__(
+        self, ids, code, steps, d_disp, max_distance_ever, meeting_total,
+        boundary_flag, seed, walk_counts, trajectories=None,
+    ):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.code = np.asarray(code, dtype=np.int8)
+        self.steps = np.asarray(steps, dtype=np.int64)
+        self.d_disp = np.asarray(d_disp, dtype=np.int64)
+        self.max_distance_ever = np.asarray(max_distance_ever, dtype=np.int64)
+        self.meeting_total = np.asarray(meeting_total, dtype=np.int64)
+        self.boundary_flag = np.asarray(boundary_flag, dtype=bool)
+        self.seed = np.asarray(seed, dtype=np.uint64)
+        self.walk_counts = walk_counts
+        self.trajectories = trajectories
+        self._summary = None  # min, median and max of each row's walk counts
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self) -> list[RunResult]:
+        return [RunResult._of(self, r) for r in range(len(self.ids))]
+
+    def walk_summary(self) -> tuple[list[int], list[int], list[int]]:
+        """Each row's minimum, (lower) median and maximum walk count, from
+        one sort of the block along its rows."""
+        if self._summary is None:
+            counts = np.sort(self.walk_counts, axis=1)
+            m = counts.shape[1]
+            if m:
+                self._summary = tuple(counts[:, c].tolist() for c in (0, (m + 1) // 2 - 1, -1))
+            else:
+                self._summary = ([0] * len(self),) * 3
+        return self._summary
+
+    def records(self) -> list[dict]:
+        """Every row's `to_record()`, in row order."""
+        columns = (self.code, self.steps, self.d_disp, self.max_distance_ever, self.meeting_total)
+        fields = (*(c.tolist() for c in columns), *self.walk_summary(), self.seed.tolist())
+        return [_record(*row) for row in zip(*fields)]
+
+
+def _field(column: str, read: Callable[[Any], Any]) -> property:
+    """A RunResult field: its row of the block's `column`, as `read` gives it."""
+    return property(lambda self: read(getattr(self.block, column)[self.row]))
+
+
 class RunResult:
-    status: Status
-    steps: int
-    t_disp: Optional[int]
-    d_disp: int
-    max_distance_ever: int
-    meeting_total: int
-    walk_counts: np.ndarray
-    seed: int
-    boundary_flag: bool = False
-    trajectories: Optional[TrajectoryLog] = None
+    """One replica's result: row `row` of a ResultBlock, whose columns its
+    fields read. Made from field values, it is the one row of a block of
+    its own; its t_disp must be its steps when it dispersed, else None."""
+
+    __slots__ = ("block", "row")
+
+    def __init__(
+        self, status: Status, steps: int, t_disp: Optional[int], d_disp: int,
+        max_distance_ever: int, meeting_total: int, walk_counts: np.ndarray, seed: int,
+        boundary_flag: bool = False, trajectories: Optional[TrajectoryLog] = None,
+    ):
+        code = _STATUSES.index(Status(status))
+        if t_disp != (steps if code == 0 else None):
+            raise ValueError("t_disp is a dispersed run's step count, else None")
+        self.block = ResultBlock(
+            [0], [code], [steps], [d_disp], [max_distance_ever], [meeting_total],
+            [boundary_flag], [seed], np.asarray(walk_counts)[None], [trajectories],
+        )
+        self.row = 0
+
+    @classmethod
+    def _of(cls, block: ResultBlock, row: int) -> RunResult:
+        res = cls.__new__(cls)
+        res.block, res.row = block, row
+        return res
+
+    status = _field("code", _STATUSES.__getitem__)
+    dispersed = _field("code", lambda code: bool(code == 0))
+    steps = _field("steps", int)
+    d_disp = _field("d_disp", int)
+    max_distance_ever = _field("max_distance_ever", int)
+    meeting_total = _field("meeting_total", int)
+    walk_counts = _field("walk_counts", np.asarray)
+    seed = _field("seed", int)
+    boundary_flag = _field("boundary_flag", bool)
 
     @property
-    def dispersed(self) -> bool:
-        return self.status is Status.DISPERSED
+    def t_disp(self) -> Optional[int]:
+        return self.steps if self.dispersed else None
+
+    @property
+    def trajectories(self) -> Optional[TrajectoryLog]:
+        logs = self.block.trajectories
+        return None if logs is None else logs[self.row]
 
     def to_record(self) -> dict:
-        counts = np.sort(self.walk_counts)
-        m = len(counts)
-        median = int(counts[(m + 1) // 2 - 1]) if m else 0
-        return {
-            "schema": SCHEMA,
-            "status": self.status.value,
-            "t_disp": self.t_disp,
-            "d_disp": self.d_disp,
-            "max_distance_ever": self.max_distance_ever,
-            "meeting_total": self.meeting_total,
-            "walk_steps_min": int(counts[0]) if m else 0,
-            "walk_steps_median": median,
-            "walk_steps_max": int(counts[-1]) if m else 0,
-            "seed": self.seed,
-        }
+        b, r = self.block, self.row
+        lo, mid, hi = b.walk_summary()
+        return _record(
+            int(b.code[r]), self.steps, self.d_disp, self.max_distance_ever,
+            self.meeting_total, lo[r], mid[r], hi[r], self.seed,
+        )
 
 
 def _tags(variant: Variant) -> tuple[int, ...]:
@@ -308,10 +418,6 @@ def stream_keys(seeds, particles: int, variant: Variant) -> np.ndarray:
     return stream_key_array(seeds, particles, _tags(variant))
 
 
-# A system's state arrays: positions, occupancy and stream words.
-_STATE = ("_posv", "_occ", "_words")
-
-
 def _start(topo: Topology, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions (array form) and occupancy at t = 0: every particle on
     the origin."""
@@ -320,23 +426,25 @@ def _start(topo: Topology, M: int) -> tuple[np.ndarray, np.ndarray]:
 
 class ParticleSystem:
     """Mutable state of one run. Single-threaded by contract:
-    exclusive mutation, no cross-system sharing. A new system holds only
-    its stream keys: its position, word and occupancy arrays are made
-    when its state is first read or stepped, every particle on the
-    origin with M particles on its vertex and its words its keys. One
-    that enters a lockstep pool first, as every system the harness
-    builds does, has its slot filled from those three, the origin's
-    array form, the keys and M, and never makes arrays of its own. While a pool holds it, its arrays are its slot's
-    and its own are None: every read of its state (`positions`,
+    exclusive mutation, no cross-system sharing. A system holds three
+    state arrays, made in `__init__` as at t = 0: `_posv`, the positions
+    in array form; `_occ`, each particle's count of particles on its
+    vertex at the start of step t, which only the stepping loops write;
+    and `_words`, the state words key + GOLDEN * count that the loops
+    step (see rng), in a block shaped as the keys.
+
+    On the array kernel a system steps as one row of a lockstep pool's
+    slots (`lockstep_pool`): it enters as a block of one row of its own
+    arrays, and leaves by having its row written back. While a pool
+    holds it, its arrays are None: every read of its state (`positions`,
     `walk_counts`, `is_dispersed()`, `boundary_abort`, the happy and
     unhappy counts, its result) and every step is refused by name, while
     the plain attributes `t`, `meeting_total`, `max_distance_ever` and
-    `boundary_flag` keep their values from when it entered. As it leaves
-    it gets arrays cut from the slot, rows of blocks shared with the
-    replicas that leave at the same step, and the pool's reading of its
-    dispersal and d_disp, which its result takes until it steps again.
+    `boundary_flag` keep their values from when it entered. Its result
+    is the one row of a ResultBlock packaged from its state, as the
+    harness packages the rows that leave a pool.
 
-    `spec` may be the graph's Topology instead, so that a pool's systems
+    `spec` may be the graph's Topology instead, so that several systems
     share one build. A tree spec whose leaf_depth is None runs on the
     infinite tree; `ExperimentSpec.resolve()`, whose one job this is,
     fills in the default depth for M particles. `keys`, when given, is
@@ -374,40 +482,17 @@ class ParticleSystem:
         self.max_distance_ever = 0
         self.boundary_flag = False  # truncated-leaf forcing fired
         self._record = False  # run() returns a TrajectoryLog
-        self._left = None  # (dispersed, d_disp) as read by the pool it last left
 
         self._lazy = variant.kind == "lazy"
         self._reference = force_generic  # step on the scalar reference loop
-        # Stream keys, one (tags, M) block, direction row first; the state
-        # arrays follow from them (__getattr__).
+        # Stream keys, one (tags, M) block, direction row first.
         if keys is None:
             keys = stream_keys([self.seed], particles, variant)[0]
         elif keys.dtype != np.uint64 or keys.shape != (len(_tags(variant)), particles):
             raise ValueError("keys must be one seed's block of stream_keys")
         self._keys = keys
-
-    def __getattr__(self, name: str):
-        """Make the state arrays at their first read, as at t = 0; only
-        names that the system does not hold reach here. `_posv` holds the
-        positions in array form; `_occ` each particle's count of particles
-        on its vertex at the start of step t, which only the stepping
-        loops write; `_words` the state words key + GOLDEN * count that
-        the loops step (see rng), in a block shaped as the keys."""
-        if name not in _STATE:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        # All are made at once; one that a caller set first is kept.
-        state = vars(self)
-        posv, occ = _start(self.topo, self.particles)
-        state.setdefault("_posv", posv)
-        state.setdefault("_occ", occ)
-        state.setdefault("_words", self._keys.copy())
-        return state[name]
-
-    @property
-    def _fresh(self) -> bool:
-        """Whether the state arrays are yet to be made: the system holds
-        only its keys."""
-        return vars(self).keys().isdisjoint(_STATE)
+        self._posv, self._occ = _start(topo, particles)
+        self._words = keys.copy()
 
     # -- queries -------------------------------------------------------
 
@@ -429,17 +514,11 @@ class ParticleSystem:
     def boundary_abort(self) -> bool:
         """Whether a particle passed COORDINATE_LIMIT on an unbounded graph."""
         self._check_free()
-        return self._outside
-
-    @property
-    def _outside(self) -> bool:
-        """boundary_abort, unchecked: for callers that know the system free."""
         return self.topo.unbounded and self.max_distance_ever > COORDINATE_LIMIT
 
     def _check_free(self) -> None:
-        """Refuse, by name, a system whose state a lockstep pool holds;
-        a fresh system's arrays stay unmade."""
-        if "_posv" in vars(self) and self._posv is None:
+        """Refuse, by name, a system whose state a lockstep pool holds."""
+        if self._posv is None:
             raise ValueError("a lockstep pool holds this system until it leaves")
 
     def _unhappy(self) -> np.ndarray:
@@ -455,6 +534,24 @@ class ParticleSystem:
         """Whether run() returns a TrajectoryLog. A log replays its seed
         from t = 0, so it may be turned on at any step."""
         self._record = on
+
+    # -- a pool row ------------------------------------------------------
+
+    def _row(self, i: int) -> ReplicaRows:
+        """The system's state as a block of one row, id i, on its own arrays."""
+        occ = self._occ
+        book = [occ.sum(), self.t, self.meeting_total, self.max_distance_ever, self.boundary_flag]
+        return ReplicaRows(
+            np.array([i]), self._posv[..., None, :], self._words[:, None], self._keys[0][None],
+            occ[None], np.array(book, dtype=np.int64)[:, None],
+        )
+
+    def _settle(self, rows: ReplicaRows, r: int) -> None:
+        """Take a copy of row r of `rows` as the system's state."""
+        self._posv = rows.pos[..., r, :].copy()
+        self._words, self._occ = rows.words[:, r].copy(), rows.occ[r].copy()
+        _, self.t, self.meeting_total, self.max_distance_ever, flag = rows.book[:, r].tolist()
+        self.boundary_flag = bool(flag)
 
     # -- stepping, scalar reference loop ---------------------------------------
 
@@ -538,38 +635,12 @@ class ParticleSystem:
         return self._result()
 
     def _result(self) -> RunResult:
-        """The result of the run so far, read off the system's state; a
-        system that a lockstep pool has settled is packaged by this alone."""
+        """The result of the run so far: the one row of the block that
+        packages the system's state."""
         self._check_free()
-        t, posv = self.t, self._posv
-        left = self._left
-        if left is None:
-            left = self._occ.max() <= 1, int(self.topo.distance_array(posv).max())
-        dispersed, d_disp = left
-        if self.boundary_flag or self._outside:
-            status = Status.BOUNDARY_HIT
-        elif dispersed:
-            status = Status.DISPERSED
-        else:
-            status = Status.BUDGET_EXHAUSTED
-        log = None
-        if self._record:
-            log = TrajectoryLog(
-                self.spec, self.particles, self.topo.origin, self.seed,
-                self.variant, self._reference, t, posv.copy(),
-            )
-        return RunResult(
-            status=status,
-            steps=t,
-            t_disp=t if status is Status.DISPERSED else None,
-            d_disp=d_disp,
-            max_distance_ever=self.max_distance_ever,
-            meeting_total=self.meeting_total,
-            walk_counts=stream_counts(self._words[0], self._keys[0]),
-            seed=self.seed,
-            boundary_flag=self.boundary_flag,
-            trajectories=log,
-        )
+        seed = np.array([self.seed], dtype=np.uint64)
+        rows = self._row(0)
+        return RunResult._of(package_rows(self.topo, self.variant, rows, seed, self._record, self._reference), 0)
 
 
 # -- stepping, lockstep array kernel ------------------------------------------
@@ -646,11 +717,11 @@ class _Occupancy:
             return codes
         return codes + (self.base if at is None else self.base.take(at))
 
-    def refill(self, j: int) -> None:
-        """Slot j has a newcomer: an update at the next count recounts
-        the slot's bins and keys."""
+    def refill(self, js: Iterable[int]) -> None:
+        """Slots js have newcomers: an update at the next count recounts
+        those slots' bins and keys."""
         if self.cnt is not None:
-            self.refilled.append(j)
+            self.refilled.extend(js)
 
     def __call__(
         self, v: np.ndarray, reach: int, movers: Optional[np.ndarray] = None
@@ -729,6 +800,80 @@ def lockstep_batch_size(topo: Topology, M: int) -> int:
     return max(1, LOCKSTEP_ELEMENTS // (M + bins))
 
 
+def _slots(js: np.ndarray):
+    """The slots js as an index: a slice where they are consecutive, as
+    one leaver's are, which numpy reads and writes faster than an array."""
+    if js.size and js[-1] - js[0] == js.size - 1:
+        return slice(int(js[0]), int(js[-1]) + 1)
+    return js
+
+
+class ReplicaRows(NamedTuple):
+    """A block of replica states, one row each, as a lockstep pool takes
+    them in and gives them out. A fresh row, every particle on the origin
+    at step 0 with its words its keys, has `pos`, `occ` and `book` None."""
+
+    ids: np.ndarray  # (n,) int64, as the pool's caller numbers its replicas
+    pos: Optional[np.ndarray]  # (rows..., n, M) positions in array form
+    words: np.ndarray  # (tags, n, M) stream words
+    keys: np.ndarray  # (n, M) direction keys, which walk counts are read against
+    occ: Optional[np.ndarray]  # (n, M) step-start occupancy
+    # (5, n) int64: each row's load (its particles' summed occupancy),
+    # step, meeting total, reach and boundary flag.
+    book: Optional[np.ndarray]
+
+
+def seed_rows(M: int, variant: Variant, seeds: Sequence[int], chunk: int):
+    """A `take` for `lockstep_rows`: fresh rows of M particles under
+    `seeds`, in order, with ids their indices in `seeds`. Stream keys are
+    derived `chunk` seeds at a time in one pass, and only once every row
+    of the chunk before is taken, so at most one chunk waits."""
+    base = at = 0  # seeds[base] is the first seed of the chunk; `at` of it are taken
+    keys = np.empty((len(_tags(variant)), 0, M), dtype=np.uint64)  # the chunk's, words layout
+
+    def take(n: int) -> Optional[ReplicaRows]:
+        nonlocal base, at, keys
+        if at == keys.shape[1]:
+            if base + at == len(seeds):
+                return None
+            base, at = base + at, 0
+            keys = stream_keys(seeds[base : base + chunk], M, variant).transpose(1, 0, 2)
+        lo, at = at, min(at + n, keys.shape[1])
+        ids = np.arange(base + lo, base + at)
+        return ReplicaRows(ids, None, keys[:, lo:at], keys[0, lo:at], None, None)
+
+    return take
+
+
+def package_rows(
+    topo: Topology, variant: Variant, rows: ReplicaRows, seeds: np.ndarray,
+    record: bool = False, reference: bool = False,
+) -> ResultBlock:
+    """The results of `rows`, whose seeds are `seeds` (uint64, one per
+    row), as one block: status, d_disp and walk counts are read for all
+    of them at once. With `record`, each row gets a TrajectoryLog of the
+    loop named by `reference`."""
+    M = rows.keys.shape[-1]
+    load, t, meetings, far, flag = rows.book.copy()  # rows may be views the pool writes over
+    shape = rows.pos.shape[:-2]  # of an array-form vertex
+    d_disp = topo.distance_array(rows.pos.reshape(shape + (-1,))).reshape(-1, M).max(1)
+    code = (load != M).astype(np.int8)  # dispersed exactly when every load is M
+    flagged = flag != 0
+    code[flagged | (far > COORDINATE_LIMIT) if topo.unbounded else flagged] = 2
+    logs = None
+    if record:
+        logs = [
+            TrajectoryLog(
+                topo.spec, M, topo.origin, s, variant, reference, steps, rows.pos[..., r, :].copy()
+            )
+            for r, (s, steps) in enumerate(zip(seeds.tolist(), t.tolist()))
+        ]
+    return ResultBlock(
+        rows.ids.copy(), code, t, d_disp, far, meetings, boundary_flag=flagged, seed=seeds,
+        walk_counts=stream_counts(rows.words[0], rows.keys), trajectories=logs,
+    )
+
+
 def advance_lockstep(systems: Iterable[ParticleSystem], t_end: int) -> None:
     """Advance array-kernel systems to step t_end (or dispersal), bit for
     bit as if each ran alone: `lockstep_pool` run to its end. The
@@ -742,137 +887,204 @@ def lockstep_pool(
 ) -> Iterator[tuple[int, ParticleSystem]]:
     """Advance array-kernel systems to step t_end (or dispersal) in
     lockstep, bit for bit as if each ran alone, and yield (i, system)
-    for the i-th of `systems` as it leaves.
+    for the i-th of `systems` as it leaves: `lockstep_rows` over the
+    systems' states, each taken as a block of one row only when a slot
+    frees, and written back as its row leaves.
 
     The systems must share the graph, particle count and variant, but
-    not the step: each keeps its own t. At most `lockstep_batch_size`
-    of them are live at once, each in a slot of flat arrays of R*M
-    particles laid end to end, and one occupancy count over (replica,
-    vertex) keys serves every replica. A system's state moves into a
-    slot only by `enter`, which fills a fresh system's slot from its keys
-    and drops any arrays of its own, and back only by `settle`, which
-    cuts the slots of the replicas leaving at one step in one take; a
-    system passed twice, or held by another pool, is refused by name.
-    A replica leaves, keeping its own t, once it reaches t_end or
-    disperses or, on an unbounded graph, once its reach passes
-    COORDINATE_LIMIT; it is settled, and the next system of `systems`,
-    taken only now, enters its slot. Once `systems` is spent and a slot
-    stays empty, the live slots are cut, in their order, into a batch as
-    wide as they are; their systems stay held. A system already at
-    t_end, dispersed or out of bounds is yielded as it is taken. A step
-    that raises (a tree vertex past int64) leaves each live system at
-    its last completed step, and systems not yet taken untouched.
+    not the step. A system passed twice, or held by another pool, is
+    refused by name. A system already at t_end, dispersed or out of
+    bounds leaves at the pool's first exit after it enters. Once the
+    pool is closed or a step raises (a tree vertex past int64), each
+    system taken is at its last completed step, and systems not yet
+    taken are untouched.
     """
     queue = enumerate(systems)
-    shape = None  # graph, particle count and variant of the first live system
-
-    def live(s: ParticleSystem) -> bool:
-        """Whether s is to be stepped, not yielded as it is; raises if it
-        cannot join the pool."""
-        nonlocal shape
-        if s._reference:
-            raise ValueError("lockstep systems must be on the array kernel")
-        # A fresh system has all its particles on one vertex; a held one
-        # is refused by is_dispersed().
-        dispersed = s.particles == 1 if s._fresh else s.is_dispersed()
-        if dispersed or s._outside or s.t >= t_end:
-            return False
-        if shape is None:
-            shape = (s.spec, s.particles, s.variant)
-        elif (s.spec, s.particles, s.variant) != shape:
-            raise ValueError("lockstep systems must share the graph, particle count and variant")
-        return True
-
-    batch = []  # (i, system) to enter into a fresh batch as wide as they are
-    for got in queue:
-        if not live(got[1]):
-            yield got
-            continue
-        batch.append(got)
-        if len(batch) == 1:
-            topo, M, variant = got[1].topo, got[1].particles, got[1].variant
-            width = lockstep_batch_size(topo, M)
-        if len(batch) == width:
-            break
-    if not batch:
+    first = next(queue, None)
+    if first is None:
         return
+    s = first[1]
+    shape = (s.spec, s.particles, s.variant)
+    queue = itertools.chain([first], queue)
+    held = {}  # i: (system, its own arrays) for each system taken and not yet left
+
+    def take(n: int) -> Optional[ReplicaRows]:
+        for i, s in queue:
+            if s._reference:
+                raise ValueError("lockstep systems must be on the array kernel")
+            s._check_free()  # passed twice, or held by another pool
+            if (s.spec, s.particles, s.variant) != shape:
+                raise ValueError("lockstep systems must share the graph, particle count and variant")
+            held[i] = s, (s._posv, s._words, s._occ)
+            row = s._row(i)
+            s._posv = s._words = s._occ = None
+            return row
+        return None
+
+    def give_back(rows: ReplicaRows) -> list[tuple[int, ParticleSystem]]:
+        left = []
+        for r, i in enumerate(rows.ids.tolist()):
+            s = held.pop(i)[0]
+            s._settle(rows, r)
+            left.append((i, s))
+        return left
+
+    pool = lockstep_rows(s.topo, s.particles, s.variant, take, t_end, give_back)
+    try:
+        for rows in pool:
+            yield from give_back(rows)
+    finally:
+        pool.close()  # gives back every row the pool still holds
+        for s, arrays in held.values():  # taken, never entered: as they were
+            s._posv, s._words, s._occ = arrays
+
+
+def lockstep_rows(
+    topo: Topology,
+    M: int,
+    variant: Variant,
+    take: Callable[[int], Optional[ReplicaRows]],
+    t_end: int,
+    give_back: Optional[Callable[[ReplicaRows], Any]] = None,
+    gather: int = 1,
+) -> Iterator[ReplicaRows]:
+    """Advance replicas of M particles on topo under variant to step t_end
+    (or dispersal) in lockstep, bit for bit as if each ran alone, and
+    yield the rows that leave, in the order they left, as blocks of at
+    least `gather` rows (the last one excepted).
+
+    `take(n)` gives the pool up to n rows (a block of fresh rows, or any
+    rows, at any step), or None once it has no more; it is called only
+    for slots that are free. At most `lockstep_batch_size` rows are live
+    at once, each in a slot of flat arrays of R*M particles laid end to
+    end, and one occupancy count over (replica, vertex) keys serves every
+    replica. A block's rows fill their slots in one assignment per array;
+    a fresh row's slot is filled from the origin's array form, its keys
+    and M, and its bins need no recount. A row leaves, keeping its own
+    step, once it reaches t_end or disperses or, on an unbounded graph,
+    once its reach passes COORDINATE_LIMIT. The rows that leave at one
+    step are copied from their slots into the block being gathered in one
+    assignment per array; with `gather` 1, each exit's block is yielded
+    before `take` fills the slots it freed. A yielded block is a view of
+    the gathering arrays, which the pool writes over once it resumes, so
+    a caller copies what it keeps. Once `take` is spent and a slot stays
+    empty, the live slots are cut, in their order, into a batch as wide
+    as they are. A step that raises leaves each live row at its last
+    completed step; if the pool is closed or raises, the rows it still
+    holds, and those it gathered, are handed to `give_back` when it is
+    given.
+    """
     lazyv = variant.kind == "lazy"
     # A coin's draw r moves its particle when to_unit(r) < p, that is r <= this.
     threshold = np.uint64(unit_threshold(variant.p)) if lazyv else None
     leaf = topo.spec.family is Family.TREE and topo.leaf_depth  # truncated leaves' depth
     unbounded = topo.unbounded
     full = topo.max_distance
-    start_pos, start_occ = _start(topo, M)  # a fresh system's
-    rows = start_pos.shape[:-1]  # of an array-form vertex
-    tags = len(batch[0][1]._keys)  # streams per particle
+    start_pos = _start(topo, M)[0][..., None, :]  # a fresh row's, as a block of one
+    # A fresh row's book, its lag and id set as it enters: a replica's
+    # load, the sum over its particles of their vertex's occupancy, is M
+    # exactly when it is dispersed, else M + 2 * its meetings.
+    fresh = np.array([[M * M], [0], [0], [0], [0], [0]], dtype=np.int64)
+    rows = start_pos.shape[:-2]  # of an array-form vertex
+    tags = len(_tags(variant))  # streams per particle
     # The pool's own step count k: slot j is at step k + lag[j].
     k = 0
-    slots = []  # (i, system) live in each slot, None once it left
+    book = None  # each slot's load, lag, meetings, reach, flag and row id (-1 while free)
+    out = None  # the gathering arrays, made at the first exit
+    a = 0  # rows gathered since the last yield
 
-    def enter(j, got):
-        """Move system got[1]'s state into the free slot j."""
-        s = got[1]
-        seg = slice(j * M, (j + 1) * M)
-        # Sum over a replica's particles of their vertex's occupancy: M
-        # exactly when it is dispersed, else M + 2 * its meetings.
-        if s._fresh:
-            # Filled as the system would make its arrays.
-            pos[..., seg] = start_pos
-            words[:, seg] = s._keys
-            occ[seg] = start_occ
-            load[j] = M * M
-        else:
-            s._check_free()  # taken twice into the first batch
-            pos[..., seg] = s._posv
-            words[:, seg] = s._words
-            occ[seg] = s._occ
-            load[j] = occ[seg].sum()
-        s._posv = s._words = s._occ = s._left = None
-        slots[j] = got
-        lag[j] = s.t - k
-        # Twice the meetings so far plus M per step: a step adds its load.
-        meet[j] = 2 * s.meeting_total + M * s.t
-        far[j] = s.max_distance_ever
-        flag[j] = s.boundary_flag
+    def pull(n):
+        """Up to n rows from `take`, as the blocks it gave."""
+        got = []
+        while n:
+            block = take(n)
+            if block is None:
+                break
+            got.append(block)
+            n -= len(block.ids)
+        return got
 
-    def settle(js):
-        """Give each slot of js its state back and free it, yielding
-        (i, system) in turn; the arrays are cut from one take of all of
-        them, so each system's are rows of shared blocks."""
-        cut_pos = pos.reshape(rows + (R, M)).take(js, axis=-2)
-        cut_words = words.reshape(tags, R, M).take(js, axis=1)
-        cut_occ = occ.reshape(R, M).take(js, axis=0)
-        loads, lags, meets, fars, flags = book.take(js, axis=1).tolist()
-        # The distances its result reads off each one's positions.
-        d_disp = topo.distance_array(cut_pos.reshape(rows + (-1,))).reshape(-1, M).max(1).tolist()
-        for r, j in enumerate(js):
-            i, s = slots[j]
-            slots[j] = None
-            s._posv, s._words, s._occ = cut_pos[..., r, :], cut_words[:, r], cut_occ[r]
-            s._left = loads[r] == M, d_disp[r]
-            s.t = t = k + lags[r]
-            s.meeting_total = (meets[r] - M * t) // 2
-            s.max_distance_ever = fars[r]
-            s.boundary_flag = bool(flags[r])
-            yield i, s
+    def fill(js, blocks):
+        """Enter the rows of `blocks` into the free slots js, in order;
+        returns how many entered."""
+        O = occ.reshape(R, M)
+        e = 0
+        for block in blocks:
+            n = len(block.ids)
+            sel = _slots(js[e : e + n])
+            e += n
+            W[:, sel] = block.words
+            K[sel] = block.keys
+            if block.pos is None:
+                P[..., sel, :] = start_pos
+                O[sel] = M
+                fresh[1] = -k
+                book[:, sel] = fresh
+                ident[sel] = block.ids
+            else:
+                P[..., sel, :] = block.pos
+                O[sel] = block.occ
+                b = block.book
+                # Twice the meetings so far plus M per step: a step adds its load.
+                book[:, sel] = b[0], b[1] - k, 2 * b[2] + M * b[1], b[3], b[4], block.ids
+        occupancy.refill(js[:e].tolist())
+        return e
+
+    def cut(js):
+        """Copy the rows of slots js into the block being gathered, with
+        each one's own step, and free the slots."""
+        nonlocal out, a
+        if out is None:
+            # Room for the rows that leave while fewer than `gather` are held.
+            n = gather + R - 1
+            out = ReplicaRows(
+                None,
+                np.empty(rows + (n, M), dtype=np.int64),
+                np.empty((tags, n, M), dtype=np.uint64),
+                np.empty((n, M), dtype=np.uint64),
+                np.empty((n, M), dtype=np.int64),
+                np.empty((6, n), dtype=np.int64),
+            )
+        sel, to = _slots(js), slice(a, a + js.size)
+        out.book[:, to] = book[:, sel]
+        out.book[1, to] += k  # step
+        out.pos[..., to, :] = P[..., sel, :]
+        out.words[:, to] = W[:, sel]
+        out.keys[to] = K[sel]
+        out.occ[to] = occ.reshape(R, M)[sel]
+        ident[sel] = -1
+        a += js.size
+
+    def gathered():
+        """The rows gathered so far, as one block of views into the
+        gathering arrays, which the next cut writes over."""
+        nonlocal a
+        b = out.book[:, :a]
+        b[2] -= M * b[1]
+        b[2] //= 2  # meetings
+        held, a = slice(0, a), 0
+        return ReplicaRows(
+            b[5], out.pos[..., held, :], out.words[:, held], out.keys[held], out.occ[held], b[:5]
+        )
 
     try:
+        first = pull(lockstep_batch_size(topo, M))
+        if not first:
+            return
+        R = sum(len(block.ids) for block in first)
+        pos = np.empty(rows + (R * M,), dtype=np.int64)
+        words = np.empty((tags, R * M), dtype=np.uint64)
+        dw, lw = words[0], words[-1]  # lw is read only when lazy
+        dkeys = np.empty(R * M, dtype=np.uint64)
+        P, W, K = pos.reshape(rows + (R, M)), words.reshape(tags, R, M), dkeys.reshape(R, M)
+        occ = np.empty(R * M, dtype=np.int64)
+        # Each slot's load, lag, doubled meetings plus M per step, reach,
+        # boundary flag and row id, in rows that a cut copies in one take.
+        book = np.full((6, R), -1, dtype=np.int64)
+        load, lag, meet, far, flag, ident = book
+        occupancy = _Occupancy(topo, M, R)
+        fill(np.arange(R), first)
         while True:
-            if batch:
-                R = len(batch)
-                slots = [None] * R
-                pos = np.empty(rows + (R * M,), dtype=np.int64)
-                words = np.empty((tags, R * M), dtype=np.uint64)
-                dw, lw = words[0], words[-1]  # lw is read only when lazy
-                occ = np.empty(R * M, dtype=np.int64)
-                # Each slot's load, lag, doubled meetings plus M per step,
-                # reach and boundary flag, in rows that settle cuts in one take.
-                book = np.empty((5, R), dtype=np.int64)
-                load, lag, meet, far, flag = book
-                for j, got in enumerate(batch):
-                    enter(j, got)
-                batch = []
-                occupancy = _Occupancy(topo, M, R)
             reach = int(far.max())
             all_far = reach == full and bool((far == full).all())
             due = t_end - int(lag.max())  # k at which the first slot reaches t_end
@@ -884,29 +1096,27 @@ def lockstep_pool(
                         leave |= lag >= t_end - k
                     if outside:
                         leave |= far > COORDINATE_LIMIT
-                    if not leave.any():  # each way in names a leaving slot; else the pool spins
+                    gone = leave.nonzero()[0]
+                    if not gone.size:  # each way in names a leaving slot; else the pool spins
                         raise RuntimeError("lockstep pool: no slot leaves at its exit")
-                    gone = leave.nonzero()[0].tolist()
-                    for j, done in zip(gone, settle(gone)):
-                        yield done
-                        for got in queue:
-                            if live(got[1]):
-                                enter(j, got)
-                                occupancy.refill(j)
-                                break
-                            yield got
-                    if None in slots:  # `systems` is spent: narrow the batch
-                        keep = [j for j, slot in enumerate(slots) if slot is not None]
-                        if not keep:
+                    cut(gone)
+                    if a >= gather:
+                        yield gathered()
+                    if fill(gone, pull(gone.size)) < gone.size:  # `take` is spent: narrow the batch
+                        keep = (ident >= 0).nonzero()[0]
+                        if not keep.size:
+                            if a:
+                                yield gathered()
                             return
-                        R = len(keep)
-                        slots = [slots[j] for j in keep]
+                        R = keep.size
                         pos = pos.reshape(rows + (-1, M)).take(keep, axis=-2).reshape(rows + (R * M,))
                         words = words.reshape(tags, -1, M).take(keep, axis=1).reshape(tags, R * M)
                         dw, lw = words[0], words[-1]
+                        dkeys = dkeys.reshape(-1, M).take(keep, axis=0).reshape(R * M)
+                        P, W, K = pos.reshape(rows + (R, M)), words.reshape(tags, R, M), dkeys.reshape(R, M)
                         occ = occ.reshape(-1, M).take(keep, axis=0).reshape(R * M)
                         book = book.take(keep, axis=1)
-                        load, lag, meet, far, flag = book
+                        load, lag, meet, far, flag, ident = book
                         occupancy = _Occupancy(topo, M, R)
                     break  # a newcomer may be over at once
                 unhappy = idx = (occ >= 2).nonzero()[0]
@@ -945,8 +1155,10 @@ def lockstep_pool(
                 occ = occupancy(pos, reach, idx)
                 occ.reshape(R, M).sum(1, out=load)
     except BaseException:
-        held = [j for j, slot in enumerate(slots) if slot is not None]
-        if held:  # else the slots' arrays may not exist yet
-            for _ in settle(held):
-                pass
+        if give_back is not None and book is not None:
+            held = (ident >= 0).nonzero()[0]
+            if held.size:
+                cut(held)
+            if a:
+                give_back(gathered())
         raise

@@ -3,21 +3,23 @@ coupling audit.
 
 Replica i of an experiment runs with seed derive_seed(master_seed, i),
 so result lists are a pure function of (spec, master_seed) and do not
-depend on the parallelism level. Replicas are stepped in lockstep
-(`engine.lockstep_pool`), which gives the same bits as stepping them
+depend on the parallelism level. Replicas are rows of a lockstep pool
+(`engine.lockstep_rows`), which gives the same bits as stepping them
 one by one. A serial run is one pool over every seed: it holds at most
-`engine.lockstep_batch_size` replicas live, derives stream keys for
-that many seeds at a time in one pass, hands the pool a replica's
-system only once a slot frees, and packages each result as its replica
-leaves. A parallel run splits the seeds into contiguous runs, one pool
+`engine.lockstep_batch_size` replicas live, fills freed slots straight
+from blocks of seeds whose stream keys are derived that many seeds at a
+time in one pass (`engine.seed_rows`), builds no ParticleSystem, and
+packages the rows that leave into one ResultBlock at most a pool width
+at a time. A parallel run splits the seeds into contiguous runs, one pool
 each, about four per worker but none narrower than a full width (or a
-worker's share, where that is smaller). Scans derive one sub-master
-per grid point the same way.
+worker's share, where that is smaller). Scans derive one sub-master per
+grid point the same way.
 
-`replica_results` yields each result as its replica leaves (serial)
-or as its job returns (parallel); `run_replicas` collects them, and
-`scan` and `disperse run` fold the stream into `aggregate`, so neither
-holds a result once the fold has read it.
+`result_blocks` yields each block of results as it is packaged (serial)
+or as its job returns (parallel), `replica_results` gives the same
+stream a result at a time, and `run_replicas` collects it. `scan` and
+`disperse run` fold the blocks into `aggregate_blocks`, which keeps
+their columns and no block.
 """
 
 from __future__ import annotations
@@ -35,17 +37,18 @@ import numpy as np
 
 from .engine import (
     DEFAULT_BUDGET,
+    LOCKSTEP_ELEMENTS,
     STANDARD,
-    ParticleSystem,
+    ResultBlock,
     RunResult,
-    Status,
     TrajectoryLog,
     Variant,
     WalkMode,
     lazy,
     lockstep_batch_size,
-    lockstep_pool,
-    stream_keys,
+    lockstep_rows,
+    package_rows,
+    seed_rows,
 )
 from .rng import derive_seed, split_key_array
 from .topology import Family, TopologySpec, as_float, as_int, build, with_leaf_depth
@@ -59,6 +62,8 @@ __all__ = [
     "wilson_interval",
     "nearest_rank_quantiles",
     "aggregate",
+    "aggregate_blocks",
+    "result_blocks",
     "replica_results",
     "run_replicas",
     "scan",
@@ -126,14 +131,12 @@ _QUANTILE_FIELDS = ("t_disp", "d_disp", "max_distance")
 
 def nearest_rank_quantiles(values) -> dict[str, Optional[float]]:
     """Nearest-rank quantiles: q_p = sorted[ceil(p/100 * N) - 1]."""
-    vals = sorted(values)
+    vals = np.sort(np.asarray(values))
     n = len(vals)
     if n == 0:
         return {k: None for k in _QUANTILE_KEYS}
-    out = {"min": vals[0], "max": vals[-1]}
-    for p, key in ((25, "p25"), (50, "p50"), (75, "p75"), (95, "p95")):
-        out[key] = vals[max(0, math.ceil(p / 100 * n) - 1)]
-    return {k: out[k] for k in _QUANTILE_KEYS}
+    ranks = [0, *(max(0, math.ceil(p / 100 * n) - 1) for p in (25, 50, 75, 95)), n - 1]
+    return dict(zip(_QUANTILE_KEYS, vals[ranks].tolist()))
 
 
 @dataclass(frozen=True)
@@ -169,76 +172,87 @@ class AggregateStats:
         return {c: row[c] for c in self.COLUMNS}
 
 
-def aggregate(results: Iterable[RunResult]) -> AggregateStats:
-    """Deterministic fold, in one pass, over results in any order: it
-    reads only each result's status, t_disp, d_disp, max_distance_ever
-    and meeting_total, so anything with those fields will do. Boundary
-    hits are counted separately and excluded from every statistic;
-    dispersal quantiles cover dispersed runs only."""
-    replicas = meetings = 0
-    t_disp, d_disp, max_distance = [], [], []
-    for r in results:
-        replicas += 1
-        if r.status is Status.BOUNDARY_HIT:
-            continue
-        max_distance.append(r.max_distance_ever)
-        meetings += r.meeting_total
-        if r.status is Status.DISPERSED:
-            t_disp.append(r.t_disp)
-            d_disp.append(r.d_disp)
-    n = len(max_distance)
-    lo, hi = wilson_interval(len(t_disp), n)
+def _aggregate(code, t_disp, d_disp, far, meetings) -> AggregateStats:
+    """The aggregate of replicas given as columns: status codes (indices
+    into ResultBlock.STATUSES), dispersal steps (read where dispersed),
+    d_disp, reach and meetings. Boundary hits are counted separately and
+    excluded from every statistic; dispersal quantiles cover dispersed
+    runs only."""
+    kept, done = code != 2, code == 0  # not a boundary hit; dispersed
+    n, dispersed = int(np.count_nonzero(kept)), int(np.count_nonzero(done))
+    lo, hi = wilson_interval(dispersed, n)
     return AggregateStats(
-        replicas=replicas,
-        boundary_hits=replicas - n,
-        dispersed=len(t_disp),
-        dispersal_fraction=len(t_disp) / n if n else 0.0,
+        replicas=len(code),
+        boundary_hits=len(code) - n,
+        dispersed=dispersed,
+        dispersal_fraction=dispersed / n if n else 0.0,
         ci_lo=lo,
         ci_hi=hi,
-        t_disp=nearest_rank_quantiles(t_disp),
-        d_disp=nearest_rank_quantiles(d_disp),
-        max_distance=nearest_rank_quantiles(max_distance),
-        mean_meetings=meetings / n if n else 0.0,
+        t_disp=nearest_rank_quantiles(t_disp[done]),
+        d_disp=nearest_rank_quantiles(d_disp[done]),
+        max_distance=nearest_rank_quantiles(far[kept]),
+        # Summed as Python ints, which do not overflow.
+        mean_meetings=sum(meetings[kept].tolist()) / n if n else 0.0,
     )
 
 
-def _pool_results(exp: ExperimentSpec, seeds: list[int]) -> Iterator[tuple[int, RunResult]]:
-    """(i, result of seeds[i]) as each replica leaves one lockstep pool
-    over `seeds`. A replica's system is built only once a slot is free,
-    on the pool's one topology, from stream keys derived in one pass for
-    a chunk of seeds, a pool width at a time, so at most one chunk waits.
-    It holds only its keys until its slot is filled from them."""
+def aggregate_blocks(blocks: Iterable[ResultBlock]) -> AggregateStats:
+    """Deterministic fold, in one pass, over blocks of results in any
+    order: it keeps each block's status, steps, d_disp,
+    max_distance_ever and meeting_total columns, and no block."""
+    columns: list[list] = [[] for _ in range(5)]
+    for b in blocks:
+        kept = (b.code, b.steps, b.d_disp, b.max_distance_ever, b.meeting_total)
+        for col, c in zip(columns, kept):
+            col.append(c)
+    return _aggregate(*(np.concatenate(col or [np.zeros(0, np.int64)]) for col in columns))
+
+
+def aggregate(results: Iterable[RunResult]) -> AggregateStats:
+    """The aggregate of results in any order, as `aggregate_blocks` folds
+    their columns: it reads only each result's status, t_disp, d_disp,
+    max_distance_ever and meeting_total, so anything with those fields
+    will do."""
+    code = {s: c for c, s in enumerate(ResultBlock.STATUSES)}
+    rows = [
+        (code[r.status], r.t_disp or 0, r.d_disp, r.max_distance_ever, r.meeting_total)
+        for r in results
+    ]
+    return _aggregate(*np.array(rows, dtype=np.int64).reshape(-1, 5).T)
+
+
+def _pool_results(exp: ExperimentSpec, seeds: list[int]) -> Iterator[ResultBlock]:
+    """Blocks of results for the replicas of one lockstep pool over
+    `seeds`, ids indexing `seeds`. The pool, on one topology, fills its
+    free slots with fresh rows straight from stream keys derived for a
+    pool width of seeds at a time in one pass, so at most one chunk
+    waits. It gathers the rows that leave into blocks, each packaged at
+    once: a pool width of rows, so that a block's fixed cost is shared
+    even where replicas leave one at a time, but no more than a quarter
+    of the particles a pool may hold, so that the gathered rows take
+    little memory where M is large."""
     topo = build(exp.topology)
     width = lockstep_batch_size(topo, exp.M)
-
-    def systems():
-        for start in range(0, len(seeds), width):
-            chunk = seeds[start : start + width]
-            for seed, keys in zip(chunk, stream_keys(chunk, exp.M, exp.variant)):
-                ps = ParticleSystem(topo, exp.M, variant=exp.variant, seed=seed, keys=keys)
-                if exp.record_trajectories:
-                    ps.record_trajectories(True)
-                yield ps
-
-    for i, ps in lockstep_pool(systems(), exp.budget):
-        yield i, ps._result()
+    take = seed_rows(exp.M, exp.variant, seeds, width)
+    seed = np.array(seeds, dtype=np.uint64)
+    gather = max(1, min(width, LOCKSTEP_ELEMENTS // (4 * exp.M)))
+    pool = lockstep_rows(topo, exp.M, exp.variant, take, exp.budget, gather=gather)
+    for rows in pool:
+        yield package_rows(topo, exp.variant, rows, seed[rows.ids], exp.record_trajectories)
 
 
-def _replica_pool(job: tuple[ExperimentSpec, list[int]]) -> list[RunResult]:
+def _replica_pool(job: tuple[ExperimentSpec, list[int]]) -> list[ResultBlock]:
     exp, seeds = job
-    results: list = [None] * len(seeds)
-    for i, res in _pool_results(exp, seeds):
-        results[i] = res
-    return results
+    return list(_pool_results(exp, seeds))
 
 
-def replica_results(
+def result_blocks(
     exp: ExperimentSpec, parallelism: int = 1, progress: bool = False
-) -> Iterator[tuple[int, RunResult]]:
-    """(i, result of replica i) for every replica of `exp`, as each
-    leaves its lockstep pool (serial) or as its job returns (parallel),
-    so a caller can fold the results without holding them all. The
-    arguments are checked and `exp` resolved when this is called."""
+) -> Iterator[ResultBlock]:
+    """Every replica's result, in blocks whose ids are replica indices:
+    the replicas that leave a lockstep pool at one step (serial), or a
+    job's pool's blocks as the job returns (parallel). The arguments are
+    checked and `exp` resolved when this is called."""
     parallelism = as_int("parallelism", parallelism)
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -252,7 +266,7 @@ def replica_results(
 
 def _replica_stream(
     exp: ExperimentSpec, seeds: list[int], workers: int, progress: bool
-) -> Iterator[tuple[int, RunResult]]:
+) -> Iterator[ResultBlock]:
     finished = 0
     with contextlib.ExitStack() as stack:
         if workers > 1:
@@ -270,16 +284,33 @@ def _replica_stream(
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             outputs = zip(starts, pool.map(_replica_pool, jobs))
         else:
-            # One pool over every seed: each replica is reported as it leaves.
-            outputs = ((i, [res]) for i, res in _pool_results(exp, seeds))
-        for i, res in outputs:
-            finished += len(res)
+            # One pool over every seed: each block is reported as it leaves.
+            outputs = ((0, [block]) for block in _pool_results(exp, seeds))
+        for start, blocks in outputs:
+            count = 0
+            for block in blocks:
+                block.ids += start
+                count += len(block)
             if progress:
-                print(f"\rreplica {finished}/{exp.replicas}", end="", file=sys.stderr)
-            for j, r in enumerate(res, i):
-                yield j, r
+                # A serial run reports each replica, a parallel one each job.
+                marks = range(finished + 1, finished + count + 1)
+                for k in marks if workers == 1 else [finished + count]:
+                    print(f"\rreplica {k}/{exp.replicas}", end="", file=sys.stderr)
+            finished += count
+            yield from blocks
     if progress:
         print(file=sys.stderr)
+
+
+def replica_results(
+    exp: ExperimentSpec, parallelism: int = 1, progress: bool = False
+) -> Iterator[tuple[int, RunResult]]:
+    """(i, result of replica i) for every replica of `exp`, a block of
+    rows at a time as `result_blocks` gives them, so a caller can fold
+    the results without holding them all. The arguments are checked and
+    `exp` resolved when this is called."""
+    blocks = result_blocks(exp, parallelism, progress)
+    return ((i, res) for block in blocks for i, res in zip(block.ids.tolist(), block.rows()))
 
 
 def run_replicas(
@@ -287,9 +318,15 @@ def run_replicas(
 ) -> tuple[list[RunResult], AggregateStats]:
     """Every replica's result, in seed order, and their aggregate."""
     results: list = [None] * exp.replicas
-    for i, res in replica_results(exp, parallelism, progress):
-        results[i] = res
-    return results, aggregate(results)
+
+    def collected():
+        for block in result_blocks(exp, parallelism, progress):
+            for i, res in zip(block.ids.tolist(), block.rows()):
+                results[i] = res
+            yield block
+
+    stats = aggregate_blocks(collected())
+    return results, stats
 
 
 class ScanAxis(str, Enum):
@@ -386,8 +423,8 @@ def scan(
     for value, exp in zip(s.grid, s.points()):
         if progress:
             print(f"scan {s.axis.value}={value}", file=sys.stderr)
-        stream = replica_results(exp, parallelism=parallelism, progress=progress)
-        points.append(ScanPoint(value, exp, aggregate(res for _, res in stream)))
+        blocks = result_blocks(exp, parallelism=parallelism, progress=progress)
+        points.append(ScanPoint(value, exp, aggregate_blocks(blocks)))
     return points
 
 

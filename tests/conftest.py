@@ -2,7 +2,7 @@ import weakref
 
 import pytest
 
-from disperse.engine import ParticleSystem
+from disperse import harness
 from disperse.validate import validate_suite
 
 
@@ -14,15 +14,16 @@ def quick_report():
 
 @pytest.fixture
 def live_results(monkeypatch):
-    """How many RunResults are alive each time a system packages one."""
-    refs, counts = [], []  # RunResult compares by value, so no WeakSet
-    package = ParticleSystem._result
+    """How many result blocks are alive each time the harness packages
+    one, once for each replica of the block."""
+    refs, counts = [], []
+    package = harness.package_rows
 
-    def counted(self):
-        res = package(self)
-        refs.append(weakref.ref(res))
-        counts.append(sum(ref() is not None for ref in refs))
-        return res
+    def counted(*args, **kwargs):
+        block = package(*args, **kwargs)
+        refs.append(weakref.ref(block))
+        counts.extend([sum(ref() is not None for ref in refs)] * len(block))
+        return block
 
-    monkeypatch.setattr(ParticleSystem, "_result", counted)
+    monkeypatch.setattr(harness, "package_rows", counted)
     return counts

@@ -114,8 +114,8 @@ def test_run_reproducible_from_embedded_config(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
 def test_run_holds_each_result_only_until_it_is_packaged(tmp_path, live_results, fmt):
-    # Never more than two results alive of 30: the one just made and
-    # the one before it, already packaged.
+    # Never more than two result blocks alive: the one just made and
+    # the one before it, already folded and written.
     out = tmp_path / f"r.{fmt}"
     args = ["run", "--family", "complete", "--n", "40", "--particles", "15", "--lazy-p", "0.5",
             "--replicas", "30", "--seed", "8", "--out", str(out)]
@@ -339,13 +339,13 @@ def test_scan_ndjson_records(tmp_path):
 )
 def test_scan_points_resolve_like_library_scan(tmp_path, monkeypatch, k, particles, axis, grid):
     ran = []
-    real_replica_results = harness.replica_results
+    real_result_blocks = harness.result_blocks
 
-    def recording_replica_results(exp, **kw):
+    def recording_result_blocks(exp, **kw):
         ran.append(exp)
-        return real_replica_results(exp, **kw)
+        return real_result_blocks(exp, **kw)
 
-    monkeypatch.setattr(harness, "replica_results", recording_replica_results)
+    monkeypatch.setattr(harness, "result_blocks", recording_result_blocks)
     out = tmp_path / "t.ndjson"
     args = ["scan", "--family", "tree", "--k", str(k), "--particles", str(particles),
             "--replicas", "4", "--seed", "3", "--axis", axis.value,
@@ -569,6 +569,27 @@ def test_a_run_loads_the_simulator_only(tmp_path):
     assert after_cli == f"{sorted(simulator + ['disperse.cli', 'disperse.oracles'])} []"
 
 
+def test_a_closed_output_pipe_exits_141_and_prints_nothing():
+    # The reader takes one line and closes the pipe, as `| head -1` does:
+    # not an input error, so no message, and SIGPIPE's shell status.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    )}
+    argv = ["run", "--family", "complete", "--n", "8", "--with-loops", "--particles", "5",
+            "--replicas", "20000", "--seed", "1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "disperse.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    header = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+    assert header["record"] == "header"
+
+
 # -- error handling ----------------------------------------------------------------
 
 
@@ -683,8 +704,8 @@ def _refuse(*args, **kwargs):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Any replica built or validation check run fails the test."""
-    monkeypatch.setattr(harness, "ParticleSystem", _refuse)
+    """Any replica pool or validation check run fails the test."""
+    monkeypatch.setattr(harness, "lockstep_rows", _refuse)
     monkeypatch.setattr(validate, "validate_suite", _refuse)
 
 

@@ -4,8 +4,7 @@ import itertools
 import math
 import os
 import re
-import weakref
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from disperse.engine import (
     lazy,
     lockstep_batch_size,
     lockstep_pool,
+    lockstep_rows,
+    package_rows,
 )
 from disperse.harness import (
     AggregateStats,
@@ -27,10 +28,12 @@ from disperse.harness import (
     ScanAxis,
     ScanSpec,
     aggregate,
+    aggregate_blocks,
     grid_step_budget,
     nearest_rank_quantiles,
     pair_coupling_audit,
     replica_results,
+    result_blocks,
     run_replicas,
     scan,
     wilson_interval,
@@ -261,9 +264,9 @@ def test_run_replicas_refuses_bad_parallelism_before_any_replica(
     monkeypatch, parallelism, message
 ):
     def refuse(*args, **kwargs):
-        raise AssertionError("a replica was built")
+        raise AssertionError("a replica pool was started")
 
-    monkeypatch.setattr(harness, "ParticleSystem", refuse)
+    monkeypatch.setattr(harness, "lockstep_rows", refuse)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_replicas(base_exp(), parallelism=parallelism)
     # The stream checks its arguments when it is made, not when read.
@@ -332,28 +335,24 @@ def test_replica_results_stream_what_run_replicas_collects(
         assert streamed[i].walk_counts.tolist() == res.walk_counts.tolist()
 
 
-def test_run_replicas_holds_at_most_width_plus_one_systems(monkeypatch):
-    # A system is built only when a slot frees and dropped once its
-    # result is packaged: the width live, plus one that just left.
-    width = 3
-    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: width)
-    alive, held = weakref.WeakSet(), []
+def test_run_replicas_builds_no_system(monkeypatch):
+    # Replicas are rows of their pool's slots from seed to result: no
+    # ParticleSystem is made, and each result is a lone run's.
+    built = []
+    init = ParticleSystem.__init__
 
-    class Kept(ParticleSystem):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            alive.add(self)
-            held.append(len(alive))
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "ParticleSystem", Kept)
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 3)
+    monkeypatch.setattr(ParticleSystem, "__init__", counted)
     exp = ExperimentSpec(
-        TopologySpec.complete(40), 15, lazy(0.5), replicas=10 * width, master_seed=8,
+        TopologySpec.complete(40), 15, lazy(0.5), replicas=30, master_seed=8,
         record_trajectories=True,
     )
     results, _ = run_replicas(exp)
-    assert len(held) == 10 * width
-    assert held[:width] == list(range(1, width + 1)) and max(held) == width + 1
-    assert len(alive) == 0
+    assert built == []
     for i, res in enumerate(results):
         want = ParticleSystem(exp.topology, 15, lazy(0.5), derive_seed(8, i)).run(exp.budget)
         assert res.to_record() == want.to_record()
@@ -362,8 +361,8 @@ def test_run_replicas_holds_at_most_width_plus_one_systems(monkeypatch):
 
 
 def test_scan_folds_each_result_as_it_is_made(live_results):
-    # Each point's results go straight into its aggregate: never more
-    # than two alive, the one just made and the one the fold last read.
+    # Each point's result blocks go straight into its aggregate: never
+    # more than two alive, the one just made and the one the fold last read.
     s = ScanSpec(base_exp(variant=lazy(0.5), replicas=15), ScanAxis.DENSITY, (0.25, 0.5))
     points = scan(s)
     assert len(live_results) == 30 and max(live_results) <= 2
@@ -450,8 +449,9 @@ def test_lockstep_replicas_equal_single_runs(
     )
     results, _ = run_replicas(exp, parallelism=parallelism)
     if parallelism == 1:
-        # One pool over all seven; a lone particle is dispersed as it is taken.
-        assert pools == [(7, 1 if M == 1 else 3)]
+        # One pool over all seven; a lone particle's row is dispersed as
+        # it enters, and leaves at the pool's first exit.
+        assert pools == [(7, 3)]
         positions = [ps.positions for ps in systems]
     else:
         positions = [r.trajectories.positions_at(r.trajectories.steps) for r in results]
@@ -512,37 +512,49 @@ ARRAY_FAMILIES = {
 
 def _kept_systems(monkeypatch, width=None):
     """Run lockstep pools `width` replicas wide (their own width if
-    None), keeping every ParticleSystem that run_replicas makes and, per
-    pool, the systems it took and the most it held live at once, which
-    must not pass the width."""
+    None), keeping, in replica order, a ParticleSystem for every replica
+    that run_replicas packages, made from its seed and stream keys and
+    given the row it left with; and, per pool, the rows it took and the
+    most it held live at once, which must not pass the width. Each pool
+    yields the rows that leave at every exit (gather 1), so the rows it
+    holds are the rows taken less the rows yielded."""
     pools, systems = [], []
+    keys, made = {}, {}  # by replica: its fresh row's words, which are its keys; its system
     if width is not None:
         monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: width)
 
-    def pool(queue, t_end):
+    def pool(topo, M, variant, take, t_end, *rest, **kw):
         taken = left = peak = 0
 
-        def counted():
+        def counted(n):
             nonlocal taken, peak
-            for ps in queue:
-                taken += 1
+            rows = take(n)
+            if rows is not None:
+                taken += len(rows.ids)
                 peak = max(peak, taken - left)
-                yield ps
+                keys.update((i, rows.words[:, r]) for r, i in enumerate(rows.ids.tolist()))
+            return rows
 
-        for item in lockstep_pool(counted(), t_end):
-            assert item[1].t == t_end or item[1].is_dispersed() or item[1].boundary_abort
-            left += 1
-            yield item
+        for rows in lockstep_rows(topo, M, variant, counted, t_end, *rest, **{**kw, "gather": 1}):
+            load, t, _, far, _ = rows.book
+            done = (t == t_end) | (load == M)  # at its budget, or dispersed
+            if topo.unbounded:
+                done |= far > engine.COORDINATE_LIMIT
+            assert done.all()
+            left += len(rows.ids)
+            yield rows
         assert width is None or peak <= width
         pools.append((taken, peak))
 
-    class Kept(ParticleSystem):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            systems.append(self)
+    def package(topo, variant, rows, seeds, *rest):
+        for r, (i, seed) in enumerate(zip(rows.ids.tolist(), seeds.tolist())):
+            made[i] = ParticleSystem(topo, rows.keys.shape[-1], variant, seed, keys=keys.pop(i))
+            made[i]._settle(rows, r)
+        systems[:] = [made[i] for i in sorted(made)]
+        return package_rows(topo, variant, rows, seeds, *rest)
 
-    monkeypatch.setattr(harness, "lockstep_pool", pool)
-    monkeypatch.setattr(harness, "ParticleSystem", Kept)
+    monkeypatch.setattr(harness, "lockstep_rows", pool)
+    monkeypatch.setattr(harness, "package_rows", package)
     return pools, systems
 
 
@@ -737,6 +749,83 @@ def test_event_cap_applies_when_batch_events_are_read(monkeypatch):
         monkeypatch.setattr(engine, "RECORD_EVENT_CAP", walked)
         assert res.trajectories.events == want.trajectories.events
         monkeypatch.setattr(engine, "RECORD_EVENT_CAP", 40)
+
+
+# -- replicas as rows: blocks of results ---------------------------------------
+
+
+def _assert_blocks_equal_lone_reference_runs(exp):
+    """Every result that replica_results streams from its blocks equals a
+    lone run of its seed on the scalar reference loop: its record, step
+    count, boundary flag, walk counts and, when recorded, events."""
+    got = dict(replica_results(exp))
+    assert sorted(got) == list(range(exp.replicas))
+    exp = exp.resolve()
+    for i, res in got.items():
+        ref = ParticleSystem(
+            exp.topology, exp.M, exp.variant, derive_seed(exp.master_seed, i), force_generic=True
+        )
+        ref.record_trajectories(exp.record_trajectories)
+        want = ref.run(exp.budget)
+        assert res.to_record() == want.to_record()
+        assert (res.steps, res.boundary_flag) == (want.steps, want.boundary_flag)
+        assert res.walk_counts.tolist() == want.walk_counts.tolist()
+        if exp.record_trajectories:
+            assert res.trajectories.events == want.trajectories.events
+    return [got[i] for i in range(exp.replicas)]
+
+
+BLOCK_FAMILIES = {"complete-loops": (TopologySpec.complete(12, with_loops=True), 7), **ARRAY_FAMILIES}
+
+
+@pytest.mark.parametrize("family", list(BLOCK_FAMILIES))
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy0.5"])
+def test_result_blocks_equal_lone_reference_runs(family, variant):
+    spec, M = BLOCK_FAMILIES[family]
+    exp = ExperimentSpec(spec, M, variant, budget=3000, replicas=9, master_seed=37)
+    results = _assert_blocks_equal_lone_reference_runs(exp)
+    if family == "tree-leaves":  # the truncated tree: leaves move to their parent
+        assert Status.BOUNDARY_HIT in {r.status for r in results}
+
+
+def test_hundreds_leaving_at_one_step_equal_lone_reference_runs():
+    # K_8 with loops, M=5: a first batch of a full width disperses within
+    # a few steps, hundreds at a step; 2 * width + 3 replicas take keys
+    # from three chunks, and the last ones leave as the pool narrows.
+    spec = TopologySpec.complete(8, with_loops=True)
+    width = lockstep_batch_size(build(spec), 5)
+    exp = ExperimentSpec(spec, 5, replicas=2 * width + 3, master_seed=41)
+    results = _assert_blocks_equal_lone_reference_runs(exp)
+    assert max(Counter(r.steps for r in results[:width]).values()) >= 100
+
+
+def test_a_lone_particle_leaves_dispersed_at_entry():
+    exp = ExperimentSpec(TopologySpec.grid(2), 1, lazy(0.5), replicas=7, master_seed=43)
+    results = _assert_blocks_equal_lone_reference_runs(exp)
+    assert all(r.t_disp == 0 and r.walk_counts.tolist() == [0] for r in results)
+
+
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy0.5"])
+def test_recorded_blocks_replay_to_the_same_events(variant):
+    exp = ExperimentSpec(
+        TopologySpec.complete(20), 12, variant, budget=400, replicas=9, master_seed=47,
+        record_trajectories=True,
+    )
+    results = _assert_blocks_equal_lone_reference_runs(exp)
+    assert all(not r.trajectories.final.flags.writeable for r in results)
+
+
+def test_a_block_packages_and_aggregates_as_its_rows():
+    # A block's records are its rows' records, and its columns fold to
+    # the aggregate of its rows.
+    exp = ExperimentSpec(
+        TopologySpec.tree(3, leaf_depth=2), 8, lazy(0.5), budget=6, replicas=30, master_seed=53
+    )
+    blocks = list(result_blocks(exp))
+    rows = [res for block in blocks for res in block.rows()]
+    assert [rec for block in blocks for rec in block.records()] == [r.to_record() for r in rows]
+    assert aggregate_blocks(blocks) == aggregate(rows) == run_replicas(exp)[1]
+    assert {r.status for r in rows} == set(Status)
 
 
 # K_n beside four array families; hypercube(64)'s counts lexsort its rows.
@@ -1225,13 +1314,13 @@ INVALID_SCANS = [
 @pytest.mark.parametrize("topo, grid, match", INVALID_SCANS, ids=["past-n", "hypercube-past-n"])
 def test_scan_refuses_an_invalid_point_before_running_any(monkeypatch, topo, grid, match):
     calls = []
-    replica_results = harness.replica_results
+    result_blocks = harness.result_blocks
 
     def counted(exp, **kw):
         calls.append(exp)
-        return replica_results(exp, **kw)
+        return result_blocks(exp, **kw)
 
-    monkeypatch.setattr(harness, "replica_results", counted)
+    monkeypatch.setattr(harness, "result_blocks", counted)
     base = base_exp(topology=topo, M=5, replicas=2)
     with pytest.raises(ValueError, match=match):
         scan(ScanSpec(base=base, axis=ScanAxis.DENSITY, grid=grid))
