@@ -275,6 +275,9 @@ class TrajectoryLog:
 
 # A ResultBlock's status codes are indices into this.
 _STATUSES = (Status.DISPERSED, Status.BUDGET_EXHAUSTED, Status.BOUNDARY_HIT)
+_DISPERSED, _EXHAUSTED, _BOUNDARY = map(
+    _STATUSES.index, (Status.DISPERSED, Status.BUDGET_EXHAUSTED, Status.BOUNDARY_HIT)
+)
 
 
 def _record(code, steps, d_disp, far, meetings, lo, mid, hi, seed) -> dict:
@@ -282,7 +285,7 @@ def _record(code, steps, d_disp, far, meetings, lo, mid, hi, seed) -> dict:
     return {
         "schema": SCHEMA,
         "status": _STATUSES[code].value,
-        "t_disp": steps if code == 0 else None,
+        "t_disp": steps if code == _DISPERSED else None,
         "d_disp": d_disp,
         "max_distance_ever": far,
         "meeting_total": meetings,
@@ -300,8 +303,9 @@ class ResultBlock:
     `max_distance_ever` and `meeting_total` (int64), `boundary_flag`
     (bool), `seed` (uint64), the (rows, M) `walk_counts`, and
     `trajectories`, a TrajectoryLog per row when the run records, else
-    None. A RunResult is one row of a block; `records()` gives every
-    row's `to_record()` at once."""
+    None. `dispersed` and `boundary_hit` read the codes as row masks. A
+    RunResult is one row of a block; `records()` gives every row's
+    `to_record()` at once."""
 
     STATUSES = _STATUSES  # the status each code names
 
@@ -323,6 +327,14 @@ class ResultBlock:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @property
+    def dispersed(self) -> np.ndarray:
+        return self.code == _DISPERSED
+
+    @property
+    def boundary_hit(self) -> np.ndarray:
+        return self.code == _BOUNDARY
 
     def rows(self) -> list[RunResult]:
         return [RunResult._of(self, r) for r in range(len(self.ids))]
@@ -364,7 +376,7 @@ class RunResult:
         boundary_flag: bool = False, trajectories: Optional[TrajectoryLog] = None,
     ):
         code = _STATUSES.index(Status(status))
-        if t_disp != (steps if code == 0 else None):
+        if t_disp != (steps if code == _DISPERSED else None):
             raise ValueError("t_disp is a dispersed run's step count, else None")
         self.block = ResultBlock(
             [0], [code], [steps], [d_disp], [max_distance_ever], [meeting_total],
@@ -379,7 +391,7 @@ class RunResult:
         return res
 
     status = _field("code", _STATUSES.__getitem__)
-    dispersed = _field("code", lambda code: bool(code == 0))
+    dispersed = _field("code", lambda code: bool(code == _DISPERSED))
     steps = _field("steps", int)
     d_disp = _field("d_disp", int)
     max_distance_ever = _field("max_distance_ever", int)
@@ -857,9 +869,10 @@ def package_rows(
     load, t, meetings, far, flag = rows.book.copy()  # rows may be views the pool writes over
     shape = rows.pos.shape[:-2]  # of an array-form vertex
     d_disp = topo.distance_array(rows.pos.reshape(shape + (-1,))).reshape(-1, M).max(1)
-    code = (load != M).astype(np.int8)  # dispersed exactly when every load is M
+    # Dispersed exactly when every load is M.
+    code = np.where(load == M, _DISPERSED, _EXHAUSTED).astype(np.int8)
     flagged = flag != 0
-    code[flagged | (far > COORDINATE_LIMIT) if topo.unbounded else flagged] = 2
+    code[flagged | (far > COORDINATE_LIMIT) if topo.unbounded else flagged] = _BOUNDARY
     logs = None
     if record:
         logs = [
@@ -960,7 +973,7 @@ def lockstep_rows(
     end, and one occupancy count over (replica, vertex) keys serves every
     replica. A block's rows fill their slots in one assignment per array;
     a fresh row's slot is filled from the origin's array form, its keys
-    and M, and its bins need no recount. A row leaves, keeping its own
+    and M, and is recounted at the next count like any other newcomer. A row leaves, keeping its own
     step, once it reaches t_end or disperses or, on an unbounded graph,
     once its reach passes COORDINATE_LIMIT. The rows that leave at one
     step are copied from their slots into the block being gathered in one

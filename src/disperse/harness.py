@@ -41,6 +41,7 @@ from .engine import (
     STANDARD,
     ResultBlock,
     RunResult,
+    Status,
     TrajectoryLog,
     Variant,
     WalkMode,
@@ -131,12 +132,14 @@ _QUANTILE_FIELDS = ("t_disp", "d_disp", "max_distance")
 
 def nearest_rank_quantiles(values) -> dict[str, Optional[float]]:
     """Nearest-rank quantiles: q_p = sorted[ceil(p/100 * N) - 1]."""
-    vals = np.sort(np.asarray(values))
+    vals = sorted(values)
     n = len(vals)
     if n == 0:
         return {k: None for k in _QUANTILE_KEYS}
-    ranks = [0, *(max(0, math.ceil(p / 100 * n) - 1) for p in (25, 50, 75, 95)), n - 1]
-    return dict(zip(_QUANTILE_KEYS, vals[ranks].tolist()))
+    out = {"min": vals[0], "max": vals[-1]}
+    for p, key in ((25, "p25"), (50, "p50"), (75, "p75"), (95, "p95")):
+        out[key] = vals[max(0, math.ceil(p / 100 * n) - 1)]
+    return {k: out[k] for k in _QUANTILE_KEYS}
 
 
 @dataclass(frozen=True)
@@ -172,25 +175,25 @@ class AggregateStats:
         return {c: row[c] for c in self.COLUMNS}
 
 
-def _aggregate(code, t_disp, d_disp, far, meetings) -> AggregateStats:
-    """The aggregate of replicas given as columns: status codes (indices
-    into ResultBlock.STATUSES), dispersal steps (read where dispersed),
-    d_disp, reach and meetings. Boundary hits are counted separately and
+def _aggregate(done, boundary, t_disp, d_disp, far, meetings) -> AggregateStats:
+    """The aggregate of replicas given as columns: dispersed and
+    boundary-hit masks, dispersal steps (read where dispersed), d_disp,
+    reach and meetings. Boundary hits are counted separately and
     excluded from every statistic; dispersal quantiles cover dispersed
     runs only."""
-    kept, done = code != 2, code == 0  # not a boundary hit; dispersed
+    kept = ~boundary
     n, dispersed = int(np.count_nonzero(kept)), int(np.count_nonzero(done))
     lo, hi = wilson_interval(dispersed, n)
     return AggregateStats(
-        replicas=len(code),
-        boundary_hits=len(code) - n,
+        replicas=len(done),
+        boundary_hits=len(done) - n,
         dispersed=dispersed,
         dispersal_fraction=dispersed / n if n else 0.0,
         ci_lo=lo,
         ci_hi=hi,
-        t_disp=nearest_rank_quantiles(t_disp[done]),
-        d_disp=nearest_rank_quantiles(d_disp[done]),
-        max_distance=nearest_rank_quantiles(far[kept]),
+        t_disp=nearest_rank_quantiles(t_disp[done].tolist()),
+        d_disp=nearest_rank_quantiles(d_disp[done].tolist()),
+        max_distance=nearest_rank_quantiles(far[kept].tolist()),
         # Summed as Python ints, which do not overflow.
         mean_meetings=sum(meetings[kept].tolist()) / n if n else 0.0,
     )
@@ -198,14 +201,15 @@ def _aggregate(code, t_disp, d_disp, far, meetings) -> AggregateStats:
 
 def aggregate_blocks(blocks: Iterable[ResultBlock]) -> AggregateStats:
     """Deterministic fold, in one pass, over blocks of results in any
-    order: it keeps each block's status, steps, d_disp,
-    max_distance_ever and meeting_total columns, and no block."""
-    columns: list[list] = [[] for _ in range(5)]
+    order: it keeps each block's dispersed and boundary-hit masks and its
+    steps, d_disp, max_distance_ever and meeting_total columns, and no
+    block."""
+    columns = [[np.zeros(0, dtype)] for dtype in (bool, bool, *[np.int64] * 4)]
     for b in blocks:
-        kept = (b.code, b.steps, b.d_disp, b.max_distance_ever, b.meeting_total)
+        kept = (b.dispersed, b.boundary_hit, b.steps, b.d_disp, b.max_distance_ever, b.meeting_total)
         for col, c in zip(columns, kept):
             col.append(c)
-    return _aggregate(*(np.concatenate(col or [np.zeros(0, np.int64)]) for col in columns))
+    return _aggregate(*map(np.concatenate, columns))
 
 
 def aggregate(results: Iterable[RunResult]) -> AggregateStats:
@@ -213,12 +217,15 @@ def aggregate(results: Iterable[RunResult]) -> AggregateStats:
     their columns: it reads only each result's status, t_disp, d_disp,
     max_distance_ever and meeting_total, so anything with those fields
     will do."""
-    code = {s: c for c, s in enumerate(ResultBlock.STATUSES)}
     rows = [
-        (code[r.status], r.t_disp or 0, r.d_disp, r.max_distance_ever, r.meeting_total)
+        (
+            r.status == Status.DISPERSED, r.status == Status.BOUNDARY_HIT,
+            r.t_disp or 0, r.d_disp, r.max_distance_ever, r.meeting_total,
+        )
         for r in results
     ]
-    return _aggregate(*np.array(rows, dtype=np.int64).reshape(-1, 5).T)
+    done, boundary, *columns = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+    return _aggregate(done != 0, boundary != 0, *columns)
 
 
 def _pool_results(exp: ExperimentSpec, seeds: list[int]) -> Iterator[ResultBlock]:
