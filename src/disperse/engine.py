@@ -41,17 +41,15 @@ d_disp and walk counts are read for every row at once, so a short
 replica costs little beyond its steps. A RunResult is one row of a
 ResultBlock.
 
-A ParticleSystem is the one-replica API over the same rows:
-`lockstep_pool` and `advance_lockstep` run `lockstep_rows` over
-systems, each entering as a block of one row of its own arrays and
-leaving by having its row written back, and a single system's step()
-and run() are the R = 1 case, moving the system in and out on each
-call. While a pool holds a system, its arrays are the slot's and it is
-refused by name if it is read, stepped or pooled again; its result is
-the one row of a block packaged from its state. A step gathers the
-movers' vertex rows and hands them, with their draws, to
-`neighbor_array`, which may overwrite both: the tree, the grid and the
-hypercube write the destinations into the gathered rows.
+A ParticleSystem is the one-replica API over the same rows: its
+step() and run() are the R = 1 case, a `lockstep_rows` pool whose one
+row is the system's state (`_row`), which the system takes back
+(`_settle`) as the row leaves or, when a step raises, at its last
+completed step. Its result is the one row of a block packaged from its
+state. A step gathers the movers' vertex rows and hands them, with
+their draws, to `neighbor_array`, which may overwrite both: the tree,
+the grid and the hypercube write the destinations into the gathered
+rows.
 
 Occupancy is counted on packed (replica, vertex) keys: replica * span
 plus a vertex code in [0, span), where the span is n on K_n, star,
@@ -88,7 +86,6 @@ events are read back by running the same seed again on the same loop.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -136,8 +133,6 @@ __all__ = [
     "ParticleSystem",
     "ReplicaRows",
     "LOCKSTEP_ELEMENTS",
-    "advance_lockstep",
-    "lockstep_pool",
     "lockstep_rows",
     "lockstep_batch_size",
     "package_rows",
@@ -445,17 +440,6 @@ class ParticleSystem:
     and `_words`, the state words key + GOLDEN * count that the loops
     step (see rng), in a block shaped as the keys.
 
-    On the array kernel a system steps as one row of a lockstep pool's
-    slots (`lockstep_pool`): it enters as a block of one row of its own
-    arrays, and leaves by having its row written back. While a pool
-    holds it, its arrays are None: every read of its state (`positions`,
-    `walk_counts`, `is_dispersed()`, `boundary_abort`, the happy and
-    unhappy counts, its result) and every step is refused by name, while
-    the plain attributes `t`, `meeting_total`, `max_distance_ever` and
-    `boundary_flag` keep their values from when it entered. Its result
-    is the one row of a ResultBlock packaged from its state, as the
-    harness packages the rows that leave a pool.
-
     `spec` may be the graph's Topology instead, so that several systems
     share one build. A tree spec whose leaf_depth is None runs on the
     infinite tree; `ExperimentSpec.resolve()`, whose one job this is,
@@ -510,32 +494,22 @@ class ParticleSystem:
 
     @property
     def positions(self) -> list[Any]:
-        self._check_free()
         return self.topo.from_array(self._posv)
 
     @property
     def walk_counts(self) -> np.ndarray:
-        self._check_free()
         return stream_counts(self._words[0], self._keys[0])
 
     def is_dispersed(self) -> bool:
-        self._check_free()
         return int(self._occ.max()) <= 1
 
     @property
     def boundary_abort(self) -> bool:
         """Whether a particle passed COORDINATE_LIMIT on an unbounded graph."""
-        self._check_free()
         return self.topo.unbounded and self.max_distance_ever > COORDINATE_LIMIT
-
-    def _check_free(self) -> None:
-        """Refuse, by name, a system whose state a lockstep pool holds."""
-        if self._posv is None:
-            raise ValueError("a lockstep pool holds this system until it leaves")
 
     def _unhappy(self) -> np.ndarray:
         """Mask of the particles that share their vertex."""
-        self._check_free()
         return self._occ >= 2
 
     def happy_unhappy_counts(self) -> tuple[int, int]:
@@ -613,8 +587,14 @@ class ParticleSystem:
     def _advance(self, t_end: int) -> None:
         if self._reference:
             self._run_reference(t_end)
-        else:
-            advance_lockstep([self], t_end)
+            return
+        # The system is the one row of its own pool, settled as it leaves
+        # or, when a step raises, at its last completed step.
+        rows = [self._row(0)]
+        take = lambda n: rows.pop() if rows else None
+        settle = lambda left: self._settle(left, 0)
+        for left in lockstep_rows(self.topo, self.particles, self.variant, take, t_end, settle):
+            settle(left)
 
     def _step_once(self) -> tuple[np.ndarray, np.ndarray]:
         """One step through the loop run() uses; returns the ids of the
@@ -649,7 +629,6 @@ class ParticleSystem:
     def _result(self) -> RunResult:
         """The result of the run so far: the one row of the block that
         packages the system's state."""
-        self._check_free()
         seed = np.array([self.seed], dtype=np.uint64)
         rows = self._row(0)
         return RunResult._of(package_rows(self.topo, self.variant, rows, seed, self._record, self._reference), 0)
@@ -887,71 +866,6 @@ def package_rows(
     )
 
 
-def advance_lockstep(systems: Iterable[ParticleSystem], t_end: int) -> None:
-    """Advance array-kernel systems to step t_end (or dispersal), bit for
-    bit as if each ran alone: `lockstep_pool` run to its end. The
-    systems need not share a step; a freed slot takes the next one."""
-    for _ in lockstep_pool(systems, t_end):
-        pass
-
-
-def lockstep_pool(
-    systems: Iterable[ParticleSystem], t_end: int
-) -> Iterator[tuple[int, ParticleSystem]]:
-    """Advance array-kernel systems to step t_end (or dispersal) in
-    lockstep, bit for bit as if each ran alone, and yield (i, system)
-    for the i-th of `systems` as it leaves: `lockstep_rows` over the
-    systems' states, each taken as a block of one row only when a slot
-    frees, and written back as its row leaves.
-
-    The systems must share the graph, particle count and variant, but
-    not the step. A system passed twice, or held by another pool, is
-    refused by name. A system already at t_end, dispersed or out of
-    bounds leaves at the pool's first exit after it enters. Once the
-    pool is closed or a step raises (a tree vertex past int64), each
-    system taken is at its last completed step, and systems not yet
-    taken are untouched.
-    """
-    queue = enumerate(systems)
-    first = next(queue, None)
-    if first is None:
-        return
-    s = first[1]
-    shape = (s.spec, s.particles, s.variant)
-    queue = itertools.chain([first], queue)
-    held = {}  # i: (system, its own arrays) for each system taken and not yet left
-
-    def take(n: int) -> Optional[ReplicaRows]:
-        for i, s in queue:
-            if s._reference:
-                raise ValueError("lockstep systems must be on the array kernel")
-            s._check_free()  # passed twice, or held by another pool
-            if (s.spec, s.particles, s.variant) != shape:
-                raise ValueError("lockstep systems must share the graph, particle count and variant")
-            held[i] = s, (s._posv, s._words, s._occ)
-            row = s._row(i)
-            s._posv = s._words = s._occ = None
-            return row
-        return None
-
-    def give_back(rows: ReplicaRows) -> list[tuple[int, ParticleSystem]]:
-        left = []
-        for r, i in enumerate(rows.ids.tolist()):
-            s = held.pop(i)[0]
-            s._settle(rows, r)
-            left.append((i, s))
-        return left
-
-    pool = lockstep_rows(s.topo, s.particles, s.variant, take, t_end, give_back)
-    try:
-        for rows in pool:
-            yield from give_back(rows)
-    finally:
-        pool.close()  # gives back every row the pool still holds
-        for s, arrays in held.values():  # taken, never entered: as they were
-            s._posv, s._words, s._occ = arrays
-
-
 def lockstep_rows(
     topo: Topology,
     M: int,
@@ -973,19 +887,19 @@ def lockstep_rows(
     end, and one occupancy count over (replica, vertex) keys serves every
     replica. A block's rows fill their slots in one assignment per array;
     a fresh row's slot is filled from the origin's array form, its keys
-    and M, and is recounted at the next count like any other newcomer. A row leaves, keeping its own
-    step, once it reaches t_end or disperses or, on an unbounded graph,
-    once its reach passes COORDINATE_LIMIT. The rows that leave at one
-    step are copied from their slots into the block being gathered in one
-    assignment per array; with `gather` 1, each exit's block is yielded
-    before `take` fills the slots it freed. A yielded block is a view of
-    the gathering arrays, which the pool writes over once it resumes, so
-    a caller copies what it keeps. Once `take` is spent and a slot stays
-    empty, the live slots are cut, in their order, into a batch as wide
-    as they are. A step that raises leaves each live row at its last
-    completed step; if the pool is closed or raises, the rows it still
-    holds, and those it gathered, are handed to `give_back` when it is
-    given.
+    and M, and is recounted at the next count like any other newcomer. A
+    row leaves, keeping its own step, once it reaches t_end or disperses
+    or, on an unbounded graph, once its reach passes COORDINATE_LIMIT.
+    The rows that leave at one step are copied from their slots into the
+    block being gathered in one assignment per array; with `gather` 1,
+    each exit's block is yielded before `take` fills the slots it freed.
+    A yielded block is a view of the gathering arrays, which the pool
+    writes over once it resumes, so a caller copies what it keeps. Once
+    `take` is spent and a slot stays empty, the live slots are cut, in
+    their order, into a batch as wide as they are. A step that raises
+    leaves each live row at its last completed step; if the pool is
+    closed or raises, the rows it still holds, and those it gathered,
+    are handed to `give_back` when it is given.
     """
     lazyv = variant.kind == "lazy"
     # A coin's draw r moves its particle when to_unit(r) < p, that is r <= this.

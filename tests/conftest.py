@@ -1,9 +1,41 @@
+import itertools
 import weakref
 
 import pytest
 
 from disperse import engine, harness
 from disperse.validate import validate_suite
+
+
+def lockstep_systems(systems, t_end):
+    """Step array-kernel systems of one graph, particle count and variant
+    to t_end in one `lockstep_rows` pool, and yield (i, system) for the
+    i-th of `systems` as it leaves, settled at its own step. A system's
+    row is read only when a slot frees; once the pool is closed or a step
+    raises, every system it took is settled at its last completed step."""
+    systems = iter(systems)
+    s = next(systems)
+    queue = enumerate(itertools.chain([s], systems))
+    taken = {}
+
+    def take(n):
+        for i, ps in queue:
+            taken[i] = ps
+            return ps._row(i)
+        return None
+
+    def give_back(rows):
+        left = [(i, taken.pop(i)) for i in rows.ids.tolist()]
+        for r, (_, ps) in enumerate(left):
+            ps._settle(rows, r)
+        return left
+
+    pool = engine.lockstep_rows(s.topo, s.particles, s.variant, take, t_end, give_back)
+    try:
+        for rows in pool:
+            yield from give_back(rows)
+    finally:
+        pool.close()
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,15 @@ from disperse.engine import (
     lazy,
     stream_keys,
 )
-from disperse.rng import DIRECTION_TAG, LAZINESS_TAG, MASK64, draw, stream_key, unit_threshold
+from disperse.rng import (
+    DIRECTION_TAG,
+    LAZINESS_TAG,
+    MASK64,
+    draw,
+    stream_counts,
+    stream_key,
+    unit_threshold,
+)
 from disperse.topology import Family, TopologySpec, build
 
 
@@ -534,19 +542,34 @@ def test_a_log_that_does_not_replay_to_its_final_positions_raises(force_generic)
         ps.run(1000).trajectories.events
 
 
-@pytest.mark.parametrize("force_generic", [False, True])
-def test_a_move_past_int64_leaves_the_system_at_its_last_step(force_generic):
+@pytest.mark.parametrize(
+    "force_generic, variant, last",
+    [(False, STANDARD, 0), (True, STANDARD, 0), (False, lazy(0.05), 17)],
+    ids=["False", "True", "lazy0.05"],
+)
+def test_a_move_past_int64_leaves_the_system_at_its_last_step(force_generic, variant, last):
     # Two particles on one depth-1 vertex of tree(2^40), whose level 2 has
-    # about 2^80 vertices: almost every draw moves a particle there.
-    ps = ParticleSystem(
-        TopologySpec.tree(2**40, leaf_depth=0), 2, seed=1, force_generic=force_generic
-    )
-    ps._posv[:] = ps.topo.to_array([(5,), (5,)])
-    ps.max_distance_ever = 1
+    # about 2^80 vertices: almost every draw moves a particle there. The
+    # lazy coin keeps them put for `last` steps before the move that raises.
+    def placed(**kw):
+        ps = ParticleSystem(TopologySpec.tree(2**40, leaf_depth=0), 2, variant, seed=1, **kw)
+        ps._posv[:] = ps.topo.to_array([(5,), (5,)])
+        ps.max_distance_ever = 1
+        return ps
+
+    ps = placed(force_generic=force_generic)
     with pytest.raises(ValueError, match="int64"):
-        ps.run(10)
-    assert (ps.t, ps.meeting_total, ps.walk_counts.tolist()) == (0, 0, [0, 0])
+        ps.run(10**4)
+    assert (ps.t, ps.meeting_total, ps.walk_counts.tolist()) == (last, last, [0, 0])
     assert ps.positions == [(5,), (5,)]
+    ref = placed(force_generic=True)
+    ref.run(last)
+    assert (ps.t, ps.meeting_total) == (ref.t, ref.meeting_total)
+    # One row of counts per stream: walk counts and, when lazy, laziness counts.
+    counts = [stream_counts(s._words, s._keys).tolist() for s in (ps, ref)]
+    assert counts[0] == counts[1]
+    if variant.kind == "lazy":
+        assert counts[0][1] == [last, last]
 
 
 def test_vertex_counts_past_int64_are_refused_before_a_run():

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 
 from disperse import engine
-from disperse.engine import STANDARD, ParticleSystem, Status, WalkMode, lazy, lockstep_pool
+from disperse.engine import STANDARD, ParticleSystem, Status, WalkMode, lazy
 from disperse.rng import derive_seed
 from disperse.topology import TopologySpec, build
+
+from conftest import lockstep_systems
 
 SETTINGS = dict(deadline=None, max_examples=60)
 
@@ -204,7 +206,7 @@ def test_stored_occupancy_is_the_count_of_positions(exp, variant, seed, force_ge
     pooled = [ParticleSystem(spec, m, variant, derive_seed(seed, i)) for i in range(5)]
     pooled[2]._advance(3)
     with mock.patch.object(engine, "lockstep_batch_size", lambda topo, M: 2):
-        for _, left in lockstep_pool(iter(pooled), 12):
+        for _, left in lockstep_systems(iter(pooled), 12):
             _assert_stored_counts(left)
 
 
@@ -245,7 +247,7 @@ def test_kept_counts_equal_a_fresh_recount(fraction, family, variant, width, m, 
     with mock.patch.object(engine, "UPDATE_FRACTION", fraction), mock.patch.object(
         engine, "lockstep_batch_size", lambda topo, M: width
     ), mock.patch.object(engine._Occupancy, "__call__", checked):
-        settled = [s for _, s in lockstep_pool(iter(pooled), budget)]
+        settled = [s for _, s in lockstep_systems(iter(pooled), budget)]
     assert sorted(map(id, settled)) == sorted(map(id, pooled))
     for i, s in enumerate(pooled):
         lone = ParticleSystem(spec, m, variant, derive_seed(seed, i), force_generic=True)
@@ -280,7 +282,7 @@ def test_sparse_steps_update_the_kept_counts():
     with mock.patch.object(engine, "lockstep_batch_size", lambda topo, M: 3), mock.patch.object(
         engine._Occupancy, "__call__", watched
     ), mock.patch.object(engine._Occupancy, "refill", named):
-        for _, s in lockstep_pool(iter(pooled), 5000):
+        for _, s in lockstep_systems(iter(pooled), 5000):
             assert s.is_dispersed()
     updated = sum(kept for _, kept in steps)
     assert 0 < updated < len(steps) and not any(dense and kept for dense, kept in steps)

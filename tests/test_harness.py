@@ -15,10 +15,8 @@ from disperse.engine import (
     ParticleSystem,
     RunResult,
     Status,
-    advance_lockstep,
     lazy,
     lockstep_batch_size,
-    lockstep_pool,
     lockstep_rows,
     package_rows,
 )
@@ -40,6 +38,8 @@ from disperse.harness import (
 )
 from disperse.rng import derive_seed, stream_counts
 from disperse.topology import Family, TopologySpec, build, default_leaf_depth, with_leaf_depth
+
+from conftest import lockstep_systems
 
 
 # -- interval and quantile helpers -------------------------------------------
@@ -370,16 +370,6 @@ def test_scan_folds_each_result_as_it_is_made(live_results):
         assert pt.stats == run_replicas(pt.experiment)[1]
 
 
-def test_a_settled_replica_is_packaged_without_a_second_pool(monkeypatch):
-    # Each system leaves the pool settled, and its result is read off its
-    # state: no replica's run() enters a pool again.
-    calls = []
-    advance = engine.advance_lockstep
-    monkeypatch.setattr(engine, "advance_lockstep", lambda *a: calls.append(a) or advance(*a))
-    results, _ = run_replicas(base_exp(replicas=6, variant=lazy(0.5)))
-    assert len(results) == 6 and calls == []
-
-
 def test_chunked_stream_keys_equal_systems_built_one_by_one(monkeypatch):
     # Keys are derived a pool width of seeds at a time: 2 * width + 3
     # replicas fill two chunks and start a third.
@@ -480,16 +470,6 @@ def test_lockstep_replicas_equal_single_runs(
     else:
         assert statuses == {Status.DISPERSED}
         assert len({r.t_disp for r in results}) > 1
-
-
-def test_lockstep_rejects_systems_of_another_run_or_loop():
-    spec = TopologySpec.complete(20)
-    b = ParticleSystem(spec, 15, seed=2)
-    with pytest.raises(ValueError, match="lockstep"):
-        advance_lockstep([b, ParticleSystem(spec, 14, seed=3)], 10)
-    with pytest.raises(ValueError, match="lockstep"):
-        advance_lockstep([b, ParticleSystem(spec, 15, seed=3, force_generic=True)], 10)
-    assert b.t == 0
 
 
 # Every array-kernel family but K_n, with the particle counts its tests use.
@@ -675,7 +655,7 @@ def test_a_raising_step_leaves_every_lockstep_replica_at_its_last_step(variant, 
 
     systems = [placed(j) for j in range(4)]
     with pytest.raises(ValueError, match="int64"):
-        advance_lockstep(systems, 50)
+        list(lockstep_systems(systems, 50))
     raised_at = []
     for j, ps in enumerate(systems):
         assert (ps.t, ps.meeting_total, ps.walk_counts.tolist()) == (last, last, [0, 0])
@@ -699,7 +679,7 @@ def test_a_raising_step_leaves_systems_not_yet_taken_untouched(monkeypatch, vari
     monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
     systems = [_placed_on_tree(variant, 3, j) for j in range(5)]
     with pytest.raises(ValueError, match="int64"):
-        advance_lockstep(iter(systems), 50)
+        list(lockstep_systems(iter(systems), 50))
     taken, waiting = systems[:2], systems[2:]
     last = taken[0].t
     raised_at = []
@@ -843,7 +823,7 @@ def test_lockstep_batch_equals_lone_systems_after_every_step(family, variant):
     batch = [ParticleSystem(spec, M, variant, seed) for seed in seeds]
     lone = [ParticleSystem(spec, M, variant, seed) for seed in seeds]
     for t in range(400):
-        advance_lockstep(batch, t + 1)
+        list(lockstep_systems(batch, t + 1))
         for ps in lone:
             ps._advance(t + 1)
         for b, a in zip(batch, lone):
@@ -894,7 +874,7 @@ def _assert_pool_matches_lone_runs(monkeypatch, family, variant, width):
         ps._advance(5)
         assert ps.t == 5 and not ps.is_dispersed()
     t_end = 40
-    left = [i for i, _ in lockstep_pool(iter(pooled), t_end)]
+    left = [i for i, _ in lockstep_systems(iter(pooled), t_end)]
     assert sorted(left) == list(range(5))
     lone = [
         ParticleSystem(spec, M, variant, derive_seed(59, i), force_generic=True)
@@ -940,7 +920,7 @@ def test_closing_a_pool_settles_every_live_system(monkeypatch, family, variant):
             taken.append(i)
             yield ps
 
-    pool = lockstep_pool(queue(), 40)
+    pool = lockstep_systems(queue(), 40)
     first, _ = next(pool)
     pool.close()
     assert taken == [0, 1]
@@ -953,108 +933,6 @@ def test_closing_a_pool_settles_every_live_system(monkeypatch, family, variant):
         _assert_same_state(pooled[i], ref)
     for i in range(2, 5):
         _assert_same_state(pooled[i], fresh(i))
-
-
-def _arrays(ps):
-    return ps._posv, ps._words, ps._occ
-
-
-def _has_arrays(ps):
-    """Whether ps has each of its position, word and occupancy arrays."""
-    return [a is not None for a in _arrays(ps)]
-
-
-@pytest.mark.parametrize("family", list(POOL_FAMILIES))
-def test_a_pooled_system_holds_its_state_only_in_its_slot(monkeypatch, family):
-    # Four systems in a pool two wide. As the first leaves, the other one
-    # taken has no arrays of its own, the one leaving has fresh ones and
-    # the two not yet taken keep theirs. Each ends as a lone run does.
-    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
-    spec, M = POOL_FAMILIES[family]
-
-    def fresh(i, **kw):
-        return ParticleSystem(spec, M, lazy(0.5), derive_seed(67, i), **kw)
-
-    pooled = [fresh(i) for i in range(4)]
-    given = [_arrays(ps) for ps in pooled]
-    pool = lockstep_pool(iter(pooled), 40)
-    first, _ = next(pool)
-    assert first in (0, 1)
-    assert _has_arrays(pooled[1 - first]) == [False] * 3
-    assert not any(a is b for a, b in zip(_arrays(pooled[first]), given[first]))
-    for i in (2, 3):
-        assert all(a is b for a, b in zip(_arrays(pooled[i]), given[i]))
-    assert sorted([first] + [i for i, _ in pool]) == [0, 1, 2, 3]
-    for i, ps in enumerate(pooled):
-        assert _has_arrays(ps) == [True] * 3
-        lone = fresh(i).run(40)
-        assert ps._result().to_record() == lone.to_record()
-        assert ps.walk_counts.tolist() == lone.walk_counts.tolist()
-        ref = fresh(i, force_generic=True)
-        ref._advance(40)
-        _assert_same_state(ps, ref)
-
-
-def test_a_pool_refuses_a_system_passed_twice(monkeypatch):
-    # Thirty particles on the path take far more than 40 steps to disperse.
-    a, b = (ParticleSystem(TopologySpec.path(), 30, STANDARD, derive_seed(71, i)) for i in range(2))
-    # Twice into the first batch: the first copy is given back untouched.
-    with pytest.raises(ValueError, match="^a lockstep pool holds this system until it leaves$"):
-        list(lockstep_pool([a, b, a], 40))
-    assert (a.t, b.t) == (0, 0) and _has_arrays(a) == _has_arrays(b) == [True] * 3
-    # Taken again into the slot b frees while a is still live.
-    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
-    b._advance(39)
-    left = []
-    with pytest.raises(ValueError, match="^a lockstep pool holds this system until it leaves$"):
-        for i, _ in lockstep_pool([b, a, a], 40):
-            left.append(i)
-    assert left == [0] and b.t == 40 and a.t == 1 and _has_arrays(a) == [True] * 3
-
-
-def test_a_system_a_pool_holds_cannot_be_stepped_or_pooled(monkeypatch):
-    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
-    spec, M = POOL_FAMILIES["path"]
-    pooled = [ParticleSystem(spec, M, STANDARD, derive_seed(73, i)) for i in range(3)]
-    pool = lockstep_pool(iter(pooled), 40)
-    first, _ = next(pool)
-    held = pooled[1 - first]
-    message = "^a lockstep pool holds this system until it leaves$"
-    for use in (held.step, lambda: held.run(50), lambda: list(lockstep_pool([held], 50))):
-        with pytest.raises(ValueError, match=message):
-            use()
-    pool.close()
-    t = held.t
-    held.step()
-    assert held.t == t + 1
-
-
-_HELD_READS = {
-    "positions": lambda ps: ps.positions,
-    "walk_counts": lambda ps: ps.walk_counts.tolist(),
-    "happy_unhappy_counts": lambda ps: ps.happy_unhappy_counts(),
-    "is_dispersed": lambda ps: ps.is_dispersed(),
-    "boundary_abort": lambda ps: ps.boundary_abort,
-    "result": lambda ps: ps._result().to_record(),
-}
-
-
-@pytest.mark.parametrize("read", list(_HELD_READS))
-def test_a_system_a_pool_holds_refuses_every_read(monkeypatch, read):
-    # Each read is refused by name while the pool holds the system, and
-    # once the pool is closed reads as a lone run to the same step does.
-    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 2)
-    spec, M = POOL_FAMILIES["path"]
-    pooled = [ParticleSystem(spec, M, STANDARD, derive_seed(73, i)) for i in range(3)]
-    pool = lockstep_pool(iter(pooled), 40)
-    first, _ = next(pool)
-    held = pooled[1 - first]
-    with pytest.raises(ValueError, match="^a lockstep pool holds this system until it leaves$"):
-        _HELD_READS[read](held)
-    pool.close()
-    lone = ParticleSystem(spec, M, STANDARD, derive_seed(73, 1 - first), force_generic=True)
-    lone._advance(held.t)
-    assert _HELD_READS[read](held) == _HELD_READS[read](lone)
 
 
 @pytest.mark.parametrize("master", [1, 2, 3])
@@ -1085,7 +963,7 @@ def test_a_raising_step_after_the_batch_narrowed_settles_every_live_system(monke
     systems = [rooted()] + [_placed_on_tree(variant, master, j) for j in js]
     left = []
     with pytest.raises(ValueError, match="int64"):
-        for i, _ in lockstep_pool(iter(systems), 10**4):
+        for i, _ in lockstep_systems(iter(systems), 10**4):
             left.append(i)
     assert left == [0] and systems[0].t == left_at
     for j, ps in zip(js, systems[1:]):
@@ -1164,7 +1042,7 @@ def test_a_full_width_pool_counts_by_bincount(monkeypatch, shape, budget):
             return occ
 
     monkeypatch.setattr(engine, "_Occupancy", Spy)
-    advance_lockstep([ParticleSystem(spec, M, variant, seed=s) for s in range(width)], 1)
+    list(lockstep_systems([ParticleSystem(spec, M, variant, seed=s) for s in range(width)], 1))
     assert counts[0] == (width, True)
 
 
