@@ -542,27 +542,29 @@ def test_a_log_that_does_not_replay_to_its_final_positions_raises(force_generic)
         ps.run(1000).trajectories.events
 
 
+def _two_on_tree(variant, **kw):
+    """Two particles on one depth-1 vertex of tree(2^40), whose level 2
+    has about 2^80 vertices: almost every draw moves a particle there."""
+    ps = ParticleSystem(TopologySpec.tree(2**40, leaf_depth=0), 2, variant, seed=1, **kw)
+    ps._posv[:] = ps.topo.to_array([(5,), (5,)])
+    ps.max_distance_ever = 1
+    return ps
+
+
 @pytest.mark.parametrize(
     "force_generic, variant, last",
     [(False, STANDARD, 0), (True, STANDARD, 0), (False, lazy(0.05), 17)],
     ids=["False", "True", "lazy0.05"],
 )
 def test_a_move_past_int64_leaves_the_system_at_its_last_step(force_generic, variant, last):
-    # Two particles on one depth-1 vertex of tree(2^40), whose level 2 has
-    # about 2^80 vertices: almost every draw moves a particle there. The
-    # lazy coin keeps them put for `last` steps before the move that raises.
-    def placed(**kw):
-        ps = ParticleSystem(TopologySpec.tree(2**40, leaf_depth=0), 2, variant, seed=1, **kw)
-        ps._posv[:] = ps.topo.to_array([(5,), (5,)])
-        ps.max_distance_ever = 1
-        return ps
-
-    ps = placed(force_generic=force_generic)
+    # The lazy coin keeps the particles put for `last` steps before the
+    # move that raises.
+    ps = _two_on_tree(variant, force_generic=force_generic)
     with pytest.raises(ValueError, match="int64"):
         ps.run(10**4)
     assert (ps.t, ps.meeting_total, ps.walk_counts.tolist()) == (last, last, [0, 0])
     assert ps.positions == [(5,), (5,)]
-    ref = placed(force_generic=True)
+    ref = _two_on_tree(variant, force_generic=True)
     ref.run(last)
     assert (ps.t, ps.meeting_total) == (ref.t, ref.meeting_total)
     # One row of counts per stream: walk counts and, when lazy, laziness counts.
@@ -570,6 +572,67 @@ def test_a_move_past_int64_leaves_the_system_at_its_last_step(force_generic, var
     assert counts[0] == counts[1]
     if variant.kind == "lazy":
         assert counts[0][1] == [last, last]
+
+
+_READS = {
+    "positions": lambda ps: ps.positions,
+    "walk_counts": lambda ps: ps.walk_counts.tolist(),
+    "happy_unhappy_counts": lambda ps: ps.happy_unhappy_counts(),
+    "is_dispersed": lambda ps: ps.is_dispersed(),
+    "boundary_abort": lambda ps: ps.boundary_abort,
+    "result": lambda ps: ps._result().to_record(),
+}
+
+
+@pytest.mark.parametrize("read", list(_READS))
+def test_each_read_after_a_raising_step_is_its_last_completed_step(read):
+    # A lone array-kernel system completes 17 lazy steps before its move
+    # past int64 raises; each read of it then equals that of a reference
+    # run to step 17.
+    ps = _two_on_tree(lazy(0.05))
+    with pytest.raises(ValueError, match="int64"):
+        ps.run(10**4)
+    ref = _two_on_tree(lazy(0.05), force_generic=True)
+    ref.run(17)
+    assert ps.t == ref.t == 17
+    assert _READS[read](ps) == _READS[read](ref)
+
+
+@pytest.mark.parametrize("force_generic", [False, True], ids=["kernel", "reference"])
+def test_a_lone_system_steps_as_the_one_row_of_its_own_pool(monkeypatch, force_generic):
+    # step() and run() each open one lockstep_rows pool on the system's
+    # own graph, particle count and variant, which takes the system's
+    # row, id 0, once; the reference loop opens none.
+    calls = []
+    rows = engine.lockstep_rows
+
+    def spy(topo, M, variant, take, t_end, give_back=None, gather=1):
+        taken = []
+
+        def counted(n):
+            block = take(n)
+            taken.append(None if block is None else block.ids.tolist())
+            return block
+
+        calls.append((topo, M, variant, t_end, taken))
+        return rows(topo, M, variant, counted, t_end, give_back, gather)
+
+    monkeypatch.setattr(engine, "lockstep_rows", spy)
+    spec, variant = TopologySpec.complete(40), lazy(0.5)
+    ps = ParticleSystem(spec, 15, variant, seed=4, force_generic=force_generic)
+    ps.step()
+    ps.run(30)
+    if force_generic:
+        assert calls == []
+    else:
+        assert [(c[0] is ps.topo, c[1], c[2], c[3]) for c in calls] == [
+            (True, 15, variant, 1), (True, 15, variant, 30)
+        ]
+        for *_, taken in calls:
+            assert taken[0] == [0] and set(taken[1:]) <= {None}
+    ref = ParticleSystem(spec, 15, variant, seed=4, force_generic=True)
+    ref._advance(ps.t)
+    assert ps._result().to_record() == ref._result().to_record()
 
 
 def test_vertex_counts_past_int64_are_refused_before_a_run():

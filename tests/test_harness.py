@@ -370,6 +370,26 @@ def test_scan_folds_each_result_as_it_is_made(live_results):
         assert pt.stats == run_replicas(pt.experiment)[1]
 
 
+def test_a_serial_run_steps_every_replica_in_one_pool(monkeypatch):
+    # One lockstep_rows pool, three wide, runs all eight replicas from
+    # seed to result; no replica is stepped as a system of its own, and
+    # each result is a lone run's.
+    pools, advanced = [], []
+    rows, advance = harness.lockstep_rows, ParticleSystem._advance
+    monkeypatch.setattr(engine, "lockstep_batch_size", lambda topo, M: 3)
+    monkeypatch.setattr(harness, "lockstep_batch_size", lambda topo, M: 3)
+    monkeypatch.setattr(harness, "lockstep_rows", lambda *a, **kw: pools.append(a) or rows(*a, **kw))
+    monkeypatch.setattr(
+        ParticleSystem, "_advance", lambda self, t: advanced.append(self) or advance(self, t)
+    )
+    exp = base_exp(variant=lazy(0.5))
+    results, _ = run_replicas(exp)
+    assert (len(pools), advanced) == (1, [])
+    for i, r in enumerate(results):
+        lone = ParticleSystem(exp.topology, exp.M, exp.variant, derive_seed(99, i))
+        assert r.to_record() == lone.run(exp.budget).to_record()
+
+
 def test_chunked_stream_keys_equal_systems_built_one_by_one(monkeypatch):
     # Keys are derived a pool width of seeds at a time: 2 * width + 3
     # replicas fill two chunks and start a third.
@@ -933,6 +953,34 @@ def test_closing_a_pool_settles_every_live_system(monkeypatch, family, variant):
         _assert_same_state(pooled[i], ref)
     for i in range(2, 5):
         _assert_same_state(pooled[i], fresh(i))
+
+
+@pytest.mark.parametrize("family", list(POOL_FAMILIES))
+@pytest.mark.parametrize("variant", [STANDARD, lazy(0.5)], ids=["std", "lazy0.5"])
+def test_lone_systems_stepped_in_turn_each_keep_their_own_state(family, variant):
+    # Three systems of one shape stepped in turn, by step() and by run(),
+    # each i + 1 steps a round: between calls each holds its state in
+    # arrays that no other system shares, and each ends as a reference
+    # run to its own step does.
+    spec, M = POOL_FAMILIES[family]
+
+    def fresh(i, **kw):
+        return ParticleSystem(spec, M, variant, derive_seed(67, i), **kw)
+
+    systems = [fresh(i) for i in range(3)]
+    for _ in range(15):
+        systems[0].step()
+        for i in (1, 2):
+            systems[i].run(systems[i].t + i + 1)
+        arrays = [(ps._posv, ps._words, ps._occ) for ps in systems]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not any(np.shares_memory(x, y) for x in a for y in b)
+    assert len({ps.t for ps in systems}) > 1
+    for i, ps in enumerate(systems):
+        ref = fresh(i, force_generic=True)
+        ref._advance(ps.t)
+        _assert_same_state(ps, ref)
+        assert ps._result().to_record() == ref._result().to_record()
 
 
 @pytest.mark.parametrize("master", [1, 2, 3])
