@@ -49,7 +49,8 @@ completed step. Its result is the one row of a block packaged from its
 state. A step gathers the movers' vertex rows and hands them, with
 their draws, to `neighbor_array`, which may overwrite both: the tree,
 the grid and the hypercube write the destinations into the gathered
-rows.
+rows. On K_n with loops a destination is the draw mod n, so there the
+step gathers nothing and hands over None (`Topology.reads_source`).
 
 Occupancy is counted on packed (replica, vertex) keys: replica * span
 plus a vertex code in [0, span), where the span is n on K_n, star,
@@ -58,8 +59,16 @@ reached so far on the path, grid and tree. One
 bincount over R*span bins counts them when R*span <= LOCKSTEP_ELEMENTS,
 else one sort of keys with particle ids packed below them where those
 words fit an int64, else one lexsort of the vertex rows under the replica
-index; the choice is made afresh each step, as the span grows and as
-replicas come and go. In the bincount regime a step that moves at most
+index. Each choice is made where its input changes, never in a step's
+body. What depends on the family, the variant or the array shape
+(whether the topology reads a mover's source, whether the variant
+draws coins, whether a vertex is one int or rows, the truncated
+leaves' depth) is fixed once per pool, as `lockstep_rows` starts. The
+regime, the bin count and each slot's key offset are fixed once per
+span, in `_Occupancy._respan`, when a count's span differs from the
+latest one's; the span is looked up only when the reach changes. When
+the batch narrows, a new `_Occupancy` for the R it keeps makes those
+choices afresh. In the bincount regime a step that moves at most
 UPDATE_FRACTION (1/8) of the batch's particles keeps the bins and each
 particle's key, and the next such step at the same span updates them
 from its moves alone; a newcomer's slot is recounted on entry. Lazy K_n
@@ -669,8 +678,14 @@ class _Occupancy:
     bin and adding one to its new bin, and a newcomer's slot, named by
     `refill` when it enters, has only its own bins and keys recounted.
     A denser step recounts every particle and keeps nothing, and a
-    changed span or a fresh batch recounts too. The kept keys are their
-    own array: at R = 1 the codes may be the positions themselves.
+    changed span or a fresh batch recounts too.
+
+    What depends only on the span (the regime, the bin count and each
+    particle's replica offset) is fixed in `_respan` when the span
+    changes, and the span is looked up only when the reach does, so a
+    step's count only makes its keys and counts them. Keys are always a
+    new array, codes plus offsets: the kept keys never share memory
+    with the positions.
     Lazy K_n steps move a few percent of the batch, so nearly all of
     their counts update; a standard K_n pool in its long steady state
     moves too many particles to update, and so does most of a path's
@@ -678,35 +693,36 @@ class _Occupancy:
 
     def __init__(self, topo: Topology, M: int, R: int):
         self.topo, self.M, self.R = topo, M, R
-        self.span = 0
+        self.codes = topo.vertex_codes
+        self.reach = self.span = None  # of the latest count
         self.bits = (R * M - 1).bit_length()  # of a particle's flat index
         self.cnt = self.key = None  # the kept bins and keys, if any
         self.refilled = []  # slots entered since the kept arrays were counted
         self.sparse = UPDATE_FRACTION * R * M  # most movers a step may have to update
 
-    @property
-    def bins(self) -> bool:
-        """Whether counts are by bincount: R * span, for the span of the
-        latest count, fits LOCKSTEP_ELEMENTS."""
-        return self.R * self.span <= LOCKSTEP_ELEMENTS
-
-    @property
-    def packs(self) -> bool:
-        """Whether a sort packs each particle's index into the low `bits`
-        of its key: R * span, for the span of the latest count, fits
-        INT64_MAX >> bits. Where neither this nor `bins` holds, the
-        vertex rows are lexsorted."""
-        return self.R * self.span <= INT64_MAX >> self.bits
+    def _respan(self, span: int) -> None:
+        """Fix everything that depends only on the span, and drop the kept
+        arrays: `bins`, whether counts are by bincount (R * span fits
+        LOCKSTEP_ELEMENTS); `packs`, whether a sort packs each particle's
+        index into the low `bits` of its key (R * span fits
+        INT64_MAX >> bits), and where neither holds the vertex rows are
+        lexsorted; `size`, the bin count; and `base`, each particle's
+        replica offset, replica * span, where keys are made."""
+        self.span, self.size = span, self.R * span
+        self.bins = self.size <= LOCKSTEP_ELEMENTS
+        self.packs = self.size <= INT64_MAX >> self.bits
+        self.cnt = self.key = None
+        self.refilled = []
+        if self.bins or self.packs:
+            self.base = np.repeat(np.arange(self.R, dtype=np.int64) * span, self.M)
 
     def keys(self, v: np.ndarray, reach: int, at: Optional[np.ndarray] = None) -> np.ndarray:
         """replica * span + code of the array-form vertices v, which lie
         within distance `reach` of the origin, for the span of the latest
-        count; v holds the particles of flat indices `at`, or all of them
-        when `at` is None. Only where `bins` or `packs` holds."""
-        codes = self.topo.vertex_codes(v, reach)
-        if self.R == 1:
-            return codes
-        return codes + (self.base if at is None else self.base.take(at))
+        count, in a new array; v holds the particles of flat indices `at`,
+        or all of them when `at` is None. Only where `bins` or `packs`
+        holds."""
+        return self.codes(v, reach) + (self.base if at is None else self.base.take(at))
 
     def refill(self, js: Iterable[int]) -> None:
         """Slots js have newcomers: an update at the next count recounts
@@ -720,24 +736,22 @@ class _Occupancy:
         """The counts at positions v. `movers` are the flat indices of the
         only particles that moved since the latest count, apart from the
         slots refilled since; None counts afresh and keeps nothing."""
-        span = self.topo.code_span(reach)
-        if span != self.span:
-            self.span = span
-            self.cnt = self.key = None
-            if self.R > 1 and (self.bins or self.packs):
-                self.base = np.repeat(np.arange(self.R, dtype=np.int64) * span, self.M)
+        if reach != self.reach:
+            self.reach = reach
+            span = self.topo.code_span(reach)
+            if span != self.span:
+                self._respan(span)
         if self.bins:
             if movers is None or movers.size > self.sparse:
                 self.cnt = self.key = None
-                keys = self.keys(v, reach)
-                return np.bincount(keys, minlength=self.R * span).take(keys)
+                self.refilled = []
+                keys = self.codes(v, reach) + self.base
+                return np.bincount(keys, minlength=self.size).take(keys)
             if self.cnt is None:
-                keys = self.keys(v, reach)
-                if np.may_share_memory(keys, v):
-                    keys = keys.copy()
-                self.cnt, self.key = np.bincount(keys, minlength=self.R * span), keys
+                self.key = self.codes(v, reach) + self.base
+                self.cnt = np.bincount(self.key, minlength=self.size)
             else:
-                cnt, key = self.cnt, self.key
+                cnt, key, span = self.cnt, self.key, self.span
                 new = self.keys(v.take(movers, axis=-1), reach, movers)
                 np.subtract.at(cnt, key.take(movers), 1)
                 np.add.at(cnt, new, 1)
@@ -745,7 +759,7 @@ class _Occupancy:
                 # A refilled slot's bins and keys are its own: a stale key
                 # above touched only them, and they are overwritten whole.
                 for j in self.refilled:
-                    codes = self.topo.vertex_codes(v[..., j * self.M : (j + 1) * self.M], reach)
+                    codes = self.codes(v[..., j * self.M : (j + 1) * self.M], reach)
                     cnt[j * span : (j + 1) * span] = np.bincount(codes, minlength=span)
                     key[j * self.M : (j + 1) * self.M] = codes + j * span
             self.refilled = []
@@ -755,7 +769,8 @@ class _Occupancy:
         if self.packs:
             # Words key << bits | index are distinct, so one plain sort
             # orders them by key and gives each particle's index back.
-            packed = self.keys(v, reach) << self.bits
+            packed = self.keys(v, reach)
+            packed <<= self.bits
             packed |= np.arange(packed.size)
             packed.sort()
             order = packed & ((1 << self.bits) - 1)
@@ -907,12 +922,14 @@ def lockstep_rows(
     leaf = topo.spec.family is Family.TREE and topo.leaf_depth  # truncated leaves' depth
     unbounded = topo.unbounded
     full = topo.max_distance
+    sourced = topo.reads_source  # else a step gathers no movers' positions
     start_pos = _start(topo, M)[0][..., None, :]  # a fresh row's, as a block of one
     # A fresh row's book, its lag and id set as it enters: a replica's
     # load, the sum over its particles of their vertex's occupancy, is M
     # exactly when it is dispersed, else M + 2 * its meetings.
     fresh = np.array([[M * M], [0], [0], [0], [0], [0]], dtype=np.int64)
     rows = start_pos.shape[:-2]  # of an array-form vertex
+    flat = not rows  # else the rows of the grid, the hypercube or the tree
     tags = len(_tags(variant))  # streams per particle
     # The pool's own step count k: slot j is at step k + lag[j].
     k = 0
@@ -1017,7 +1034,7 @@ def lockstep_rows(
             due = t_end - int(lag.max())  # k at which the first slot reaches t_end
             while True:
                 outside = unbounded and reach > COORDINATE_LIMIT
-                if k >= due or load.min() == M or outside:
+                if k >= due or np.minimum.reduce(load) == M or outside:
                     leave = load == M
                     if k >= due:
                         leave |= lag >= t_end - k
@@ -1054,8 +1071,9 @@ def lockstep_rows(
                 if idx.size:
                     c = dw.take(idx)
                     c += GOLDEN_U64
-                    flat = pos.ndim == 1  # else the rows of the grid or the tree
-                    dest = pos.take(idx) if flat else pos.take(idx, axis=1)
+                    dest = None
+                    if sourced:
+                        dest = pos.take(idx) if flat else pos.take(idx, axis=1)
                     if leaf:
                         at_leaf = dest[0] == leaf
                     # The gathered rows take their destinations in place.
@@ -1080,7 +1098,7 @@ def lockstep_rows(
                 meet += load
                 k += 1
                 occ = occupancy(pos, reach, idx)
-                occ.reshape(R, M).sum(1, out=load)
+                np.add.reduce(occ.reshape(R, M), 1, out=load)
     except BaseException:
         if give_back is not None and book is not None:
             held = (ident >= 0).nonzero()[0]

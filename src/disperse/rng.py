@@ -137,28 +137,63 @@ def draw_array(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return mix64_array(x)
 
 
+def _mix64_into(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """`mix64` of the uint64 array x in place, with `scratch`, of x's
+    shape, as the one buffer it writes besides x."""
+    np.right_shift(x, _NP_S30, out=scratch)
+    x ^= scratch
+    x *= _NP_M1
+    np.right_shift(x, _NP_S27, out=scratch)
+    x ^= scratch
+    x *= _NP_M2
+    np.right_shift(x, _NP_S31, out=scratch)
+    x ^= scratch
+    return x
+
+
+def _split_into(out: np.ndarray, keys, scratch: np.ndarray) -> np.ndarray:
+    """`split_key` of children 0..count-1 of every key into `out`, of
+    shape (len(keys), count), with `scratch` of that shape."""
+    # Scalar operands are masked Python ints: numpy warns when a uint64
+    # scalar wraps, while arrays wrap silently by design.
+    salted = np.array([(key & MASK64) ^ _SPLIT_SALT for key in keys], dtype=np.uint64)
+    x = np.arange(1, out.shape[1] + 1, dtype=np.uint64)
+    x *= GOLDEN_U64
+    np.add(salted[:, None], x, out=out)
+    return _mix64_into(out, scratch)
+
+
 def split_key_array(keys, count: int) -> np.ndarray:
     """Vectorised `split_key` of children 0..count-1 of every key, in one
     pass: uint64 of shape (len(keys), count). Keys are masked to 64
     bits, as `split_key` masks them. `derive_seed(master, i)` for every
     i < count is row 0 of split_key_array([master], count)."""
-    # Scalar operands are masked Python ints: numpy warns when a uint64
-    # scalar wraps, while arrays wrap silently by design.
-    salted = np.array([(key & MASK64) ^ _SPLIT_SALT for key in keys], dtype=np.uint64)
-    x = np.arange(1, count + 1, dtype=np.uint64)
-    x *= GOLDEN_U64
-    return mix64_array(salted[:, None] + x)
+    keys = list(keys)
+    out = np.empty((len(keys), count), dtype=np.uint64)
+    return _split_into(out, keys, np.empty_like(out))
 
 
 def stream_key_array(seeds, particles: int, tags) -> np.ndarray:
     """Vectorised `stream_key` of particles 0..particles-1 under every
     seed and tag, in one pass: uint64 of shape
     (len(seeds), len(tags), particles). Seeds are masked to 64 bits, as
-    `split_key` masks them."""
-    x = split_key_array(seeds, particles)  # split_key(seed, particle)
+    `split_key` masks them. Every word is derived in the output itself,
+    with one (seeds, particles) scratch buffer."""
+    seeds = list(seeds)
+    out = np.empty((len(seeds), len(tags), particles), dtype=np.uint64)
+    if not tags:
+        return out
+    scratch = np.empty((len(seeds), particles), dtype=np.uint64)
+    # split_key(seed, particle), salted for the next split, is held in
+    # the first tag's row, which is derived last, after the others.
+    x = _split_into(out[:, 0], seeds, scratch)
     x ^= np.uint64(_SPLIT_SALT)
-    steps = np.array([(GOLDEN * (tag + 1)) & MASK64 for tag in tags], dtype=np.uint64)
-    return mix64_array(x[:, None, :] + steps[:, None])  # split_key(., tag)
+    steps = [np.uint64((GOLDEN * (tag + 1)) & MASK64) for tag in tags]
+    for t in range(len(tags) - 1, -1, -1):
+        row = out[:, t]
+        np.add(x, steps[t], out=row)  # at t = 0, in place
+        _mix64_into(row, scratch)  # split_key(., tag)
+    return out
 
 
 def stream_words(keys, counts) -> np.ndarray:

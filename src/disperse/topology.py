@@ -43,7 +43,9 @@ thread published meanwhile, so concurrent calls give the same codes.
 
 `neighbor_array` may overwrite both its arguments: the tree, the grid
 and the hypercube write the destinations into the vertex rows they are
-given, which the engine has just gathered for the movers.
+given, which the engine has just gathered for the movers. K_n with
+loops reads no source at all (`reads_source` is False): its
+destinations are the draws mod n, and the engine gathers nothing for it.
 """
 
 from __future__ import annotations
@@ -408,6 +410,10 @@ class Topology:
     def from_array(self, v: np.ndarray) -> list[Any]:
         return v.tolist()
 
+    # Whether neighbor_array reads v. Where it does not, the destinations
+    # are a function of the draws alone, and the engine passes v as None.
+    reads_source = True
+
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
         """neighbor(v, raw % degree(v)) of each vertex, for uint64 draws
         `raw`. Both arguments may be overwritten, and the result may be
@@ -436,6 +442,9 @@ class _Complete(Topology):
         self.with_loops = spec.with_loops
         self.origin = 0
         self.n_vertices = spec.n
+        # With loops a destination is the draw mod n, whatever the source.
+        self.reads_source = not spec.with_loops
+        self._degree = np.uint64(self.degree(0))  # typed once for _remainder
 
     def degree(self, v: Any) -> int:
         return self.n if self.with_loops else self.n - 1
@@ -463,8 +472,8 @@ class _Complete(Topology):
     max_distance = 1
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        dest = _remainder(raw, self.degree(self.origin))
-        if not self.with_loops:
+        dest = _remainder(raw, self._degree)
+        if self.reads_source:
             dest += dest >= v
         return dest
 
@@ -503,7 +512,7 @@ class _Star(Topology):
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
         # A leaf's one neighbour is the hub; its draw is spent all the same.
-        dest = _remainder(raw, self.leaves)
+        dest = _remainder(raw, np.uint64(self.leaves))
         dest += 1
         dest *= v == 0
         return dest
@@ -688,7 +697,7 @@ class _Tree(Topology):
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
         depth, x = v  # rows of v, which take the destinations
-        i = _remainder(raw, self.k)
+        i = _remainder(raw, np.uint64(self.k))
         inner = depth > 0
         up = i == 0
         up &= inner
@@ -767,7 +776,7 @@ class _Grid(Topology):
         return list(map(tuple, v.T.tolist()))
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        i = _remainder(raw, 2 * self.dim)
+        i = _remainder(raw, np.uint64(2 * self.dim))
         # Neighbour i steps along axis i // 2, down for even i, up for odd.
         v[i >> 1, np.arange(i.size)] += 2 * (i & 1) - 1
         return v
@@ -835,7 +844,7 @@ class _Hypercube(Topology):
         return out
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        i = _remainder(raw, self.dim)
+        i = _remainder(raw, np.uint64(self.dim))
         # Neighbour i flips bit i % 63 of row i // 63.
         v[i // 63, np.arange(i.size)] ^= np.left_shift(1, i % 63)
         return v
@@ -896,7 +905,7 @@ class _Cayley(Topology):
         return list(zip(*(a.tolist() for a in np.unravel_index(v, self.moduli))))
 
     def neighbor_array(self, v: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        i = _remainder(raw, len(self.gens))
+        i = _remainder(raw, np.uint64(len(self.gens)))
         return _mixed_add(v, self._columns.take(i, axis=1), self.moduli)
 
     def distance_array(self, v: np.ndarray) -> np.ndarray:
@@ -948,11 +957,10 @@ def _mixed_add(x: np.ndarray, g, moduli: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _remainder(raw: np.ndarray, m: int) -> np.ndarray:
+def _remainder(raw: np.ndarray, m: np.uint64) -> np.ndarray:
     """raw % m of uint64 draws `raw`, computed in place and viewed as
     int64: numpy divides by a scalar far faster than it takes a
-    remainder."""
-    m = np.uint64(m)
+    remainder. m is typed uint64 by the caller, so numpy casts nothing."""
     raw -= raw // m * m
     return raw.view(np.int64)
 

@@ -222,7 +222,11 @@ POOLED_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("fraction", [1.0, -1.0], ids=["update", "recount"])
+@pytest.mark.parametrize(
+    "fraction",
+    [1.0, 0.3, engine.UPDATE_FRACTION, -1.0],
+    ids=["update", "mixed", "production", "recount"],
+)
 @given(
     st.sampled_from(sorted(POOLED_FAMILIES)),
     st.sampled_from([STANDARD, lazy(0.5)]),
@@ -233,6 +237,8 @@ POOLED_FAMILIES = {
 @settings(deadline=None, max_examples=30)
 def test_kept_counts_equal_a_fresh_recount(fraction, family, variant, width, m, seed):
     # UPDATE_FRACTION at 1 updates every step it can; at -1 none does.
+    # Between them a pool alternates sparse and dense steps at one span,
+    # so a dense recount must drop the bins a sparse step kept.
     spec, budget = POOLED_FAMILIES[family], 40
     count = engine._Occupancy.__call__
 

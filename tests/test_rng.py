@@ -169,18 +169,21 @@ def test_stream_keys_disjoint_across_particles_and_tags():
 @pytest.mark.parametrize(
     "seeds",
     [
+        [],
         [0],
         [MASK64],
         [0, 1, MASK64, derive_seed(2024, 7)],
         # At and past 2^64: masked to 64 bits, as split_key masks them.
         [1 << 64, (1 << 64) + 5, 3 << 70, derive_seed(2024, 7) + (1 << 64)],
     ],
-    ids=["zero", "mask64", "several", "past-2^64"],
+    ids=["no-seeds", "zero", "mask64", "several", "past-2^64"],
 )
 @pytest.mark.parametrize(
     "tags",
-    [(DIRECTION_TAG,), (LAZINESS_TAG,), (DIRECTION_TAG, LAZINESS_TAG)],
-    ids=["direction", "laziness", "both"],
+    # Each tag's row is derived in the output, beside the others: the
+    # order of the tags must not matter to any row.
+    [(DIRECTION_TAG,), (LAZINESS_TAG,), (DIRECTION_TAG, LAZINESS_TAG), (LAZINESS_TAG, DIRECTION_TAG)],
+    ids=["direction", "laziness", "both", "reversed"],
 )
 @pytest.mark.parametrize("particles", [1, 1000])
 def test_stream_key_array_matches_scalar(seeds, tags, particles):

@@ -608,6 +608,37 @@ def test_rows_take_their_destinations_in_place(spec, vertices):
     assert t.from_array(v) == want
 
 
+def test_complete_with_loops_draws_destinations_without_the_source():
+    # With loops a K_n destination is the draw mod n: any sources with the
+    # same draws give the same destinations, so the engine gathers none
+    # and passes None.
+    t = build(TopologySpec.complete(10, with_loops=True))
+    assert not t.reads_source
+    raw = np.array([draw(11, i) for i in range(1, 41)], dtype=np.uint64)
+    want = [t.neighbor(0, int(r) % 10) for r in raw.tolist()]
+    sources = [
+        np.zeros(40, dtype=np.int64),
+        np.random.default_rng(4).integers(0, 10, 40),
+        np.array(want, dtype=np.int64),
+        None,
+    ]
+    for v in sources:
+        assert t.neighbor_array(v, raw.copy()).tolist() == want
+
+
+def test_complete_without_loops_reads_the_source():
+    # Without loops a destination skips its source, so other sources with
+    # the same draws give other destinations; every family but K_n with
+    # loops reads its sources.
+    t = build(TopologySpec.complete(10))
+    raw = np.array([draw(11, i) for i in range(1, 41)], dtype=np.uint64)
+    v = np.arange(40, dtype=np.int64) % 10
+    want = [t.neighbor(u, int(r) % 9) for u, r in zip(v.tolist(), raw.tolist())]
+    assert t.neighbor_array(v.copy(), raw.copy()).tolist() == want
+    assert t.neighbor_array(np.zeros(40, dtype=np.int64), raw.copy()).tolist() != want
+    assert [n for n in ALL_NAMES if not build(spec_for(n)).reads_source] == ["complete-loops"]
+
+
 def test_a_tree_move_past_int64_leaves_the_rows_as_given():
     # Level 1 of tree(2^40) is the deepest whose indices fit an int64:
     # a move down from it raises before anything is written.
